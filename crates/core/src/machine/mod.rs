@@ -10,8 +10,14 @@
 //!   dispatch reassembled messages to the program, push buffered outgoing
 //!   fragments into the NI, and fall back to the program's idle hook.
 //! * `NetArrival` events deliver network messages to the destination NI
-//!   (refused deliveries are retried, modelling backpressure) and generate
-//!   acknowledgements for the sender's sliding window.
+//!   and generate acknowledgements for the sender's sliding window. A
+//!   refused delivery waits in the network and is retried every
+//!   [`MachineConfig::delivery_retry_interval`] cycles, modelling
+//!   backpressure: by a `DeliveryRetry` event per attempt when the refusal
+//!   did device work, or — when it was pure, so every attempt fails alike
+//!   until the processor receives — parked in the node, with only the
+//!   attempts that can succeed actually run (`WakeParked`; see the
+//!   "Receive backpressure" section of `ARCHITECTURE.md`).
 //! * `AckArrival` events release window credits and trigger further
 //!   injections.
 //!
@@ -59,10 +65,12 @@
 //! key `(arrival cycle, origin node, per-origin-node sequence number)`
 //! ([`cni_sim::sharded::Stamp`], stamped from [`node::NodeCore::net_seq`]).
 //! A node's event order is then a pure function of the simulation: locally
-//! scheduled events (`ProcStep`, `DeliveryRetry`) sit at points fixed by the
-//! node's own deterministic execution, network events sit at points fixed by
-//! the epoch grid and the canonical key, and same-cycle FIFO order is the
-//! insertion order those rules pin down. Since nodes cannot affect each
+//! scheduled events (`ProcStep`, `DeliveryRetry`, `RetxTimer`) sit at
+//! points fixed by the node's own deterministic execution, network events
+//! sit at points fixed by the epoch grid and the canonical key, and
+//! same-cycle FIFO order is the insertion order those rules pin down.
+//! Parked deliveries keep the FIFO position their retry event would have
+//! had, recorded as a queue sequence number, and run exactly there. Since nodes cannot affect each
 //! other within a cycle (any interaction rides the fabric and lands `≥ L`
 //! later), per-node event-order invariance implies whole-run invariance:
 //! the 1-shard sequential run, the N-shard sequential run and the N-shard
@@ -76,6 +84,7 @@
 
 pub mod config;
 pub mod node;
+mod parked;
 pub mod program;
 mod shard;
 
@@ -88,7 +97,7 @@ pub use cni_sim::sharded::{EpochOutcome, LookaheadMode, SpecTuning};
 pub use config::{CheckpointStrategy, MachineConfig, ShardPolicy, SpeculationConfig};
 pub use node::{NodeCore, NodeStats, ReliableState};
 pub use program::{IdleProgram, ProcCtx, Program};
-pub use shard::{CheckpointStats, ShardCheckpoint};
+pub use shard::{CheckpointStats, DispatchStats, ShardCheckpoint};
 
 use shard::MachineShard;
 
@@ -204,9 +213,11 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the number of programs differs from the number of nodes, or
-    /// if the configured network latency is zero (the epoch execution model
-    /// needs at least one cycle of lookahead).
+    /// Panics if the number of programs differs from the number of nodes, if
+    /// the configured network latency is zero (the epoch execution model
+    /// needs at least one cycle of lookahead), or if the delivery retry
+    /// interval is zero (a refused delivery would retry in the same cycle
+    /// forever).
     pub fn new(cfg: MachineConfig, mut programs: Vec<Box<dyn Program>>) -> Self {
         assert_eq!(
             programs.len(),
@@ -218,6 +229,10 @@ impl Machine {
         assert!(
             cfg.timing.network_latency >= 1,
             "the sharded machine needs a network latency of at least one cycle of lookahead"
+        );
+        assert!(
+            cfg.delivery_retry_interval >= 1,
+            "a refused delivery needs a retry interval of at least one cycle"
         );
         let shard_count = cfg.shard_count();
         let shared_fabric = Fabric::new(cfg.timing.network_latency);
@@ -294,6 +309,14 @@ impl Machine {
             stats.merge(&shard.checkpoint_stats());
         }
         stats
+    }
+
+    /// Work counters merged across shards: events dispatched per kind and
+    /// parked-delivery traffic (see [`DispatchStats`]). Simulator telemetry
+    /// — not part of the simulated result, and excluded from report
+    /// digests.
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        DispatchStats::merged(self.shards.iter().map(|s| s.dispatch_stats()))
     }
 
     /// The epoch driver's summary of the last [`Machine::run`]: epochs
@@ -572,6 +595,14 @@ mod tests {
     fn program_count_must_match_node_count() {
         let cfg = MachineConfig::isca96(2, NiKind::Ni2w);
         let _ = Machine::new(cfg, vec![Box::new(IdleProgram)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "retry interval")]
+    fn zero_delivery_retry_interval_is_rejected() {
+        let mut cfg = MachineConfig::isca96(2, NiKind::Ni2w);
+        cfg.delivery_retry_interval = 0;
+        let _ = Machine::new(cfg, pitch_catch_programs(1, 2));
     }
 
     #[test]

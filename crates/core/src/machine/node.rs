@@ -18,6 +18,7 @@ use cni_sim::time::Cycle;
 use crate::msg::{AmMessage, Assembler, FragArena, FragPayload, OutgoingBuffer};
 
 use super::config::MachineConfig;
+use super::parked::ParkedDeliveries;
 
 /// Receive-side dedup state for one source: a contiguous "everything below
 /// this is seen" watermark plus the sparse set of seen sequence numbers
@@ -153,7 +154,8 @@ impl Merge for NodeStats {
 /// divergence from the checkpoint mirror. Anything that adds a
 /// mutation path outside event dispatch must also mark the node dirty,
 /// or the sabotage oracle in `tests/speculation.rs` will show restores
-/// losing state.
+/// losing state. The one such path today: an epoch-boundary delivery to
+/// a node with parked deliveries advances them first, and marks it.
 #[derive(Clone)]
 pub struct NodeCore {
     /// Node identity.
@@ -198,6 +200,9 @@ pub struct NodeCore {
     pub rel: Option<ReliableState>,
     /// Statistics.
     pub stats: NodeStats,
+    /// Deliveries the network holds because the NI receive queue refused
+    /// them with a pure refusal; see [`crate::machine`]'s module docs.
+    pub(super) parked: ParkedDeliveries,
 }
 
 impl std::fmt::Debug for NodeCore {
@@ -253,19 +258,24 @@ impl NodeCore {
                 .enabled()
                 .then(|| ReliableState::new(cfg.nodes, &cfg.faults)),
             stats: NodeStats::default(),
+            parked: ParkedDeliveries::default(),
         }
     }
 
     /// Approximate in-memory footprint of this node's checkpointable
     /// state, in bytes: the inline struct plus the dominant heap buffers
-    /// (in-flight fragments, software send buffer, delivered inbox). The
+    /// (in-flight and parked fragments, software send buffer, delivered
+    /// inbox). The
     /// unit of [`crate::machine::CheckpointStats`] byte accounting — an
     /// estimate cheap enough to take per snapshot, not an allocator-exact
     /// census, so strategies are compared in a consistent currency rather
     /// than measured absolutely.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + (self.tx_tokens.len() + self.rx_tokens.len() + self.outgoing.len())
+            + (self.tx_tokens.len()
+                + self.rx_tokens.len()
+                + self.outgoing.len()
+                + self.parked.len())
                 * std::mem::size_of::<FragPayload>()
             + self.inbox.len() * std::mem::size_of::<AmMessage>()
     }
@@ -273,9 +283,11 @@ impl NodeCore {
     /// Whether the node has nothing left to do locally (its program may still
     /// be waiting for remote messages). Unacknowledged reliable-delivery
     /// messages count as pending work: their retransmission timers keep the
-    /// run alive until the ack arrives.
+    /// run alive until the ack arrives. So do deliveries parked behind a
+    /// full receive queue.
     pub fn is_quiescent(&self) -> bool {
-        self.outgoing.is_empty()
+        self.parked.is_empty()
+            && self.outgoing.is_empty()
             && self.inbox.is_empty()
             && self.ni.send_queue_len() == 0
             && self.ni.recv_queue_len() == 0

@@ -43,7 +43,8 @@ pub(super) struct WireMeta {
 }
 
 /// Events a shard schedules in its local queue. Node-local events
-/// (`ProcStep`, `DeliveryRetry`, `RetxTimer`) are scheduled directly;
+/// (`ProcStep`, `DeliveryRetry`, `WakeParked`, `RetxTimer`) are scheduled
+/// directly;
 /// network-borne ones (`NetArrival`, `AckArrival`) only ever enter through
 /// the epoch router.
 #[derive(Debug, Clone)]
@@ -65,8 +66,12 @@ pub(super) enum Event {
         /// Whether the fault layer corrupted the ack in flight.
         corrupted: bool,
     },
-    /// A previously refused delivery is retried.
+    /// A delivery the device refused with a polled refusal is retried.
     DeliveryRetry(NodeId, FragPayload, WireMeta),
+    /// A node's parked deliveries have an attempt due that must really run
+    /// (see [`super::parked`]); the attempts themselves run at the top of
+    /// this or any earlier same-cycle dispatch on the node.
+    WakeParked(NodeId),
     /// The node's retransmission timer expires: scan for unacknowledged
     /// messages past their deadline.
     RetxTimer(NodeId),
@@ -83,6 +88,7 @@ impl Event {
             Event::ProcStep(id)
             | Event::NetArrival(id, ..)
             | Event::DeliveryRetry(id, ..)
+            | Event::WakeParked(id)
             | Event::RetxTimer(id) => *id,
             Event::AckArrival { src, .. } => *src,
         }
@@ -123,6 +129,13 @@ pub(super) struct MachineShard {
     faults: Option<FaultPlan>,
     recv_batch: usize,
     delivery_retry_interval: Cycle,
+    /// The epoch grid the driver delivers network events on: an arrival at
+    /// `at` is accepted at the boundary `at - at % epoch`.
+    epoch: Cycle,
+    /// Deliveries parked across this shard's nodes — outstanding work the
+    /// speculation pacer's load signal must see, as it saw their polled
+    /// retries.
+    parked: u64,
     /// How many pending events are *emitters* — may stage network traffic
     /// when dispatched. Maintained by [`MachineShard::schedule_event`] and
     /// the `advance` pop loop; feeds the `earliest_emission` forecast.
@@ -143,6 +156,8 @@ pub(super) struct MachineShard {
     strategy: CheckpointStrategy,
     /// Accumulated checkpoint-cost accounting for this shard.
     ckpt_stats: CheckpointStats,
+    /// Work counters (telemetry; never rewound).
+    dispatch: DispatchStats,
 }
 
 impl std::fmt::Debug for MachineShard {
@@ -176,11 +191,14 @@ impl MachineShard {
             faults: cfg.faults.enabled().then(|| FaultPlan::new(&cfg.faults)),
             recv_batch: cfg.recv_batch,
             delivery_retry_interval: cfg.delivery_retry_interval,
+            epoch: cfg.timing.network_latency,
+            parked: 0,
             emitting_pending: 0,
             retx_emits: cfg.faults.enabled() && cfg.faults.retransmit,
             dirty,
             strategy: cfg.speculation.checkpoint,
             ckpt_stats: CheckpointStats::default(),
+            dispatch: DispatchStats::default(),
         }
     }
 
@@ -241,6 +259,11 @@ impl MachineShard {
     /// Latest processor time across this shard's nodes.
     pub(super) fn max_proc_time(&self) -> Cycle {
         self.nodes.iter().map(|n| n.proc_time).max().unwrap_or(0)
+    }
+
+    /// This shard's work counters.
+    pub(super) fn dispatch_stats(&self) -> DispatchStats {
+        self.dispatch
     }
 
     /// Checkpoint cost accounting, with the live delta journal's current
@@ -330,6 +353,7 @@ impl MachineShard {
             };
             t = rx.done;
             did_work = true;
+            node.parked.blocked = false;
             node.stats.received_fragments += 1;
             let payload = node.rx_tokens.take(rx.frag.token);
             node.stats.received_bytes += payload.payload_bytes as u64;
@@ -659,7 +683,7 @@ impl MachineShard {
         }
         let payload_bytes = frag.payload_bytes;
         // Move the payload into the receive arena (no clones on this path);
-        // a refused delivery moves it back out for the retry event.
+        // a refused delivery moves it back out for the retry.
         let (outcome, wake_at) = {
             let node = &mut self.nodes[slot];
             let token = node.rx_tokens.insert(frag);
@@ -669,13 +693,18 @@ impl MachineShard {
                     let wake = node.idle_since.is_some().then_some(done);
                     // The sequence number is consumed only once the NI
                     // accepts: a refused copy retries and must still dedup
-                    // against a retransmission accepted in the meantime.
+                    // against a retransmission accepted in the meantime —
+                    // so parked copies of it now retry as duplicates.
                     if let (Some(rel), Some(tx_seq)) = (&mut node.rel, meta.tx_seq) {
                         rel.seen[src.index()].insert(tx_seq);
+                        if !node.parked.is_empty() {
+                            node.parked.mark_dup(src.index(), tx_seq);
+                        }
                     }
                     (Ok(done), wake)
                 }
-                DeliverOutcome::Refused => (Err(node.rx_tokens.take(token)), None),
+                DeliverOutcome::Refused => (Err((node.rx_tokens.take(token), false)), None),
+                DeliverOutcome::Blocked => (Err((node.rx_tokens.take(token), true)), None),
             }
         };
         match outcome {
@@ -698,14 +727,56 @@ impl MachineShard {
                     self.schedule_step(id, at);
                 }
             }
-            Err(frag) => {
+            Err((frag, blocked)) => {
                 // Backpressure: the message waits in the network and the
-                // delivery is retried. Node-local, so scheduled directly.
-                self.schedule_event(
-                    now + self.delivery_retry_interval,
-                    Event::DeliveryRetry(id, frag, meta),
-                );
+                // delivery is retried. Node-local, so scheduled directly —
+                // or, behind a pure refusal, parked in the node at the
+                // position the retry event would take.
+                let at = now + self.delivery_retry_interval;
+                if blocked {
+                    let key = self.events.next_seq();
+                    let parked = &mut self.nodes[slot].parked;
+                    parked.blocked = true;
+                    parked.park(at, key, self.delivery_retry_interval, frag, meta);
+                    self.parked += 1;
+                    self.dispatch.parked += 1;
+                } else {
+                    self.schedule_event(at, Event::DeliveryRetry(id, frag, meta));
+                }
             }
+        }
+    }
+
+    /// Runs the parked attempts on the node in `slot` that precede the
+    /// event popped at `now` with sequence number `seq`: skipped refusals
+    /// advance in place, attempts that must really execute are delivered
+    /// here, in the order their polled retries would pop.
+    fn run_parked(&mut self, slot: usize, now: Cycle, seq: u64, outbox: &mut Outbox<NetEvent>) {
+        let interval = self.delivery_retry_interval;
+        loop {
+            let cur = self.events.next_seq();
+            let node = &mut self.nodes[slot];
+            let Some(parked) = node.parked.next_due(now, seq, cur, interval) else {
+                return;
+            };
+            let id = node.id;
+            self.parked -= 1;
+            self.dispatch.woken += 1;
+            self.deliver(id, parked.frag, parked.meta, now, outbox);
+        }
+    }
+
+    /// Makes sure a `WakeParked` event is pending at the node's earliest
+    /// parked attempt that must really execute, if there is one.
+    fn wake_parked(&mut self, slot: usize) {
+        let node = &mut self.nodes[slot];
+        let Some(at) = node.parked.wake_time() else {
+            return;
+        };
+        if node.parked.wake_at.is_none_or(|w| at < w) {
+            node.parked.wake_at = Some(at);
+            let id = node.id;
+            self.schedule_event(at, Event::WakeParked(id));
         }
     }
 
@@ -824,6 +895,61 @@ impl MachineShard {
     }
 }
 
+/// Deterministic work counters for a shard's (or whole machine's) runs:
+/// events dispatched per kind, plus the traffic through parked deliveries.
+/// Simulator telemetry, not simulated state — excluded from
+/// [`super::RunReport`] and its digests, and never rewound: an event
+/// re-executed after a speculative rollback counts again. The counts are
+/// therefore exact and repeatable for one configuration (what tests pin
+/// with `==`), but differ between lookahead modes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchStats {
+    /// `ProcStep` events dispatched.
+    pub proc_step: u64,
+    /// `NetArrival` events dispatched.
+    pub net_arrival: u64,
+    /// `AckArrival` events dispatched.
+    pub ack_arrival: u64,
+    /// `DeliveryRetry` events dispatched (polled refusals).
+    pub delivery_retry: u64,
+    /// `WakeParked` events dispatched.
+    pub wake_parked: u64,
+    /// `RetxTimer` events dispatched.
+    pub retx_timer: u64,
+    /// Deliveries parked behind a pure refusal — first refusals and
+    /// re-refused attempts alike.
+    pub parked: u64,
+    /// Parked attempts that really executed (the rest were skipped).
+    pub woken: u64,
+}
+
+impl DispatchStats {
+    fn count(&mut self, event: &Event) {
+        let counter = match event {
+            Event::ProcStep(_) => &mut self.proc_step,
+            Event::NetArrival(..) => &mut self.net_arrival,
+            Event::AckArrival { .. } => &mut self.ack_arrival,
+            Event::DeliveryRetry(..) => &mut self.delivery_retry,
+            Event::WakeParked(_) => &mut self.wake_parked,
+            Event::RetxTimer(_) => &mut self.retx_timer,
+        };
+        *counter += 1;
+    }
+}
+
+impl Merge for DispatchStats {
+    fn merge(&mut self, other: &Self) {
+        self.proc_step += other.proc_step;
+        self.net_arrival += other.net_arrival;
+        self.ack_arrival += other.ack_arrival;
+        self.delivery_retry += other.delivery_retry;
+        self.wake_parked += other.wake_parked;
+        self.retx_timer += other.retx_timer;
+        self.parked += other.parked;
+        self.woken += other.woken;
+    }
+}
+
 /// Accumulated cost accounting for a shard's (or whole machine's)
 /// speculative checkpoints — what the `scaling` benchmark's
 /// checkpoint-bytes and dirty-fraction columns report.
@@ -898,6 +1024,7 @@ pub struct ShardCheckpoint {
     events: Option<EventQueue<Event>>,
     fabric: Option<Fabric>,
     emitting_pending: usize,
+    parked: u64,
     /// Whether the node/program mirror has been filled at least once.
     synced: bool,
 }
@@ -950,6 +1077,7 @@ impl ShardSim for MachineShard {
             None => into.fabric = Some(self.fabric.clone()),
         }
         into.emitting_pending = self.emitting_pending;
+        into.parked = self.parked;
 
         let bytes = node_bytes
             + std::mem::size_of::<Fabric>() as u64
@@ -1007,6 +1135,7 @@ impl ShardSim for MachineShard {
         self.fabric
             .clone_from(from.fabric.as_ref().expect("restore before snapshot"));
         self.emitting_pending = from.emitting_pending;
+        self.parked = from.parked;
     }
 
     fn commit_speculation(&mut self) {
@@ -1020,6 +1149,27 @@ impl ShardSim for MachineShard {
     }
 
     fn accept(&mut self, at: Cycle, msg: NetEvent) {
+        // The driver delivers at the epoch boundary: every parked attempt
+        // before it happened before this event is scheduled (and none after
+        // it), so advance them now, while their keys can still tell.
+        let node = match &msg {
+            NetEvent::Arrival(frag, _) => frag.dst,
+            NetEvent::Ack { src, .. } => *src,
+        };
+        let slot = self.slot(node);
+        if !self.nodes[slot].parked.is_empty() {
+            self.mark_dirty(slot);
+            let boundary = at - at % self.epoch;
+            let cur = self.events.next_seq();
+            let due =
+                self.nodes[slot]
+                    .parked
+                    .next_due(boundary, 0, cur, self.delivery_retry_interval);
+            debug_assert!(
+                due.is_none(),
+                "parked attempts due before {boundary} were never woken"
+            );
+        }
         match msg {
             NetEvent::Arrival(frag, meta) => {
                 let dst = frag.dst;
@@ -1045,11 +1195,14 @@ impl ShardSim for MachineShard {
     }
 
     fn advance(&mut self, horizon: Cycle, outbox: &mut Outbox<NetEvent>) {
-        while let Some((now, event)) = self.events.pop_before(horizon) {
-            self.mark_dirty(self.slot(event.node()));
+        while let Some((now, seq, event)) = self.events.pop_before_seq(horizon) {
+            let slot = self.slot(event.node());
+            self.mark_dirty(slot);
             if self.is_emitter(&event) {
                 self.emitting_pending -= 1;
             }
+            self.dispatch.count(&event);
+            self.run_parked(slot, now, seq, outbox);
             match event {
                 Event::ProcStep(id) => self.proc_step(id, now, outbox),
                 Event::NetArrival(id, frag, meta) => self.deliver(id, frag, meta, now, outbox),
@@ -1060,8 +1213,15 @@ impl ShardSim for MachineShard {
                     corrupted,
                 } => self.handle_ack(src, dst, seq, corrupted, now, outbox),
                 Event::DeliveryRetry(id, frag, meta) => self.deliver(id, frag, meta, now, outbox),
+                Event::WakeParked(_) => {
+                    let parked = &mut self.nodes[slot].parked;
+                    if parked.wake_at == Some(now) {
+                        parked.wake_at = None;
+                    }
+                }
                 Event::RetxTimer(id) => self.retx_timer(id, now, outbox),
             }
+            self.wake_parked(slot);
         }
     }
 
@@ -1069,8 +1229,9 @@ impl ShardSim for MachineShard {
         self.events.peek_time()
     }
 
+    /// Parked deliveries count as the pending retries they stand for.
     fn pending_len(&self) -> u64 {
-        self.events.len() as u64
+        self.events.len() as u64 + self.parked
     }
 
     /// Conservative traffic forecast: while any pending event is an emitter,

@@ -42,7 +42,6 @@ pub struct Cni4Device {
     /// Total receive-side buffering (exposed message + FIFO) in messages.
     recv_capacity: usize,
     handshakes: u64,
-    recv_refusals: u64,
 }
 
 impl Cni4Device {
@@ -58,18 +57,12 @@ impl Cni4Device {
             recv_fifo: VecDeque::new(),
             recv_capacity: NiKind::Cni4.spec().queue_capacity_messages(),
             handshakes: 0,
-            recv_refusals: 0,
         }
     }
 
     /// Number of three-cycle handshakes performed so far.
     pub fn handshakes(&self) -> u64 {
         self.handshakes
-    }
-
-    /// Deliveries refused because the receive buffering was full.
-    pub fn recv_refusals(&self) -> u64 {
-        self.recv_refusals
     }
 
     fn buffered_receives(&self) -> usize {
@@ -186,9 +179,10 @@ impl NiDevice for Cni4Device {
         mem: &mut NodeMemSystem,
         frag: FragRef,
     ) -> DeliverOutcome {
+        // Full buffering refuses without touching any state; only
+        // `proc_receive` frees an entry, so the refusal stands until then.
         if self.buffered_receives() >= self.recv_capacity {
-            self.recv_refusals += 1;
-            return DeliverOutcome::Refused;
+            return DeliverOutcome::Blocked;
         }
         if self.recv_exposed.is_none() {
             // Write straight into the CDRs.
@@ -301,10 +295,10 @@ mod tests {
                 .is_accepted());
         }
         assert_eq!(ni.recv_queue_len(), 4);
-        assert!(!ni
-            .device_deliver(0, &mut m, FragRef::new(9, 12))
-            .is_accepted());
-        assert_eq!(ni.recv_refusals(), 1);
+        assert_eq!(
+            ni.device_deliver(0, &mut m, FragRef::new(9, 12)),
+            DeliverOutcome::Blocked
+        );
         // Receiving the exposed message exposes the next one.
         let poll = ni.proc_poll(0, &mut m);
         let rx = ni.proc_receive(poll.done, &mut m).unwrap();

@@ -725,7 +725,7 @@ mod tests {
         for i in 0..5 {
             match q.device_enqueue(now, &mut mem, FragRef::new(i, 200)) {
                 DeliverOutcome::Accepted { done } => now = done,
-                DeliverOutcome::Refused => panic!("queue should not be full"),
+                refused => panic!("queue should not be full: {refused:?}"),
             }
         }
         for i in 0..5 {
@@ -744,7 +744,7 @@ mod tests {
         for i in 0..4 {
             match q.device_enqueue(now, &mut mem, FragRef::new(i, 244)) {
                 DeliverOutcome::Accepted { done } => now = done,
-                DeliverOutcome::Refused => panic!("should fit"),
+                refused => panic!("should fit: {refused:?}"),
             }
         }
         assert!(!q
@@ -771,7 +771,7 @@ mod tests {
         for i in 0..32 {
             match q.device_enqueue(now, &mut mem, FragRef::new(i, 244)) {
                 DeliverOutcome::Accepted { done } => now = done,
-                DeliverOutcome::Refused => panic!("512-block queue should absorb 32 messages"),
+                refused => panic!("512-block queue should absorb 32 messages: {refused:?}"),
             }
         }
         assert!(

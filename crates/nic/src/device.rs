@@ -72,9 +72,19 @@ pub enum DeliverOutcome {
         /// Cycle at which the device finished storing the message.
         done: Cycle,
     },
-    /// The device's receive queue is full; the network must hold the message
-    /// and retry (backpressure).
+    /// The device's receive queue is full and the refusal itself did device
+    /// work (a CQ re-reads the processor's head pointer over the bus on
+    /// every attempt), so the network holds the message and polls: it
+    /// retries every `delivery_retry_interval` cycles, each attempt charged
+    /// like the first.
     Refused,
+    /// The device's receive queue is full and the refusal was *pure*: it
+    /// changed no device or bus state, and every retry fails the same way
+    /// until the processor next calls [`NiDevice::proc_receive`] on this
+    /// device — the only call that frees receive space. The network still
+    /// holds the message on the same retry grid, but the machine parks it
+    /// instead of dispatching each futile attempt.
+    Blocked,
 }
 
 impl DeliverOutcome {
@@ -182,5 +192,6 @@ mod tests {
     fn deliver_outcome_helpers() {
         assert!(DeliverOutcome::Accepted { done: 1 }.is_accepted());
         assert!(!DeliverOutcome::Refused.is_accepted());
+        assert!(!DeliverOutcome::Blocked.is_accepted());
     }
 }

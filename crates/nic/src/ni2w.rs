@@ -26,7 +26,6 @@ pub struct Ni2wDevice {
     sends: u64,
     receives: u64,
     send_full_stalls: u64,
-    recv_refusals: u64,
 }
 
 impl Ni2wDevice {
@@ -51,7 +50,6 @@ impl Ni2wDevice {
             sends: 0,
             receives: 0,
             send_full_stalls: 0,
-            recv_refusals: 0,
         }
     }
 
@@ -63,11 +61,6 @@ impl Ni2wDevice {
     /// Send attempts that found the hardware FIFO full.
     pub fn send_full_stalls(&self) -> u64 {
         self.send_full_stalls
-    }
-
-    /// Deliveries refused because the receive FIFO was full.
-    pub fn recv_refusals(&self) -> u64 {
-        self.recv_refusals
     }
 }
 
@@ -141,9 +134,10 @@ impl NiDevice for Ni2wDevice {
         _mem: &mut NodeMemSystem,
         frag: FragRef,
     ) -> DeliverOutcome {
+        // A full FIFO refuses without touching any state; only
+        // `proc_receive` pops it, so the refusal stands until then.
         if self.recv_fifo.len() >= self.fifo_capacity {
-            self.recv_refusals += 1;
-            return DeliverOutcome::Refused;
+            return DeliverOutcome::Blocked;
         }
         self.recv_fifo.push_back(frag);
         DeliverOutcome::Accepted { done: now }
@@ -254,10 +248,15 @@ mod tests {
                 .device_deliver(0, &mut m, FragRef::new(i, 8))
                 .is_accepted());
         }
-        assert!(!ni
-            .device_deliver(0, &mut m, FragRef::new(4, 8))
-            .is_accepted());
-        assert_eq!(ni.recv_refusals(), 1);
+        assert_eq!(
+            ni.device_deliver(0, &mut m, FragRef::new(4, 8)),
+            DeliverOutcome::Blocked
+        );
+        assert_eq!(
+            ni.recv_queue_len(),
+            4,
+            "a refusal leaves the FIFO as it was"
+        );
     }
 
     #[test]

@@ -526,6 +526,19 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
+        self.pop_before_seq(horizon)
+            .map(|(at, _, event)| (at, event))
+    }
+
+    /// [`EventQueue::pop_before`] that also returns the popped event's
+    /// sequence number — the FIFO tie-break it was scheduled with. Callers
+    /// that model deferred events outside the queue compare it against
+    /// [`EventQueue::next_seq`] values they recorded, to tell whether such an
+    /// event would have been scheduled before or after the popped one.
+    pub fn pop_before_seq(&mut self, horizon: Cycle) -> Option<(Cycle, u64, E)>
+    where
+        E: Clone,
+    {
         let (at, seq, event) = match &mut self.backend {
             Backend::Heap(heap) => {
                 if heap.peek().is_none_or(|e| e.at >= horizon) {
@@ -539,7 +552,14 @@ impl<E> EventQueue<E> {
             self.journal.popped.push((at, seq, event.clone()));
         }
         self.now = self.now.max(at);
-        Some((self.now, event))
+        Some((self.now, seq, event))
+    }
+
+    /// The sequence number the next [`EventQueue::schedule`] will assign.
+    /// Every event already scheduled has a smaller one, every event
+    /// scheduled later a larger or equal one.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Removes all pending events without changing the clock.

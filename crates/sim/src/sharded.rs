@@ -253,7 +253,9 @@ pub trait ShardSim: Send {
         false
     }
 
-    /// Number of events pending in the shard's local queue. Summed across
+    /// Number of events pending in the shard's local queue, plus any work
+    /// the shard defers outside it and would otherwise have queued (the
+    /// machine model's parked deliveries). Summed across
     /// shards this is the machine-wide pending-event population — the
     /// local half of the load observable the speculation pacer reads (the
     /// other half being the router's staged count). Both halves are

@@ -490,3 +490,174 @@ fn zero_fault_rates_leave_reports_byte_identical_to_seed() {
         );
     }
 }
+
+/// Full-report digest: every [`RunReport`](cni::core::machine::RunReport)
+/// field, pending-work diagnostics included, through its `Debug` rendering.
+fn full_report_digest(report: &cni::core::machine::RunReport) -> u64 {
+    let mut digest = cni::core::digest::Fnv64::new();
+    digest.write_str(&format!("{report:?}"));
+    digest.finish()
+}
+
+/// Receive backpressure is bit-identical to per-attempt polling. NI2w and
+/// CNI4 refuse purely, so the machine parks their refused deliveries
+/// instead of dispatching a retry every `delivery_retry_interval` cycles;
+/// these digests were recorded while every attempt still ran as its own
+/// event, on retry-heavy fixtures (8 I/O-bus nodes, thousands of refused
+/// attempts each), and every layout and lookahead mode must reproduce
+/// them.
+#[test]
+fn parked_deliveries_match_polled_reference_digests() {
+    use cni::core::machine::{LookaheadMode, Machine, MachineConfig, ShardPolicy};
+    use cni::net::faults::FaultConfig;
+    use cni::nic::NiKind;
+    use cni::workloads::{Workload, WorkloadParams};
+
+    let params = WorkloadParams::tiny();
+    let nodes = 8;
+    // (NI, workload, lossy fabric, digest)
+    let pinned: [(NiKind, Workload, bool, u64); 16] = [
+        (NiKind::Ni2w, Workload::AllToAll, false, 0x54ca52348877b844),
+        (NiKind::Ni2w, Workload::AllToAll, true, 0x7adbf1b08a96c66d),
+        (NiKind::Ni2w, Workload::Hotspot, false, 0xe736e73c7f3eefe4),
+        (NiKind::Ni2w, Workload::Hotspot, true, 0x6a586bbaa6947218),
+        (NiKind::Ni2w, Workload::RpcOpen, false, 0xde02740bb0565635),
+        (NiKind::Ni2w, Workload::RpcOpen, true, 0x8f41f0ac7bc59306),
+        (NiKind::Ni2w, Workload::Gauss, false, 0x604a35b290c9cf6f),
+        (NiKind::Ni2w, Workload::Gauss, true, 0x968f073d07d6f9a2),
+        (NiKind::Cni4, Workload::AllToAll, false, 0x21c7c27c6b6ab9df),
+        (NiKind::Cni4, Workload::AllToAll, true, 0xd0ce594d9305072d),
+        (NiKind::Cni4, Workload::Hotspot, false, 0xab35e372650362de),
+        (NiKind::Cni4, Workload::Hotspot, true, 0x87abbeecf4f6c0bb),
+        (NiKind::Cni4, Workload::RpcOpen, false, 0x1d3f88717bd15784),
+        (NiKind::Cni4, Workload::RpcOpen, true, 0x22f1e9f6d7caf64a),
+        (NiKind::Cni4, Workload::Gauss, false, 0xa7e78a65905ef1f5),
+        (NiKind::Cni4, Workload::Gauss, true, 0xdb8576b1a04d111f),
+    ];
+    let layouts = [
+        (ShardPolicy::Single, false),
+        (ShardPolicy::Fixed(2), false),
+        (ShardPolicy::Fixed(2), true),
+    ];
+    for (ni, workload, lossy, want) in pinned {
+        for (policy, parallel) in layouts {
+            for mode in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
+                let mut cfg = MachineConfig::isca96_io(nodes, ni)
+                    .with_shards(policy)
+                    .with_parallel(parallel)
+                    .with_lookahead(mode);
+                if lossy {
+                    cfg = cfg.with_faults(FaultConfig::lossy(7, 20_000));
+                }
+                let report = Machine::new(cfg, workload.programs(nodes, &params)).run();
+                assert!(report.completed, "{ni} {workload} lossy={lossy}");
+                assert_eq!(
+                    full_report_digest(&report),
+                    want,
+                    "{ni} {workload} lossy={lossy} {policy:?} parallel={parallel} {mode}: \
+                     diverged from the polled reference"
+                );
+            }
+        }
+    }
+}
+
+/// An NI2w run cut off by the cycle limit while deliveries wait behind full
+/// receive queues reports the same abort point and the same pending work
+/// as the polled reference. (The cut-off reads the last dispatched event,
+/// which parked attempts no longer are; it cannot move, because a node
+/// with parked deliveries has its next processor step — and so its
+/// processor time — past the cut-off.)
+#[test]
+fn aborted_backpressure_run_matches_polled_reference() {
+    use cni::core::digest::fnv64_of_str;
+    use cni::core::machine::{LookaheadMode, Machine, MachineConfig, ShardPolicy};
+    use cni::net::faults::FaultConfig;
+    use cni::nic::NiKind;
+    use cni::workloads::{Workload, WorkloadParams};
+
+    let params = WorkloadParams::tiny();
+    // (workload, lossy fabric, max_cycles, reported cycles, pending digest)
+    let pinned: [(Workload, bool, u64, u64, u64); 2] = [
+        (Workload::Hotspot, true, 6_050, 7_412, 0x30b1c47c362acb7d),
+        (Workload::RpcOpen, false, 6_050, 10_196, 0x540a5e3a4b89638c),
+    ];
+    for (workload, lossy, max_cycles, cycles, summary) in pinned {
+        for (policy, parallel) in [
+            (ShardPolicy::Single, false),
+            (ShardPolicy::Fixed(2), false),
+            (ShardPolicy::Fixed(2), true),
+        ] {
+            for mode in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
+                let mut cfg = MachineConfig::isca96_io(8, NiKind::Ni2w)
+                    .with_shards(policy)
+                    .with_parallel(parallel)
+                    .with_lookahead(mode);
+                if lossy {
+                    cfg = cfg.with_faults(FaultConfig::lossy(7, 20_000));
+                }
+                cfg.max_cycles = max_cycles;
+                let report = Machine::new(cfg, workload.programs(8, &params)).run();
+                let label = format!("{workload} lossy={lossy} {policy:?} {parallel} {mode}");
+                assert!(report.aborted, "{label}");
+                assert_eq!(report.cycles, cycles, "{label}");
+                assert_eq!(
+                    fnv64_of_str(&report.pending_summary()),
+                    summary,
+                    "{label}: {}",
+                    report.pending_summary()
+                );
+            }
+        }
+    }
+}
+
+/// Deterministic work counters, pinned exactly: the dispatch profile of a
+/// small NI2w backpressure fixture, identical across layouts under fixed
+/// lookahead. Polling re-dispatched each refused delivery every
+/// `delivery_retry_interval` cycles — 3 416 `DeliveryRetry` events on this
+/// fixture — where parking needs 21 wake-ups for the 56 attempts that can
+/// succeed; a regression back to polling fails here. The CQ devices, whose
+/// refusals read the head pointer over the bus, keep polling.
+#[test]
+fn backpressure_dispatch_counts_are_pinned() {
+    use cni::core::machine::{DispatchStats, Machine, MachineConfig, ShardPolicy};
+    use cni::nic::NiKind;
+    use cni::workloads::{Workload, WorkloadParams};
+
+    let params = WorkloadParams::tiny();
+    let run = |ni: NiKind, policy: ShardPolicy, parallel: bool| {
+        let cfg = MachineConfig::isca96_io(8, ni)
+            .with_shards(policy)
+            .with_parallel(parallel)
+            .with_lookahead(cni::core::machine::LookaheadMode::Fixed);
+        let mut machine = Machine::new(cfg, Workload::Hotspot.programs(8, &params));
+        assert!(machine.run().completed, "{ni}");
+        machine.dispatch_stats()
+    };
+    let want = DispatchStats {
+        proc_step: 446,
+        net_arrival: 96,
+        ack_arrival: 96,
+        delivery_retry: 0,
+        wake_parked: 21,
+        retx_timer: 0,
+        parked: 56,
+        woken: 56,
+    };
+    for (policy, parallel) in [
+        (ShardPolicy::Single, false),
+        (ShardPolicy::Fixed(2), false),
+        (ShardPolicy::Fixed(2), true),
+    ] {
+        assert_eq!(
+            run(NiKind::Ni2w, policy, parallel),
+            want,
+            "{policy:?} {parallel}"
+        );
+    }
+
+    let cq = run(NiKind::Cni16Q, ShardPolicy::Single, false);
+    assert!(cq.delivery_retry > 0, "CQ refusals are polled: {cq:?}");
+    assert_eq!((cq.wake_parked, cq.parked, cq.woken), (0, 0, 0));
+}
