@@ -33,7 +33,7 @@ use crate::{report_digest, run_workload_checkpointed, run_workload_outcome, run_
 /// Version tag of the spec encoding and the result encodings. Bump when a
 /// cell's canonical or result JSON changes shape, so stale cache entries
 /// can never be misread.
-const SPEC_SCHEMA: &str = "cni-campaign-v3";
+const SPEC_SCHEMA: &str = "cni-campaign-v4";
 
 /// Simulator-performance knobs applied when executing a cell. None of these
 /// affect simulated results (the determinism tests prove it), so none of

@@ -145,7 +145,8 @@ impl Merge for NodeStats {
 ///
 /// `Clone` captures the complete node — memory system, NI device, queues,
 /// reliable-delivery protocol — which is what makes speculative epoch
-/// checkpoints possible (see [`crate::machine::ShardCheckpoint`]).
+/// checkpoints possible (see [`crate::machine::ShardCheckpoint`]);
+/// `clone_from` copies into the target's existing buffers.
 ///
 /// Mutation contract for the dirty-tracked incremental checkpoints: the
 /// shard mutates a `NodeCore` (and its paired program) only while
@@ -156,7 +157,14 @@ impl Merge for NodeStats {
 /// or the sabotage oracle in `tests/speculation.rs` will show restores
 /// losing state. The one such path today: an epoch-boundary delivery to
 /// a node with parked deliveries advances them first, and marks it.
-#[derive(Clone)]
+///
+/// Within a dirty node, the checkpoint re-sync and rewind
+/// (`NodeCore::sync_into` / `NodeCore::rewind_from`) copy only the cache
+/// sets written since the last sync. That record is complete only
+/// because every write to a cache set goes through the cache's one
+/// set-marking helper (the set vector is private to
+/// [`cni_mem::moesi::Cache`]); a new cache operation must write through
+/// it too.
 pub struct NodeCore {
     /// Node identity.
     pub id: NodeId,
@@ -203,6 +211,37 @@ pub struct NodeCore {
     /// Deliveries the network holds because the NI receive queue refused
     /// them with a pure refusal; see [`crate::machine`]'s module docs.
     pub(super) parked: ParkedDeliveries,
+}
+
+impl Clone for NodeCore {
+    fn clone(&self) -> Self {
+        NodeCore {
+            id: self.id,
+            num_nodes: self.num_nodes,
+            mem: self.mem.clone(),
+            ni: self.ni.clone(),
+            window: self.window.clone(),
+            tx_tokens: self.tx_tokens.clone(),
+            rx_tokens: self.rx_tokens.clone(),
+            assembler: self.assembler.clone(),
+            outgoing: self.outgoing.clone(),
+            inbox: self.inbox.clone(),
+            proc_time: self.proc_time,
+            idle_since: self.idle_since,
+            step_scheduled: self.step_scheduled,
+            started: self.started,
+            next_msg_id: self.next_msg_id,
+            net_seq: self.net_seq,
+            rel: self.rel.clone(),
+            stats: self.stats,
+            parked: self.parked.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.mem.clone_from(&source.mem);
+        self.clone_uncached_from(source);
+    }
 }
 
 impl std::fmt::Debug for NodeCore {
@@ -263,14 +302,19 @@ impl NodeCore {
     }
 
     /// Approximate in-memory footprint of this node's checkpointable
-    /// state, in bytes: the inline struct plus the dominant heap buffers
+    /// state, in bytes: what a whole copy of the node moves — the inline
+    /// struct, the caches' set vectors and the dominant heap buffers
     /// (in-flight and parked fragments, software send buffer, delivered
-    /// inbox). The
-    /// unit of [`crate::machine::CheckpointStats`] byte accounting — an
-    /// estimate cheap enough to take per snapshot, not an allocator-exact
-    /// census, so strategies are compared in a consistent currency rather
-    /// than measured absolutely.
+    /// inbox). The unit of [`crate::machine::CheckpointStats`] byte
+    /// accounting — an estimate cheap enough to take per snapshot, not an
+    /// allocator-exact census, so strategies are compared in a consistent
+    /// currency rather than measured absolutely.
     pub fn approx_bytes(&self) -> usize {
+        self.uncached_bytes() + self.mem.cache_bytes()
+    }
+
+    /// [`NodeCore::approx_bytes`] without the caches' set vectors.
+    fn uncached_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.tx_tokens.len()
                 + self.rx_tokens.len()
@@ -278,6 +322,66 @@ impl NodeCore {
                 + self.parked.len())
                 * std::mem::size_of::<FragPayload>()
             + self.inbox.len() * std::mem::size_of::<AmMessage>()
+    }
+
+    /// Brings `mirror` — a copy of this node as of the last sync — up to
+    /// date: the caches copy only the sets written since then, every other
+    /// field is `clone_from`'d into the mirror's buffers. Returns the
+    /// approximate bytes copied, in [`NodeCore::approx_bytes`]' currency.
+    pub(crate) fn sync_into(&mut self, mirror: &mut NodeCore) -> usize {
+        mirror.clone_uncached_from(self);
+        self.uncached_bytes() + self.mem.sync_into(&mut mirror.mem)
+    }
+
+    /// Rewinds this node to `mirror`, its state as of the last sync,
+    /// copying back only the cache sets written since then.
+    pub(crate) fn rewind_from(&mut self, mirror: &NodeCore) {
+        self.clone_uncached_from(mirror);
+        self.mem.rewind_from(&mirror.mem);
+    }
+
+    /// Every field but the memory system, into `self`'s existing buffers.
+    fn clone_uncached_from(&mut self, source: &NodeCore) {
+        // Destructured so that a new field cannot silently miss checkpoints.
+        let NodeCore {
+            id,
+            num_nodes,
+            mem: _,
+            ni,
+            window,
+            tx_tokens,
+            rx_tokens,
+            assembler,
+            outgoing,
+            inbox,
+            proc_time,
+            idle_since,
+            step_scheduled,
+            started,
+            next_msg_id,
+            net_seq,
+            rel,
+            stats,
+            parked,
+        } = source;
+        self.id = *id;
+        self.num_nodes = *num_nodes;
+        self.ni.clone_from(ni);
+        self.window.clone_from(window);
+        self.tx_tokens.clone_from(tx_tokens);
+        self.rx_tokens.clone_from(rx_tokens);
+        self.assembler.clone_from(assembler);
+        self.outgoing.clone_from(outgoing);
+        self.inbox.clone_from(inbox);
+        self.proc_time = *proc_time;
+        self.idle_since = *idle_since;
+        self.step_scheduled = *step_scheduled;
+        self.started = *started;
+        self.next_msg_id = *next_msg_id;
+        self.net_seq = *net_seq;
+        self.rel.clone_from(rel);
+        self.stats = *stats;
+        self.parked.clone_from(parked);
     }
 
     /// Whether the node has nothing left to do locally (its program may still

@@ -68,11 +68,32 @@ struct Run {
 }
 
 /// The parked deliveries of one retry phase, in pop order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Lane {
     phase: Cycle,
     parked: VecDeque<Parked>,
     runs: VecDeque<Run>,
+}
+
+impl Clone for Lane {
+    fn clone(&self) -> Self {
+        Lane {
+            phase: self.phase,
+            parked: self.parked.clone(),
+            runs: self.runs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Lane {
+            phase,
+            parked,
+            runs,
+        } = source;
+        self.phase = *phase;
+        self.parked.clone_from(parked);
+        self.runs.clone_from(runs);
+    }
 }
 
 impl Lane {
@@ -91,7 +112,7 @@ impl Lane {
 }
 
 /// A node's parked deliveries (see the module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ParkedDeliveries {
     lanes: Vec<Lane>,
     len: usize,
@@ -104,6 +125,37 @@ pub struct ParkedDeliveries {
     pub(super) blocked: bool,
     /// Cycle of the earliest pending `WakeParked` event, if any.
     pub(super) wake_at: Option<Cycle>,
+}
+
+impl Clone for ParkedDeliveries {
+    fn clone(&self) -> Self {
+        ParkedDeliveries {
+            lanes: self.lanes.clone(),
+            len: self.len,
+            dups: self.dups,
+            next_at: self.next_at,
+            blocked: self.blocked,
+            wake_at: self.wake_at,
+        }
+    }
+
+    /// Copies into `self`'s existing lane buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let ParkedDeliveries {
+            lanes,
+            len,
+            dups,
+            next_at,
+            blocked,
+            wake_at,
+        } = source;
+        self.lanes.clone_from(lanes);
+        self.len = *len;
+        self.dups = *dups;
+        self.next_at = *next_at;
+        self.blocked = *blocked;
+        self.wake_at = *wake_at;
+    }
 }
 
 impl ParkedDeliveries {

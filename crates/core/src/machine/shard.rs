@@ -963,8 +963,10 @@ pub struct CheckpointStats {
     /// (`shard size × snapshots`), so `copied_nodes / node_rounds` is the
     /// dirty fraction — the incremental strategy's cost ratio.
     pub node_rounds: u64,
-    /// Approximate bytes captured across all snapshots (node copies plus
-    /// fabric, plus the whole event queue under the full strategy).
+    /// Approximate bytes captured across all snapshots: node copies (a
+    /// whole-node copy counts [`NodeCore::approx_bytes`], an incremental
+    /// re-sync only the touched cache sets plus the rest of the node),
+    /// plus fabric, plus the whole event queue under the full strategy.
     pub bytes: u64,
     /// Approximate bytes of the single most expensive snapshot — the
     /// buffer-shrink regression guard.
@@ -1015,8 +1017,10 @@ impl CheckpointStats {
 /// Under [`CheckpointStrategy::Incremental`] the node/program vectors are a
 /// *mirror* maintained across rounds: the first snapshot fills them
 /// completely (`synced`), and every later snapshot re-copies only the slots
-/// the shard dirtied since the previous one. `events` stays `None` — the
-/// queue rewinds through its in-place delta journal instead of a clone.
+/// the shard dirtied since the previous one, and within a slot only the
+/// cache sets written since (`NodeCore::sync_into`). `events` stays
+/// `None` — the queue rewinds through its in-place delta journal instead
+/// of a clone.
 #[derive(Default)]
 pub struct ShardCheckpoint {
     nodes: Vec<NodeCore>,
@@ -1040,22 +1044,25 @@ impl ShardSim for MachineShard {
             into.nodes.clone_from(&self.nodes);
             into.programs.clone_from(&self.programs);
             into.synced = true;
+            for node in &mut self.nodes {
+                node.mem.mark_synced();
+            }
             node_bytes = self.nodes.iter().map(|n| n.approx_bytes() as u64).sum();
             self.nodes.len() as u64
         } else {
-            // Re-sync only the slots dirtied since the last snapshot: the
-            // mirror still matches the live state everywhere else — after a
-            // commit, the gamble's own writes are exactly the set bits;
-            // after a restore, mirror and live were re-equalized outright.
+            // Re-sync only the slots dirtied since the last snapshot, and
+            // within them only the cache sets written: the mirror still
+            // matches the live state everywhere else — after a commit, the
+            // gamble's own writes are exactly the marks; after a restore,
+            // mirror and live were re-equalized outright.
             let mut copied = 0u64;
             for (word, &bits) in self.dirty.iter().enumerate() {
                 let mut bits = bits;
                 while bits != 0 {
                     let slot = (word << 6) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    into.nodes[slot].clone_from(&self.nodes[slot]);
+                    node_bytes += self.nodes[slot].sync_into(&mut into.nodes[slot]) as u64;
                     into.programs[slot].clone_from(&self.programs[slot]);
-                    node_bytes += self.nodes[slot].approx_bytes() as u64;
                     copied += 1;
                 }
             }
@@ -1116,7 +1123,7 @@ impl ShardSim for MachineShard {
                             skip -= 1;
                             continue;
                         }
-                        self.nodes[slot].clone_from(&from.nodes[slot]);
+                        self.nodes[slot].rewind_from(&from.nodes[slot]);
                         self.programs[slot].clone_from(&from.programs[slot]);
                     }
                 }

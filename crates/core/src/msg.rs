@@ -133,10 +133,26 @@ pub fn fragment_message_with(
 }
 
 /// Reassembles fragments back into user messages at the receiver.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Assembler {
     partial: HashMap<(NodeId, u64), (u32, Arc<AmMessage>)>,
     completed: u64,
+}
+
+impl Clone for Assembler {
+    fn clone(&self) -> Self {
+        Assembler {
+            partial: self.partial.clone(),
+            completed: self.completed,
+        }
+    }
+
+    /// Copies into `self`'s existing table.
+    fn clone_from(&mut self, source: &Self) {
+        let Assembler { partial, completed } = source;
+        self.partial.clone_from(partial);
+        self.completed = *completed;
+    }
 }
 
 impl Assembler {
@@ -200,11 +216,29 @@ impl Assembler {
 /// steady state insert/take perform **no allocation** — this replaced a
 /// `HashMap<u64, FragPayload>` that hashed and rehashed every fragment twice
 /// per hop on the simulator's hot path.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct FragArena {
     slots: Vec<ArenaSlot>,
     free: Vec<u32>,
     len: usize,
+}
+
+impl Clone for FragArena {
+    fn clone(&self) -> Self {
+        FragArena {
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies into `self`'s existing slot and free-list buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let FragArena { slots, free, len } = source;
+        self.slots.clone_from(slots);
+        self.free.clone_from(free);
+        self.len = *len;
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -317,10 +351,26 @@ impl FragArena {
 /// yet managed to hand to the NI (because the NI send queue or the sliding
 /// window was full). This is the "buffer messages in user space" path of the
 /// paper's deadlock-avoidance rule (§4.1).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct OutgoingBuffer {
     queue: VecDeque<FragPayload>,
     high_water: usize,
+}
+
+impl Clone for OutgoingBuffer {
+    fn clone(&self) -> Self {
+        OutgoingBuffer {
+            queue: self.queue.clone(),
+            high_water: self.high_water,
+        }
+    }
+
+    /// Copies into `self`'s existing ring buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let OutgoingBuffer { queue, high_water } = source;
+        self.queue.clone_from(queue);
+        self.high_water = *high_water;
+    }
 }
 
 impl OutgoingBuffer {

@@ -43,12 +43,37 @@ pub struct BusGrant {
 /// ```
 // No `Deserialize`: contains an `OccupancyTracker`, whose interned static
 // labels are serialize-only.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Serialize)]
 pub struct Bus {
     kind: BusKind,
     free_at: Cycle,
     occupancy: OccupancyTracker,
     total_wait: Cycle,
+}
+
+impl Clone for Bus {
+    fn clone(&self) -> Self {
+        Bus {
+            kind: self.kind,
+            free_at: self.free_at,
+            occupancy: self.occupancy.clone(),
+            total_wait: self.total_wait,
+        }
+    }
+
+    /// Copies into `self`'s existing occupancy map.
+    fn clone_from(&mut self, source: &Self) {
+        let Bus {
+            kind,
+            free_at,
+            occupancy,
+            total_wait,
+        } = source;
+        self.kind = *kind;
+        self.free_at = *free_at;
+        self.occupancy.clone_from(occupancy);
+        self.total_wait = *total_wait;
+    }
 }
 
 impl Bus {

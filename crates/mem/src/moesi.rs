@@ -109,7 +109,7 @@ impl Eviction {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct Line {
     block: BlockAddr,
     state: MoesiState,
@@ -130,10 +130,24 @@ struct Line {
 /// assert_eq!(cache.classify_read(blk), AccessOutcome::Hit);
 /// assert_eq!(cache.classify_write(blk), AccessOutcome::Hit);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The cache also records which sets it wrote since it was last
+/// synchronised with a checkpoint mirror (one bit per set), so
+/// [`Cache::sync_into`] and [`Cache::rewind_from`] move only those sets
+/// instead of the whole set vector. Every write to a set goes through
+/// `set_mut`, the one place that marks it.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Cache {
     name: String,
     sets: Vec<Option<Line>>,
+    /// One bit per set written since the last sync.
+    touched: Vec<u64>,
+    counts: CacheCounts,
+}
+
+/// The cache's event counters, copied whole on every sync.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct CacheCounts {
     hits: u64,
     misses: u64,
     upgrade_misses: u64,
@@ -141,6 +155,49 @@ pub struct Cache {
     writebacks: u64,
     snoop_invalidations: u64,
     snarf_fills: u64,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Cache {
+            name: self.name.clone(),
+            sets: self.sets.clone(),
+            touched: self.touched.clone(),
+            counts: self.counts,
+        }
+    }
+
+    /// Copies into `self`'s existing buffers: a whole-cache checkpoint
+    /// re-copies the set vector without reallocating it.
+    fn clone_from(&mut self, source: &Self) {
+        let Cache {
+            name,
+            sets,
+            touched,
+            counts,
+        } = source;
+        self.name.clone_from(name);
+        self.sets.clone_from(sets);
+        self.touched.clone_from(touched);
+        self.counts = *counts;
+    }
+}
+
+/// Copies the sets marked in `touched` from `from` to `to` and clears the
+/// marks; returns how many sets it copied.
+fn copy_touched_sets(touched: &mut [u64], from: &[Option<Line>], to: &mut [Option<Line>]) -> usize {
+    assert_eq!(from.len(), to.len(), "mirror has a different geometry");
+    let mut copied = 0;
+    for (word, bits) in touched.iter_mut().enumerate() {
+        let mut bits = std::mem::take(bits);
+        copied += bits.count_ones() as usize;
+        while bits != 0 {
+            let idx = (word << 6) | bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            to[idx] = from[idx];
+        }
+    }
+    copied
 }
 
 impl Cache {
@@ -159,14 +216,39 @@ impl Cache {
         Cache {
             name: name.to_owned(),
             sets: vec![None; num_sets],
-            hits: 0,
-            misses: 0,
-            upgrade_misses: 0,
-            evictions: 0,
-            writebacks: 0,
-            snoop_invalidations: 0,
-            snarf_fills: 0,
+            touched: vec![0; num_sets.div_ceil(64)],
+            counts: CacheCounts::default(),
         }
+    }
+
+    /// Bytes one set occupies in the set vector — the unit a checkpoint
+    /// re-sync copies per touched set.
+    pub const SET_BYTES: usize = std::mem::size_of::<Option<Line>>();
+
+    /// Bytes of the whole set vector (what a full copy of the cache moves).
+    pub fn set_vector_bytes(&self) -> usize {
+        self.sets.len() * Self::SET_BYTES
+    }
+
+    /// Copies into `mirror` — a cache that equalled this one at the last
+    /// sync — the sets written since then, plus the counters, and clears
+    /// the marks. Returns the number of sets copied.
+    pub fn sync_into(&mut self, mirror: &mut Cache) -> usize {
+        mirror.counts = self.counts;
+        copy_touched_sets(&mut self.touched, &self.sets, &mut mirror.sets)
+    }
+
+    /// Undoes every write since the last sync by copying the written sets,
+    /// and the counters, back from `mirror`, and clears the marks.
+    pub fn rewind_from(&mut self, mirror: &Cache) {
+        self.counts = mirror.counts;
+        copy_touched_sets(&mut self.touched, &mirror.sets, &mut self.sets);
+    }
+
+    /// Clears the write marks after the cache was cloned whole into its
+    /// mirror: the two are equal, so nothing is left to re-sync.
+    pub fn mark_synced(&mut self) {
+        self.touched.fill(0);
     }
 
     /// The cache's name (used in traces and statistics).
@@ -188,9 +270,15 @@ impl Cache {
         self.sets[idx].as_ref().filter(|l| l.block == block)
     }
 
+    /// The one way to write a set: marks it for the next sync.
+    fn set_mut(&mut self, idx: usize) -> &mut Option<Line> {
+        self.touched[idx >> 6] |= 1 << (idx & 63);
+        &mut self.sets[idx]
+    }
+
     fn line_mut(&mut self, block: BlockAddr) -> Option<&mut Line> {
         let idx = self.set_index(block);
-        self.sets[idx].as_mut().filter(|l| l.block == block)
+        self.set_mut(idx).as_mut().filter(|l| l.block == block)
     }
 
     /// Current state of `block` (Invalid if not present).
@@ -220,7 +308,7 @@ impl Cache {
 
     /// Records a hit (used by the system model for bookkeeping symmetry).
     pub fn note_hit(&mut self) {
-        self.hits += 1;
+        self.counts.hits += 1;
     }
 
     /// Returns the victim that a fill of `block` would displace, if any.
@@ -244,16 +332,16 @@ impl Cache {
         state: MoesiState,
         home: BlockHome,
     ) -> Option<Eviction> {
-        self.misses += 1;
+        self.counts.misses += 1;
         let victim = self.peek_victim(block);
         if let Some(ev) = &victim {
-            self.evictions += 1;
+            self.counts.evictions += 1;
             if ev.needs_writeback() {
-                self.writebacks += 1;
+                self.counts.writebacks += 1;
             }
         }
         let idx = self.set_index(block);
-        self.sets[idx] = Some(Line { block, state, home });
+        *self.set_mut(idx) = Some(Line { block, state, home });
         victim
     }
 
@@ -272,12 +360,12 @@ impl Cache {
             Some(line) => line.block == block && line.state == MoesiState::Invalid,
         };
         if can_snarf {
-            self.sets[idx] = Some(Line {
+            *self.set_mut(idx) = Some(Line {
                 block,
                 state: MoesiState::Shared,
                 home,
             });
-            self.snarf_fills += 1;
+            self.counts.snarf_fills += 1;
         }
         can_snarf
     }
@@ -288,11 +376,10 @@ impl Cache {
     ///
     /// Panics if the block is not present; callers must fill first.
     pub fn set_state(&mut self, block: BlockAddr, state: MoesiState) {
-        let name = self.name.clone();
-        let line = self
-            .line_mut(block)
-            .unwrap_or_else(|| panic!("{name}: set_state on absent block {block}"));
-        line.state = state;
+        match self.line_mut(block) {
+            Some(line) => line.state = state,
+            None => panic!("{}: set_state on absent block {block}", self.name),
+        }
     }
 
     /// Records an upgrade miss (write to a Shared/Owned line) and grants
@@ -302,7 +389,7 @@ impl Cache {
     ///
     /// Panics if the block is not present.
     pub fn upgrade_to_modified(&mut self, block: BlockAddr) {
-        self.upgrade_misses += 1;
+        self.counts.upgrade_misses += 1;
         self.set_state(block, MoesiState::Modified);
     }
 
@@ -334,7 +421,7 @@ impl Cache {
         let was_dirty = prev.is_dirty();
         if prev.is_valid() {
             self.set_state(block, MoesiState::Invalid);
-            self.snoop_invalidations += 1;
+            self.counts.snoop_invalidations += 1;
         }
         SnoopAction {
             prev,
@@ -353,10 +440,10 @@ impl Cache {
                     state: line.state,
                     home: line.home,
                 };
-                self.sets[idx] = None;
-                self.evictions += 1;
+                *self.set_mut(idx) = None;
+                self.counts.evictions += 1;
                 if ev.needs_writeback() {
-                    self.writebacks += 1;
+                    self.counts.writebacks += 1;
                 }
                 Some(ev)
             }
@@ -374,43 +461,44 @@ impl Cache {
 
     /// Demand hits observed so far.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.counts.hits
     }
 
     /// Demand misses observed so far.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.counts.misses
     }
 
     /// Upgrade (ownership) misses observed so far.
     pub fn upgrade_misses(&self) -> u64 {
-        self.upgrade_misses
+        self.counts.upgrade_misses
     }
 
     /// Evictions observed so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.counts.evictions
     }
 
     /// Dirty writebacks observed so far.
     pub fn writebacks(&self) -> u64 {
-        self.writebacks
+        self.counts.writebacks
     }
 
     /// Lines invalidated by snoops so far.
     pub fn snoop_invalidations(&self) -> u64 {
-        self.snoop_invalidations
+        self.counts.snoop_invalidations
     }
 
     /// Blocks grabbed off the bus by snarfing so far.
     pub fn snarf_fills(&self) -> u64 {
-        self.snarf_fills
+        self.counts.snarf_fills
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cni_sim::rng::DetRng;
 
     fn blk(n: u64) -> BlockAddr {
         BlockAddr(n)
@@ -547,6 +635,107 @@ mod tests {
         let ev = cache.evict(blk(8)).unwrap();
         assert!(ev.needs_writeback());
         assert_eq!(cache.resident_blocks(), 0);
+    }
+
+    /// The cache's state as a checkpoint sees it: everything but the
+    /// write marks, which record divergence rather than state.
+    fn assert_same_state(got: &Cache, want: &Cache, what: &str) {
+        assert_eq!(got.name, want.name, "{what}: name");
+        assert_eq!(got.counts, want.counts, "{what}: counters");
+        for (set, (g, w)) in got.sets.iter().zip(&want.sets).enumerate() {
+            assert_eq!(g, w, "{what}: set {set}");
+        }
+        assert_eq!(got.sets.len(), want.sets.len(), "{what}: geometry");
+    }
+
+    /// One random operation from every kind that writes a set or a counter.
+    fn mutate(cache: &mut Cache, rng: &mut DetRng) {
+        // Three blocks per set, so fills collide and evict.
+        let block = blk(rng.gen_range(3 * cache.num_sets() as u64));
+        let state = [
+            MoesiState::Modified,
+            MoesiState::Owned,
+            MoesiState::Exclusive,
+            MoesiState::Shared,
+            MoesiState::Invalid,
+        ][rng.gen_index(5)];
+        match rng.gen_index(8) {
+            0 | 1 => {
+                let home = if rng.gen_bool(0.5) {
+                    BlockHome::Memory
+                } else {
+                    BlockHome::Device
+                };
+                cache.fill(block, state, home);
+            }
+            2 => {
+                cache.snarf_fill(block, BlockHome::Memory);
+            }
+            3 => {
+                // Tag-matching lines only: set_state panics on the rest.
+                if cache.line(block).is_some() {
+                    cache.set_state(block, state);
+                }
+            }
+            4 => {
+                cache.snoop_read(block);
+            }
+            5 => {
+                cache.snoop_invalidate(block);
+            }
+            6 => {
+                cache.evict(block);
+            }
+            _ => {
+                if cache.classify_write(block) == AccessOutcome::UpgradeMiss {
+                    cache.upgrade_to_modified(block);
+                } else {
+                    cache.note_hit();
+                }
+            }
+        }
+    }
+
+    /// The touched-set contract behind incremental checkpoints: after every
+    /// `sync_into` the mirror equals a whole clone of the cache, and a
+    /// `rewind_from` after any run of writes returns the cache to exactly
+    /// that clone — for random mixes of every set-writing operation, with
+    /// whole re-clones (`clone_from` + `mark_synced`) interleaved.
+    #[test]
+    fn touched_set_sync_and_rewind_match_whole_clones() {
+        for case in 0..24 {
+            let mut rng = DetRng::new(0x5e7_7ac4 ^ case);
+            // 16..=271 sets: one to five bitmap words, some partly used.
+            let mut live = Cache::new("t", CACHE_BLOCK_BYTES * (16 + rng.gen_index(256)));
+            let mut mirror = live.clone();
+            let mut synced = live.clone();
+            for round in 0..60 {
+                let what = format!("case {case} round {round}");
+                for _ in 0..rng.gen_index(40) {
+                    mutate(&mut live, &mut rng);
+                }
+                match rng.gen_index(5) {
+                    0 => {
+                        mirror.clone_from(&live);
+                        live.mark_synced();
+                        synced = live.clone();
+                    }
+                    1 | 2 => {
+                        live.sync_into(&mut mirror);
+                        synced = live.clone();
+                        assert_same_state(&mirror, &synced, &format!("{what}: sync"));
+                    }
+                    _ => {
+                        live.rewind_from(&mirror);
+                        assert_same_state(&live, &synced, &format!("{what}: rewind"));
+                    }
+                }
+                assert!(
+                    live.touched.iter().all(|&w| w == 0),
+                    "{what}: marks survive a sync"
+                );
+            }
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Default for NodeMemConfig {
 }
 
 /// The per-node memory system.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NodeMemSystem {
     cfg: NodeMemConfig,
     proc_cache: Cache,
@@ -87,6 +87,26 @@ pub struct NodeMemSystem {
     memory_bus: Bus,
     io_bus: Bus,
     bridge: Bridge,
+}
+
+impl Clone for NodeMemSystem {
+    fn clone(&self) -> Self {
+        NodeMemSystem {
+            cfg: self.cfg.clone(),
+            proc_cache: self.proc_cache.clone(),
+            dev_cache: self.dev_cache.clone(),
+            memory_bus: self.memory_bus.clone(),
+            io_bus: self.io_bus.clone(),
+            bridge: self.bridge.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing buffers (the caches' set vectors).
+    fn clone_from(&mut self, source: &Self) {
+        self.proc_cache.clone_from(&source.proc_cache);
+        self.dev_cache.clone_from(&source.dev_cache);
+        self.clone_uncached_from(source);
+    }
 }
 
 impl NodeMemSystem {
@@ -154,6 +174,65 @@ impl NodeMemSystem {
     /// Read-only access to the device cache (statistics).
     pub fn device_cache(&self) -> Option<&Cache> {
         self.dev_cache.as_ref()
+    }
+
+    /// Bytes of both caches' set vectors: what a whole copy of them moves.
+    pub fn cache_bytes(&self) -> usize {
+        self.proc_cache.set_vector_bytes()
+            + self.dev_cache.as_ref().map_or(0, Cache::set_vector_bytes)
+    }
+
+    /// Brings `mirror` — a copy of this system as of the last sync — up to
+    /// date: the caches copy only the sets written since then (see
+    /// [`Cache::sync_into`]), the buses and bridge are cloned. Returns the
+    /// bytes of cache sets copied.
+    pub fn sync_into(&mut self, mirror: &mut NodeMemSystem) -> usize {
+        mirror.clone_uncached_from(self);
+        let sets = self.proc_cache.sync_into(&mut mirror.proc_cache)
+            + match (&mut self.dev_cache, &mut mirror.dev_cache) {
+                (Some(live), Some(mirror)) => live.sync_into(mirror),
+                (None, None) => 0,
+                _ => panic!("mirror has a different device-cache configuration"),
+            };
+        sets * Cache::SET_BYTES
+    }
+
+    /// Rewinds this system to `mirror`, its state as of the last sync:
+    /// the caches copy back only the sets written since then (see
+    /// [`Cache::rewind_from`]), the buses and bridge are cloned.
+    pub fn rewind_from(&mut self, mirror: &NodeMemSystem) {
+        self.clone_uncached_from(mirror);
+        self.proc_cache.rewind_from(&mirror.proc_cache);
+        match (&mut self.dev_cache, &mirror.dev_cache) {
+            (Some(live), Some(mirror)) => live.rewind_from(mirror),
+            (None, None) => {}
+            _ => panic!("mirror has a different device-cache configuration"),
+        }
+    }
+
+    /// Clears the caches' write marks after this system was cloned whole
+    /// into its mirror (see [`Cache::mark_synced`]).
+    pub fn mark_synced(&mut self) {
+        self.proc_cache.mark_synced();
+        if let Some(dev) = &mut self.dev_cache {
+            dev.mark_synced();
+        }
+    }
+
+    /// Everything but the caches.
+    fn clone_uncached_from(&mut self, source: &Self) {
+        let NodeMemSystem {
+            cfg,
+            proc_cache: _,
+            dev_cache: _,
+            memory_bus,
+            io_bus,
+            bridge,
+        } = source;
+        self.cfg.clone_from(cfg);
+        self.memory_bus.clone_from(memory_bus);
+        self.io_bus.clone_from(io_bus);
+        self.bridge.clone_from(bridge);
     }
 
     /// Read-only access to the memory bus (occupancy statistics).

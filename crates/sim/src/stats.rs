@@ -371,7 +371,7 @@ impl Merge for LatencyHistogram {
 // No `Deserialize`: the interned `&'static str` keys make the tracker
 // serializable but not deserializable (real serde cannot conjure a
 // `&'static str` from input data), and nothing round-trips trackers.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize)]
 pub struct OccupancyTracker {
     // Kinds are interned static labels: recording a transaction on the
     // simulator's hot path must not allocate (a `String` key per bus
@@ -379,6 +379,37 @@ pub struct OccupancyTracker {
     by_kind: BTreeMap<&'static str, (u64, Cycle)>,
     total_busy: Cycle,
     transactions: u64,
+}
+
+impl Clone for OccupancyTracker {
+    fn clone(&self) -> Self {
+        OccupancyTracker {
+            by_kind: self.by_kind.clone(),
+            total_busy: self.total_busy,
+            transactions: self.transactions,
+        }
+    }
+
+    /// Overwrites the per-kind counts in place when both trackers hold the
+    /// same kinds — the steady state of a checkpoint mirror, since a bus
+    /// meets its last new transaction kind early in a run — so a re-sync
+    /// reuses the map's nodes instead of reallocating them.
+    fn clone_from(&mut self, source: &Self) {
+        let OccupancyTracker {
+            by_kind,
+            total_busy,
+            transactions,
+        } = source;
+        if self.by_kind.keys().eq(by_kind.keys()) {
+            for (mine, theirs) in self.by_kind.values_mut().zip(by_kind.values()) {
+                *mine = *theirs;
+            }
+        } else {
+            self.by_kind.clone_from(by_kind);
+        }
+        self.total_busy = *total_busy;
+        self.transactions = *transactions;
+    }
 }
 
 impl OccupancyTracker {

@@ -29,6 +29,7 @@ use cni::core::machine::{
     CheckpointStrategy, EpochOutcome, LookaheadMode, Machine, MachineConfig, RunReport,
     ShardPolicy, SpecTuning,
 };
+use cni::mem::system::DeviceLocation;
 use cni::net::faults::FaultConfig;
 use cni::nic::NiKind;
 use cni::sim::rng::DetRng;
@@ -77,6 +78,12 @@ fn fuzz_budget() -> Option<Duration> {
 struct Case {
     workload: Workload,
     kind: NiKind,
+    /// The bus the NI sits on; with the NI kind it decides whether nodes
+    /// have a device cache (every CNI off the cache bus) or not (`NI2w`).
+    location: DeviceLocation,
+    /// Processor-cache snarfing (`CNI16Qm` only): a set written by a bus
+    /// snoop rather than a demand access, which rollbacks must rewind too.
+    snarfing: bool,
     nodes: usize,
     shards: usize,
     faults: Option<FaultConfig>,
@@ -103,6 +110,18 @@ impl Case {
     /// horizon, so rollback paths are exercised alongside commits.
     fn draw(rng: &mut DetRng, kind: NiKind) -> Case {
         let workload = WORKLOADS[rng.gen_index(WORKLOADS.len())];
+        let locations: &[DeviceLocation] = match kind {
+            NiKind::Ni2w => &[
+                DeviceLocation::MemoryBus,
+                DeviceLocation::IoBus,
+                DeviceLocation::CacheBus,
+            ],
+            // Memory-homed queues cannot sit behind the I/O bus (§2.3).
+            NiKind::Cni16Qm => &[DeviceLocation::MemoryBus],
+            _ => &[DeviceLocation::MemoryBus, DeviceLocation::IoBus],
+        };
+        let location = locations[rng.gen_index(locations.len())];
+        let snarfing = kind == NiKind::Cni16Qm && rng.gen_bool(0.5);
         let nodes = 4 + rng.gen_index(7); // 4..=10
         let shards = 1 + rng.gen_index(4); // 1..=4
         let faults = match rng.gen_index(3) {
@@ -132,6 +151,8 @@ impl Case {
         Case {
             workload,
             kind,
+            location,
+            snarfing,
             nodes,
             shards,
             faults,
@@ -140,7 +161,11 @@ impl Case {
     }
 
     fn config(&self) -> MachineConfig {
-        let cfg = MachineConfig::isca96(self.nodes, self.kind).with_pacer(self.tuning);
+        let mut cfg =
+            MachineConfig::for_bus(self.nodes, self.kind, self.location).with_pacer(self.tuning);
+        if self.snarfing {
+            cfg = cfg.with_snarfing();
+        }
         match &self.faults {
             Some(f) => cfg.with_faults(f.clone()),
             None => cfg,
@@ -153,8 +178,15 @@ impl Case {
             None => "no faults".to_string(),
         };
         format!(
-            "{}/{}: {} nodes, {} shards, {}, pacer {:?}",
-            self.kind, self.workload, self.nodes, self.shards, faults, self.tuning
+            "{}/{} on the {}{}: {} nodes, {} shards, {}, pacer {:?}",
+            self.kind,
+            self.workload,
+            self.location,
+            if self.snarfing { " with snarfing" } else { "" },
+            self.nodes,
+            self.shards,
+            faults,
+            self.tuning
         )
     }
 }
