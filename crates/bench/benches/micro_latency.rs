@@ -2,7 +2,7 @@
 //!
 //! Each Criterion sample runs one complete simulated ping-pong experiment, so
 //! the reported wall-clock time tracks simulator cost while the printed
-//! simulated microseconds (see the `fig6` binary) track the paper's metric.
+//! simulated microseconds (see `report --only fig6`) track the paper's metric.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

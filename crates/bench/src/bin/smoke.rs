@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use cni_bench::run_workload_report;
+use cni_bench::run_workload_stats;
 use cni_core::machine::MachineConfig;
 use cni_nic::taxonomy::NiKind;
 use cni_workloads::{ParamsTier, Workload};
@@ -44,7 +44,7 @@ fn main() {
             let cfg = MachineConfig::isca96(nodes, ni);
             // Panics (non-zero exit) with the workload, NI and cycle limit
             // named if the run aborts or fails to complete.
-            let report = run_workload_report(workload, &cfg, &params);
+            let report = run_workload_stats(workload, &cfg, &params).report;
             runs += 1;
             println!(
                 "  ok {workload:>12} / {ni:<8} {:>12} cycles, {:>6} messages",

@@ -28,7 +28,7 @@ use cni_sim::event::QueueBackend;
 use cni_sim::stats::{LatencyHistogram, Merge};
 use cni_workloads::{ParamsTier, Workload};
 
-use crate::{report_digest, run_workload_checkpointed, run_workload_outcome, run_workload_report};
+use crate::{report_digest, run_workload_stats, RunStats};
 
 /// Version tag of the spec encoding and the result encodings. Bump when a
 /// cell's canonical or result JSON changes shape, so stale cache entries
@@ -362,7 +362,9 @@ impl ExperimentSpec {
                 tier,
             } => {
                 let cfg = tune(MachineConfig::for_bus(nodes, ni, location));
-                let (report, outcome) = run_workload_outcome(workload, &cfg, &tier.params());
+                let RunStats {
+                    report, outcome, ..
+                } = run_workload_stats(workload, &cfg, &tier.params());
                 // The epoch statistics describe the driver's schedule under
                 // the config-default lookahead mode — deterministic like the
                 // simulated numbers (invariant across shard counts, executor
@@ -420,7 +422,7 @@ impl ExperimentSpec {
                 // into a loud abort (with pending-work diagnostics) instead
                 // of an unbounded hang.
                 cfg.max_cycles = 50_000_000;
-                let report = run_workload_report(workload, &cfg, &tier.params());
+                let report = run_workload_stats(workload, &cfg, &tier.params()).report;
                 let f = report.fabric;
                 format!(
                     r#"{{"cycles":{},"messages":{},"payload_bytes":{},"faults_dropped":{},"corruptions_detected":{},"dup_discards":{},"retransmits":{},"timeouts":{},"report_digest":"{:016x}"}}"#,
@@ -442,7 +444,7 @@ impl ExperimentSpec {
                 tier,
             } => {
                 let cfg = tune(MachineConfig::for_bus(nodes, ni, DeviceLocation::MemoryBus));
-                let report = run_workload_report(workload, &cfg, &tier.params());
+                let report = run_workload_stats(workload, &cfg, &tier.params()).report;
                 // Quantiles come from the machine-total histogram, merged
                 // from the per-node histograms with the associative
                 // [`Merge`] — the same integers whatever the shard count,
@@ -470,8 +472,11 @@ impl ExperimentSpec {
                     .with_speculation(SpeculationConfig::with_lookahead(
                         LookaheadMode::Speculative,
                     ));
-                let (report, outcome, ckpt) =
-                    run_workload_checkpointed(workload, &cfg, &tier.params());
+                let RunStats {
+                    report,
+                    outcome,
+                    checkpoints: ckpt,
+                } = run_workload_stats(workload, &cfg, &tier.params());
                 // The digest must match the conservative Macro cell for the
                 // same (workload, ni, nodes, tier) — invariant 7. The
                 // schedule statistics are what differ: gambles committed and

@@ -1,7 +1,7 @@
 //! Shared command-line plumbing for the harness binaries.
 //!
-//! Every campaign front-end (`report`, `fig6` … `taxonomy`) accepts the
-//! same vocabulary, parsed here once instead of per-binary:
+//! Both campaign front-ends (`report` and `fig8`) accept the same
+//! vocabulary, parsed here once instead of per-binary:
 //!
 //! * `quick` / `scaled` / `paper` — the input tier
 //!   ([`cni_workloads::ParamsTier`]; default `scaled`);

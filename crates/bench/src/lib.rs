@@ -16,22 +16,26 @@
 //! cargo run --release -p cni-bench --bin report -- --ci    # cold run (what CI diffs)
 //! ```
 //!
-//! The per-figure binaries are thin front-ends over the same campaigns:
+//! `report --only NAME` runs a single campaign and prints its section
+//! (`cargo run --release -p cni-bench --bin report -- --only NAME`):
 //!
-//! | experiment | campaign | binary |
+//! | experiment | campaign | `NAME` |
 //! |------------|----------|--------|
-//! | Figure 6 (round-trip latency)      | [`campaign::figures::fig6_campaign`]      | `cargo run --release -p cni-bench --bin fig6` |
-//! | Figure 7 (bandwidth)               | [`campaign::figures::fig7_campaign`]      | `cargo run --release -p cni-bench --bin fig7` |
-//! | Figure 8 (macrobenchmark speedups) | [`campaign::figures::fig8_campaign`]      | `cargo run --release -p cni-bench --bin fig8` |
-//! | §5.2 bus-occupancy reduction       | [`campaign::figures::occupancy_campaign`] | `cargo run --release -p cni-bench --bin occupancy` |
-//! | §2.2 CQ ablation                   | [`campaign::figures::ablation_campaign`]  | `cargo run --release -p cni-bench --bin ablation` |
-//! | Table 1 (taxonomy)                 | [`campaign::figures::taxonomy_campaign`]  | `cargo run --release -p cni-bench --bin taxonomy` |
-//! | Resilience sweep (beyond the paper) | [`campaign::figures::resilience_campaign`] | `cargo run --release -p cni-bench --bin resilience` |
-//! | Tail-latency sweep (beyond the paper) | [`campaign::figures::latency_campaign`] | `cargo run --release -p cni-bench --bin latency` |
+//! | Figure 6 (round-trip latency)      | [`campaign::figures::fig6_campaign`]      | `fig6` |
+//! | Figure 7 (bandwidth)               | [`campaign::figures::fig7_campaign`]      | `fig7` |
+//! | Figure 8 (macrobenchmark speedups) | [`campaign::figures::fig8_campaign`]      | `fig8` |
+//! | §5.2 bus-occupancy reduction       | [`campaign::figures::occupancy_campaign`] | `occupancy` |
+//! | Lookahead schedules (beyond the paper) | [`campaign::figures::lookahead_campaign`] | `lookahead` |
+//! | §2.2 CQ ablation                   | [`campaign::figures::ablation_campaign`]  | `ablation` |
+//! | Table 1 (taxonomy)                 | [`campaign::figures::taxonomy_campaign`]  | `taxonomy` |
+//! | Resilience sweep (beyond the paper) | [`campaign::figures::resilience_campaign`] | `resilience` |
+//! | Tail-latency sweep (beyond the paper) | [`campaign::figures::latency_campaign`] | `latency` |
+//!
+//! The `fig8` binary remains as the `--json` trajectory entry point.
 //!
 //! This crate root keeps only the shared primitives the campaigns, the
 //! harness binaries and the Criterion benches build on: the figure size
-//! sweeps, the NI-per-bus sets, [`run_workload`] and [`report_digest`].
+//! sweeps, the NI-per-bus sets, [`run_workload_stats`] and [`report_digest`].
 //! There is exactly one implementation of each figure sweep — the campaign
 //! definition in [`campaign::figures`].
 //!
@@ -43,9 +47,8 @@
 //! come from the harness binaries above. They are deterministic: the same
 //! inputs produce bit-identical numbers on any machine, regardless of the
 //! event-queue backend. Each binary takes `quick` (tiny inputs, seconds),
-//! `scaled` (the default) or `paper` (Table 3 inputs, slower); `fig8`
-//! additionally takes `--backend heap|wheel` to select the
-//! `cni_sim::EventQueue` backend, and every campaign front-end takes
+//! `scaled` (the default) or `paper` (Table 3 inputs, slower), plus
+//! `--backend heap|wheel` to select the `cni_sim::EventQueue` backend,
 //! `--json`, `--jobs N` and `--cold` (see [`cli`]).
 //!
 //! **Simulator performance** (wall-clock of the simulator itself) comes from
@@ -111,14 +114,30 @@ pub fn ni_set_for(location: DeviceLocation) -> Vec<NiKind> {
     }
 }
 
-/// Runs one workload on one machine configuration and returns the full run
-/// report. Panics loudly — naming the cycle limit — when the run aborted,
-/// instead of letting a truncated result masquerade as a measurement.
-pub fn run_workload_report(
+/// Everything one completed workload run reports.
+#[derive(Debug, Clone)]
+pub struct RunStats {
+    /// The simulated results.
+    pub report: RunReport,
+    /// The epoch driver's schedule — epochs executed, exchanges,
+    /// adaptive-lookahead extensions, speculative commits and rollbacks. It
+    /// is as deterministic as the report for a given lookahead mode (and
+    /// invariant across shard counts and executor modes).
+    pub outcome: EpochOutcome,
+    /// What speculative gambles paid in copied nodes and bytes; all zeros
+    /// for the conservative lookahead modes, which never checkpoint.
+    pub checkpoints: CheckpointStats,
+}
+
+/// Runs one workload on one machine configuration and returns its
+/// [`RunStats`]. Panics loudly — naming the cycle limit — when the run
+/// aborted, instead of letting a truncated result masquerade as a
+/// measurement.
+pub fn run_workload_stats(
     workload: Workload,
     cfg: &MachineConfig,
     params: &WorkloadParams,
-) -> RunReport {
+) -> RunStats {
     let programs = workload.programs(cfg.nodes, params);
     let mut machine = Machine::new(cfg.clone(), programs);
     let report = machine.run();
@@ -137,83 +156,21 @@ pub fn run_workload_report(
         cfg.ni_kind,
         location_name(cfg.device_location)
     );
-    report
+    let outcome = machine
+        .epoch_outcome()
+        .copied()
+        .expect("a completed run always has an epoch outcome");
+    RunStats {
+        report,
+        outcome,
+        checkpoints: machine.checkpoint_stats(),
+    }
 }
 
 /// Runs one workload on one machine configuration and returns the execution
 /// time in cycles.
 pub fn run_workload(workload: Workload, cfg: &MachineConfig, params: &WorkloadParams) -> Cycle {
-    run_workload_report(workload, cfg, params).cycles
-}
-
-/// Like [`run_workload_report`], but also returns the epoch driver's
-/// [`EpochOutcome`] — epochs executed, exchanges, adaptive-lookahead
-/// extensions, mean/max epoch length. The outcome describes the *schedule*
-/// of the bit-identical simulation, so it is as deterministic as the report
-/// itself for a given lookahead mode (and invariant across shard counts and
-/// executor modes).
-pub fn run_workload_outcome(
-    workload: Workload,
-    cfg: &MachineConfig,
-    params: &WorkloadParams,
-) -> (RunReport, EpochOutcome) {
-    let programs = workload.programs(cfg.nodes, params);
-    let mut machine = Machine::new(cfg.clone(), programs);
-    let report = machine.run();
-    assert!(
-        !report.aborted,
-        "{workload} on {} ({}) hit the cycle limit (max_cycles = {}) — \
-         results would be silently truncated; {}",
-        cfg.ni_kind,
-        location_name(cfg.device_location),
-        cfg.max_cycles,
-        report.pending_summary()
-    );
-    assert!(
-        report.completed,
-        "{workload} did not complete on {} ({})",
-        cfg.ni_kind,
-        location_name(cfg.device_location)
-    );
-    let outcome = machine
-        .epoch_outcome()
-        .copied()
-        .expect("a completed run always has an epoch outcome");
-    (report, outcome)
-}
-
-/// Like [`run_workload_outcome`], but additionally returns the machine's
-/// merged [`CheckpointStats`] — what speculative gambles actually paid in
-/// copied nodes and bytes. All zeros for the conservative lookahead modes,
-/// which never checkpoint.
-pub fn run_workload_checkpointed(
-    workload: Workload,
-    cfg: &MachineConfig,
-    params: &WorkloadParams,
-) -> (RunReport, EpochOutcome, CheckpointStats) {
-    let programs = workload.programs(cfg.nodes, params);
-    let mut machine = Machine::new(cfg.clone(), programs);
-    let report = machine.run();
-    assert!(
-        !report.aborted,
-        "{workload} on {} ({}) hit the cycle limit (max_cycles = {}) — \
-         results would be silently truncated; {}",
-        cfg.ni_kind,
-        location_name(cfg.device_location),
-        cfg.max_cycles,
-        report.pending_summary()
-    );
-    assert!(
-        report.completed,
-        "{workload} did not complete on {} ({})",
-        cfg.ni_kind,
-        location_name(cfg.device_location)
-    );
-    let outcome = machine
-        .epoch_outcome()
-        .copied()
-        .expect("a completed run always has an epoch outcome");
-    (report, outcome, machine.checkpoint_stats())
+    run_workload_stats(workload, cfg, params).report.cycles
 }
 
 /// A deterministic 64-bit digest of everything a [`RunReport`] observes:

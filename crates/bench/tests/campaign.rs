@@ -232,7 +232,7 @@ fn corrupt_cache_entries_are_discarded_and_re_run() {
 fn a_panicking_cell_names_its_campaign_and_digest() {
     // A 100% loss rate with the `lossy` preset destroys every message and
     // every retransmission: the run can never drain, hits the resilience
-    // cell's cycle ceiling and panics out of `run_workload_report`.
+    // cell's cycle ceiling and panics out of `run_workload_stats`.
     let cell = ExperimentSpec::Resilience {
         workload: Workload::Em3d,
         ni: NiKind::Cni512Q,

@@ -343,36 +343,9 @@ impl MachineConfig {
     }
 
     /// Returns a copy with the epoch driver's speculation knobs — lookahead
-    /// mode, checkpoint strategy and pacer tuning — set in one call. The
-    /// preferred entry point; the per-knob setters below are thin shims
-    /// over it.
+    /// mode, checkpoint strategy and pacer tuning — set in one call.
     pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
         self.speculation = speculation;
-        self
-    }
-
-    /// Returns a copy using the given lookahead mode (simulator-performance
-    /// knob; simulated results are bit-identical under every mode). Shim
-    /// over [`MachineConfig::with_speculation`].
-    pub fn with_lookahead(mut self, lookahead: LookaheadMode) -> Self {
-        self.speculation.lookahead = lookahead;
-        self
-    }
-
-    /// Returns a copy using the given checkpoint strategy
-    /// (simulator-performance knob; simulated results are bit-identical
-    /// across strategies). Shim over [`MachineConfig::with_speculation`].
-    pub fn with_checkpoint(mut self, strategy: CheckpointStrategy) -> Self {
-        self.speculation.checkpoint = strategy;
-        self
-    }
-
-    /// Returns a copy using the given speculation pacer tuning
-    /// (simulator-performance knob; the gamble schedule stays identical
-    /// across shard counts and execution modes for any tuning). Shim over
-    /// [`MachineConfig::with_speculation`].
-    pub fn with_pacer(mut self, pacer: SpecTuning) -> Self {
-        self.speculation.pacer = pacer;
         self
     }
 

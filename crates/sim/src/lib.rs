@@ -9,10 +9,10 @@
 //!
 //! This crate is deliberately free of any architecture-specific knowledge: it
 //! provides the time base ([`time::Cycle`]), an ordered event queue
-//! ([`event::EventQueue`]), statistic primitives ([`stats`]), a deterministic
-//! random-number generator ([`rng::DetRng`]) and a lightweight tracing
-//! facility ([`trace`]). The memory system, network and NI device models in
-//! the sibling crates are built on top of these primitives.
+//! ([`event::EventQueue`]), statistic primitives ([`stats`]) and a
+//! deterministic random-number generator ([`rng::DetRng`]). The memory
+//! system, network and NI device models in the sibling crates are built on
+//! top of these primitives.
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@ pub mod rng;
 pub mod sharded;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventQueue, QueueBackend};
 pub use rng::DetRng;

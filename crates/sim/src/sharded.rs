@@ -25,34 +25,46 @@
 //! The driver itself is model-agnostic: anything implementing [`ShardSim`]
 //! can be run with [`run_epochs`], in [`ExecMode::Sequential`] (shards
 //! round-robined on the calling thread) or [`ExecMode::Parallel`]. Both modes
-//! execute the exact same event schedule.
+//! execute the exact same event schedule, because they share one planner.
 //!
-//! # The parallel rendezvous
+//! # One planner, two executors
+//!
+//! Every schedule decision lives in a single `Planner`: it owns the router
+//! (the staged cross-shard traffic), the speculation pacer and the
+//! accumulating [`EpochOutcome`]. Each round it picks the next epoch
+//! (fast-forwarding over empty stretches), decides whether to abort, extend
+//! or gamble, hands out the due arrivals, and later routes the emissions and
+//! settles a gamble. The two executors only move events and advance shards.
+//! The sequential executor owns the planner outright: no lock, no dynamic
+//! dispatch, no allocation per round.
 //!
 //! [`ExecMode::Parallel`] runs a **persistent worker pool**: one worker per
-//! shard, spawned once per run, synchronized purely through atomics. Each
-//! epoch ends in a sense barrier on an atomic arrival counter; the *last*
-//! worker to arrive becomes that barrier's **finisher**, absorbs every
-//! shard's outbox, plans the next epoch (including fast-forwarding over
-//! empty stretches) and publishes it by bumping an atomic generation counter
-//! that releases the other workers. There is no per-epoch channel traffic,
-//! no dedicated router thread to wake, and no allocation in the steady
-//! state: outboxes and staging buffers are handed over by `Vec` swaps that
-//! retain their capacity.
+//! shard, spawned once per run, synchronized purely through atomics. The
+//! calling thread plans round one before any worker exists. Each epoch then
+//! ends in a sense barrier on an atomic arrival counter; the *last* worker
+//! to arrive becomes that barrier's **finisher**. Only the finisher touches
+//! the planner, which sits in one `Mutex`. That lock is never contended:
+//! every other worker is waiting at the barrier, and the finisher unlocks
+//! before it publishes the next plan by bumping the atomic generation
+//! counter that releases them. Workers report what the planner reads (next
+//! event, forecast, load, earliest held arrival) through per-shard atomic
+//! slots. There is no per-epoch channel traffic, no dedicated router thread
+//! to wake, and no allocation in the steady state: outboxes and staging
+//! buffers are handed over by `Vec` swaps that retain their capacity.
 //!
 //! The expensive part of a barrier — the cross-shard exchange — is skipped
 //! entirely whenever it has nothing to do: workers raise a shared
 //! "any-outbox-non-empty" flag only when they actually emitted, and a
-//! finisher that observes the flag clear (and no staged traffic pending)
-//! never touches the router. Quiescent stretches therefore run
-//! exchange-free, paying only the atomic barrier itself. The *rendezvous*
-//! still happens every epoch — with a lookahead of exactly one epoch, a
-//! shard cannot know that no other shard emitted until that shard's epoch is
-//! complete, so skipping the barrier itself would race the very traffic it
-//! is waiting for. Skipping the exchange preserves the lookahead argument
-//! unchanged, and bit-identical results with it: an epoch with no emissions
-//! and no staged arrivals routes nothing and delivers nothing in either
-//! mode.
+//! finisher that observes the flag clear absorbs nothing, while a router
+//! with nothing staged answers every query in O(1). Quiescent stretches
+//! therefore run exchange-free, paying only the atomic barrier itself. The
+//! *rendezvous* still happens every epoch — with a lookahead of exactly one
+//! epoch, a shard cannot know that no other shard emitted until that
+//! shard's epoch is complete, so skipping the barrier itself would race the
+//! very traffic it is waiting for. Skipping the exchange preserves the
+//! lookahead argument unchanged, and bit-identical results with it: an
+//! epoch with no emissions and no staged arrivals routes nothing and
+//! delivers nothing in either mode.
 //!
 //! # Adaptive lookahead
 //!
@@ -107,19 +119,22 @@
 //! results stay bit-identical across all three lookahead modes
 //! (determinism invariant 7 in `ARCHITECTURE.md`).
 //!
-//! Both drivers speculate in lock-step rounds — one uniform speculated
+//! Both executors speculate in lock-step rounds — one uniform speculated
 //! horizon for every shard, all-or-nothing validation — because per-shard
 //! divergent horizons are unsound: a lagging shard's post-rollback re-run
 //! emits *different* traffic than its speculative run did, which could land
 //! inside a leading shard's already-committed window (the classic Time
-//! Warp cascade). A shared exponential pacer (capped at
-//! [`SPEC_PENALTY_CAP`] conservative rounds) keeps dense workloads from
-//! paying checkpoint + rollback every round; it is part of the deterministic
-//! schedule, so commit/rollback counts are invariant across shard counts
-//! and execution modes just like every other epoch statistic.
+//! Warp cascade). The planner decides the gamble and its verdict; the
+//! sequential executor holds the checkpoints and the held-aside outboxes
+//! itself, while each parallel worker keeps its own checkpoint on its stack
+//! and reports only its earliest held arrival. A shared exponential pacer
+//! (capped at [`SPEC_PENALTY_CAP`] conservative rounds) keeps dense
+//! workloads from paying checkpoint + rollback every round; it reads only
+//! globally merged state, so commit/rollback counts are invariant across
+//! shard counts and execution modes just like every other epoch statistic.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -197,6 +212,11 @@ impl<M> Outbox<M> {
     /// Whether the outbox is empty.
     pub fn is_empty(&self) -> bool {
         self.staged.is_empty()
+    }
+
+    /// Earliest arrival among the staged events — what validates a gamble.
+    fn earliest_arrival(&self) -> Option<Cycle> {
+        self.staged.iter().map(|ev| ev.at).min()
     }
 }
 
@@ -426,7 +446,7 @@ impl Default for SpecTuning {
 /// simulation and identical across shard counts and execution modes
 /// (invariant 7): every observable [`SpecPacer::decide`] consumes is
 /// globally merged state both drivers agree on at every planning round.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SpecPacer {
     tuning: SpecTuning,
     /// Conservative rounds still owed after the last rollback.
@@ -440,16 +460,6 @@ struct SpecPacer {
 }
 
 impl SpecPacer {
-    fn new(tuning: SpecTuning) -> Self {
-        SpecPacer {
-            tuning,
-            cooldown: 0,
-            penalty: 0,
-            streak: 0,
-            gave_up: false,
-        }
-    }
-
     /// Consulted exactly once per planning round under
     /// [`LookaheadMode::Speculative`]: `Some(depth)` approves a gamble of
     /// `depth` grid slots, `None` sits the round out. The observables:
@@ -461,22 +471,15 @@ impl SpecPacer {
     ///   matters: at workload startup nothing is staged yet, but the
     ///   queues already hold the full first wave — gambling there
     ///   journals every popped event for nothing;
-    /// * `commits`/`rollbacks` — the drive's commit ratio; persistently
+    /// * the drive's commit/rollback counts in `outcome`; persistently
     ///   hostile workloads trip [`SpecTuning::give_up_rollbacks`] and latch
     ///   the pacer off;
-    /// * `epochs`/`epoch_cycles` — the mean executed-epoch length; only
+    /// * the mean executed-epoch length in `outcome`; only
     ///   workloads whose epochs already run past the grid (mean ≥ 2×
     ///   `epoch`, i.e. gambles have been paying) earn commit-streak
     ///   deepening past the baseline depth.
-    fn decide(
-        &mut self,
-        load: u64,
-        commits: u64,
-        rollbacks: u64,
-        epochs: u64,
-        epoch_cycles: u64,
-        epoch: Cycle,
-    ) -> Option<Cycle> {
+    fn decide(&mut self, load: u64, outcome: &EpochOutcome, epoch: Cycle) -> Option<Cycle> {
+        let (commits, rollbacks) = (outcome.spec_commits, outcome.spec_rollbacks);
         if self.gave_up || (rollbacks >= self.tuning.give_up_rollbacks && commits * 4 <= rollbacks)
         {
             self.gave_up = true;
@@ -489,7 +492,8 @@ impl SpecPacer {
         if load > self.tuning.dense_staged {
             return None;
         }
-        let quiet = epochs > 0 && epoch_cycles >= epoch.saturating_mul(2).saturating_mul(epochs);
+        let quiet = outcome.epochs > 0
+            && outcome.epoch_cycles >= epoch.saturating_mul(2).saturating_mul(outcome.epochs);
         let depth = if quiet {
             (self.tuning.depth << (self.streak / 4).min(6)).min(self.tuning.depth_max)
         } else {
@@ -519,8 +523,9 @@ impl SpecPacer {
 /// shard forecasts reduce to global minima, which holds unless a shard
 /// declines to forecast while others emit — across shard counts too; they
 /// naturally differ between [`LookaheadMode::Fixed`] and
-/// [`LookaheadMode::Adaptive`], which is the point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`LookaheadMode::Adaptive`], which is the point. The all-zero `Default`
+/// is the outcome of a drive with nothing to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochOutcome {
     /// Epochs actually executed (empty epochs are skipped, not counted).
     pub epochs: u64,
@@ -565,23 +570,6 @@ pub struct EpochOutcome {
 }
 
 impl EpochOutcome {
-    fn empty() -> Self {
-        EpochOutcome {
-            epochs: 0,
-            exchanges: 0,
-            routed_events: 0,
-            aborted: false,
-            last_horizon: 0,
-            extensions: 0,
-            epoch_cycles: 0,
-            max_epoch_len: 0,
-            spec_commits: 0,
-            spec_rollbacks: 0,
-            spec_reexec_cycles: 0,
-            spec_max_depth: 0,
-        }
-    }
-
     /// Records one executed epoch `[start, horizon)` planned on the fixed
     /// grid as `[start, planned)`.
     fn note_epoch(&mut self, start: Cycle, planned: Cycle, horizon: Cycle) {
@@ -608,13 +596,15 @@ impl EpochOutcome {
 /// Cross-shard events staged at the router, per destination shard.
 ///
 /// Staging order is irrelevant (deliveries sort by the canonical key and
-/// [`Router::next_arrival`] takes a minimum), which lets
+/// [`Router::arrival_split`] takes minima), which lets
 /// [`Router::take_due_into`] partition with `swap_remove` instead of
 /// reallocating.
 struct Router<M> {
     staged: Vec<Vec<(Cycle, Stamp, M)>>,
-    /// Running total across `staged` — kept in sync by `absorb` /
-    /// `take_due_into` so `staged_len` never walks the buckets.
+    /// Running total across `staged`, kept in sync by `absorb` /
+    /// `take_due_into` so reading it never walks the buckets. It is the
+    /// router half of the pacer's load observable, and shard-count-invariant
+    /// because *all* network traffic (even intra-shard) routes through here.
     staged_count: u64,
     routed: u64,
 }
@@ -651,33 +641,14 @@ impl<M> Router<M> {
         }
     }
 
-    /// Whether any events are staged for any shard.
-    fn has_staged(&self) -> bool {
-        self.staged_count > 0
-    }
-
-    /// Total staged events across all shards — the traffic-density
-    /// observable the speculation pacer consumes. Shard-count-invariant
-    /// because *all* network traffic routes through the outbox (even
-    /// intra-shard), so the staged population depends only on the
-    /// simulation, not the partitioning. Maintained as a counter so the
-    /// per-round pacer consult costs O(1), not a scan of the backlog.
-    fn staged_len(&self) -> u64 {
-        self.staged_count
-    }
-
-    /// Earliest staged arrival across all shards.
-    fn next_arrival(&self) -> Option<Cycle> {
-        self.staged
-            .iter()
-            .flat_map(|v| v.iter().map(|(at, _, _)| *at))
-            .min()
-    }
-
     /// Earliest staged arrivals split around `at`: the minimum strictly
     /// before it (delivered by a `take_due_into(_, at, _)` pass) and the
-    /// minimum at or after it (left staged by that pass).
+    /// minimum at or after it (left staged by that pass; with `at = 0`, the
+    /// earliest staged arrival overall). O(1) when nothing is staged.
     fn arrival_split(&self, at: Cycle) -> (Option<Cycle>, Option<Cycle>) {
+        if self.staged_count == 0 {
+            return (None, None);
+        }
         let mut due: Option<Cycle> = None;
         let mut held: Option<Cycle> = None;
         for &(arr, _, _) in self.staged.iter().flatten() {
@@ -790,6 +761,196 @@ fn spec_horizon(
     planned.max(deep.min(clip).min(limit))
 }
 
+/// One planned epoch: `[start, horizon)`, planned on the fixed grid as
+/// `[start, planned)`. Arrivals due before `planned` are delivered at its
+/// start in every lookahead mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    start: Cycle,
+    planned: Cycle,
+    horizon: Cycle,
+}
+
+/// What one planning round tells the executor to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// Every queue and the router have drained.
+    Done,
+    /// The next epoch would start past `max_cycles` with work pending.
+    Abort,
+    /// Deliver, then advance every shard to the window's horizon.
+    Run(Window),
+    /// Deliver, snapshot, then advance to the gambled horizon with the
+    /// emissions held aside; [`Planner::resolve`] settles the round.
+    Spec(Window),
+}
+
+/// The epoch planner both executors share. It owns the router, the
+/// speculation pacer and the accumulating [`EpochOutcome`], and makes every
+/// schedule decision exactly once: fast-forward and abort, the adaptive
+/// extension, the gamble and its verdict, and the epoch and exchange
+/// accounting. The executors only move events and advance shards, so the
+/// two cannot disagree on the schedule (invariants 6 and 7).
+struct Planner<M> {
+    router: Router<M>,
+    pacer: SpecPacer,
+    outcome: EpochOutcome,
+    /// The round being executed. It is recorded into the outcome when the
+    /// next round is planned, by which time a gamble's verdict is known.
+    current: Option<Window>,
+    /// Whether `current` has routed any emissions — an exchange.
+    exchanged: bool,
+    epoch: Cycle,
+    max_cycles: Cycle,
+    /// Extension ceiling (see [`epoch_limit`]).
+    limit: Cycle,
+    lookahead: LookaheadMode,
+}
+
+impl<M> Planner<M> {
+    /// Plans the next round from every shard's earliest pending event.
+    /// `load` (the summed [`ShardSim::pending_len`]) is called only under
+    /// [`LookaheadMode::Speculative`] and `forecasts` only under
+    /// [`LookaheadMode::Adaptive`]; the held-arrival scan runs only once
+    /// the pacer approves a gamble. A refused round thus costs what a
+    /// fixed-lookahead one does.
+    fn plan<F: Iterator<Item = Option<Cycle>>>(
+        &mut self,
+        next_events: impl Iterator<Item = Option<Cycle>>,
+        load: impl FnOnce() -> u64,
+        forecasts: impl FnOnce() -> F,
+    ) -> Round {
+        if let Some(done) = self.current.take() {
+            self.outcome
+                .note_epoch(done.start, done.planned, done.horizon);
+            if std::mem::take(&mut self.exchanged) {
+                self.outcome.exchanges += 1;
+            }
+        }
+        let Some((start, planned)) =
+            next_epoch(next_events, self.router.arrival_split(0).1, self.epoch)
+        else {
+            return Round::Done;
+        };
+        if start > self.max_cycles {
+            self.outcome.aborted = true;
+            return Round::Abort;
+        }
+        let (horizon, gamble) = match self.lookahead {
+            LookaheadMode::Fixed => (planned, false),
+            LookaheadMode::Adaptive => {
+                let (due, held) = self.router.arrival_split(planned);
+                let horizon =
+                    extend_horizon(forecasts(), due, held, planned, self.epoch, self.limit);
+                (horizon, false)
+            }
+            LookaheadMode::Speculative => {
+                let load = self.router.staged_count + load();
+                // A refused gamble (pacer cooldown, or no room past the
+                // planned slot) runs on the fixed grid.
+                let decision = self.pacer.decide(load, &self.outcome, self.epoch);
+                let gamble = decision.map_or(planned, |depth| {
+                    let held = self.router.arrival_split(planned).1;
+                    spec_horizon(planned, held, self.epoch, self.limit, depth)
+                });
+                (gamble, gamble > planned)
+            }
+        };
+        let window = Window {
+            start,
+            planned,
+            horizon,
+        };
+        self.current = Some(window);
+        if gamble {
+            let depth = (horizon - planned) / self.epoch;
+            self.outcome.spec_max_depth = self.outcome.spec_max_depth.max(depth);
+            return Round::Spec(window);
+        }
+        Round::Run(window)
+    }
+
+    /// [`Planner::plan`] read straight off the shards: every round of the
+    /// sequential executor and the first round of the parallel one. `times`
+    /// is reusable scratch; the peeked event times double as the adaptive
+    /// forecasts (see [`forecast_of`]).
+    fn plan_shards<S: ShardSim<Msg = M>>(
+        &mut self,
+        shards: &[S],
+        times: &mut Vec<Option<Cycle>>,
+    ) -> Round {
+        times.clear();
+        times.extend(shards.iter().map(|s| s.next_event_time()));
+        let times = &*times;
+        self.plan(
+            times.iter().copied(),
+            || shards.iter().map(|s| s.pending_len()).sum(),
+            || shards.iter().zip(times).map(|(s, &t)| forecast_of(s, t)),
+        )
+    }
+
+    /// Moves the arrivals for shard `shard` due before `planned` into
+    /// `inbound`, in canonical order. Deliveries use the *planned* grid
+    /// horizon: the extension and gamble clips guarantee nothing is staged
+    /// in `[planned, horizon)`, and the grid boundary is the delivery point
+    /// every lookahead mode shares.
+    fn deliver(&mut self, shard: usize, planned: Cycle, inbound: &mut Vec<(Cycle, Stamp, M)>) {
+        if self.router.staged_count > 0 {
+            self.router.take_due_into(shard, planned, inbound);
+        }
+    }
+
+    /// Routes a drained outbox buffer; a non-empty one makes the round an
+    /// exchange. `floor` is the horizon of the round that emitted it: the
+    /// lookahead guarantees nothing arrives before it.
+    fn absorb(
+        &mut self,
+        staged: &mut Vec<Outbound<M>>,
+        shard_of: &dyn Fn(u32) -> usize,
+        floor: Cycle,
+    ) {
+        self.exchanged |= !staged.is_empty();
+        self.router.absorb(staged, shard_of, floor);
+    }
+
+    /// Settles the speculative round in flight, given the earliest arrival
+    /// among its held emissions. `None` commits: nothing lands inside the
+    /// window, so the executor routes the held emissions with the gambled
+    /// horizon as their floor. `Some(commit)` rolls back: an arrival `a`
+    /// lands inside the window, so every shard restores its checkpoint and
+    /// re-executes to `commit = grid(a)`, the last grid point `a` cannot
+    /// reach. The re-run is a prefix of the gamble, so its emissions all
+    /// arrive at or past `a >= commit`, and `commit` is a sound floor for
+    /// them too.
+    fn resolve(&mut self, held: Option<Cycle>) -> Option<Cycle> {
+        let round = self.current.as_mut().expect("a gamble is in flight");
+        let rollback = held
+            .filter(|&a| a < round.horizon)
+            .map(|a| round.planned.max((a / self.epoch) * self.epoch));
+        let o = &mut self.outcome;
+        match rollback {
+            None => {
+                o.spec_commits += 1;
+                self.pacer.committed();
+            }
+            Some(commit) => {
+                o.spec_rollbacks += 1;
+                o.spec_reexec_cycles = o.spec_reexec_cycles.saturating_add(commit - round.start);
+                round.horizon = commit;
+                self.pacer.rolled_back();
+            }
+        }
+        rollback
+    }
+
+    fn into_outcome(self) -> EpochOutcome {
+        EpochOutcome {
+            routed_events: self.router.routed,
+            ..self.outcome
+        }
+    }
+}
+
 /// Drives `shards` in lock-step epochs of `epoch` cycles until every queue
 /// and every in-flight cross-shard event has drained, or until the first
 /// epoch starting beyond `max_cycles`.
@@ -823,170 +984,85 @@ pub fn run_epochs<S: ShardSim>(
 ) -> EpochOutcome {
     assert!(epoch > 0, "epoch length must be non-zero");
     assert!(!shards.is_empty(), "need at least one shard");
-
+    let planner = Planner {
+        router: Router::new(shards.len()),
+        pacer: SpecPacer {
+            tuning,
+            ..SpecPacer::default()
+        },
+        outcome: EpochOutcome::default(),
+        current: None,
+        exchanged: false,
+        epoch,
+        max_cycles,
+        limit: epoch_limit(max_cycles, epoch),
+        lookahead,
+    };
     match mode {
-        ExecMode::Sequential => {
-            run_sequential(shards, shard_of, epoch, max_cycles, lookahead, tuning)
-        }
-        ExecMode::Parallel => run_parallel(shards, shard_of, epoch, max_cycles, lookahead, tuning),
+        ExecMode::Sequential => run_sequential(shards, shard_of, planner),
+        ExecMode::Parallel => run_parallel(shards, shard_of, planner),
     }
 }
 
 fn run_sequential<S: ShardSim>(
     shards: &mut [S],
     shard_of: &dyn Fn(u32) -> usize,
-    epoch: Cycle,
-    max_cycles: Cycle,
-    lookahead: LookaheadMode,
-    tuning: SpecTuning,
+    mut planner: Planner<S::Msg>,
 ) -> EpochOutcome {
-    let limit = epoch_limit(max_cycles, epoch);
-    let grid = |at: Cycle| (at / epoch) * epoch;
-    let mut router = Router::new(shards.len());
     let mut outbox = Outbox::new();
     let mut inbound: Vec<(Cycle, Stamp, S::Msg)> = Vec::new();
-    // Per-shard earliest event times, peeked once per epoch and shared by
-    // the plan and the adaptive forecast (see `forecast_of`).
     let mut times: Vec<Option<Cycle>> = Vec::with_capacity(shards.len());
     // Speculation state, allocated lazily on the first speculative round:
     // one reusable checkpoint buffer and one held-aside outbox per shard.
-    let mut pacer = SpecPacer::new(tuning);
     let mut checkpoints: Vec<S::Checkpoint> = Vec::new();
-    let mut spec_outboxes: Vec<Outbox<S::Msg>> = Vec::new();
-    let mut outcome = EpochOutcome::empty();
+    let mut held: Vec<Outbox<S::Msg>> = Vec::new();
     loop {
-        times.clear();
-        times.extend(shards.iter().map(|s| s.next_event_time()));
-        let plan = next_epoch(times.iter().copied(), router.next_arrival(), epoch);
-        let Some((start, planned)) = plan else {
-            break; // fully drained
+        let (window, gamble) = match planner.plan_shards(shards, &mut times) {
+            Round::Done | Round::Abort => return planner.into_outcome(),
+            Round::Run(window) => (window, false),
+            Round::Spec(window) => (window, true),
         };
-        if start > max_cycles {
-            outcome.aborted = true;
-            break;
+        if gamble && checkpoints.is_empty() {
+            checkpoints = shards.iter().map(|_| S::Checkpoint::default()).collect();
+            held = shards.iter().map(|_| Outbox::new()).collect();
         }
-
-        // The optimistic path: checkpoint, run past the horizon with
-        // emissions held aside, validate, then commit or rewind. Either
-        // way the round ends in exactly the state a conservative run
-        // would be in (see the module docs for the argument).
-        if lookahead == LookaheadMode::Speculative {
-            let load = router.staged_len() + shards.iter().map(|s| s.pending_len()).sum::<u64>();
-            let decision = pacer.decide(
-                load,
-                outcome.spec_commits,
-                outcome.spec_rollbacks,
-                outcome.epochs,
-                outcome.epoch_cycles,
-                epoch,
-            );
-            // The backlog scan for the held-arrival minimum only runs once
-            // the pacer has approved a gamble: refused rounds (the common
-            // case on dense workloads) cost O(1), same as fixed lookahead.
-            let gamble = decision
-                .map(|depth| {
-                    let held = router.arrival_split(planned).1;
-                    spec_horizon(planned, held, epoch, limit, depth)
-                })
-                .unwrap_or(planned);
-            if gamble > planned {
-                outcome.spec_max_depth = outcome.spec_max_depth.max((gamble - planned) / epoch);
-                if checkpoints.is_empty() {
-                    checkpoints = shards.iter().map(|_| S::Checkpoint::default()).collect();
-                    spec_outboxes = shards.iter().map(|_| Outbox::new()).collect();
-                }
-                let routed_before = router.routed;
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    // Deliver the due arrivals *before* the snapshot, so a
-                    // restore rewinds to a state that already owns them.
-                    router.take_due_into(i, planned, &mut inbound);
-                    for (at, _, msg) in inbound.drain(..) {
-                        shard.accept(at, msg);
-                    }
-                    shard.snapshot(&mut checkpoints[i]);
-                    shard.advance(gamble, &mut spec_outboxes[i]);
-                }
-                let conflict = spec_outboxes
-                    .iter()
-                    .flat_map(|o| o.staged.iter().map(|ev| ev.at))
-                    .min()
-                    .filter(|&a| a < gamble);
-                match conflict {
-                    None => {
-                        // Clean: nothing landed inside the window. Route the
-                        // held emissions with the speculated horizon as the
-                        // lookahead floor — the validation just proved it.
-                        outcome.spec_commits += 1;
-                        outcome.note_epoch(start, planned, gamble);
-                        for (shard, spec) in shards.iter_mut().zip(&mut spec_outboxes) {
-                            shard.commit_speculation();
-                            router.absorb(&mut spec.staged, shard_of, gamble);
-                        }
-                        pacer.committed();
-                    }
-                    Some(a_min) => {
-                        // An arrival at `a_min` lands inside the window:
-                        // rewind and re-execute up to the last grid point it
-                        // cannot reach. The re-run is a prefix of the
-                        // speculative run, so its emissions all arrive at or
-                        // past `a_min >= commit` — floor `commit` holds.
-                        let commit = planned.max(grid(a_min));
-                        outcome.spec_rollbacks += 1;
-                        outcome.spec_reexec_cycles =
-                            outcome.spec_reexec_cycles.saturating_add(commit - start);
-                        outcome.note_epoch(start, planned, commit);
-                        for (i, shard) in shards.iter_mut().enumerate() {
-                            spec_outboxes[i].staged.clear();
-                            shard.restore(&checkpoints[i]);
-                            shard.advance(commit, &mut outbox);
-                            router.absorb(&mut outbox.staged, shard_of, commit);
-                        }
-                        pacer.rolled_back();
-                    }
-                }
-                if router.routed > routed_before {
-                    outcome.exchanges += 1;
-                }
-                continue;
-            }
-        }
-
-        let horizon = match lookahead {
-            // Speculative rounds that sat out (pacer cooldown, or no room
-            // past the planned slot) fall back to the fixed grid.
-            LookaheadMode::Fixed | LookaheadMode::Speculative => planned,
-            LookaheadMode::Adaptive => {
-                let (due, held) = router.arrival_split(planned);
-                extend_horizon(
-                    shards.iter().zip(&times).map(|(s, &t)| forecast_of(s, t)),
-                    due,
-                    held,
-                    planned,
-                    epoch,
-                    limit,
-                )
-            }
-        };
-        outcome.note_epoch(start, planned, horizon);
-        let routed_before = router.routed;
         for (i, shard) in shards.iter_mut().enumerate() {
-            // Deliveries use the *planned* grid horizon: the extension clip
-            // guarantees no staged arrival lies in [planned, horizon), so
-            // the due set is identical — but the grid boundary is the
-            // delivery point every lookahead mode shares.
-            router.take_due_into(i, planned, &mut inbound);
+            // A gamble delivers *before* its snapshot, so a restore rewinds
+            // to a state that already owns the round's arrivals.
+            planner.deliver(i, window.planned, &mut inbound);
             for (at, _, msg) in inbound.drain(..) {
                 shard.accept(at, msg);
             }
-            shard.advance(horizon, &mut outbox);
-            router.absorb(&mut outbox.staged, shard_of, horizon);
+            if gamble {
+                shard.snapshot(&mut checkpoints[i]);
+                shard.advance(window.horizon, &mut held[i]);
+            } else {
+                shard.advance(window.horizon, &mut outbox);
+                planner.absorb(&mut outbox.staged, shard_of, window.horizon);
+            }
         }
-        if router.routed > routed_before {
-            outcome.exchanges += 1;
+        if !gamble {
+            continue;
+        }
+        let earliest = held.iter().filter_map(Outbox::earliest_arrival).min();
+        match planner.resolve(earliest) {
+            None => {
+                for (shard, out) in shards.iter_mut().zip(&mut held) {
+                    shard.commit_speculation();
+                    planner.absorb(&mut out.staged, shard_of, window.horizon);
+                }
+            }
+            Some(commit) => {
+                for ((shard, out), checkpoint) in shards.iter_mut().zip(&mut held).zip(&checkpoints)
+                {
+                    out.staged.clear();
+                    shard.restore(checkpoint);
+                    shard.advance(commit, &mut outbox);
+                    planner.absorb(&mut outbox.staged, shard_of, commit);
+                }
+            }
         }
     }
-    outcome.routed_events = router.routed;
-    outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -998,14 +1074,23 @@ const NO_EVENT: u64 = u64::MAX;
 
 /// Published plan states (`Shared::plan_state`).
 const PLAN_RUN: u64 = 0;
-const PLAN_DONE: u64 = 1;
-const PLAN_ABORT: u64 = 2;
+/// The drive is over (drained or aborted); workers exit.
+const PLAN_STOP: u64 = 1;
 /// Speculative round: snapshot, then run to the published (optimistic)
 /// horizon with emissions held for validation.
-const PLAN_SPEC: u64 = 3;
+const PLAN_SPEC: u64 = 2;
 /// Rollback round: restore the checkpoint and re-execute conservatively to
 /// the published (validated) horizon.
-const PLAN_REEXEC: u64 = 4;
+const PLAN_REEXEC: u64 = 3;
+
+/// The `(plan_state, plan_horizon)` pair that publishes `round`.
+fn publication(round: Round) -> (u64, Cycle) {
+    match round {
+        Round::Done | Round::Abort => (PLAN_STOP, 0),
+        Round::Run(window) => (PLAN_RUN, window.horizon),
+        Round::Spec(window) => (PLAN_SPEC, window.horizon),
+    }
+}
 
 /// Spins before a waiting worker parks. Zero when the host has a single
 /// core: there, every spin steals the quantum from the worker being waited
@@ -1028,6 +1113,7 @@ struct Slot<M> {
     next_event: AtomicU64,
     /// The shard's traffic forecast after its last epoch
     /// ([`ShardSim::earliest_emission`]; `NO_EVENT` when it cannot emit).
+    /// Only written under [`LookaheadMode::Adaptive`].
     earliest_emission: AtomicU64,
     /// Events due in the epoch being published, in canonical order. Filled
     /// by the finisher, drained by the owning worker; capacity is reused.
@@ -1050,14 +1136,14 @@ struct Slot<M> {
     pending: AtomicU64,
 }
 
-/// State shared by the worker pool: the barrier, the published plan, the
-/// staged cross-shard traffic and the accumulating outcome.
+/// State shared by the worker pool: the per-slot hand-off, the barrier, the
+/// published plan and the planner.
 struct Shared<M> {
     slots: Vec<Slot<M>>,
-    /// Staged cross-shard traffic. Only ever locked by a barrier's finisher
-    /// (and by the caller after the pool has exited), and only when there is
-    /// routing work to do.
-    router: Mutex<Router<M>>,
+    /// Only a barrier's finisher locks the planner, while every other
+    /// worker waits, and it unlocks before publishing — so the lock is
+    /// never contended.
+    planner: Mutex<Planner<M>>,
     /// Workers arrived at the current epoch's barrier. The worker that
     /// brings it to `slots.len()` becomes the finisher.
     arrived: AtomicUsize,
@@ -1067,43 +1153,13 @@ struct Shared<M> {
     /// Raised by any worker whose epoch emitted cross-shard traffic;
     /// cleared by the finisher. Clear means the exchange can be skipped.
     any_traffic: AtomicBool,
-    /// Whether the router holds staged (not yet delivered) events. Written
-    /// only by finishers, which are serialized by the barrier.
-    staged_pending: AtomicBool,
-    /// `PLAN_RUN`, `PLAN_DONE` or `PLAN_ABORT`.
+    /// `PLAN_RUN`, `PLAN_STOP`, `PLAN_SPEC` or `PLAN_REEXEC`.
     plan_state: AtomicU64,
-    /// Exclusive end of the published epoch (valid when `plan_state` is
-    /// `PLAN_RUN`).
+    /// Exclusive end of the published epoch.
     plan_horizon: AtomicU64,
     /// Raised by a panicking worker's drop guard so the others stop waiting
     /// and the scope can propagate the panic.
     poisoned: AtomicBool,
-    epochs: AtomicU64,
-    exchanges: AtomicU64,
-    last_horizon: AtomicU64,
-    // The epoch-shape statistics below are written only by finishers, which
-    // the barrier serializes — plain load/store suffices.
-    extensions: AtomicU64,
-    epoch_cycles: AtomicU64,
-    max_epoch_len: AtomicU64,
-    aborted: AtomicBool,
-    // Speculation bookkeeping. `spec_start`/`spec_planned` carry the
-    // in-flight round's plan from its publishing finisher to the resolving
-    // one (stats are recorded at resolution, when the true horizon is
-    // known). All are written only under barrier serialization; the pacer
-    // mutex is never contended for the same reason.
-    spec_start: AtomicU64,
-    spec_planned: AtomicU64,
-    spec_commits: AtomicU64,
-    spec_rollbacks: AtomicU64,
-    spec_reexec_cycles: AtomicU64,
-    spec_max_depth: AtomicU64,
-    pacer: Mutex<SpecPacer>,
-    epoch: Cycle,
-    max_cycles: Cycle,
-    /// Extension ceiling (see [`epoch_limit`]).
-    limit: Cycle,
-    lookahead: LookaheadMode,
 }
 
 impl<M> Shared<M> {
@@ -1159,196 +1215,65 @@ impl<M> Drop for PoisonOnPanic<'_, M> {
     }
 }
 
-/// Records one executed epoch's shape into the shared outcome counters —
-/// the atomic mirror of [`EpochOutcome::note_epoch`]. Only ever called by a
-/// barrier finisher, so plain load/store suffices.
-fn note_epoch_shared<M>(shared: &Shared<M>, start: Cycle, planned: Cycle, horizon: Cycle) {
-    shared.epochs.fetch_add(1, Ordering::Relaxed);
-    shared.last_horizon.store(horizon, Ordering::Relaxed);
-    if horizon > planned {
-        shared.extensions.fetch_add(1, Ordering::Relaxed);
-    }
-    let len = horizon - start;
-    let sum = shared.epoch_cycles.load(Ordering::Relaxed);
-    shared
-        .epoch_cycles
-        .store(sum.saturating_add(len), Ordering::Relaxed);
-    let max = shared.max_epoch_len.load(Ordering::Relaxed);
-    shared.max_epoch_len.store(max.max(len), Ordering::Relaxed);
+/// Reads an atomic slot field, mapping the `NO_EVENT` sentinel to `None`.
+fn slot_time(at: &AtomicU64) -> Option<Cycle> {
+    let at = at.load(Ordering::Relaxed);
+    (at != NO_EVENT).then_some(at)
 }
 
-/// The barrier finisher: absorbs emitted traffic (only if any), plans the
-/// next epoch, distributes its due arrivals and publishes it.
-///
-/// `floor` is the horizon of the epoch that just completed — the lookahead
-/// floor for everything absorbed here.
-fn finish_epoch<M: Send>(
+/// The barrier finisher: settles the round the workers just executed
+/// (published as `state` up to `horizon`), routes its emissions (only if
+/// any), plans the next round, hands out its due arrivals and publishes it.
+fn finish<M: Send>(
     shared: &Shared<M>,
     shard_of: &(dyn Fn(u32) -> usize + Sync),
-    floor: Cycle,
+    state: u64,
+    horizon: Cycle,
 ) {
     // Reset the barrier before releasing anyone: released workers start
     // arriving at the *next* barrier immediately.
     shared.arrived.store(0, Ordering::Relaxed);
-
-    let traffic = shared.any_traffic.swap(false, Ordering::Relaxed);
-    let staged = shared.staged_pending.load(Ordering::Relaxed);
-    // The exchange-skip fast path: nothing emitted, nothing staged — the
-    // router cannot have work, so don't even lock it.
-    let mut router: Option<MutexGuard<'_, Router<M>>> = if traffic || staged {
-        Some(shared.router.lock().unwrap())
-    } else {
-        None
-    };
-    if traffic {
-        let router = router.as_mut().expect("locked when traffic was emitted");
-        for slot in &shared.slots {
-            router.absorb(&mut slot.outbound.lock().unwrap(), shard_of, floor);
-        }
-        shared.exchanges.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let next_events = shared.slots.iter().map(|slot| {
-        let at = slot.next_event.load(Ordering::Relaxed);
-        (at != NO_EVENT).then_some(at)
-    });
-    let next_arrival = router.as_ref().and_then(|r| r.next_arrival());
-    match next_epoch(next_events, next_arrival, shared.epoch) {
-        None => shared.publish(PLAN_DONE, 0),
-        Some((start, _)) if start > shared.max_cycles => {
-            shared.aborted.store(true, Ordering::Relaxed);
-            shared.publish(PLAN_ABORT, 0);
-        }
-        Some((start, planned)) => {
-            if shared.lookahead == LookaheadMode::Speculative {
-                // The pacer is consulted exactly once per planning round,
-                // on the same globally-merged observables the sequential
-                // driver reads at the same point — keeping its schedule
-                // identical across drivers and shard counts.
-                let load = router.as_ref().map_or(0, |r| r.staged_len())
-                    + shared
-                        .slots
-                        .iter()
-                        .map(|slot| slot.pending.load(Ordering::Relaxed))
-                        .sum::<u64>();
-                let decision = shared.pacer.lock().unwrap().decide(
-                    load,
-                    shared.spec_commits.load(Ordering::Relaxed),
-                    shared.spec_rollbacks.load(Ordering::Relaxed),
-                    shared.epochs.load(Ordering::Relaxed),
-                    shared.epoch_cycles.load(Ordering::Relaxed),
-                    shared.epoch,
-                );
-                // As in the sequential driver, the held-arrival scan is
-                // deferred until the pacer approves — a refused round does
-                // no backlog work.
-                let gamble = decision
-                    .map(|depth| {
-                        let held = router.as_ref().and_then(|r| r.arrival_split(planned).1);
-                        spec_horizon(planned, held, shared.epoch, shared.limit, depth)
-                    })
-                    .unwrap_or(planned);
-                if gamble > planned {
-                    let depth = (gamble - planned) / shared.epoch;
-                    let max = shared.spec_max_depth.load(Ordering::Relaxed);
-                    shared
-                        .spec_max_depth
-                        .store(max.max(depth), Ordering::Relaxed);
-                    if let Some(router) = router.as_mut() {
-                        for (i, slot) in shared.slots.iter().enumerate() {
-                            router.take_due_into(i, planned, &mut slot.inbound.lock().unwrap());
-                        }
-                        shared
-                            .staged_pending
-                            .store(router.has_staged(), Ordering::Relaxed);
-                    }
-                    drop(router);
-                    // Epoch stats are recorded at *resolution* (finish_spec),
-                    // once the true horizon is known.
-                    shared.spec_start.store(start, Ordering::Relaxed);
-                    shared.spec_planned.store(planned, Ordering::Relaxed);
-                    shared.publish(PLAN_SPEC, gamble);
-                    return;
-                }
+    let slots = &shared.slots;
+    let mut planner = shared.planner.lock().unwrap();
+    if state == PLAN_SPEC {
+        let earliest = slots.iter().filter_map(|s| slot_time(&s.spec_min)).min();
+        if let Some(commit) = planner.resolve(earliest) {
+            // Discard the speculative emissions — the re-execution re-emits
+            // the surviving prefix itself — and reset the traffic flag so
+            // only re-executed emissions count.
+            shared.any_traffic.store(false, Ordering::Relaxed);
+            for slot in slots {
+                slot.outbound.lock().unwrap().clear();
             }
-            let horizon = match shared.lookahead {
-                // Speculative rounds that sat out (pacer cooldown, or no
-                // room past the planned slot) fall back to the fixed grid.
-                LookaheadMode::Fixed | LookaheadMode::Speculative => planned,
-                LookaheadMode::Adaptive => {
-                    let forecasts = shared.slots.iter().map(|slot| {
-                        let at = slot.earliest_emission.load(Ordering::Relaxed);
-                        (at != NO_EVENT).then_some(at)
-                    });
-                    let (due, held) = router
-                        .as_ref()
-                        .map_or((None, None), |r| r.arrival_split(planned));
-                    extend_horizon(forecasts, due, held, planned, shared.epoch, shared.limit)
-                }
-            };
-            note_epoch_shared(shared, start, planned, horizon);
-            if let Some(router) = router.as_mut() {
-                for (i, slot) in shared.slots.iter().enumerate() {
-                    // The planned grid horizon, matching the sequential
-                    // driver: the extension clip guarantees nothing is
-                    // staged in [planned, horizon).
-                    router.take_due_into(i, planned, &mut slot.inbound.lock().unwrap());
-                }
-                shared
-                    .staged_pending
-                    .store(router.has_staged(), Ordering::Relaxed);
-            }
-            drop(router);
-            shared.publish(PLAN_RUN, horizon);
+            drop(planner);
+            shared.publish(PLAN_REEXEC, commit);
+            return;
         }
     }
-}
-
-/// Resolves a speculative round once every worker has arrived: validate the
-/// held emissions against the gambled horizon, then either commit the round
-/// (and chain straight into [`finish_epoch`]) or publish a rollback plan.
-fn finish_spec<M: Send>(
-    shared: &Shared<M>,
-    shard_of: &(dyn Fn(u32) -> usize + Sync),
-    gamble: Cycle,
-) {
-    let start = shared.spec_start.load(Ordering::Relaxed);
-    let planned = shared.spec_planned.load(Ordering::Relaxed);
-    let a_min = shared
-        .slots
-        .iter()
-        .map(|slot| slot.spec_min.load(Ordering::Relaxed))
-        .min()
-        .unwrap_or(NO_EVENT);
-    if a_min >= gamble {
-        // Clean: no emission lands inside the speculated window (`NO_EVENT`
-        // means nothing was emitted at all). The held outbounds are real —
-        // finish_epoch absorbs them with the gambled horizon as the floor.
-        shared.spec_commits.fetch_add(1, Ordering::Relaxed);
-        note_epoch_shared(shared, start, planned, gamble);
-        shared.pacer.lock().unwrap().committed();
-        finish_epoch(shared, shard_of, gamble);
-    } else {
-        // Conflict: an arrival at `a_min` lands inside the window. Commit
-        // the longest grid prefix it cannot reach and re-execute to there.
-        let commit = planned.max((a_min / shared.epoch) * shared.epoch);
-        shared.spec_rollbacks.fetch_add(1, Ordering::Relaxed);
-        let sum = shared.spec_reexec_cycles.load(Ordering::Relaxed);
-        shared
-            .spec_reexec_cycles
-            .store(sum.saturating_add(commit - start), Ordering::Relaxed);
-        note_epoch_shared(shared, start, planned, commit);
-        shared.pacer.lock().unwrap().rolled_back();
-        // Discard the speculative emissions — the re-execution re-emits the
-        // surviving prefix itself — and reset the traffic flag so only
-        // re-executed emissions count.
-        shared.any_traffic.store(false, Ordering::Relaxed);
-        for slot in &shared.slots {
-            slot.outbound.lock().unwrap().clear();
+    // The exchange-skip fast path: nothing emitted, nothing to absorb.
+    if shared.any_traffic.swap(false, Ordering::Relaxed) {
+        for slot in slots {
+            planner.absorb(&mut slot.outbound.lock().unwrap(), shard_of, horizon);
         }
-        shared.arrived.store(0, Ordering::Relaxed);
-        shared.publish(PLAN_REEXEC, commit);
     }
+    let round = planner.plan(
+        slots.iter().map(|s| slot_time(&s.next_event)),
+        || {
+            slots
+                .iter()
+                .map(|s| s.pending.load(Ordering::Relaxed))
+                .sum()
+        },
+        || slots.iter().map(|s| slot_time(&s.earliest_emission)),
+    );
+    if let Round::Run(window) | Round::Spec(window) = round {
+        for (i, slot) in slots.iter().enumerate() {
+            planner.deliver(i, window.planned, &mut slot.inbound.lock().unwrap());
+        }
+    }
+    let (state, horizon) = publication(round);
+    drop(planner);
+    shared.publish(state, horizon);
 }
 
 /// One worker's run loop: wait for a plan, deliver the inbound, advance the
@@ -1364,8 +1289,10 @@ fn run_worker<S: ShardSim>(
     index: usize,
     shared: &Shared<S::Msg>,
     shard_of: &(dyn Fn(u32) -> usize + Sync),
+    lookahead: LookaheadMode,
 ) {
-    *shared.slots[index].thread.lock().unwrap() = Some(std::thread::current());
+    let slot = &shared.slots[index];
+    *slot.thread.lock().unwrap() = Some(std::thread::current());
     let _poison = PoisonOnPanic(shared);
     let mut outbox = Outbox::new();
     let mut checkpoint = S::Checkpoint::default();
@@ -1381,7 +1308,7 @@ fn run_worker<S: ShardSim>(
             break;
         }
         let state = shared.plan_state.load(Ordering::Relaxed);
-        if !matches!(state, PLAN_RUN | PLAN_SPEC | PLAN_REEXEC) {
+        if state == PLAN_STOP {
             break;
         }
         let horizon = shared.plan_horizon.load(Ordering::Relaxed);
@@ -1391,7 +1318,7 @@ fn run_worker<S: ShardSim>(
             }
             // A rollback re-executes from the checkpoint: its due arrivals
             // were already delivered before the snapshot was taken.
-            let mut inbound = shared.slots[index].inbound.lock().unwrap();
+            let mut inbound = slot.inbound.lock().unwrap();
             for (at, _, msg) in inbound.drain(..) {
                 shard.accept(at, msg);
             }
@@ -1404,32 +1331,27 @@ fn run_worker<S: ShardSim>(
         }
         shard.advance(horizon, &mut outbox);
         if state == PLAN_SPEC {
-            let a_min = outbox.staged.iter().map(|ev| ev.at).min();
-            shared.slots[index]
-                .spec_min
-                .store(a_min.unwrap_or(NO_EVENT), Ordering::Relaxed);
+            let a_min = outbox.earliest_arrival().unwrap_or(NO_EVENT);
+            slot.spec_min.store(a_min, Ordering::Relaxed);
         }
         if !outbox.is_empty() {
             shared.any_traffic.store(true, Ordering::Relaxed);
-            let mut outbound = shared.slots[index].outbound.lock().unwrap();
+            let mut outbound = slot.outbound.lock().unwrap();
             debug_assert!(outbound.is_empty(), "previous epoch's emissions unrouted");
             std::mem::swap(&mut *outbound, &mut outbox.staged);
         }
         let next_event = shard.next_event_time();
-        shared.slots[index]
-            .next_event
+        slot.next_event
             .store(next_event.unwrap_or(NO_EVENT), Ordering::Relaxed);
         // Only the speculative planner reads the load slot (and
         // `pending_len` is O(1), so this costs one store).
-        if shared.lookahead == LookaheadMode::Speculative {
-            shared.slots[index]
-                .pending
-                .store(shard.pending_len(), Ordering::Relaxed);
+        if lookahead == LookaheadMode::Speculative {
+            slot.pending.store(shard.pending_len(), Ordering::Relaxed);
         }
         // Only the adaptive planner reads the forecast slot; fixed mode
         // skips the (possibly second) queue peek entirely.
-        if shared.lookahead == LookaheadMode::Adaptive {
-            shared.slots[index].earliest_emission.store(
+        if lookahead == LookaheadMode::Adaptive {
+            slot.earliest_emission.store(
                 forecast_of(shard, next_event).unwrap_or(NO_EVENT),
                 Ordering::Relaxed,
             );
@@ -1439,11 +1361,7 @@ fn run_worker<S: ShardSim>(
         // the release sequence) observes all of it.
         let arrived = shared.arrived.fetch_add(1, Ordering::AcqRel) + 1;
         if arrived == shared.slots.len() {
-            if state == PLAN_SPEC {
-                finish_spec(shared, shard_of, horizon);
-            } else {
-                finish_epoch(shared, shard_of, horizon);
-            }
+            finish(shared, shard_of, state, horizon);
         }
     }
 }
@@ -1451,56 +1369,15 @@ fn run_worker<S: ShardSim>(
 fn run_parallel<S: ShardSim>(
     shards: &mut [S],
     shard_of: &(dyn Fn(u32) -> usize + Sync),
-    epoch: Cycle,
-    max_cycles: Cycle,
-    lookahead: LookaheadMode,
-    tuning: SpecTuning,
+    mut planner: Planner<S::Msg>,
 ) -> EpochOutcome {
-    let limit = epoch_limit(max_cycles, epoch);
-    let mut outcome = EpochOutcome::empty();
-    // Plan the first epoch on the calling thread (the workers plan every
-    // subsequent one at their barriers).
-    let times: Vec<Option<Cycle>> = shards.iter().map(|s| s.next_event_time()).collect();
-    let Some((start, planned)) = next_epoch(times.iter().copied(), None, epoch) else {
-        return outcome; // nothing scheduled at all
-    };
-    if start > max_cycles {
-        outcome.aborted = true;
-        return outcome;
-    }
-    let mut initial_state = PLAN_RUN;
-    let mut pacer = SpecPacer::new(tuning);
-    let horizon = match lookahead {
-        LookaheadMode::Fixed => planned,
-        LookaheadMode::Adaptive => extend_horizon(
-            shards.iter().zip(&times).map(|(s, &t)| forecast_of(s, t)),
-            None,
-            None,
-            planned,
-            epoch,
-            limit,
-        ),
-        LookaheadMode::Speculative => {
-            // Round one has nothing staged and no history, but the queues
-            // already hold their initial load — the same pacer consultation
-            // order (and the same load observable) as the sequential driver
-            // keeps the two speculation schedules identical.
-            let load = shards.iter().map(|s| s.pending_len()).sum::<u64>();
-            let gamble = pacer
-                .decide(load, 0, 0, 0, 0, epoch)
-                .map(|depth| spec_horizon(planned, None, epoch, limit, depth))
-                .unwrap_or(planned);
-            if gamble > planned {
-                outcome.spec_max_depth = (gamble - planned) / epoch;
-                initial_state = PLAN_SPEC;
-                gamble
-            } else {
-                planned
-            }
-        }
-    };
-    if initial_state == PLAN_RUN {
-        outcome.note_epoch(start, planned, horizon);
+    let lookahead = planner.lookahead;
+    // Round one is planned on the calling thread, before any worker exists;
+    // the barrier finishers plan every later round.
+    let round = planner.plan_shards(shards, &mut Vec::with_capacity(shards.len()));
+    let (state, horizon) = publication(round);
+    if state == PLAN_STOP {
+        return planner.into_outcome();
     }
     let shared = Shared {
         slots: shards
@@ -1515,56 +1392,24 @@ fn run_parallel<S: ShardSim>(
                 pending: AtomicU64::new(0),
             })
             .collect(),
-        router: Mutex::new(Router::new(shards.len())),
+        planner: Mutex::new(planner),
         arrived: AtomicUsize::new(0),
-        generation: AtomicU64::new(0),
+        // The initial plan is published before any worker starts waiting.
+        generation: AtomicU64::new(1),
         any_traffic: AtomicBool::new(false),
-        staged_pending: AtomicBool::new(false),
-        plan_state: AtomicU64::new(initial_state),
+        plan_state: AtomicU64::new(state),
         plan_horizon: AtomicU64::new(horizon),
         poisoned: AtomicBool::new(false),
-        epochs: AtomicU64::new(outcome.epochs),
-        exchanges: AtomicU64::new(0),
-        last_horizon: AtomicU64::new(horizon),
-        extensions: AtomicU64::new(outcome.extensions),
-        epoch_cycles: AtomicU64::new(outcome.epoch_cycles),
-        max_epoch_len: AtomicU64::new(outcome.max_epoch_len),
-        aborted: AtomicBool::new(false),
-        spec_start: AtomicU64::new(start),
-        spec_planned: AtomicU64::new(planned),
-        spec_commits: AtomicU64::new(0),
-        spec_rollbacks: AtomicU64::new(0),
-        spec_reexec_cycles: AtomicU64::new(0),
-        spec_max_depth: AtomicU64::new(outcome.spec_max_depth),
-        pacer: Mutex::new(pacer),
-        epoch,
-        max_cycles,
-        limit,
-        lookahead,
     };
-    // Publish the initial plan before any worker starts waiting.
-    shared.generation.store(1, Ordering::Release);
     std::thread::scope(|scope| {
         for (index, shard) in shards.iter_mut().enumerate() {
             let shared = &shared;
-            scope.spawn(move || run_worker(shard, index, shared, shard_of));
+            scope.spawn(move || run_worker(shard, index, shared, shard_of, lookahead));
         }
         // The scope join is the only wait: the pool drives itself to
         // completion (or to a propagating panic).
     });
-    outcome.epochs = shared.epochs.load(Ordering::Relaxed);
-    outcome.exchanges = shared.exchanges.load(Ordering::Relaxed);
-    outcome.aborted = shared.aborted.load(Ordering::Relaxed);
-    outcome.last_horizon = shared.last_horizon.load(Ordering::Relaxed);
-    outcome.extensions = shared.extensions.load(Ordering::Relaxed);
-    outcome.epoch_cycles = shared.epoch_cycles.load(Ordering::Relaxed);
-    outcome.max_epoch_len = shared.max_epoch_len.load(Ordering::Relaxed);
-    outcome.spec_commits = shared.spec_commits.load(Ordering::Relaxed);
-    outcome.spec_rollbacks = shared.spec_rollbacks.load(Ordering::Relaxed);
-    outcome.spec_reexec_cycles = shared.spec_reexec_cycles.load(Ordering::Relaxed);
-    outcome.spec_max_depth = shared.spec_max_depth.load(Ordering::Relaxed);
-    outcome.routed_events = shared.router.lock().unwrap().routed;
-    outcome
+    shared.planner.into_inner().unwrap().into_outcome()
 }
 
 #[cfg(test)]
@@ -1777,6 +1622,26 @@ mod tests {
         mode: ExecMode,
         lookahead: LookaheadMode,
     ) -> (Vec<u64>, EpochOutcome) {
+        run_ring_until(
+            total,
+            shard_count,
+            hops,
+            local_work,
+            Cycle::MAX,
+            mode,
+            lookahead,
+        )
+    }
+
+    fn run_ring_until(
+        total: u32,
+        shard_count: u32,
+        hops: u64,
+        local_work: u64,
+        max_cycles: Cycle,
+        mode: ExecMode,
+        lookahead: LookaheadMode,
+    ) -> (Vec<u64>, EpochOutcome) {
         let mut shards = Vec::new();
         let per = total / shard_count;
         for s in 0..shard_count {
@@ -1794,7 +1659,7 @@ mod tests {
             &mut shards,
             &shard_of,
             LATENCY,
-            Cycle::MAX,
+            max_cycles,
             mode,
             lookahead,
             SpecTuning::default(),
@@ -2047,35 +1912,41 @@ mod tests {
 
     #[test]
     fn cycle_limit_aborts_with_pending_work() {
-        for lookahead in [
-            LookaheadMode::Fixed,
-            LookaheadMode::Adaptive,
-            LookaheadMode::Speculative,
-        ] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let mut shards = vec![
-                    RingShard::new(0, 2, 4, u64::MAX, 0),
-                    RingShard::new(2, 2, 4, u64::MAX, 0),
-                ];
-                let shard_of = |node: u32| usize::from(node >= 2);
-                let outcome = run_epochs(
-                    &mut shards,
-                    &shard_of,
-                    LATENCY,
-                    100,
-                    mode,
-                    lookahead,
-                    SpecTuning::default(),
-                );
+        // An endless dense ring, and the quiet grinding ring cut mid-run so
+        // the abort lands inside an adaptive extension or a gamble's clip.
+        // Both drivers must record the very same abort, and every lookahead
+        // mode must process the same event set before it.
+        for (total, hops, local_work, max_cycles) in [(4, u64::MAX, 0, 100), (6, 4, 30, 725)] {
+            let (reference, _) = run_ring_until(
+                total,
+                2,
+                hops,
+                local_work,
+                max_cycles,
+                ExecMode::Sequential,
+                LookaheadMode::Fixed,
+            );
+            for lookahead in [
+                LookaheadMode::Fixed,
+                LookaheadMode::Adaptive,
+                LookaheadMode::Speculative,
+            ] {
+                let run =
+                    |mode| run_ring_until(total, 2, hops, local_work, max_cycles, mode, lookahead);
+                let (sums, seq) = run(ExecMode::Sequential);
+                let (par_sums, par) = run(ExecMode::Parallel);
                 assert!(
-                    outcome.aborted,
-                    "{mode:?} {lookahead}: an endless ring must hit the cycle limit"
+                    seq.aborted,
+                    "{lookahead}: the ring must hit the cycle limit"
                 );
-                // Adaptive extension is clamped to the first epoch past the
-                // limit, so aborts land on the same boundary either way.
-                assert!(
-                    outcome.last_horizon <= 100 + LATENCY,
-                    "{mode:?} {lookahead}"
+                // Extensions and gambles are clamped to the first epoch past
+                // the limit, so aborts land on the same boundary either way.
+                assert!(seq.last_horizon <= max_cycles + LATENCY, "{lookahead}");
+                assert_eq!(sums, reference, "{lookahead}: aborted at a different point");
+                assert_eq!(par_sums, reference, "{lookahead}: parallel diverged");
+                assert_eq!(
+                    par, seq,
+                    "{lookahead}: the drivers recorded different aborts"
                 );
             }
         }
@@ -2103,7 +1974,7 @@ mod tests {
                     lookahead,
                     SpecTuning::default(),
                 );
-                assert_eq!(outcome, EpochOutcome::empty(), "{mode:?} {lookahead}");
+                assert_eq!(outcome, EpochOutcome::default(), "{mode:?} {lookahead}");
             }
         }
     }

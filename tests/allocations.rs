@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cni::core::machine::{LookaheadMode, Machine, MachineConfig, ShardPolicy};
+use cni::core::machine::{LookaheadMode, Machine, MachineConfig, ShardPolicy, SpeculationConfig};
 use cni::nic::NiKind;
 use cni::workloads::{Workload, WorkloadParams};
 
@@ -86,7 +86,7 @@ fn run(lookahead: LookaheadMode) -> Tally {
     let cfg = MachineConfig::isca96(8, NiKind::Cni16Q)
         .with_shards(ShardPolicy::Fixed(2))
         .with_parallel(false)
-        .with_lookahead(lookahead);
+        .with_speculation(SpeculationConfig::with_lookahead(lookahead));
     let programs = Workload::Gauss.programs(cfg.nodes, &WorkloadParams::tiny());
     let mut machine = Machine::new(cfg, programs);
 

@@ -9,6 +9,7 @@
 use std::collections::VecDeque;
 
 use cni::core::cq::cachable_queue;
+use cni::core::machine::{LookaheadMode, SpeculationConfig};
 use cni::core::msg::{fragment_message, AmMessage, Assembler};
 use cni::net::message::{fragments_for_bytes, NodeId, NET_PAYLOAD_BYTES};
 use cni::net::window::SlidingWindow;
@@ -314,7 +315,7 @@ fn lookahead_epoch_schedules_are_pinned() {
             let cfg = MachineConfig::isca96(6, NiKind::Cni16Qm)
                 .with_shards(ShardPolicy::Fixed(2))
                 .with_parallel(parallel)
-                .with_lookahead(mode);
+                .with_speculation(SpeculationConfig::with_lookahead(mode));
             let mut machine =
                 Machine::new(cfg.clone(), Workload::Appbt.programs(cfg.nodes, &params));
             let report = machine.run();
@@ -363,8 +364,10 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
     let run = |strategy: CheckpointStrategy| {
         let cfg = MachineConfig::isca96(6, NiKind::Cni16Qm)
             .with_shards(ShardPolicy::Fixed(2))
-            .with_lookahead(LookaheadMode::Speculative)
-            .with_checkpoint(strategy);
+            .with_speculation(SpeculationConfig {
+                checkpoint: strategy,
+                ..SpeculationConfig::with_lookahead(LookaheadMode::Speculative)
+            });
         let mut machine = Machine::new(cfg.clone(), Workload::Appbt.programs(cfg.nodes, &params));
         let report = machine.run();
         assert!(report.completed, "{strategy:?}: run did not complete");
@@ -545,7 +548,7 @@ fn parked_deliveries_match_polled_reference_digests() {
                 let mut cfg = MachineConfig::isca96_io(nodes, ni)
                     .with_shards(policy)
                     .with_parallel(parallel)
-                    .with_lookahead(mode);
+                    .with_speculation(SpeculationConfig::with_lookahead(mode));
                 if lossy {
                     cfg = cfg.with_faults(FaultConfig::lossy(7, 20_000));
                 }
@@ -592,7 +595,7 @@ fn aborted_backpressure_run_matches_polled_reference() {
                 let mut cfg = MachineConfig::isca96_io(8, NiKind::Ni2w)
                     .with_shards(policy)
                     .with_parallel(parallel)
-                    .with_lookahead(mode);
+                    .with_speculation(SpeculationConfig::with_lookahead(mode));
                 if lossy {
                     cfg = cfg.with_faults(FaultConfig::lossy(7, 20_000));
                 }
@@ -630,7 +633,7 @@ fn backpressure_dispatch_counts_are_pinned() {
         let cfg = MachineConfig::isca96_io(8, ni)
             .with_shards(policy)
             .with_parallel(parallel)
-            .with_lookahead(cni::core::machine::LookaheadMode::Fixed);
+            .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed));
         let mut machine = Machine::new(cfg, Workload::Hotspot.programs(8, &params));
         assert!(machine.run().completed, "{ni}");
         machine.dispatch_stats()

@@ -432,7 +432,7 @@ fn outage_windows_shard_bit_identically() {
 /// scheduled-in-the-past assert (a held arrival delivered behind the clock).
 #[test]
 fn adaptive_lookahead_never_over_promises() {
-    use cni::core::machine::LookaheadMode;
+    use cni::core::machine::{LookaheadMode, SpeculationConfig};
     let mut rng = DetRng::new(0x0001_00CA_4EAD);
     for kind in NiKind::ALL {
         for workload in [Workload::Em3d, Workload::Gauss, Workload::Hotspot] {
@@ -444,7 +444,7 @@ fn adaptive_lookahead_never_over_promises() {
             let reference = run(
                 MachineConfig::isca96(nodes, kind)
                     .with_shards(ShardPolicy::Single)
-                    .with_lookahead(LookaheadMode::Fixed),
+                    .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed)),
                 workload,
                 &params,
             );
@@ -455,7 +455,9 @@ fn adaptive_lookahead_never_over_promises() {
                     MachineConfig::isca96(nodes, kind)
                         .with_shards(ShardPolicy::Fixed(shards))
                         .with_parallel(parallel)
-                        .with_lookahead(LookaheadMode::Adaptive),
+                        .with_speculation(SpeculationConfig::with_lookahead(
+                            LookaheadMode::Adaptive,
+                        )),
                     workload,
                     &params,
                 );
@@ -481,7 +483,7 @@ fn adaptive_lookahead_never_over_promises() {
 /// or rollback), so the equality is never vacuous.
 #[test]
 fn speculative_lookahead_is_unobservable_under_faults() {
-    use cni::core::machine::LookaheadMode;
+    use cni::core::machine::{LookaheadMode, SpeculationConfig};
     use cni::net::faults::FaultConfig;
     let mut rng = DetRng::new(0x09EC_FA17);
     for kind in NiKind::ALL {
@@ -518,7 +520,9 @@ fn speculative_lookahead_is_unobservable_under_faults() {
                     cfg()
                         .with_shards(ShardPolicy::Fixed(shards))
                         .with_parallel(parallel)
-                        .with_lookahead(LookaheadMode::Speculative),
+                        .with_speculation(SpeculationConfig::with_lookahead(
+                            LookaheadMode::Speculative,
+                        )),
                     workload,
                     &params,
                 );
@@ -543,7 +547,7 @@ fn speculative_lookahead_is_unobservable_under_faults() {
 /// schedule). Both must stay bit-identical to the conservative reference.
 #[test]
 fn speculative_rollback_survives_outages_and_inert_timers() {
-    use cni::core::machine::LookaheadMode;
+    use cni::core::machine::{LookaheadMode, SpeculationConfig};
     use cni::net::faults::{FailWindow, FaultConfig};
     let params = WorkloadParams::tiny();
 
@@ -601,7 +605,9 @@ fn speculative_rollback_survives_outages_and_inert_timers() {
                 cfg()
                     .with_shards(ShardPolicy::Fixed(3))
                     .with_parallel(parallel)
-                    .with_lookahead(LookaheadMode::Speculative),
+                    .with_speculation(SpeculationConfig::with_lookahead(
+                        LookaheadMode::Speculative,
+                    )),
                 Workload::Em3d,
                 &params,
             );
@@ -627,7 +633,7 @@ fn speculative_rollback_survives_outages_and_inert_timers() {
 /// with speculation proven to have actually resolved rounds.
 #[test]
 fn rpc_tail_latencies_shard_bit_identically() {
-    use cni::core::machine::{LookaheadMode, RunReport};
+    use cni::core::machine::{LookaheadMode, RunReport, SpeculationConfig};
     use cni::sim::stats::{LatencyHistogram, Merge};
 
     fn tail(report: &RunReport) -> (u64, u64, u64) {
@@ -691,7 +697,9 @@ fn rpc_tail_latencies_shard_bit_identically() {
                 MachineConfig::isca96(nodes, kind)
                     .with_shards(ShardPolicy::Fixed(shards))
                     .with_parallel(true)
-                    .with_lookahead(LookaheadMode::Speculative),
+                    .with_speculation(SpeculationConfig::with_lookahead(
+                        LookaheadMode::Speculative,
+                    )),
                 workload,
                 &params,
             );

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use cni::core::machine::{
     CheckpointStrategy, EpochOutcome, LookaheadMode, Machine, MachineConfig, RunReport,
-    ShardPolicy, SpecTuning,
+    ShardPolicy, SpecTuning, SpeculationConfig,
 };
 use cni::mem::system::DeviceLocation;
 use cni::net::faults::FaultConfig;
@@ -160,9 +160,13 @@ impl Case {
         }
     }
 
-    fn config(&self) -> MachineConfig {
-        let mut cfg =
-            MachineConfig::for_bus(self.nodes, self.kind, self.location).with_pacer(self.tuning);
+    fn config(&self, lookahead: LookaheadMode, checkpoint: CheckpointStrategy) -> MachineConfig {
+        let mut cfg = MachineConfig::for_bus(self.nodes, self.kind, self.location)
+            .with_speculation(SpeculationConfig {
+                lookahead,
+                checkpoint,
+                pacer: self.tuning,
+            });
         if self.snarfing {
             cfg = cfg.with_snarfing();
         }
@@ -218,9 +222,8 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     );
 
     let (reference, _) = run(
-        case.config()
-            .with_shards(ShardPolicy::Single)
-            .with_lookahead(LookaheadMode::Fixed),
+        case.config(LookaheadMode::Fixed, CheckpointStrategy::default())
+            .with_shards(ShardPolicy::Single),
         case.workload,
         &params,
     );
@@ -228,9 +231,8 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     let want = report_digest(&reference);
 
     let (adaptive, _) = run(
-        case.config()
-            .with_shards(ShardPolicy::Fixed(case.shards))
-            .with_lookahead(LookaheadMode::Adaptive),
+        case.config(LookaheadMode::Adaptive, CheckpointStrategy::default())
+            .with_shards(ShardPolicy::Fixed(case.shards)),
         case.workload,
         &params,
     );
@@ -245,11 +247,9 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     for strategy in [CheckpointStrategy::Full, CheckpointStrategy::Incremental] {
         for parallel in [false, true] {
             let (speculative, outcome) = run(
-                case.config()
+                case.config(LookaheadMode::Speculative, strategy)
                     .with_shards(ShardPolicy::Fixed(case.shards))
-                    .with_parallel(parallel)
-                    .with_lookahead(LookaheadMode::Speculative)
-                    .with_checkpoint(strategy),
+                    .with_parallel(parallel),
                 case.workload,
                 &params,
             );
@@ -357,14 +357,16 @@ fn sabotaged_incremental_restores_are_caught_by_the_oracle() {
     let speculative = |strategy: CheckpointStrategy| {
         MachineConfig::isca96(6, NiKind::Cni16Qm)
             .with_shards(ShardPolicy::Fixed(2))
-            .with_lookahead(LookaheadMode::Speculative)
-            .with_checkpoint(strategy)
+            .with_speculation(SpeculationConfig {
+                checkpoint: strategy,
+                ..SpeculationConfig::with_lookahead(LookaheadMode::Speculative)
+            })
     };
 
     let (reference, _) = run(
         MachineConfig::isca96(6, NiKind::Cni16Qm)
             .with_shards(ShardPolicy::Single)
-            .with_lookahead(LookaheadMode::Fixed),
+            .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed)),
         Workload::Appbt,
         &params,
     );
