@@ -8,7 +8,7 @@
 //! if they are not); only the wall-clock column varies.
 //!
 //! Run with `cargo run --release -p cni-bench --bin scaling -- [quick|big]
-//! [--workload NAME] [--lookahead fixed|adaptive|speculative]
+//! [--workload NAME] [--lookahead fixed|speculative]
 //! [--checkpoint full|incremental] [--json] [--ci]`.
 //!
 //! * `quick` sweeps 16/64 nodes with smaller inputs; `big` adds 1024 nodes.
@@ -16,12 +16,11 @@
 //!   trajectory workload). Every workload in [`CI_WORKLOADS`] weak-scales
 //!   with the machine: inputs grow proportionally to the node count.
 //! * `--lookahead` selects the epoch planner's horizon policy (default
-//!   adaptive, the config default): `fixed` pins every horizon to the
-//!   `network_latency` grid, `adaptive` lets the traffic forecast collapse
-//!   quiet epochs, and `speculative` gambles past the horizon with
-//!   checkpoint/rollback (the commit/rollback/re-executed-cycle counters
-//!   appear in the table and JSON). The digest column must be identical
-//!   in all three modes.
+//!   fixed, the config default): `fixed` pins every horizon to the
+//!   `network_latency` grid, and `speculative` gambles past the horizon
+//!   with checkpoint/rollback (the commit/rollback/re-executed-cycle
+//!   counters appear in the table and JSON). The digest column must be
+//!   identical in both modes.
 //! * `--checkpoint` selects how speculative gambles snapshot shard state
 //!   (default incremental, the config default): `full` clones every node
 //!   every gamble, `incremental` copies only dirty-tracked nodes and
@@ -31,12 +30,12 @@
 //! * `--json` emits the sweep in the same trajectory format as `fig8 --json`,
 //!   including the epoch statistics (epochs, extensions, mean/max epoch
 //!   length, speculation commits/rollbacks/re-executed cycles) that make the
-//!   extension and speculation rates observable per configuration.
+//!   speculation rates observable per configuration.
 //! * `--ci` runs the 64-node / 4-shard smoke configuration (sequential
 //!   1-shard, sequential 4-shard, parallel 4-shard, plus whatever
 //!   `ShardPolicy::Auto` resolves to) **for every CI workload** — em3d and
 //!   the four workloads this repo added beyond the paper's figures — under
-//!   all three lookahead modes (the speculative leg under both checkpoint
+//!   both lookahead modes (the speculative leg under both checkpoint
 //!   strategies), cross-checks that every report is bit-identical,
 //!   and prints one reference digest line per workload; CI diffs the block
 //!   against `SCALING_ref.txt`, so sharded bit-identity is pinned across
@@ -338,10 +337,10 @@ fn print_table(workload: Workload, rows: &[Row]) {
 }
 
 /// The CI smoke configuration, per workload: 64 nodes, 1-vs-4 shards, both
-/// execution modes and all three lookahead modes, plus whatever
+/// execution modes and both lookahead modes, plus whatever
 /// `ShardPolicy::Auto` resolves to on the CI host. The printed digest block
-/// is computed from the fixed-lookahead reference, and every adaptive and
-/// speculative run is cross-checked against it — so the committed
+/// is computed from the fixed-lookahead reference, and every other run is
+/// cross-checked against it — so the committed
 /// `SCALING_ref.txt` lines stay valid (and unchanged) whichever lookahead
 /// mode a run uses.
 fn run_ci() {
@@ -356,15 +355,11 @@ fn run_ci() {
             CheckpointStrategy::default(),
             quick,
         );
-        for lookahead in [
-            LookaheadMode::Fixed,
-            LookaheadMode::Adaptive,
-            LookaheadMode::Speculative,
-        ] {
+        for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
             // The speculative leg runs under *both* checkpoint strategies:
             // the incremental-vs-full digest diff that pins PR 9's dirty
-            // tracking, on top of the three-way lookahead diff. The
-            // conservative modes never checkpoint, so one strategy suffices.
+            // tracking, on top of the lookahead diff. The fixed mode never
+            // checkpoints, so one strategy suffices.
             let strategies: &[CheckpointStrategy] = if lookahead == LookaheadMode::Speculative {
                 &[CheckpointStrategy::Incremental, CheckpointStrategy::Full]
             } else {
@@ -410,7 +405,7 @@ fn run_ci() {
 }
 
 const USAGE: &str = "scaling [quick|big] [--workload NAME] \
-                     [--lookahead fixed|adaptive|speculative] \
+                     [--lookahead fixed|speculative] \
                      [--checkpoint full|incremental] [--json] [--ci]";
 
 fn usage_error(message: &str) -> ! {
@@ -438,12 +433,11 @@ fn main() {
             },
             "--lookahead" => match args.next().as_deref() {
                 Some("fixed") => lookahead = Some(LookaheadMode::Fixed),
-                Some("adaptive") => lookahead = Some(LookaheadMode::Adaptive),
                 Some("speculative") => lookahead = Some(LookaheadMode::Speculative),
                 Some(other) => usage_error(&format!(
-                    "--lookahead takes fixed, adaptive or speculative, got {other:?}"
+                    "--lookahead takes fixed or speculative, got {other:?}"
                 )),
-                None => usage_error("--lookahead takes fixed, adaptive or speculative"),
+                None => usage_error("--lookahead takes fixed or speculative"),
             },
             "--checkpoint" => match args.next().as_deref() {
                 Some("full") => checkpoint = Some(CheckpointStrategy::Full),
@@ -466,7 +460,7 @@ fn main() {
         {
             usage_error(
                 "--ci runs its fixed smoke configuration (quick inputs, 64 nodes, \
-                 em3d/barnes/dsmc/unstructured/hotspot, all lookahead modes, both \
+                 em3d/barnes/dsmc/unstructured/hotspot, both lookahead modes, both \
                  checkpoint strategies on the speculative leg) and prints the digest \
                  block CI pins; it cannot be combined with a mode, --workload, \
                  --lookahead, --checkpoint or --json",

@@ -299,10 +299,10 @@ pub fn occupancy_campaign(tier: ParamsTier, workloads: &[Workload]) -> Campaign 
 }
 
 /// Epoch-planner statistics: every workload under every NI on the memory
-/// bus, reporting the sharded driver's schedule — epochs executed, adaptive
-/// lookahead extensions taken, mean/max epoch length, and (from the paired
-/// [`ExperimentSpec::Speculation`] cells) the speculative planner's
-/// commit/rollback record. The conservative half of the cells are **the
+/// bus, reporting the sharded driver's schedule — epochs executed, mean/max
+/// epoch length, and (from the paired [`ExperimentSpec::Speculation`]
+/// cells) the speculative planner's commit/rollback record. The
+/// fixed-lookahead half of the cells are **the
 /// same runs** as the occupancy campaign (and Figure 8 panel (a)), so a
 /// report run executes those once and only the speculative half costs
 /// extra.
@@ -723,18 +723,16 @@ fn render_occupancy(run: &CampaignRun) -> String {
 fn render_lookahead(run: &CampaignRun) -> String {
     let cells = parsed_cells(run);
     let mut out = format!(
-        "The sharded epoch driver's schedule under the default adaptive \
+        "The sharded epoch driver's schedule under the default fixed \
          lookahead and under speculative execution (`--lookahead \
-         fixed|adaptive|speculative` on the harnesses): epochs executed, \
-         horizons the traffic forecast extended past the fixed \
-         `network_latency` grid, the resulting epoch lengths in cycles, and \
-         the speculative planner's gamble record — rounds committed, rounds \
+         fixed|speculative` on the harnesses): epochs executed and their \
+         lengths in cycles on the fixed `network_latency` grid, and the \
+         speculative planner's gamble record — rounds committed, rounds \
          rolled back, the simulated cycles re-executed paying for the \
          rollbacks, and what the dirty-tracked incremental checkpoints paid \
          for the gambles (bytes captured, and the fraction of node state \
-         actually copied). Extensions collapse quiet grid slots into one barrier \
-         pass; the simulated results are bit-identical in every mode \
-         (determinism invariants 6 and 7 — the campaign asserts the digests \
+         actually copied). The simulated results are bit-identical in both \
+         modes (determinism invariant 7 — the campaign asserts the digests \
          match), so only the schedule shape varies. {} nodes, `{}` inputs, \
          memory bus.\n\n",
         run.tier.nodes(),
@@ -744,8 +742,6 @@ fn render_lookahead(run: &CampaignRun) -> String {
         "benchmark",
         "NI",
         "epochs",
-        "extensions",
-        "ext rate",
         "mean epoch",
         "max epoch",
         "spec epochs",
@@ -758,7 +754,7 @@ fn render_lookahead(run: &CampaignRun) -> String {
     ]
     .map(str::to_owned)
     .to_vec();
-    // The conservative block comes first, the speculative twins second (see
+    // The fixed-lookahead block comes first, the speculative twins second (see
     // `lookahead_campaign`).
     let half = run.workloads.len() * NiKind::ALL.len();
     let mut rows = Vec::new();
@@ -769,7 +765,6 @@ fn render_lookahead(run: &CampaignRun) -> String {
             let spec = &cells[index + half];
             index += 1;
             let epochs = cell.num("epochs");
-            let extensions = cell.num("epoch_extensions");
             let spec_epochs = spec.num("epochs");
             let commits = spec.num("spec_commits");
             let rollbacks = spec.num("spec_rollbacks");
@@ -789,8 +784,6 @@ fn render_lookahead(run: &CampaignRun) -> String {
                 workload.to_string(),
                 ni.to_string(),
                 format!("{epochs:.0}"),
-                format!("{extensions:.0}"),
-                format!("{:.1}%", 100.0 * extensions / epochs.max(1.0)),
                 format!("{:.1}", cell.num("mean_epoch_len")),
                 format!("{:.0}", cell.num("max_epoch_len")),
                 format!("{spec_epochs:.0}"),
@@ -805,13 +798,10 @@ fn render_lookahead(run: &CampaignRun) -> String {
     }
     md_table(&mut out, &header, &rows);
     out.push_str(
-        "\nDense zero-fault workloads keep every pending event a potential \
-         emitter, so their conservative forecast rarely clears a whole grid \
-         slot — extension rates near zero are expected here. Speculation is \
-         built for exactly that regime: it gambles past the horizon without \
-         asking the forecast, validates against the traffic that actually \
-         arrived, and re-executes the round conservatively when the gamble \
-         loses. The rollback rate and re-executed cycles are the price; the \
+        "\nFixed lookahead pays one barrier for every grid slot that holds \
+         an event. Speculation gambles past the horizon, validates against \
+         the traffic that actually arrived, and re-executes the round \
+         conservatively when the gamble loses. The rollback rate and re-executed cycles are the price; the \
          epoch-count reduction (`epochs` vs `spec epochs`) is the win; the \
          results columns of every other table are untouched either way.\n",
     );

@@ -33,7 +33,7 @@ use crate::{report_digest, run_workload_stats, RunStats};
 /// Version tag of the spec encoding and the result encodings. Bump when a
 /// cell's canonical or result JSON changes shape, so stale cache entries
 /// can never be misread.
-const SPEC_SCHEMA: &str = "cni-campaign-v4";
+const SPEC_SCHEMA: &str = "cni-campaign-v5";
 
 /// Simulator-performance knobs applied when executing a cell. None of these
 /// affect simulated results (the determinism tests prove it), so none of
@@ -370,12 +370,11 @@ impl ExperimentSpec {
                 // simulated numbers (invariant across shard counts, executor
                 // modes and backends), so they are safe to cache alongside.
                 format!(
-                    r#"{{"cycles":{},"memory_bus_busy":{},"io_bus_busy":{},"epochs":{},"epoch_extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"report_digest":"{:016x}"}}"#,
+                    r#"{{"cycles":{},"memory_bus_busy":{},"io_bus_busy":{},"epochs":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"report_digest":"{:016x}"}}"#,
                     report.cycles,
                     report.memory_bus_busy,
                     report.io_bus_busy,
                     outcome.epochs,
-                    outcome.extensions,
                     outcome.mean_epoch_len(),
                     outcome.max_epoch_len,
                     report_digest(&report)

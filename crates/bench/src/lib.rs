@@ -120,12 +120,12 @@ pub struct RunStats {
     /// The simulated results.
     pub report: RunReport,
     /// The epoch driver's schedule — epochs executed, exchanges,
-    /// adaptive-lookahead extensions, speculative commits and rollbacks. It
-    /// is as deterministic as the report for a given lookahead mode (and
-    /// invariant across shard counts and executor modes).
+    /// speculative commits and rollbacks. It is as deterministic as the
+    /// report for a given lookahead mode (and invariant across shard counts
+    /// and executor modes).
     pub outcome: EpochOutcome,
     /// What speculative gambles paid in copied nodes and bytes; all zeros
-    /// for the conservative lookahead modes, which never checkpoint.
+    /// under fixed lookahead, which never checkpoints.
     pub checkpoints: CheckpointStats,
 }
 

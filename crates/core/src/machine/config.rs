@@ -138,15 +138,15 @@ fn host_parallelism() -> usize {
 /// The epoch driver's speculation knobs, grouped.
 ///
 /// All three are simulator-performance knobs: simulated results are
-/// bit-identical under every combination (determinism invariants 6 and 7).
+/// bit-identical under every combination (determinism invariant 7).
 /// Grouping them keeps [`MachineConfig`]'s builder surface flat — one
 /// [`MachineConfig::with_speculation`] call configures the whole planner —
 /// and gives campaign/scaling code a single value to sweep.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpeculationConfig {
-    /// How the epoch driver plans its horizons: fixed one-latency epochs,
-    /// (the default) adaptive extension from the shards' traffic
-    /// forecasts, or speculative execution past the horizon with rollback.
+    /// How the epoch driver plans its horizons: fixed one-latency epochs
+    /// (the default), or speculative execution past the horizon with
+    /// rollback.
     pub lookahead: LookaheadMode,
     /// How shards capture speculative checkpoints (full clone vs
     /// dirty-tracked incremental).
@@ -159,7 +159,7 @@ pub struct SpeculationConfig {
 
 impl SpeculationConfig {
     /// The default planner with a different lookahead mode — the common
-    /// case for callers that only care about fixed/adaptive/speculative.
+    /// case for callers that only care about fixed/speculative.
     pub fn with_lookahead(lookahead: LookaheadMode) -> Self {
         SpeculationConfig {
             lookahead,

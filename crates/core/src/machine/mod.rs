@@ -35,15 +35,11 @@
 //! [`cni_sim::sharded::run_epochs`] — sequentially round-robined or, with
 //! [`MachineConfig::with_parallel`], on a persistent worker pool (one
 //! worker per shard) that rendezvouses at atomic epoch barriers and skips
-//! the cross-shard exchange for epochs that emitted no traffic. Under the
-//! default adaptive lookahead ([`SpeculationConfig::lookahead`]) the planner
-//! additionally stretches epochs past the one-latency grid using each
-//! shard's conservative traffic forecast
-//! ([`cni_sim::sharded::ShardSim::earliest_emission`] — for a machine
-//! shard, the earliest pending event while any pending event can still
-//! emit), collapsing runs of quiet epochs and their
-//! barriers into one; see [`cni_sim::sharded`]'s module docs for the
-//! extension rule and why it cannot change results.
+//! the cross-shard exchange for epochs that emitted no traffic. Under
+//! speculative lookahead ([`SpeculationConfig::lookahead`]) the planner
+//! instead gambles past the one-latency grid and rolls back when an arrival
+//! lands inside the gamble; see [`cni_sim::sharded`]'s module docs for why
+//! neither mode can change results.
 //! [`ShardPolicy::Auto`] picks both the shard count and the execution mode
 //! from the host's core count and the machine size, so callers that just
 //! want the fastest correct run can stop hand-tuning.
@@ -320,7 +316,7 @@ impl Machine {
     }
 
     /// The epoch driver's summary of the last [`Machine::run`]: epochs
-    /// executed, exchanges performed, lookahead extensions taken. `None`
+    /// executed, exchanges performed, speculative rounds resolved. `None`
     /// before the first run. Simulator telemetry — not part of the simulated
     /// result, and excluded from report digests.
     pub fn epoch_outcome(&self) -> Option<&EpochOutcome> {
@@ -388,11 +384,11 @@ impl Machine {
         if aborted {
             // Report where the run was cut off, not just how far the
             // processors got. The cut-off is mapped back onto the *fixed*
-            // epoch grid from the last dispatched event: an extended
-            // (adaptive-lookahead) final epoch processes exactly the events
-            // a fixed-mode run would have before aborting, so anchoring on
-            // the grid keeps aborted reports bit-identical across lookahead
-            // modes instead of leaking the extended horizon.
+            // epoch grid from the last dispatched event: a speculative final
+            // round processes exactly the events a fixed-mode run would have
+            // before aborting, so anchoring on the grid keeps aborted reports
+            // bit-identical across lookahead modes instead of leaking the
+            // gambled horizon.
             let epoch = self.cfg.timing.network_latency;
             let cut = match self.outcome.as_ref() {
                 Some(o) if o.epochs > 0 => {

@@ -136,15 +136,6 @@ pub(super) struct MachineShard {
     /// speculation pacer's load signal must see, as it saw their polled
     /// retries.
     parked: u64,
-    /// How many pending events are *emitters* — may stage network traffic
-    /// when dispatched. Maintained by [`MachineShard::schedule_event`] and
-    /// the `advance` pop loop; feeds the `earliest_emission` forecast.
-    emitting_pending: usize,
-    /// Whether an expiring `RetxTimer` can emit. A timer that cannot
-    /// retransmit only bumps backoff/deadlines and re-arms itself — it never
-    /// schedules other event kinds or enables an emission, so it is inert
-    /// for forecasting purposes. Constant for the whole run.
-    retx_emits: bool,
     /// Per-node dirty bitset (one bit per local slot): bit set means the
     /// node (and its program) may have diverged from the checkpoint mirror
     /// since the last [`ShardSim::snapshot`]. Set by the `advance` dispatch
@@ -193,34 +184,11 @@ impl MachineShard {
             delivery_retry_interval: cfg.delivery_retry_interval,
             epoch: cfg.timing.network_latency,
             parked: 0,
-            emitting_pending: 0,
-            retx_emits: cfg.faults.enabled() && cfg.faults.retransmit,
             dirty,
             strategy: cfg.speculation.checkpoint,
             ckpt_stats: CheckpointStats::default(),
             dispatch: DispatchStats::default(),
         }
-    }
-
-    /// Whether dispatching `event` may stage network traffic (directly or by
-    /// enabling a later event that does). Everything except an inert
-    /// retransmission timer counts: `ProcStep` injects, `DeliveryRetry`
-    /// acknowledges on acceptance, and arrivals/acks — though in practice
-    /// consumed within their delivery epoch — can wake senders.
-    fn is_emitter(&self, event: &Event) -> bool {
-        match event {
-            Event::RetxTimer(_) => self.retx_emits,
-            _ => true,
-        }
-    }
-
-    /// The one scheduling path into this shard's queue: keeps the emitter
-    /// count in lock-step with the pending events.
-    fn schedule_event(&mut self, at: Cycle, event: Event) {
-        if self.is_emitter(&event) {
-            self.emitting_pending += 1;
-        }
-        self.events.schedule(at, event);
     }
 
     /// Time of the last dispatched event — the shard's local clock. The
@@ -309,7 +277,7 @@ impl MachineShard {
         if !node.step_scheduled {
             node.step_scheduled = true;
             let at = at.max(self.events.now());
-            self.schedule_event(at, Event::ProcStep(id));
+            self.events.schedule(at, Event::ProcStep(id));
         }
     }
 
@@ -501,7 +469,7 @@ impl MachineShard {
             }
         }
         if let Some(at) = arm_timer {
-            self.schedule_event(at, Event::RetxTimer(id));
+            self.events.schedule(at, Event::RetxTimer(id));
         }
         if let Some(at) = wake_at {
             self.schedule_step(id, at);
@@ -741,7 +709,8 @@ impl MachineShard {
                     self.parked += 1;
                     self.dispatch.parked += 1;
                 } else {
-                    self.schedule_event(at, Event::DeliveryRetry(id, frag, meta));
+                    self.events
+                        .schedule(at, Event::DeliveryRetry(id, frag, meta));
                 }
             }
         }
@@ -776,7 +745,7 @@ impl MachineShard {
         if node.parked.wake_at.is_none_or(|w| at < w) {
             node.parked.wake_at = Some(at);
             let id = node.id;
-            self.schedule_event(at, Event::WakeParked(id));
+            self.events.schedule(at, Event::WakeParked(id));
         }
     }
 
@@ -890,7 +859,7 @@ impl MachineShard {
             }
         };
         if let Some(at) = arm {
-            self.schedule_event(at, Event::RetxTimer(id));
+            self.events.schedule(at, Event::RetxTimer(id));
         }
     }
 }
@@ -1027,7 +996,6 @@ pub struct ShardCheckpoint {
     programs: Vec<Box<dyn Program>>,
     events: Option<EventQueue<Event>>,
     fabric: Option<Fabric>,
-    emitting_pending: usize,
     parked: u64,
     /// Whether the node/program mirror has been filled at least once.
     synced: bool,
@@ -1083,7 +1051,6 @@ impl ShardSim for MachineShard {
             Some(fabric) => fabric.clone_from(&self.fabric),
             None => into.fabric = Some(self.fabric.clone()),
         }
-        into.emitting_pending = self.emitting_pending;
         into.parked = self.parked;
 
         let bytes = node_bytes
@@ -1141,7 +1108,6 @@ impl ShardSim for MachineShard {
         self.dirty.fill(0);
         self.fabric
             .clone_from(from.fabric.as_ref().expect("restore before snapshot"));
-        self.emitting_pending = from.emitting_pending;
         self.parked = from.parked;
     }
 
@@ -1180,7 +1146,7 @@ impl ShardSim for MachineShard {
         match msg {
             NetEvent::Arrival(frag, meta) => {
                 let dst = frag.dst;
-                self.schedule_event(at, Event::NetArrival(dst, frag, meta));
+                self.events.schedule(at, Event::NetArrival(dst, frag, meta));
             }
             NetEvent::Ack {
                 src,
@@ -1188,7 +1154,7 @@ impl ShardSim for MachineShard {
                 seq,
                 corrupted,
             } => {
-                self.schedule_event(
+                self.events.schedule(
                     at,
                     Event::AckArrival {
                         src,
@@ -1205,9 +1171,6 @@ impl ShardSim for MachineShard {
         while let Some((now, seq, event)) = self.events.pop_before_seq(horizon) {
             let slot = self.slot(event.node());
             self.mark_dirty(slot);
-            if self.is_emitter(&event) {
-                self.emitting_pending -= 1;
-            }
             self.dispatch.count(&event);
             self.run_parked(slot, now, seq, outbox);
             match event {
@@ -1239,24 +1202,5 @@ impl ShardSim for MachineShard {
     /// Parked deliveries count as the pending retries they stand for.
     fn pending_len(&self) -> u64 {
         self.events.len() as u64 + self.parked
-    }
-
-    /// Conservative traffic forecast: while any pending event is an emitter,
-    /// promise the queue's overall minimum — never later than the earliest
-    /// emitter, hence always sound. Only when *every* pending event is inert
-    /// (unretransmittable timers grinding their backoff) does the shard
-    /// decline to forecast, letting the planner stretch the epoch.
-    fn earliest_emission(&self) -> Option<Cycle> {
-        if self.emitting_pending > 0 {
-            self.events.next_occupied()
-        } else {
-            None
-        }
-    }
-
-    /// The common dense case — no inert timers pending — where the forecast
-    /// is exactly the queue minimum the epoch plan already peeked.
-    fn all_pending_emit(&self) -> bool {
-        self.emitting_pending == self.events.len()
     }
 }

@@ -289,7 +289,7 @@ impl<E> Wheel<E> {
     /// earliest slot (lowest set bit: slot indices never wrap past the
     /// current position, because `elapsed` only advances to the time of a
     /// popped — i.e. globally earliest — event). This is the one scan both
-    /// `pop_before` and `next_occupied` resolve positions through.
+    /// `pop_before` and `peek_time` resolve positions through.
     fn min_position(&self) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
@@ -478,25 +478,18 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Exact cycle of the earliest pending event — the "next occupied slot"
-    /// peek the adaptive-lookahead planner builds traffic forecasts from.
+    /// Exact cycle of the earliest pending event, if any.
     ///
     /// Both backends answer without mutating the queue, and the answer is
     /// **exact** (not a lower bound): the sharded driver places the next
     /// epoch on the grid cell containing this cycle, so an early answer
     /// would plan epochs that pop nothing. Heap-vs-wheel agreement is pinned
     /// in `tests/properties.rs`.
-    pub fn next_occupied(&self) -> Option<Cycle> {
+    pub fn peek_time(&self) -> Option<Cycle> {
         match &self.backend {
             Backend::Heap(heap) => heap.peek().map(|e| e.at),
             Backend::Wheel(wheel) => wheel.next_occupied(),
         }
-    }
-
-    /// Time of the earliest pending event, if any — an alias of
-    /// [`EventQueue::next_occupied`], kept for the pre-lookahead callers.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.next_occupied()
     }
 
     /// Pops the earliest event, advancing the simulation clock to its time.

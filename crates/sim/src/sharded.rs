@@ -32,8 +32,8 @@
 //! Every schedule decision lives in a single `Planner`: it owns the router
 //! (the staged cross-shard traffic), the speculation pacer and the
 //! accumulating [`EpochOutcome`]. Each round it picks the next epoch
-//! (fast-forwarding over empty stretches), decides whether to abort, extend
-//! or gamble, hands out the due arrivals, and later routes the emissions and
+//! (fast-forwarding over empty stretches), decides whether to abort or
+//! gamble, hands out the due arrivals, and later routes the emissions and
 //! settles a gamble. The two executors only move events and advance shards.
 //! The sequential executor owns the planner outright: no lock, no dynamic
 //! dispatch, no allocation per round.
@@ -47,9 +47,9 @@
 //! every other worker is waiting at the barrier, and the finisher unlocks
 //! before it publishes the next plan by bumping the atomic generation
 //! counter that releases them. Workers report what the planner reads (next
-//! event, forecast, load, earliest held arrival) through per-shard atomic
-//! slots. There is no per-epoch channel traffic, no dedicated router thread
-//! to wake, and no allocation in the steady state: outboxes and staging
+//! event, load, earliest held arrival) through per-shard atomic slots.
+//! There is no per-epoch channel traffic, no dedicated router thread to
+//! wake, and no allocation in the steady state: outboxes and staging
 //! buffers are handed over by `Vec` swaps that retain their capacity.
 //!
 //! The expensive part of a barrier — the cross-shard exchange — is skipped
@@ -66,37 +66,12 @@
 //! epoch with no emissions and no staged arrivals routes nothing and
 //! delivers nothing in either mode.
 //!
-//! # Adaptive lookahead
-//!
-//! The fixed epoch length is the *minimum* sound lookahead, not the best
-//! one. Under [`LookaheadMode::Adaptive`] (the default) the planner asks
-//! every shard for a traffic forecast — [`ShardSim::earliest_emission`], a
-//! conservative lower bound on the next cycle at which the shard could hand
-//! anything to its outbox — and extends the epoch's horizon to
-//! `forecast floor + epoch`: an emission at cycle `t ≥ floor` arrives at
-//! `t + latency ≥ floor + epoch`, so nothing can land inside the extended
-//! window. Two clamps keep the extension sound and abort-exact: the horizon
-//! never crosses the earliest *staged* arrival at or past the planned
-//! horizon (those events must be delivered at their epoch start before any
-//! shard advances past them), and never crosses the horizon of the last
-//! epoch the fixed-lookahead grid could execute before `max_cycles` (so a
-//! run that aborts at the cycle limit processes the exact same event set —
-//! and reports the exact same result — under either mode). Quiet stretches
-//! — compute-heavy phases, retransmission back-off grinds, trailing drains —
-//! thus collapse many empty epochs (and their barriers, exchanges and
-//! router passes) into one. Extension changes *when barriers happen*, never
-//! what any shard observes: deliveries still happen at the planned epoch
-//! start, per-shard event order is untouched, and every simulated result
-//! stays bit-identical across `Fixed`/`Adaptive`, shard counts and
-//! execution modes. The router's lookahead `debug_assert` checks the
-//! forecast contract on every absorbed event, so a shard whose forecast
-//! over-promises fails loudly in test builds.
-//!
 //! # Speculative epochs
 //!
-//! The adaptive planner is conservative: it only extends when the shards'
-//! forecasts *prove* the window is quiet, which on dense workloads is never.
-//! [`LookaheadMode::Speculative`] is the optimistic half: every round, all
+//! The fixed epoch length is the *minimum* sound lookahead, not the best
+//! one: quiet stretches — compute-heavy phases, retransmission back-off
+//! grinds, trailing drains — still pay one barrier per grid slot.
+//! [`LookaheadMode::Speculative`] is the optimistic answer: every round, all
 //! shards checkpoint themselves ([`ShardSim::snapshot`]) and optimistically
 //! execute [`SPEC_DEPTH`] grid slots past the planned horizon with their
 //! emissions *held aside* instead of routed. The driver then validates the
@@ -116,7 +91,7 @@
 //! emissions with floor `C` satisfies the same lookahead `debug_assert` as
 //! a committed round. Speculation is therefore **unobservable**: commit and
 //! rollback both leave exactly the state a conservative run would have, and
-//! results stay bit-identical across all three lookahead modes
+//! results stay bit-identical across both lookahead modes
 //! (determinism invariant 7 in `ARCHITECTURE.md`).
 //!
 //! Both executors speculate in lock-step rounds — one uniform speculated
@@ -244,35 +219,6 @@ pub trait ShardSim: Send {
     /// driver to fast-forward over empty epochs and to detect termination.
     fn next_event_time(&self) -> Option<Cycle>;
 
-    /// Conservative forecast: a lower bound on the earliest cycle at which
-    /// this shard could push an event into its [`Outbox`], assuming no
-    /// further [`ShardSim::accept`] deliveries. `None` promises the shard
-    /// cannot emit at all until something is delivered to it.
-    ///
-    /// The adaptive planner ([`LookaheadMode::Adaptive`]) extends epoch
-    /// horizons to `forecast + epoch`, so the contract is load-bearing: a
-    /// forecast later than a real emission breaks the lookahead argument
-    /// (the router debug-asserts it on every absorbed event). Returning
-    /// *earlier* than any real emission is always sound — it just extends
-    /// less. The default implementation treats every pending event as a
-    /// potential emitter, which is sound for any model.
-    fn earliest_emission(&self) -> Option<Cycle> {
-        self.next_event_time()
-    }
-
-    /// Cheap hint that *every* pending local event is a potential emitter —
-    /// i.e. [`ShardSim::earliest_emission`] would return exactly
-    /// [`ShardSim::next_event_time`]. The adaptive planner then reuses the
-    /// event time it already peeked for the epoch plan instead of peeking
-    /// the queue a second time — the peek is the planner's only per-epoch
-    /// cost on shards that never extend, so this is what keeps the adaptive
-    /// default at wall-clock parity with fixed lookahead on dense
-    /// workloads. `false` is always safe; the planner just calls
-    /// [`ShardSim::earliest_emission`].
-    fn all_pending_emit(&self) -> bool {
-        false
-    }
-
     /// Number of events pending in the shard's local queue, plus any work
     /// the shard defers outside it and would otherwise have queued (the
     /// machine model's parked deliveries). Summed across
@@ -325,22 +271,6 @@ pub trait ShardSim: Send {
     fn commit_speculation(&mut self) {}
 }
 
-/// The forecast [`extend_horizon`] sees for one shard, reusing the epoch
-/// plan's already-peeked `next_event` when the shard promises every pending
-/// event can emit.
-fn forecast_of<S: ShardSim>(shard: &S, next_event: Option<Cycle>) -> Option<Cycle> {
-    if shard.all_pending_emit() {
-        debug_assert_eq!(
-            shard.earliest_emission(),
-            next_event,
-            "all_pending_emit promised earliest_emission == next_event_time"
-        );
-        next_event
-    } else {
-        shard.earliest_emission()
-    }
-}
-
 /// How [`run_epochs`] executes the shards of each epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
@@ -353,18 +283,13 @@ pub enum ExecMode {
     Parallel,
 }
 
-/// Whether the epoch planner may extend horizons past the fixed grid.
+/// Whether the epoch planner may gamble past the fixed grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LookaheadMode {
     /// Every epoch is exactly one `epoch` long on the fixed grid — the
-    /// classic conservative-PDES schedule. Kept as the A/B baseline.
-    Fixed,
-    /// Horizons extend to the shards' traffic forecast
-    /// ([`ShardSim::earliest_emission`]) plus one epoch, collapsing quiet
-    /// stretches into single epochs (see the module docs). Produces
-    /// bit-identical simulated results to [`LookaheadMode::Fixed`].
+    /// classic conservative-PDES schedule.
     #[default]
-    Adaptive,
+    Fixed,
     /// Optimistic execution with rollback: shards checkpoint themselves
     /// ([`ShardSim::snapshot`]), run [`SPEC_DEPTH`] grid slots past the
     /// planned horizon with emissions held aside, and either commit (no
@@ -379,7 +304,6 @@ impl std::fmt::Display for LookaheadMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             LookaheadMode::Fixed => "fixed",
-            LookaheadMode::Adaptive => "adaptive",
             LookaheadMode::Speculative => "speculative",
         })
     }
@@ -516,15 +440,12 @@ impl SpecPacer {
 
 /// Summary of a completed [`run_epochs`] drive.
 ///
-/// `routed_events` and `aborted` are invariant across shard counts,
-/// execution modes *and* lookahead modes. The epoch-shape statistics
-/// (`epochs`, `exchanges`, `extensions`, `epoch_cycles`, `max_epoch_len`,
-/// `last_horizon`) are invariant across execution modes and — whenever
-/// shard forecasts reduce to global minima, which holds unless a shard
-/// declines to forecast while others emit — across shard counts too; they
+/// Every field is invariant across shard counts and execution modes: the
+/// planner reads only globally merged state. `routed_events` and `aborted`
+/// are invariant across lookahead modes too; the epoch-shape statistics
 /// naturally differ between [`LookaheadMode::Fixed`] and
-/// [`LookaheadMode::Adaptive`], which is the point. The all-zero `Default`
-/// is the outcome of a drive with nothing to run.
+/// [`LookaheadMode::Speculative`], which is the point. The all-zero
+/// `Default` is the outcome of a drive with nothing to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochOutcome {
     /// Epochs actually executed (empty epochs are skipped, not counted).
@@ -542,8 +463,10 @@ pub struct EpochOutcome {
     pub aborted: bool,
     /// Exclusive end of the last executed epoch (0 if none ran).
     pub last_horizon: Cycle,
-    /// Epochs whose horizon the adaptive planner extended past the fixed
-    /// grid slot (always 0 under [`LookaheadMode::Fixed`]).
+    /// Epochs whose executed horizon ran past their planned grid slot: every
+    /// committed speculative round, and every rolled-back one whose
+    /// re-execution still reached past the slot (always 0 under
+    /// [`LookaheadMode::Fixed`]).
     pub extensions: u64,
     /// Total simulated cycles covered by executed epochs (saturating), so
     /// `epoch_cycles / epochs` is the mean epoch length.
@@ -596,7 +519,7 @@ impl EpochOutcome {
 /// Cross-shard events staged at the router, per destination shard.
 ///
 /// Staging order is irrelevant (deliveries sort by the canonical key and
-/// [`Router::arrival_split`] takes minima), which lets
+/// [`Router::earliest_from`] takes a minimum), which lets
 /// [`Router::take_due_into`] partition with `swap_remove` instead of
 /// reallocating.
 struct Router<M> {
@@ -641,21 +564,19 @@ impl<M> Router<M> {
         }
     }
 
-    /// Earliest staged arrivals split around `at`: the minimum strictly
-    /// before it (delivered by a `take_due_into(_, at, _)` pass) and the
-    /// minimum at or after it (left staged by that pass; with `at = 0`, the
-    /// earliest staged arrival overall). O(1) when nothing is staged.
-    fn arrival_split(&self, at: Cycle) -> (Option<Cycle>, Option<Cycle>) {
+    /// Earliest staged arrival at or after `at` — one a
+    /// `take_due_into(_, at, _)` pass leaves staged; with `at = 0`, the
+    /// earliest staged arrival overall. O(1) when nothing is staged.
+    fn earliest_from(&self, at: Cycle) -> Option<Cycle> {
         if self.staged_count == 0 {
-            return (None, None);
+            return None;
         }
-        let mut due: Option<Cycle> = None;
-        let mut held: Option<Cycle> = None;
-        for &(arr, _, _) in self.staged.iter().flatten() {
-            let bucket = if arr < at { &mut due } else { &mut held };
-            *bucket = Some(bucket.map_or(arr, |b| b.min(arr)));
-        }
-        (due, held)
+        self.staged
+            .iter()
+            .flatten()
+            .map(|&(arr, _, _)| arr)
+            .filter(|&arr| arr >= at)
+            .min()
     }
 
     /// Moves the events for shard `dst` arriving before `horizon` into
@@ -693,7 +614,7 @@ fn next_epoch(
 }
 
 /// Horizon of the last epoch the fixed grid can execute before `max_cycles`
-/// aborts the run. Extended horizons never cross it, which is what makes an
+/// aborts the run. Gambled horizons never cross it, which is what makes an
 /// aborted run process the exact same event set under either
 /// [`LookaheadMode`]: both process every reachable event strictly before
 /// this cycle, then abort (the next plan's start exceeds `max_cycles` iff
@@ -702,52 +623,18 @@ fn epoch_limit(max_cycles: Cycle, epoch: Cycle) -> Cycle {
     ((max_cycles / epoch) * epoch).saturating_add(epoch)
 }
 
-/// The adaptive extension: pushes `planned` (the fixed-grid horizon) out to
-/// the forecast floor plus one epoch, clamped by the earliest staged
-/// arrival at or past `planned` and by `limit` (see [`epoch_limit`]).
-///
-/// `floor` — the earliest cycle at which *anything* could emit — is the
-/// minimum of every shard's [`ShardSim::earliest_emission`] and of any
-/// staged arrival due *inside* the planned epoch (`due_arrival`: a delivery
-/// can trigger an emission at its arrival cycle). An emission at `t ≥ floor`
-/// arrives at `t + latency ≥ floor + epoch` (the driver requires `epoch ≤`
-/// the model's minimum latency). Staged arrivals at or past `planned`
-/// (`held_arrival` is the earliest of them — note: *not* necessarily the
-/// router's global minimum, which may be due this epoch) are not delivered
-/// this epoch, hence the clip.
-///
-/// Every bound is rounded *down* to the epoch grid, so extended horizons
-/// are always grid points and an extension collapses whole fixed-grid
-/// epochs exactly. This is required for bit-identity, not just causality:
-/// an arrival at cycle `a` enters its destination's event queue at the grid
-/// boundary `(a / epoch) * epoch` (the start of the epoch that delivers
-/// it), *before* any same-cycle local event scheduled by a pop past that
-/// boundary. An off-grid horizon would run those pops first and flip
-/// same-cycle insertion order. Grid-rounding `floor + epoch` (the earliest
-/// possible arrival of this epoch's emissions) and the held arrival keeps
-/// every insertion boundary outside the extended window.
-fn extend_horizon(
-    forecasts: impl Iterator<Item = Option<Cycle>>,
-    due_arrival: Option<Cycle>,
-    held_arrival: Option<Cycle>,
-    planned: Cycle,
-    epoch: Cycle,
-    limit: Cycle,
-) -> Cycle {
-    let grid = |at: Cycle| (at / epoch) * epoch;
-    let floor = forecasts.flatten().chain(due_arrival).min();
-    let clip = held_arrival.map_or(Cycle::MAX, grid);
-    let candidate = floor.map_or(Cycle::MAX, |f| grid(f.saturating_add(epoch)));
-    planned.max(candidate.min(clip).min(limit))
-}
-
 /// The horizon a speculative round gambles on: `depth` grid slots (the
-/// pacer's [`SpecPacer::decide`] answer) past `planned`, clipped — like the
-/// adaptive extension — by the grid slot of the earliest *staged* arrival
-/// at or past `planned` (those deliveries must happen at their own epoch
-/// starts; speculation never skips a delivery point) and by `limit` (abort
-/// exactness, see [`epoch_limit`]). Returns `planned` itself when there is
-/// no room to speculate.
+/// pacer's [`SpecPacer::decide`] answer) past `planned`, clipped by the
+/// grid slot of the earliest *staged* arrival at or past `planned` (those
+/// deliveries must happen at their own epoch starts; speculation never
+/// skips a delivery point) and by `limit` (abort exactness, see
+/// [`epoch_limit`]). Returns `planned` itself when there is no room to
+/// speculate.
+///
+/// The result is always a grid point. That is required for bit-identity:
+/// an arrival enters its destination queue at its delivering epoch's grid
+/// boundary, *before* any same-cycle event scheduled by a pop past that
+/// boundary, so an off-grid horizon would flip same-cycle insertion order.
 fn spec_horizon(
     planned: Cycle,
     held_arrival: Option<Cycle>,
@@ -787,10 +674,10 @@ enum Round {
 
 /// The epoch planner both executors share. It owns the router, the
 /// speculation pacer and the accumulating [`EpochOutcome`], and makes every
-/// schedule decision exactly once: fast-forward and abort, the adaptive
-/// extension, the gamble and its verdict, and the epoch and exchange
-/// accounting. The executors only move events and advance shards, so the
-/// two cannot disagree on the schedule (invariants 6 and 7).
+/// schedule decision exactly once: fast-forward and abort, the gamble and
+/// its verdict, and the epoch and exchange accounting. The executors only
+/// move events and advance shards, so the two cannot disagree on the
+/// schedule (invariant 7).
 struct Planner<M> {
     router: Router<M>,
     pacer: SpecPacer,
@@ -802,7 +689,7 @@ struct Planner<M> {
     exchanged: bool,
     epoch: Cycle,
     max_cycles: Cycle,
-    /// Extension ceiling (see [`epoch_limit`]).
+    /// Gamble ceiling (see [`epoch_limit`]).
     limit: Cycle,
     lookahead: LookaheadMode,
 }
@@ -810,15 +697,13 @@ struct Planner<M> {
 impl<M> Planner<M> {
     /// Plans the next round from every shard's earliest pending event.
     /// `load` (the summed [`ShardSim::pending_len`]) is called only under
-    /// [`LookaheadMode::Speculative`] and `forecasts` only under
-    /// [`LookaheadMode::Adaptive`]; the held-arrival scan runs only once
-    /// the pacer approves a gamble. A refused round thus costs what a
+    /// [`LookaheadMode::Speculative`], and the held-arrival scan runs only
+    /// once the pacer approves a gamble. A refused round thus costs what a
     /// fixed-lookahead one does.
-    fn plan<F: Iterator<Item = Option<Cycle>>>(
+    fn plan(
         &mut self,
         next_events: impl Iterator<Item = Option<Cycle>>,
         load: impl FnOnce() -> u64,
-        forecasts: impl FnOnce() -> F,
     ) -> Round {
         if let Some(done) = self.current.take() {
             self.outcome
@@ -828,7 +713,7 @@ impl<M> Planner<M> {
             }
         }
         let Some((start, planned)) =
-            next_epoch(next_events, self.router.arrival_split(0).1, self.epoch)
+            next_epoch(next_events, self.router.earliest_from(0), self.epoch)
         else {
             return Round::Done;
         };
@@ -836,24 +721,17 @@ impl<M> Planner<M> {
             self.outcome.aborted = true;
             return Round::Abort;
         }
-        let (horizon, gamble) = match self.lookahead {
-            LookaheadMode::Fixed => (planned, false),
-            LookaheadMode::Adaptive => {
-                let (due, held) = self.router.arrival_split(planned);
-                let horizon =
-                    extend_horizon(forecasts(), due, held, planned, self.epoch, self.limit);
-                (horizon, false)
-            }
+        let horizon = match self.lookahead {
+            LookaheadMode::Fixed => planned,
             LookaheadMode::Speculative => {
                 let load = self.router.staged_count + load();
                 // A refused gamble (pacer cooldown, or no room past the
                 // planned slot) runs on the fixed grid.
                 let decision = self.pacer.decide(load, &self.outcome, self.epoch);
-                let gamble = decision.map_or(planned, |depth| {
-                    let held = self.router.arrival_split(planned).1;
+                decision.map_or(planned, |depth| {
+                    let held = self.router.earliest_from(planned);
                     spec_horizon(planned, held, self.epoch, self.limit, depth)
-                });
-                (gamble, gamble > planned)
+                })
             }
         };
         let window = Window {
@@ -862,7 +740,7 @@ impl<M> Planner<M> {
             horizon,
         };
         self.current = Some(window);
-        if gamble {
+        if horizon > planned {
             let depth = (horizon - planned) / self.epoch;
             self.outcome.spec_max_depth = self.outcome.spec_max_depth.max(depth);
             return Round::Spec(window);
@@ -871,29 +749,18 @@ impl<M> Planner<M> {
     }
 
     /// [`Planner::plan`] read straight off the shards: every round of the
-    /// sequential executor and the first round of the parallel one. `times`
-    /// is reusable scratch; the peeked event times double as the adaptive
-    /// forecasts (see [`forecast_of`]).
-    fn plan_shards<S: ShardSim<Msg = M>>(
-        &mut self,
-        shards: &[S],
-        times: &mut Vec<Option<Cycle>>,
-    ) -> Round {
-        times.clear();
-        times.extend(shards.iter().map(|s| s.next_event_time()));
-        let times = &*times;
-        self.plan(
-            times.iter().copied(),
-            || shards.iter().map(|s| s.pending_len()).sum(),
-            || shards.iter().zip(times).map(|(s, &t)| forecast_of(s, t)),
-        )
+    /// sequential executor and the first round of the parallel one.
+    fn plan_shards<S: ShardSim<Msg = M>>(&mut self, shards: &[S]) -> Round {
+        self.plan(shards.iter().map(|s| s.next_event_time()), || {
+            shards.iter().map(|s| s.pending_len()).sum()
+        })
     }
 
     /// Moves the arrivals for shard `shard` due before `planned` into
     /// `inbound`, in canonical order. Deliveries use the *planned* grid
-    /// horizon: the extension and gamble clips guarantee nothing is staged
-    /// in `[planned, horizon)`, and the grid boundary is the delivery point
-    /// every lookahead mode shares.
+    /// horizon: the gamble clip guarantees nothing is staged in
+    /// `[planned, horizon)`, and the grid boundary is the delivery point
+    /// both lookahead modes share.
     fn deliver(&mut self, shard: usize, planned: Cycle, inbound: &mut Vec<(Cycle, Stamp, M)>) {
         if self.router.staged_count > 0 {
             self.router.take_due_into(shard, planned, inbound);
@@ -964,11 +831,10 @@ impl<M> Planner<M> {
 /// to the epoch-grid slot containing the earliest pending event, so idle
 /// machines cost nothing. The epoch grid itself (multiples of `epoch`) is
 /// fixed, which keeps delivery points — and therefore results — independent
-/// of the fast-forwarding. Under [`LookaheadMode::Adaptive`] horizons
-/// additionally extend past the grid slot when the shards' traffic
-/// forecasts allow it (see the module docs); deliveries still happen at the
-/// planned grid boundary, so results are bit-identical across lookahead
-/// modes too.
+/// of the fast-forwarding. Under [`LookaheadMode::Speculative`] rounds may
+/// gamble past the grid slot (see the module docs); deliveries still happen
+/// at the planned grid boundary, so results are bit-identical across
+/// lookahead modes too.
 ///
 /// # Panics
 ///
@@ -1011,13 +877,12 @@ fn run_sequential<S: ShardSim>(
 ) -> EpochOutcome {
     let mut outbox = Outbox::new();
     let mut inbound: Vec<(Cycle, Stamp, S::Msg)> = Vec::new();
-    let mut times: Vec<Option<Cycle>> = Vec::with_capacity(shards.len());
     // Speculation state, allocated lazily on the first speculative round:
     // one reusable checkpoint buffer and one held-aside outbox per shard.
     let mut checkpoints: Vec<S::Checkpoint> = Vec::new();
     let mut held: Vec<Outbox<S::Msg>> = Vec::new();
     loop {
-        let (window, gamble) = match planner.plan_shards(shards, &mut times) {
+        let (window, gamble) = match planner.plan_shards(shards) {
             Round::Done | Round::Abort => return planner.into_outcome(),
             Round::Run(window) => (window, false),
             Round::Spec(window) => (window, true),
@@ -1111,10 +976,6 @@ struct Slot<M> {
     /// The shard's earliest pending event after its last epoch (`NO_EVENT`
     /// when drained).
     next_event: AtomicU64,
-    /// The shard's traffic forecast after its last epoch
-    /// ([`ShardSim::earliest_emission`]; `NO_EVENT` when it cannot emit).
-    /// Only written under [`LookaheadMode::Adaptive`].
-    earliest_emission: AtomicU64,
     /// Events due in the epoch being published, in canonical order. Filled
     /// by the finisher, drained by the owning worker; capacity is reused.
     inbound: Mutex<Vec<(Cycle, Stamp, M)>>,
@@ -1256,16 +1117,12 @@ fn finish<M: Send>(
             planner.absorb(&mut slot.outbound.lock().unwrap(), shard_of, horizon);
         }
     }
-    let round = planner.plan(
-        slots.iter().map(|s| slot_time(&s.next_event)),
-        || {
-            slots
-                .iter()
-                .map(|s| s.pending.load(Ordering::Relaxed))
-                .sum()
-        },
-        || slots.iter().map(|s| slot_time(&s.earliest_emission)),
-    );
+    let round = planner.plan(slots.iter().map(|s| slot_time(&s.next_event)), || {
+        slots
+            .iter()
+            .map(|s| s.pending.load(Ordering::Relaxed))
+            .sum()
+    });
     if let Round::Run(window) | Round::Spec(window) = round {
         for (i, slot) in slots.iter().enumerate() {
             planner.deliver(i, window.planned, &mut slot.inbound.lock().unwrap());
@@ -1340,21 +1197,14 @@ fn run_worker<S: ShardSim>(
             debug_assert!(outbound.is_empty(), "previous epoch's emissions unrouted");
             std::mem::swap(&mut *outbound, &mut outbox.staged);
         }
-        let next_event = shard.next_event_time();
-        slot.next_event
-            .store(next_event.unwrap_or(NO_EVENT), Ordering::Relaxed);
+        slot.next_event.store(
+            shard.next_event_time().unwrap_or(NO_EVENT),
+            Ordering::Relaxed,
+        );
         // Only the speculative planner reads the load slot (and
         // `pending_len` is O(1), so this costs one store).
         if lookahead == LookaheadMode::Speculative {
             slot.pending.store(shard.pending_len(), Ordering::Relaxed);
-        }
-        // Only the adaptive planner reads the forecast slot; fixed mode
-        // skips the (possibly second) queue peek entirely.
-        if lookahead == LookaheadMode::Adaptive {
-            slot.earliest_emission.store(
-                forecast_of(shard, next_event).unwrap_or(NO_EVENT),
-                Ordering::Relaxed,
-            );
         }
         // The release half of this increment publishes everything the worker
         // wrote above; the finisher's acquire half (reading the last value of
@@ -1374,7 +1224,7 @@ fn run_parallel<S: ShardSim>(
     let lookahead = planner.lookahead;
     // Round one is planned on the calling thread, before any worker exists;
     // the barrier finishers plan every later round.
-    let round = planner.plan_shards(shards, &mut Vec::with_capacity(shards.len()));
+    let round = planner.plan_shards(shards);
     let (state, horizon) = publication(round);
     if state == PLAN_STOP {
         return planner.into_outcome();
@@ -1384,7 +1234,6 @@ fn run_parallel<S: ShardSim>(
             .iter()
             .map(|_| Slot {
                 next_event: AtomicU64::new(NO_EVENT),
-                earliest_emission: AtomicU64::new(NO_EVENT),
                 inbound: Mutex::new(Vec::new()),
                 outbound: Mutex::new(Vec::new()),
                 thread: Mutex::new(None),
@@ -1441,7 +1290,6 @@ mod tests {
         hops_left: Vec<u64>,
         sum: Vec<u64>,
         seq: Vec<u64>,
-        forecast: Vec<Option<Cycle>>,
         events: Option<EventQueue<(u32, Ev)>>,
     }
 
@@ -1452,12 +1300,6 @@ mod tests {
         hops_left: Vec<u64>,
         sum: Vec<u64>,
         seq: Vec<u64>,
-        /// Honest per-counter traffic forecast: the cycle at which the
-        /// counter's pending event chain next reaches `hop` (a pending
-        /// `Hop` emits as soon as it pops; a local grind chain emits when
-        /// its last link pops). `None` once the counter has emitted and is
-        /// waiting for the token to come around again.
-        forecast: Vec<Option<Cycle>>,
         events: EventQueue<(u32, Ev)>,
     }
 
@@ -1484,14 +1326,12 @@ mod tests {
                 hops_left: vec![hops; count as usize],
                 sum: vec![0; count as usize],
                 seq: vec![0; count as usize],
-                forecast: (0..count).map(|i| Some(u64::from(base + i))).collect(),
                 events,
             }
         }
 
         fn hop(&mut self, id: u32, token: u64, now: Cycle, outbox: &mut Outbox<Ev>) {
             let slot = (id - self.base) as usize;
-            self.forecast[slot] = None;
             if self.hops_left[slot] == 0 {
                 return;
             }
@@ -1522,7 +1362,6 @@ mod tests {
             into.hops_left.clone_from(&self.hops_left);
             into.sum.clone_from(&self.sum);
             into.seq.clone_from(&self.seq);
-            into.forecast.clone_from(&self.forecast);
             into.events = Some(self.events.clone());
         }
 
@@ -1530,7 +1369,6 @@ mod tests {
             self.hops_left.clone_from(&from.hops_left);
             self.sum.clone_from(&from.sum);
             self.seq.clone_from(&from.seq);
-            self.forecast.clone_from(&from.forecast);
             self.events = from
                 .events
                 .as_ref()
@@ -1542,12 +1380,6 @@ mod tests {
             let dst = match &msg {
                 Ev::Hop { dst, .. } | Ev::Local { dst, .. } => *dst,
             };
-            if matches!(msg, Ev::Hop { .. }) {
-                // A freshly delivered token emits no earlier than its own
-                // arrival (later if the counter grinds first) — deliberately
-                // conservative; the pop below tightens it to the chain end.
-                self.forecast[(dst - self.base) as usize] = Some(at);
-            }
             self.events.schedule(at, (dst, msg));
         }
 
@@ -1560,10 +1392,7 @@ mod tests {
                         if self.local_work > 0 {
                             // Grind locally before passing the token on; the
                             // grind is node-local, so these epochs emit
-                            // nothing. The chain's last link (`left == 1`)
-                            // pops exactly `local_work` strides from now and
-                            // calls `hop` — the exact next emission time.
-                            self.forecast[slot] = Some(now + LATENCY * self.local_work);
+                            // nothing.
                             self.events.schedule(
                                 now + LATENCY,
                                 (
@@ -1607,10 +1436,6 @@ mod tests {
 
         fn pending_len(&self) -> u64 {
             self.events.len() as u64
-        }
-
-        fn earliest_emission(&self) -> Option<Cycle> {
-            self.forecast.iter().flatten().copied().min()
         }
     }
 
@@ -1682,24 +1507,26 @@ mod tests {
 
     #[test]
     fn sharded_ring_is_invariant_across_shard_counts_and_modes() {
-        let (reference, _) = run_ring(12, 1, 40, ExecMode::Sequential);
-        for lookahead in [
-            LookaheadMode::Fixed,
-            LookaheadMode::Adaptive,
-            LookaheadMode::Speculative,
-        ] {
-            for shard_count in [1, 2, 3, 4] {
-                let (seq, _) =
-                    run_ring_with(12, shard_count, 40, 0, ExecMode::Sequential, lookahead);
-                assert_eq!(
-                    seq, reference,
-                    "{shard_count} sequential shards ({lookahead}) diverged"
-                );
-                let (par, _) = run_ring_with(12, shard_count, 40, 0, ExecMode::Parallel, lookahead);
-                assert_eq!(
-                    par, reference,
-                    "{shard_count} parallel shards ({lookahead}) diverged"
-                );
+        // The dense ring and the grinding ring. Results must match the
+        // fixed single-shard run everywhere, and the whole epoch outcome
+        // must match the single-shard run of the same lookahead mode: the
+        // planner reads only globally merged state.
+        for (total, hops, local_work) in [(12, 40, 0), (6, 4, 30)] {
+            let run = |shards, mode, lookahead| {
+                run_ring_with(total, shards, hops, local_work, mode, lookahead)
+            };
+            let (reference, _) = run(1, ExecMode::Sequential, LookaheadMode::Fixed);
+            for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
+                let (_, outcome) = run(1, ExecMode::Sequential, lookahead);
+                for shard_count in [1, 2, 3, 4] {
+                    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+                        let (sums, other) = run(shard_count, mode, lookahead);
+                        let case =
+                            format!("{total}-ring, {shard_count} shards {mode:?} ({lookahead})");
+                        assert_eq!(sums, reference, "{case} diverged");
+                        assert_eq!(other, outcome, "{case} changed the epoch outcome");
+                    }
+                }
             }
         }
     }
@@ -1718,9 +1545,9 @@ mod tests {
     fn quiescent_epochs_skip_the_exchange() {
         // 30 local grind events between consecutive hops: the overwhelming
         // majority of epochs emit nothing and must not count as exchanges.
-        // Pinned to fixed lookahead — the adaptive planner collapses those
-        // quiet epochs outright (covered by the test below), which would
-        // defeat the "many epochs, few exchanges" shape this test needs.
+        // Pinned to fixed lookahead — speculation collapses those quiet
+        // epochs (covered below), which would defeat the "many epochs, few
+        // exchanges" shape this test needs.
         let fixed = LookaheadMode::Fixed;
         let (reference, seq) = run_ring_with(6, 1, 4, 30, ExecMode::Sequential, fixed);
         for shard_count in [2, 3] {
@@ -1741,43 +1568,6 @@ mod tests {
             seq.exchanges,
             seq.epochs
         );
-    }
-
-    #[test]
-    fn adaptive_lookahead_collapses_quiet_epochs() {
-        // The same grinding ring as above: under adaptive lookahead the
-        // per-counter forecasts point at the grind-chain ends, so the
-        // planner folds each ~30-epoch quiet stretch into one long epoch.
-        // Simulated results must not move; only the epoch shape may.
-        let (reference, fixed) =
-            run_ring_with(6, 1, 4, 30, ExecMode::Sequential, LookaheadMode::Fixed);
-        let (sums, adaptive) =
-            run_ring_with(6, 1, 4, 30, ExecMode::Sequential, LookaheadMode::Adaptive);
-        assert_eq!(sums, reference, "lookahead mode changed simulated results");
-        assert_eq!(adaptive.routed_events, fixed.routed_events);
-        assert_eq!(adaptive.exchanges, fixed.exchanges);
-        assert!(adaptive.extensions > 0, "no horizon extension taken");
-        assert!(
-            adaptive.epochs * 4 < fixed.epochs,
-            "adaptive should collapse the grind: {} vs {} fixed epochs",
-            adaptive.epochs,
-            fixed.epochs
-        );
-        assert!(adaptive.max_epoch_len > LATENCY);
-        assert!(adaptive.mean_epoch_len() > fixed.mean_epoch_len());
-        // The forecast minima the planner sees are global, so the epoch
-        // shape itself is invariant across shard counts and exec modes.
-        for shard_count in [1, 2, 3] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let (sums, outcome) =
-                    run_ring_with(6, shard_count, 4, 30, mode, LookaheadMode::Adaptive);
-                assert_eq!(sums, reference, "{shard_count} shards {mode:?} diverged");
-                assert_eq!(
-                    outcome, adaptive,
-                    "adaptive outcome changed with {shard_count} shards {mode:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1862,8 +1652,6 @@ mod tests {
         // numbers is observable in RESULTS.md — it must fail here first, not
         // surface as a silent benchmark drift.
         let (_, fixed) = run_ring_with(6, 2, 4, 30, ExecMode::Sequential, LookaheadMode::Fixed);
-        let (_, adaptive) =
-            run_ring_with(6, 2, 4, 30, ExecMode::Sequential, LookaheadMode::Adaptive);
         let (_, spec) = run_ring_with(
             6,
             2,
@@ -1872,7 +1660,7 @@ mod tests {
             ExecMode::Sequential,
             LookaheadMode::Speculative,
         );
-        for (name, outcome) in [("fixed", &fixed), ("adaptive", &adaptive), ("spec", &spec)] {
+        for (name, outcome) in [("fixed", &fixed), ("spec", &spec)] {
             assert_eq!(
                 outcome.routed_events, 24,
                 "{name}: 6 counters hop 4 times each"
@@ -1883,11 +1671,6 @@ mod tests {
         assert_eq!(fixed.extensions, 0);
         assert_eq!(fixed.epoch_cycles, 1550);
         assert_eq!(fixed.max_epoch_len, LATENCY);
-        assert_eq!(adaptive.epochs, 10);
-        assert_eq!(adaptive.extensions, 5);
-        assert_eq!(adaptive.epoch_cycles, 1550);
-        assert_eq!(adaptive.max_epoch_len, 30 * LATENCY);
-        assert!(adaptive.mean_epoch_len() > fixed.mean_epoch_len());
         // Speculation executes the same event set on a different epoch grid:
         // a clean final gamble may run past the last event, so its cycle sum
         // can exceed the fixed grid's — only the *results* are pinned equal.
@@ -1913,7 +1696,7 @@ mod tests {
     #[test]
     fn cycle_limit_aborts_with_pending_work() {
         // An endless dense ring, and the quiet grinding ring cut mid-run so
-        // the abort lands inside an adaptive extension or a gamble's clip.
+        // the abort lands inside a gamble's clip.
         // Both drivers must record the very same abort, and every lookahead
         // mode must process the same event set before it.
         for (total, hops, local_work, max_cycles) in [(4, u64::MAX, 0, 100), (6, 4, 30, 725)] {
@@ -1926,11 +1709,7 @@ mod tests {
                 ExecMode::Sequential,
                 LookaheadMode::Fixed,
             );
-            for lookahead in [
-                LookaheadMode::Fixed,
-                LookaheadMode::Adaptive,
-                LookaheadMode::Speculative,
-            ] {
+            for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
                 let run =
                     |mode| run_ring_until(total, 2, hops, local_work, max_cycles, mode, lookahead);
                 let (sums, seq) = run(ExecMode::Sequential);
@@ -1939,7 +1718,7 @@ mod tests {
                     seq.aborted,
                     "{lookahead}: the ring must hit the cycle limit"
                 );
-                // Extensions and gambles are clamped to the first epoch past
+                // Gambles are clamped to the first epoch past
                 // the limit, so aborts land on the same boundary either way.
                 assert!(seq.last_horizon <= max_cycles + LATENCY, "{lookahead}");
                 assert_eq!(sums, reference, "{lookahead}: aborted at a different point");
@@ -1954,11 +1733,7 @@ mod tests {
 
     #[test]
     fn empty_shards_finish_immediately() {
-        for lookahead in [
-            LookaheadMode::Fixed,
-            LookaheadMode::Adaptive,
-            LookaheadMode::Speculative,
-        ] {
+        for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let mut shards = vec![RingShard::new(0, 2, 4, 0, 0), RingShard::new(2, 2, 4, 0, 0)];
                 for shard in &mut shards {

@@ -190,14 +190,12 @@ fn wheel_and_heap_backends_are_pop_order_identical() {
             }
             assert_eq!(heap.len(), wheel.len(), "case {case}: length divergence");
             assert_eq!(heap.now(), wheel.now(), "case {case}: clock divergence");
-            // The adaptive-lookahead forecast peeks at the queue through
-            // `next_occupied`; it must be exact (not a lower bound) and
-            // backend-independent, since epoch planning places its result
-            // on the epoch grid.
+            // Epoch planning places the peeked time on the epoch grid, so
+            // it must be exact (not a lower bound) and backend-independent.
             assert_eq!(
-                heap.next_occupied(),
-                wheel.next_occupied(),
-                "case {case}: next_occupied divergence"
+                heap.peek_time(),
+                wheel.peek_time(),
+                "case {case}: peek_time divergence"
             );
         }
         // Drain: the full remaining sequence must match exactly.
@@ -229,19 +227,15 @@ fn det_rng_is_deterministic_and_bounded() {
 
 /// Epoch-planner schedule pins: for one known grinding schedule — appbt's
 /// compute phases between sparse exchanges on a fixed 6-node, 2-shard
-/// machine — the exact [`EpochOutcome`] of all three lookahead modes is
-/// pinned, the machine-level analog of the sharded driver's grinding-ring
-/// unit pins. Results stay bit-identical across modes (invariants 6 and 7);
-/// what this pins is the *planner's* behaviour, so an accidental change to
-/// horizon planning, extension accounting or the speculation pacer shows up
-/// as a schedule diff even though every result digest still matches.
+/// machine — the exact [`EpochOutcome`] of both lookahead modes is pinned,
+/// the machine-level analog of the sharded driver's grinding-ring unit
+/// pins. Results stay bit-identical across modes (invariant 7); what this
+/// pins is the *planner's* behaviour, so an accidental change to horizon
+/// planning, extension accounting or the speculation pacer shows up as a
+/// schedule diff even though every result digest still matches.
 ///
-/// The adaptive line equals the fixed grid here: dense zero-fault traffic
-/// keeps every pending event a potential emitter, so the conservative
-/// forecast never clears a grid slot (see the lookahead campaign notes in
-/// `RESULTS.md`). Speculation is the mode built to beat exactly that —
-/// it gambles past the horizon and validates afterwards, committing most
-/// rounds and paying for the rest with re-executed cycles.
+/// Speculation gambles past the horizon and validates afterwards,
+/// committing most rounds and paying for the rest with re-executed cycles.
 ///
 /// The speculative line pins the PR 9 observable-driven pacer (commit
 /// ratio, staged-plus-pending load, mean epoch length): any change to its
@@ -258,23 +252,6 @@ fn lookahead_epoch_schedules_are_pinned() {
     let expected = [
         (
             LookaheadMode::Fixed,
-            EpochOutcome {
-                epochs: 33,
-                exchanges: 18,
-                routed_events: 92,
-                aborted: false,
-                last_horizon: 5_100,
-                extensions: 0,
-                epoch_cycles: 33 * grid,
-                max_epoch_len: grid,
-                spec_commits: 0,
-                spec_rollbacks: 0,
-                spec_reexec_cycles: 0,
-                spec_max_depth: 0,
-            },
-        ),
-        (
-            LookaheadMode::Adaptive,
             EpochOutcome {
                 epochs: 33,
                 exchanges: 18,
@@ -328,13 +305,12 @@ fn lookahead_epoch_schedules_are_pinned() {
             reports.push(report);
         }
         // Derived pin: speculation grows the mean epoch length (cycles per
-        // epoch) past the fixed grid; the conservative modes sit exactly on
-        // it.
+        // epoch) past the fixed grid; the fixed mode sits exactly on it.
         let mean_num = want.epoch_cycles;
         let mean_den = want.epochs;
         match mode {
             LookaheadMode::Speculative => assert!(mean_num > grid * mean_den),
-            _ => assert_eq!(mean_num, grid * mean_den),
+            LookaheadMode::Fixed => assert_eq!(mean_num, grid * mean_den),
         }
     }
     for report in &reports[1..] {

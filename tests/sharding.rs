@@ -41,14 +41,19 @@ fn run_with_outcome(
 }
 
 /// Sequential 1-shard, sequential N-shard and parallel N-shard runs are
-/// bit-identical for every NI kind, across two workloads with different
-/// communication patterns (fine-grain spsolve, broadcast-heavy gauss) and
-/// randomized machine/shard shapes.
+/// bit-identical for every NI kind, across four workloads with different
+/// communication patterns (fine-grain spsolve and em3d, broadcast-heavy
+/// gauss, convergent hotspot) and randomized machine/shard shapes.
 #[test]
 fn sharding_never_changes_results() {
     let mut rng = DetRng::new(0x5AAD);
     for kind in NiKind::ALL {
-        for workload in [Workload::Spsolve, Workload::Gauss] {
+        for workload in [
+            Workload::Spsolve,
+            Workload::Gauss,
+            Workload::Em3d,
+            Workload::Hotspot,
+        ] {
             let nodes = 3 + rng.gen_index(8); // 3..=10
             let shards = 2 + rng.gen_index(nodes - 1); // 2..=nodes
             let params = WorkloadParams::tiny();
@@ -416,58 +421,6 @@ fn outage_windows_shard_bit_identically() {
             report, reference,
             "outage run (parallel = {parallel}) diverged"
         );
-    }
-}
-
-/// Determinism invariant 6: the adaptive lookahead extension is invisible
-/// in results. For every NI kind across three traffic shapes (fine-grain
-/// em3d, broadcast-heavy gauss, convergent hotspot) with randomized
-/// machine/shard shapes, an adaptive run — sequential and parallel N-shard —
-/// is bit-identical to the fixed-lookahead `ShardPolicy::Single` reference.
-///
-/// The test profile keeps debug assertions on, so this doubles as the
-/// over-promise oracle for `ShardSim::earliest_emission`: a forecast later
-/// than a real emission trips either the router's lookahead-violation assert
-/// (an arrival staged inside the extended epoch) or the event queue's
-/// scheduled-in-the-past assert (a held arrival delivered behind the clock).
-#[test]
-fn adaptive_lookahead_never_over_promises() {
-    use cni::core::machine::{LookaheadMode, SpeculationConfig};
-    let mut rng = DetRng::new(0x0001_00CA_4EAD);
-    for kind in NiKind::ALL {
-        for workload in [Workload::Em3d, Workload::Gauss, Workload::Hotspot] {
-            let nodes = 4 + rng.gen_index(7); // 4..=10
-            let shards = 2 + rng.gen_index(3); // 2..=4
-            let params = WorkloadParams::tiny();
-            let case = format!("{kind}/{workload}: {nodes} nodes, {shards} shards");
-
-            let reference = run(
-                MachineConfig::isca96(nodes, kind)
-                    .with_shards(ShardPolicy::Single)
-                    .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed)),
-                workload,
-                &params,
-            );
-            assert!(reference.completed, "{case}: reference did not complete");
-
-            for parallel in [false, true] {
-                let adaptive = run(
-                    MachineConfig::isca96(nodes, kind)
-                        .with_shards(ShardPolicy::Fixed(shards))
-                        .with_parallel(parallel)
-                        .with_speculation(SpeculationConfig::with_lookahead(
-                            LookaheadMode::Adaptive,
-                        )),
-                    workload,
-                    &params,
-                );
-                assert_eq!(
-                    adaptive, reference,
-                    "{case}: adaptive run (parallel = {parallel}) diverged \
-                     from the fixed-lookahead single-shard reference"
-                );
-            }
-        }
     }
 }
 

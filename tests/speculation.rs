@@ -5,8 +5,8 @@
 //! The correctness oracle is the repo's existing bit-identity machinery:
 //! every case compares full [`RunReport`]s (the same comparison
 //! `tests/sharding.rs` uses) *and* the [`report_digest`] fingerprint the
-//! scaling harness pins in `SCALING_ref.txt`, across three lookahead
-//! policies — the fixed-grid single-shard reference, an adaptive run and
+//! scaling harness pins in `SCALING_ref.txt`, across three runs — the
+//! fixed-grid single-shard reference, a fixed-grid N-shard run and
 //! speculative runs on both epoch drivers (sequential and the persistent
 //! worker pool). If a rollback ever restored less than the full pre-gamble
 //! state, or a commit ever differed from the conservative re-execution it
@@ -230,17 +230,17 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     assert!(reference.completed, "{repro}: reference did not complete");
     let want = report_digest(&reference);
 
-    let (adaptive, _) = run(
-        case.config(LookaheadMode::Adaptive, CheckpointStrategy::default())
+    let (sharded, _) = run(
+        case.config(LookaheadMode::Fixed, CheckpointStrategy::default())
             .with_shards(ShardPolicy::Fixed(case.shards)),
         case.workload,
         &params,
     );
-    assert_eq!(adaptive, reference, "{repro}: adaptive run diverged");
+    assert_eq!(sharded, reference, "{repro}: fixed sharded run diverged");
     assert_eq!(
-        report_digest(&adaptive),
+        report_digest(&sharded),
         want,
-        "{repro}: adaptive digest diverged"
+        "{repro}: fixed sharded digest diverged"
     );
 
     let mut spec_outcome = None;
