@@ -2,32 +2,72 @@
 //!
 //! Two groups:
 //!
-//! * `event_queue` — head-to-head comparison of the two `cni_sim::EventQueue`
-//!   backends (binary heap vs hierarchical timing wheel) under a
+//! * `event_queue` — the hierarchical timing wheel behind
+//!   `cni_sim::EventQueue` against a `std::collections::BinaryHeap` baseline
+//!   (the queue's original implementation, written out below) under a
 //!   hold-and-churn pattern shaped like the machine model's event loop: a
-//!   standing population of pending events, each pop followed by a reschedule
-//!   a short distance into the future, plus occasional far-future events that
-//!   exercise the wheel's higher levels. The wheel must win — that is the
-//!   tentpole claim of the zero-allocation hot-path work.
+//!   standing population of pending events, each pop followed by a
+//!   reschedule a short distance into the future, plus occasional
+//!   far-future events that exercise the wheel's higher levels. The wheel
+//!   must win — that is the tentpole claim of the zero-allocation hot-path
+//!   work.
 //! * `host_cq` — the host-usable cachable queue (`cni_core::cq`) against
 //!   `std::sync::mpsc`, exercising the same single-producer /
 //!   single-consumer pattern the paper's CQs target.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::mpsc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cni_core::cq::cachable_queue;
-use cni_sim::event::{EventQueue, QueueBackend};
+use cni_sim::event::EventQueue;
 use cni_sim::rng::DetRng;
+use cni_sim::time::Cycle;
 
 const MESSAGES: usize = 10_000;
 const CHURN_OPS: usize = 10_000;
 
+/// The two queues the `event_queue` group races.
+trait Queue: Default {
+    fn schedule(&mut self, at: Cycle, event: u64);
+    fn pop(&mut self) -> Option<(Cycle, u64)>;
+}
+
+impl Queue for EventQueue<u64> {
+    fn schedule(&mut self, at: Cycle, event: u64) {
+        EventQueue::schedule(self, at, event);
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, u64)> {
+        EventQueue::pop(self)
+    }
+}
+
+/// The baseline: a binary heap of `(time, schedule order)`-ordered entries,
+/// `O(log n)` per push and pop.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(Cycle, u64, u64)>>,
+    next_seq: u64,
+}
+
+impl Queue for HeapQueue {
+    fn schedule(&mut self, at: Cycle, event: u64) {
+        self.heap.push(Reverse((at, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, u64)> {
+        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+    }
+}
+
 /// One simulated event-loop run: build a standing population of `pending`
 /// events, churn pop→reschedule `CHURN_OPS` times, then drain.
-fn event_queue_churn(backend: QueueBackend, pending: usize) -> u64 {
-    let mut q = EventQueue::with_backend(backend);
+fn event_queue_churn<Q: Queue>(pending: usize) -> u64 {
+    let mut q = Q::default();
     let mut rng = DetRng::new(0xBEEF);
     for i in 0..pending as u64 {
         q.schedule(rng.gen_range(1 << 12), i);
@@ -54,14 +94,17 @@ fn event_queue_churn(backend: QueueBackend, pending: usize) -> u64 {
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(20);
-    for backend in [QueueBackend::BinaryHeap, QueueBackend::TimingWheel] {
-        for pending in [64usize, 1024, 8192] {
-            group.bench_with_input(
-                BenchmarkId::new(backend.to_string(), pending),
-                &pending,
-                |b, &pending| b.iter(|| event_queue_churn(backend, pending)),
-            );
-        }
+    for pending in [64usize, 1024, 8192] {
+        group.bench_with_input(
+            BenchmarkId::new("heap", pending),
+            &pending,
+            |b, &pending| b.iter(|| event_queue_churn::<HeapQueue>(pending)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("wheel", pending),
+            &pending,
+            |b, &pending| b.iter(|| event_queue_churn::<EventQueue<u64>>(pending)),
+        );
     }
     group.finish();
 }

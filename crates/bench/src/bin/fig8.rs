@@ -5,16 +5,13 @@
 //!
 //! Run with `cargo run --release -p cni-bench --bin fig8 --
 //! [quick|scaled|paper] [--jobs N] [--cold] [--no-cache] [--cache DIR]
-//! [--json] [--workload NAME]... [--backend heap|wheel]`.
+//! [--json] [--workload NAME]...`.
 //!
 //! * `--json` emits the sweep in the trajectory format of `BENCH_seed.json`
 //!   (per-panel `(ni, cycles, speedup)` rows plus the harness wall-clock).
 //!   Because that `wall_seconds` field *is* the simulator-performance
 //!   trajectory metric, `--json` **forces a cold run** — a cached
 //!   wall-clock would time nothing.
-//! * `--backend` selects the event-queue backend for A/B simulator-perf
-//!   measurement; simulated results are identical on both. Forces a cold
-//!   run for the same reason.
 //! * `--workload` restricts the sweep (unknown names list the valid ones).
 
 use cni_bench::campaign::figures::{fig8_campaign, fig8_trajectory_json, render_markdown};
@@ -22,7 +19,7 @@ use cni_bench::campaign::{run_campaign, CacheMode};
 use cni_bench::cli::CampaignCli;
 
 const USAGE: &str = "fig8 [quick|scaled|paper] [--jobs N] [--cold] [--no-cache] [--cache DIR] \
-                     [--json] [--workload NAME]... [--backend heap|wheel]";
+                     [--json] [--workload NAME]...";
 
 fn main() {
     let cli = CampaignCli::parse(USAGE);
@@ -37,11 +34,10 @@ fn main() {
         }
     }
     let run = run_campaign(&campaign, &opts);
-    let backend = cli.backend.unwrap_or_default();
     if cli.json {
         println!(
             "{}",
-            fig8_trajectory_json(&run.campaigns[0], backend, run.wall_seconds)
+            fig8_trajectory_json(&run.campaigns[0], run.wall_seconds)
         );
         return;
     }

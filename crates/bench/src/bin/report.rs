@@ -30,7 +30,7 @@ use cni_workloads::ParamsTier;
 
 const USAGE: &str = "report [quick|scaled|paper] [--jobs N] [--cold] [--no-cache] \
                      [--cache DIR] [--json] [--workload NAME]... [--out PATH] [--ci] \
-                     [--only CAMPAIGN] [--backend heap|wheel (implies --cold)]";
+                     [--only CAMPAIGN]";
 
 /// The campaigns whose grid `--workload` restricts.
 const WORKLOAD_CAMPAIGNS: [&str; 3] = ["fig8", "occupancy", "lookahead"];

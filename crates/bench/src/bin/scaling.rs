@@ -8,8 +8,7 @@
 //! if they are not); only the wall-clock column varies.
 //!
 //! Run with `cargo run --release -p cni-bench --bin scaling -- [quick|big]
-//! [--workload NAME] [--lookahead fixed|speculative]
-//! [--checkpoint full|incremental] [--json] [--ci]`.
+//! [--workload NAME] [--lookahead fixed|speculative] [--json] [--ci]`.
 //!
 //! * `quick` sweeps 16/64 nodes with smaller inputs; `big` adds 1024 nodes.
 //! * `--workload` picks the workload swept (default em3d, the ROADMAP
@@ -19,14 +18,9 @@
 //!   fixed, the config default): `fixed` pins every horizon to the
 //!   `network_latency` grid, and `speculative` gambles past the horizon
 //!   with checkpoint/rollback (the commit/rollback/re-executed-cycle
-//!   counters appear in the table and JSON). The digest column must be
-//!   identical in both modes.
-//! * `--checkpoint` selects how speculative gambles snapshot shard state
-//!   (default incremental, the config default): `full` clones every node
-//!   every gamble, `incremental` copies only dirty-tracked nodes and
-//!   rewinds the event queue through its delta journal. The checkpoint-
-//!   bytes and dirty-fraction columns make the cost difference visible;
-//!   the digest column must not move.
+//!   counters appear in the table and JSON, with the checkpoint-bytes and
+//!   dirty-fraction columns showing what the gambles' snapshots copied).
+//!   The digest column must be identical in both modes.
 //! * `--json` emits the sweep in the same trajectory format as `fig8 --json`,
 //!   including the epoch statistics (epochs, extensions, mean/max epoch
 //!   length, speculation commits/rollbacks/re-executed cycles) that make the
@@ -35,8 +29,7 @@
 //!   1-shard, sequential 4-shard, parallel 4-shard, plus whatever
 //!   `ShardPolicy::Auto` resolves to) **for every CI workload** — em3d and
 //!   the four workloads this repo added beyond the paper's figures — under
-//!   both lookahead modes (the speculative leg under both checkpoint
-//!   strategies), cross-checks that every report is bit-identical,
+//!   both lookahead modes, cross-checks that every report is bit-identical,
 //!   and prints one reference digest line per workload; CI diffs the block
 //!   against `SCALING_ref.txt`, so sharded bit-identity is pinned across
 //!   communication patterns, not just em3d's.
@@ -50,8 +43,7 @@ use std::time::Instant;
 
 use cni_bench::report_digest;
 use cni_core::machine::{
-    CheckpointStrategy, LookaheadMode, Machine, MachineConfig, RunReport, ShardPolicy,
-    SpeculationConfig,
+    LookaheadMode, Machine, MachineConfig, RunReport, ShardPolicy, SpeculationConfig,
 };
 use cni_nic::taxonomy::NiKind;
 use cni_workloads::{Workload, WorkloadParams};
@@ -128,7 +120,6 @@ fn run_one(
     shards: usize,
     parallel: bool,
     lookahead: LookaheadMode,
-    checkpoint: CheckpointStrategy,
     quick: bool,
 ) -> (RunReport, Row) {
     run_policy(
@@ -137,7 +128,6 @@ fn run_one(
         ShardPolicy::Fixed(shards),
         parallel,
         lookahead,
-        checkpoint,
         quick,
     )
 }
@@ -148,17 +138,12 @@ fn run_policy(
     policy: ShardPolicy,
     parallel: bool,
     lookahead: LookaheadMode,
-    checkpoint: CheckpointStrategy,
     quick: bool,
 ) -> (RunReport, Row) {
     let cfg = MachineConfig::isca96(nodes, NiKind::Cni512Q)
         .with_shards(policy)
         .with_parallel(parallel)
-        .with_speculation(SpeculationConfig {
-            lookahead,
-            checkpoint,
-            ..SpeculationConfig::default()
-        });
+        .with_speculation(SpeculationConfig::with_lookahead(lookahead));
     let shards = cfg.shard_count();
     let mode = match (policy, cfg.exec_parallel()) {
         (ShardPolicy::Auto, true) => "auto+",
@@ -205,7 +190,6 @@ fn sweep(
     workload: Workload,
     node_counts: &[usize],
     lookahead: LookaheadMode,
-    checkpoint: CheckpointStrategy,
     quick: bool,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
@@ -221,9 +205,7 @@ fn sweep(
                 &[false, true]
             };
             for &parallel in modes {
-                let (report, row) = run_one(
-                    workload, nodes, shards, parallel, lookahead, checkpoint, quick,
-                );
+                let (report, row) = run_one(workload, nodes, shards, parallel, lookahead, quick);
                 match &reference {
                     None => reference = Some(report),
                     Some(reference) => {
@@ -242,15 +224,7 @@ fn sweep(
         }
         // What ShardPolicy::Auto picks on this host, digest-checked like
         // every other configuration.
-        let (report, row) = run_policy(
-            workload,
-            nodes,
-            ShardPolicy::Auto,
-            false,
-            lookahead,
-            checkpoint,
-            quick,
-        );
+        let (report, row) = run_policy(workload, nodes, ShardPolicy::Auto, false, lookahead, quick);
         if let Some(reference) = &reference {
             if report != *reference {
                 eprintln!(
@@ -346,57 +320,29 @@ fn print_table(workload: Workload, rows: &[Row]) {
 fn run_ci() {
     let quick = true;
     for workload in CI_WORKLOADS {
-        let (reference, base) = run_one(
-            workload,
-            64,
-            1,
-            false,
-            LookaheadMode::Fixed,
-            CheckpointStrategy::default(),
-            quick,
-        );
+        let (reference, base) = run_one(workload, 64, 1, false, LookaheadMode::Fixed, quick);
         for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
-            // The speculative leg runs under *both* checkpoint strategies:
-            // the incremental-vs-full digest diff that pins PR 9's dirty
-            // tracking, on top of the lookahead diff. The fixed mode never
-            // checkpoints, so one strategy suffices.
-            let strategies: &[CheckpointStrategy] = if lookahead == LookaheadMode::Speculative {
-                &[CheckpointStrategy::Incremental, CheckpointStrategy::Full]
-            } else {
-                &[CheckpointStrategy::default()]
-            };
-            for &checkpoint in strategies {
-                for (shards, parallel) in [(1usize, false), (4, false), (4, true)] {
-                    let (report, row) =
-                        run_one(workload, 64, shards, parallel, lookahead, checkpoint, quick);
-                    if report != reference {
-                        eprintln!(
-                            "scaling --ci: {workload} 64-node run with {shards} shards ({}, {} \
-                             lookahead, {checkpoint:?} checkpoints) diverged from the \
-                             fixed-lookahead 1-shard reference — determinism bug",
-                            row.mode, lookahead
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                let (report, row) = run_policy(
-                    workload,
-                    64,
-                    ShardPolicy::Auto,
-                    false,
-                    lookahead,
-                    checkpoint,
-                    quick,
-                );
+            for (shards, parallel) in [(1usize, false), (4, false), (4, true)] {
+                let (report, row) = run_one(workload, 64, shards, parallel, lookahead, quick);
                 if report != reference {
                     eprintln!(
-                        "scaling --ci: {workload} 64-node auto run ({} shards, {}, {} lookahead, \
-                         {checkpoint:?} checkpoints) diverged from the fixed-lookahead 1-shard \
-                         reference — determinism bug",
-                        row.shards, row.mode, lookahead
+                        "scaling --ci: {workload} 64-node run with {shards} shards ({}, {} \
+                         lookahead) diverged from the fixed-lookahead 1-shard reference — \
+                         determinism bug",
+                        row.mode, lookahead
                     );
                     std::process::exit(1);
                 }
+            }
+            let (report, row) =
+                run_policy(workload, 64, ShardPolicy::Auto, false, lookahead, quick);
+            if report != reference {
+                eprintln!(
+                    "scaling --ci: {workload} 64-node auto run ({} shards, {}, {} lookahead) \
+                     diverged from the fixed-lookahead 1-shard reference — determinism bug",
+                    row.shards, row.mode, lookahead
+                );
+                std::process::exit(1);
             }
         }
         // One line per workload; CI pins the whole block in SCALING_ref.txt.
@@ -405,8 +351,7 @@ fn run_ci() {
 }
 
 const USAGE: &str = "scaling [quick|big] [--workload NAME] \
-                     [--lookahead fixed|speculative] \
-                     [--checkpoint full|incremental] [--json] [--ci]";
+                     [--lookahead fixed|speculative] [--json] [--ci]";
 
 fn usage_error(message: &str) -> ! {
     cni_bench::cli::usage_error(USAGE, message);
@@ -418,7 +363,6 @@ fn main() {
     let mut mode: Option<String> = None;
     let mut workload: Option<Workload> = None;
     let mut lookahead: Option<LookaheadMode> = None;
-    let mut checkpoint: Option<CheckpointStrategy> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -439,31 +383,17 @@ fn main() {
                 )),
                 None => usage_error("--lookahead takes fixed or speculative"),
             },
-            "--checkpoint" => match args.next().as_deref() {
-                Some("full") => checkpoint = Some(CheckpointStrategy::Full),
-                Some("incremental") => checkpoint = Some(CheckpointStrategy::Incremental),
-                Some(other) => usage_error(&format!(
-                    "--checkpoint takes full or incremental, got {other:?}"
-                )),
-                None => usage_error("--checkpoint takes full or incremental"),
-            },
             "quick" | "big" | "scaled" if mode.is_none() => mode = Some(arg),
             other => usage_error(&format!("unrecognized argument {other:?}")),
         }
     }
     if ci {
-        if workload.is_some()
-            || json
-            || mode.is_some()
-            || lookahead.is_some()
-            || checkpoint.is_some()
-        {
+        if workload.is_some() || json || mode.is_some() || lookahead.is_some() {
             usage_error(
                 "--ci runs its fixed smoke configuration (quick inputs, 64 nodes, \
-                 em3d/barnes/dsmc/unstructured/hotspot, both lookahead modes, both \
-                 checkpoint strategies on the speculative leg) and prints the digest \
-                 block CI pins; it cannot be combined with a mode, --workload, \
-                 --lookahead, --checkpoint or --json",
+                 em3d/barnes/dsmc/unstructured/hotspot, both lookahead modes) and prints \
+                 the digest block CI pins; it cannot be combined with a mode, --workload, \
+                 --lookahead or --json",
             );
         }
         run_ci();
@@ -471,7 +401,6 @@ fn main() {
     }
     let workload = workload.unwrap_or(Workload::Em3d);
     let lookahead = lookahead.unwrap_or_default();
-    let checkpoint = checkpoint.unwrap_or_default();
     let mode = mode.as_deref().unwrap_or("scaled");
     let (node_counts, quick): (&[usize], bool) = match mode {
         "quick" => (&[16, 64], true),
@@ -481,7 +410,7 @@ fn main() {
     };
 
     let started = Instant::now();
-    let rows = sweep(workload, node_counts, lookahead, checkpoint, quick);
+    let rows = sweep(workload, node_counts, lookahead, quick);
     let wall_seconds = started.elapsed().as_secs_f64();
 
     if json {

@@ -1022,11 +1022,7 @@ fn render_taxonomy(run: &CampaignRun) -> String {
 /// shape — the format of `BENCH_seed.json`, the repo's simulator-performance
 /// trajectory file: per-panel `(ni, cycles, speedup)` rows plus the
 /// harness's wall-clock.
-pub fn fig8_trajectory_json(
-    run: &CampaignRun,
-    backend: cni_sim::event::QueueBackend,
-    wall_seconds: f64,
-) -> String {
+pub fn fig8_trajectory_json(run: &CampaignRun, wall_seconds: f64) -> String {
     let cells = parsed_cells(run);
     let by_digest: HashMap<u64, &Json> = run
         .cells
@@ -1066,7 +1062,7 @@ pub fn fig8_trajectory_json(
         })
         .collect();
     format!(
-        r#"{{"experiment":"fig8","mode":"{}","nodes":{},"queue_backend":"{backend}","wall_seconds":{wall_seconds:.3},"panels":[{}]}}"#,
+        r#"{{"experiment":"fig8","mode":"{}","nodes":{},"wall_seconds":{wall_seconds:.3},"panels":[{}]}}"#,
         run.tier,
         run.tier.nodes(),
         panels.join(",")
@@ -1117,8 +1113,8 @@ pub fn render_results_markdown(set: &CampaignSetRun) -> String {
         "Every table below is regenerated from the campaign engine \
          (`cni_bench::campaign`) at the `{tier}` input tier. Simulated results are \
          deterministic and machine-independent — bit-identical across hosts, shard \
-         policies, executor worker counts and event-queue backends — so this file is \
-         reproducible byte-for-byte. See `ARCHITECTURE.md` for the pipeline and \
+         policies and executor worker counts — so this file is reproducible \
+         byte-for-byte. See `ARCHITECTURE.md` for the pipeline and \
          `README.md` for cache controls.\n"
     ));
     for run in &set.campaigns {

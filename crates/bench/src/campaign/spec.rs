@@ -2,8 +2,8 @@
 //!
 //! A spec captures **everything that determines a cell's simulated result**
 //! — workload, NI, bus, input tier, machine size, microbenchmark parameters
-//! — and nothing that doesn't. Simulator-performance knobs (event-queue
-//! backend, shard policy, worker threads) are deliberately *not* part of the
+//! — and nothing that doesn't. Simulator-performance knobs (shard policy,
+//! worker threads) are deliberately *not* part of the
 //! spec: the repository's determinism invariant (see `tests/sharding.rs` and
 //! `tests/properties.rs`) is that they never change a simulated result, so
 //! two runs differing only in those knobs share one cache entry.
@@ -24,7 +24,6 @@ use cni_mem::timing::TimingConfig;
 use cni_net::faults::FaultConfig;
 use cni_nic::cq_model::CqOptimizations;
 use cni_nic::taxonomy::{NiKind, QueueHome, QueuePointers};
-use cni_sim::event::QueueBackend;
 use cni_sim::stats::{LatencyHistogram, Merge};
 use cni_workloads::{ParamsTier, Workload};
 
@@ -40,8 +39,6 @@ const SPEC_SCHEMA: &str = "cni-campaign-v5";
 /// them participate in [`ExperimentSpec::digest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecKnobs {
-    /// Event-queue backend for every machine the cell builds.
-    pub backend: QueueBackend,
     /// Shard policy for every machine the cell builds. The default is
     /// [`ShardPolicy::Single`]: campaign cells already run concurrently with
     /// each other, so per-cell sharding would oversubscribe the host.
@@ -53,7 +50,6 @@ pub struct ExecKnobs {
 impl Default for ExecKnobs {
     fn default() -> Self {
         ExecKnobs {
-            backend: QueueBackend::default(),
             shards: ShardPolicy::Single,
             parallel: false,
         }
@@ -207,8 +203,8 @@ fn schema_fingerprint() -> u64 {
         hasher.write_str(SPEC_SCHEMA);
         // Debug output includes every field, so any default the cells
         // inherit (not just TimingConfig) perturbs the fingerprint when
-        // edited. The wall-clock knobs it also sweeps in (queue_backend,
-        // shards, parallel) are constants of `isca96`, so they never vary
+        // edited. The wall-clock knobs it also sweeps in (shards, parallel,
+        // speculation) are constants of `isca96`, so they never vary
         // between runs.
         hasher.write_str(&format!("{:?}", MachineConfig::isca96(2, NiKind::Ni2w)));
         hasher.write_str(&format!("{:?}", TimingConfig::isca96()));
@@ -306,11 +302,7 @@ impl ExperimentSpec {
     /// bytes cached on disk. Pure with respect to the spec: byte-identical
     /// on every host, executor mode and [`ExecKnobs`] choice.
     pub fn execute(&self, knobs: &ExecKnobs) -> String {
-        let tune = |cfg: MachineConfig| {
-            cfg.with_queue_backend(knobs.backend)
-                .with_shards(knobs.shards)
-                .with_parallel(knobs.parallel)
-        };
+        let tune = |cfg: MachineConfig| cfg.with_shards(knobs.shards).with_parallel(knobs.parallel);
         match *self {
             ExperimentSpec::Latency {
                 ni,
@@ -368,7 +360,7 @@ impl ExperimentSpec {
                 // The epoch statistics describe the driver's schedule under
                 // the config-default lookahead mode — deterministic like the
                 // simulated numbers (invariant across shard counts, executor
-                // modes and backends), so they are safe to cache alongside.
+                // modes), so they are safe to cache alongside.
                 format!(
                     r#"{{"cycles":{},"memory_bus_busy":{},"io_bus_busy":{},"epochs":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"report_digest":"{:016x}"}}"#,
                     report.cycles,
@@ -619,12 +611,12 @@ mod tests {
         assert_eq!(a.digest(), a.digest());
         // Exec knobs are not part of the spec, so the digest cannot see
         // them; the result they produce is identical too.
-        let wheel = a.execute(&ExecKnobs::default());
-        let heap = a.execute(&ExecKnobs {
-            backend: QueueBackend::BinaryHeap,
-            ..ExecKnobs::default()
+        let single = a.execute(&ExecKnobs::default());
+        let sharded = a.execute(&ExecKnobs {
+            shards: ShardPolicy::Fixed(2),
+            parallel: true,
         });
-        assert_eq!(wheel, heap, "queue backend must not change results");
+        assert_eq!(single, sharded, "shard policy must not change results");
     }
 
     #[test]

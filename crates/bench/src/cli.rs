@@ -14,9 +14,7 @@
 //! * `--json` — machine-readable output;
 //! * `--workload NAME` — restrict macrobenchmark campaigns to the named
 //!   workload (repeatable). Unknown names fail with an error **listing the
-//!   valid workloads** — never a bare usage line;
-//! * `--backend heap|wheel` — event-queue backend (A/B simulator-perf
-//!   measurement; simulated results are identical).
+//!   valid workloads** — never a bare usage line.
 //!
 //! Flags a binary defines for itself (e.g. `report --ci`) come back in
 //! [`CampaignCli::rest`] for the binary to interpret; anything it does not
@@ -24,7 +22,6 @@
 
 use std::path::PathBuf;
 
-use cni_sim::event::QueueBackend;
 use cni_workloads::{ParamsTier, Workload};
 
 use crate::campaign::{default_cache_dir, CacheMode, ExecKnobs, RunOptions};
@@ -53,8 +50,6 @@ pub struct CampaignCli {
     pub json: bool,
     /// Workload filter (`--workload`, repeatable; empty = all).
     pub workloads: Vec<Workload>,
-    /// Event-queue backend, if explicitly selected (`--backend`).
-    pub backend: Option<QueueBackend>,
     /// Arguments this parser did not recognise, in order, for the binary's
     /// own flags.
     pub rest: Vec<String>,
@@ -77,7 +72,6 @@ impl CampaignCli {
             cache_dir: None,
             json: false,
             workloads: Vec::new(),
-            backend: None,
             rest: Vec::new(),
         };
         let mut tier_set = false;
@@ -109,32 +103,19 @@ impl CampaignCli {
                     },
                     None => usage_error(usage, "--workload takes a benchmark name"),
                 },
-                "--backend" => {
-                    cli.backend = match it.next().as_deref() {
-                        Some("heap") => Some(QueueBackend::BinaryHeap),
-                        Some("wheel") => Some(QueueBackend::TimingWheel),
-                        other => usage_error(
-                            usage,
-                            &format!("--backend takes 'heap' or 'wheel', got {other:?}"),
-                        ),
-                    };
-                }
                 _ => cli.rest.push(arg),
             }
         }
         cli
     }
 
-    /// The [`RunOptions`] these flags imply. An explicit `--backend` forces
-    /// a cold run: the backend is a wall-clock A/B knob, and serving its
-    /// measurement from cache would time nothing.
+    /// The [`RunOptions`] these flags imply.
     pub fn run_options(&self) -> RunOptions {
-        let cold = self.cold || self.backend.is_some();
         let cache = if self.no_cache {
             CacheMode::Disabled
         } else {
             let dir = self.cache_dir.clone().unwrap_or_else(default_cache_dir);
-            if cold {
+            if self.cold {
                 CacheMode::WriteOnly(dir)
             } else {
                 CacheMode::ReadWrite(dir)
@@ -143,10 +124,7 @@ impl CampaignCli {
         RunOptions {
             jobs: self.jobs,
             cache,
-            knobs: ExecKnobs {
-                backend: self.backend.unwrap_or_default(),
-                ..ExecKnobs::default()
-            },
+            knobs: ExecKnobs::default(),
         }
     }
 
@@ -216,14 +194,5 @@ mod tests {
         assert_eq!(cli.tier, ParamsTier::Scaled);
         assert_eq!(cli.workloads_or_all(), Workload::ALL.to_vec());
         assert!(matches!(cli.run_options().cache, CacheMode::ReadWrite(_)));
-    }
-
-    #[test]
-    fn an_explicit_backend_forces_a_cold_run() {
-        let args = ["--backend", "heap"];
-        let cli = CampaignCli::parse_from(args.into_iter().map(str::to_owned), "test");
-        assert!(!cli.cold, "the flag itself is untouched");
-        assert!(matches!(cli.run_options().cache, CacheMode::WriteOnly(_)));
-        assert_eq!(cli.backend, Some(QueueBackend::BinaryHeap));
     }
 }

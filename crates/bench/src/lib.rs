@@ -45,22 +45,22 @@
 //!
 //! **Simulated results** (the paper's metrics: cycles, speedups, occupancy)
 //! come from the harness binaries above. They are deterministic: the same
-//! inputs produce bit-identical numbers on any machine, regardless of the
-//! event-queue backend. Each binary takes `quick` (tiny inputs, seconds),
-//! `scaled` (the default) or `paper` (Table 3 inputs, slower), plus
-//! `--backend heap|wheel` to select the `cni_sim::EventQueue` backend,
-//! `--json`, `--jobs N` and `--cold` (see [`cli`]).
+//! inputs produce bit-identical numbers on any machine, regardless of shard
+//! policy or worker count. Each binary takes `quick` (tiny inputs,
+//! seconds), `scaled` (the default) or `paper` (Table 3 inputs, slower),
+//! plus `--json`, `--jobs N` and `--cold` (see [`cli`]).
 //!
 //! **Simulator performance** (wall-clock of the simulator itself) comes from
 //! the Criterion benches:
 //!
 //! ```text
 //! cargo bench -p cni-bench                      # all benches
-//! cargo bench -p cni-bench --bench queue_ops    # event-queue backends + host CQ
+//! cargo bench -p cni-bench --bench queue_ops    # event queue + host CQ
 //! ```
 //!
-//! `queue_ops` is the head-to-head of the `BinaryHeap` vs `TimingWheel`
-//! event-queue backends under machine-loop-shaped churn; `micro_latency`,
+//! `queue_ops` races the timing-wheel `cni_sim::EventQueue` against a
+//! `std::collections::BinaryHeap` baseline under machine-loop-shaped churn;
+//! `micro_latency`,
 //! `micro_bandwidth` and `macro_speedup` time complete simulated experiments
 //! end to end. The perf trajectory across PRs is recorded in
 //! `BENCH_seed.json` at the repo root, regenerated with:

@@ -7,38 +7,8 @@ use cni_mem::timing::TimingConfig;
 use cni_net::faults::FaultConfig;
 use cni_nic::cq_model::CqOptimizations;
 use cni_nic::taxonomy::NiKind;
-use cni_sim::event::QueueBackend;
 use cni_sim::sharded::{LookaheadMode, SpecTuning};
 use cni_sim::time::Cycle;
-
-/// How a shard captures the state a speculative round may need to rewind
-/// ([`cni_sim::sharded::LookaheadMode::Speculative`]).
-///
-/// Purely a simulator-performance knob: every strategy restores to the exact
-/// same state, so simulated results are bit-identical across strategies —
-/// `tests/speculation.rs` cross-asserts it. The two `Skip*` variants are
-/// deliberately *broken* restores used by the mutation-style oracle tests to
-/// prove that harness actually detects incremental-restore bugs; never use
-/// them outside a test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum CheckpointStrategy {
-    /// Clone the whole shard (nodes, programs, event queue, fabric) on
-    /// every snapshot — PR 8's behaviour, kept as the A/B baseline and
-    /// differential reference.
-    Full,
-    /// Dirty-tracked incremental snapshots (the default): copy only nodes
-    /// touched since the last snapshot, and rewind the event queue through
-    /// an in-place delta journal instead of cloning it. Gamble cost becomes
-    /// proportional to activity, not machine size.
-    #[default]
-    Incremental,
-    /// Test-only mutation of [`CheckpointStrategy::Incremental`] whose
-    /// restore skips one dirtied node.
-    SkipNodeRestore,
-    /// Test-only mutation of [`CheckpointStrategy::Incremental`] whose
-    /// restore drops one event-queue delta entry.
-    SkipQueueDelta,
-}
 
 /// How a machine's nodes are partitioned into shards for the epoch-driven
 /// execution model (see [`crate::machine`]'s module docs).
@@ -60,9 +30,6 @@ pub enum ShardPolicy {
     Auto,
     /// Exactly this many shards, clamped to `1..=nodes`.
     Fixed(usize),
-    /// One shard per contiguous group of this many nodes (a 64-node machine
-    /// with `NodesPerShard(16)` gets 4 shards).
-    NodesPerShard(usize),
 }
 
 impl ShardPolicy {
@@ -111,7 +78,6 @@ impl ShardPolicy {
                 }
             }
             ShardPolicy::Fixed(n) => n,
-            ShardPolicy::NodesPerShard(group) => nodes.div_ceil(group.max(1)),
         };
         shards.clamp(1, nodes.max(1))
     }
@@ -137,7 +103,7 @@ fn host_parallelism() -> usize {
 
 /// The epoch driver's speculation knobs, grouped.
 ///
-/// All three are simulator-performance knobs: simulated results are
+/// Both are simulator-performance knobs: simulated results are
 /// bit-identical under every combination (determinism invariant 7).
 /// Grouping them keeps [`MachineConfig`]'s builder surface flat — one
 /// [`MachineConfig::with_speculation`] call configures the whole planner —
@@ -148,9 +114,6 @@ pub struct SpeculationConfig {
     /// (the default), or speculative execution past the horizon with
     /// rollback.
     pub lookahead: LookaheadMode,
-    /// How shards capture speculative checkpoints (full clone vs
-    /// dirty-tracked incremental).
-    pub checkpoint: CheckpointStrategy,
     /// Speculation pacer tuning. All observables are globally merged, so
     /// any tuning keeps the gamble schedule identical across shard counts
     /// and execution modes.
@@ -195,11 +158,6 @@ pub struct MachineConfig {
     /// Hard stop for the simulation (guards against livelock in buggy
     /// workloads).
     pub max_cycles: Cycle,
-    /// Event-queue backend driving the machine's discrete-event loop. Both
-    /// backends are deterministic and pop-order identical; the timing wheel
-    /// (the default) is the fast, allocation-free one, the binary heap is
-    /// kept for A/B measurement.
-    pub queue_backend: QueueBackend,
     /// How the nodes are partitioned into independently-advancing shards.
     /// Purely a simulator-performance knob: simulated results are
     /// bit-identical for every policy.
@@ -214,8 +172,8 @@ pub struct MachineConfig {
     /// entirely: the machine takes its historical code path and every
     /// simulated result stays byte-identical.
     pub faults: FaultConfig,
-    /// The epoch driver's grouped speculation knobs (lookahead mode,
-    /// checkpoint strategy, pacer tuning). Simulator-performance knobs
+    /// The epoch driver's grouped speculation knobs (lookahead mode and
+    /// pacer tuning). Simulator-performance knobs
     /// like [`MachineConfig::shards`]: simulated results are bit-identical
     /// under every combination.
     pub speculation: SpeculationConfig,
@@ -241,7 +199,6 @@ impl MachineConfig {
             recv_batch: 8,
             delivery_retry_interval: 64,
             max_cycles: 2_000_000_000,
-            queue_backend: QueueBackend::default(),
             shards: ShardPolicy::default(),
             parallel: false,
             faults: FaultConfig::default(),
@@ -311,13 +268,6 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy using the given event-queue backend (A/B perf
-    /// measurement; results are identical either way).
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue_backend = backend;
-        self
-    }
-
     /// Returns a copy using the given shard policy (simulator-performance
     /// knob; simulated results are bit-identical for every policy).
     pub fn with_shards(mut self, policy: ShardPolicy) -> Self {
@@ -343,7 +293,7 @@ impl MachineConfig {
     }
 
     /// Returns a copy with the epoch driver's speculation knobs — lookahead
-    /// mode, checkpoint strategy and pacer tuning — set in one call.
+    /// mode and pacer tuning — set in one call.
     pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
         self.speculation = speculation;
         self
@@ -427,9 +377,6 @@ mod tests {
         assert_eq!(ShardPolicy::Fixed(4).resolve(64), 4);
         assert_eq!(ShardPolicy::Fixed(0).resolve(64), 1);
         assert_eq!(ShardPolicy::Fixed(200).resolve(64), 64);
-        assert_eq!(ShardPolicy::NodesPerShard(16).resolve(64), 4);
-        assert_eq!(ShardPolicy::NodesPerShard(16).resolve(65), 5);
-        assert_eq!(ShardPolicy::NodesPerShard(0).resolve(8), 8);
         let cfg = MachineConfig::isca96(64, NiKind::Ni2w).with_shards(ShardPolicy::Fixed(4));
         assert_eq!(cfg.shard_count(), 4);
         assert!(!cfg.parallel);

@@ -90,7 +90,7 @@ use cni_sim::stats::Merge;
 use cni_sim::time::Cycle;
 
 pub use cni_sim::sharded::{EpochOutcome, LookaheadMode, SpecTuning};
-pub use config::{CheckpointStrategy, MachineConfig, ShardPolicy, SpeculationConfig};
+pub use config::{MachineConfig, ShardPolicy, SpeculationConfig};
 pub use node::{NodeCore, NodeStats, ReliableState};
 pub use program::{IdleProgram, ProcCtx, Program};
 pub use shard::{CheckpointStats, DispatchStats, ShardCheckpoint};
@@ -649,7 +649,7 @@ mod tests {
             let cfg = MachineConfig::isca96(4, NiKind::Cni16Q);
             Machine::new(cfg, pitch_catch_programs(25, 4)).run()
         };
-        for policy in [ShardPolicy::Fixed(2), ShardPolicy::NodesPerShard(1)] {
+        for policy in [ShardPolicy::Fixed(2), ShardPolicy::Fixed(4)] {
             for parallel in [false, true] {
                 let cfg = MachineConfig::isca96(4, NiKind::Cni16Q)
                     .with_shards(policy)
@@ -660,6 +660,71 @@ mod tests {
                     "{policy:?} parallel={parallel} diverged from the single-shard run"
                 );
             }
+        }
+    }
+
+    /// Mutation check that the differential oracle has teeth for the
+    /// incremental restore: two deliberately broken restores —
+    /// [`Sabotage::SkipNodeRestore`] leaves the first dirtied node
+    /// un-rewound on every rollback, [`Sabotage::SkipQueueDelta`] drops an
+    /// event from every queue rewind — must each be caught, either by the
+    /// report comparison against the fixed-lookahead single-shard reference
+    /// or by an internal invariant panicking mid-run. The honest control on
+    /// the same fixture must match the reference *and* actually roll back,
+    /// so the sabotage targets a path the fixture provably executes.
+    #[test]
+    fn sabotaged_incremental_restores_are_caught_by_the_oracle() {
+        use shard::Sabotage;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let reference = Machine::new(
+            MachineConfig::isca96(4, NiKind::Cni16Q),
+            pitch_catch_programs(25, 4),
+        )
+        .run();
+        assert!(reference.completed);
+        let run = |sabotage: Option<Sabotage>| {
+            let mut cfg = MachineConfig::isca96(4, NiKind::Cni16Q)
+                .with_shards(ShardPolicy::Fixed(2))
+                .with_speculation(SpeculationConfig::with_lookahead(
+                    LookaheadMode::Speculative,
+                ));
+            // A sabotaged run can lose the event that would finish it; cap
+            // it well past the honest run's length instead of the default
+            // two billion cycles.
+            cfg.max_cycles = 4 * reference.cycles;
+            let mut machine = Machine::new(cfg, pitch_catch_programs(25, 4));
+            for shard in &mut machine.shards {
+                shard.sabotage = sabotage;
+            }
+            let report = machine.run();
+            (report, machine.outcome.expect("run() records an outcome"))
+        };
+
+        let (honest, outcome) = run(None);
+        assert_eq!(honest, reference, "control: honest restore diverged");
+        assert!(
+            outcome.spec_rollbacks > 0,
+            "control: the fixture must roll back, or the sabotages below are vacuous"
+        );
+
+        for sabotage in [Sabotage::SkipNodeRestore, Sabotage::SkipQueueDelta] {
+            // A sabotaged run may legitimately panic on an internal
+            // invariant before it produces a report; silence the hook so
+            // the expected panic does not spam the log.
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let result = catch_unwind(AssertUnwindSafe(|| run(Some(sabotage)).0));
+            std::panic::set_hook(hook);
+            let caught = match result {
+                Err(_) => true,
+                Ok(report) => report != reference,
+            };
+            assert!(
+                caught,
+                "{sabotage:?}: the differential oracle failed to notice a \
+                 sabotaged incremental restore"
+            );
         }
     }
 

@@ -307,7 +307,7 @@ impl NodeCore {
     /// (in-flight and parked fragments, software send buffer, delivered
     /// inbox). The unit of [`crate::machine::CheckpointStats`] byte
     /// accounting — an estimate cheap enough to take per snapshot, not an
-    /// allocator-exact census, so strategies are compared in a consistent
+    /// allocator-exact census, so snapshots are compared in a consistent
     /// currency rather than measured absolutely.
     pub fn approx_bytes(&self) -> usize {
         self.uncached_bytes() + self.mem.cache_bytes()

@@ -24,7 +24,7 @@ use cni_sim::time::Cycle;
 
 use crate::msg::FragPayload;
 
-use super::config::{CheckpointStrategy, MachineConfig};
+use super::config::MachineConfig;
 use super::node::{NodeCore, PendingTx};
 use super::program::{IdleProgram, ProcCtx, Program};
 
@@ -143,12 +143,26 @@ pub(super) struct MachineShard {
     /// names (cross-node effects ride the outbox, even intra-shard) — and
     /// cleared whenever mirror and live state re-synchronize.
     dirty: Vec<u64>,
-    /// How [`ShardSim::snapshot`]/[`ShardSim::restore`] capture state.
-    strategy: CheckpointStrategy,
+    /// A deliberately broken restore the oracle tests inject (`None`
+    /// restores honestly).
+    #[cfg(test)]
+    pub(super) sabotage: Option<Sabotage>,
     /// Accumulated checkpoint-cost accounting for this shard.
     ckpt_stats: CheckpointStats,
     /// Work counters (telemetry; never rewound).
     dispatch: DispatchStats,
+}
+
+/// Deliberately broken restores: mutations of [`ShardSim::restore`] that
+/// the oracle tests inject to prove the differential check notices a
+/// restore that rewinds too little.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Sabotage {
+    /// Leave the first dirtied node un-rewound on every restore.
+    SkipNodeRestore,
+    /// Drop the earliest pending event after every queue rewind.
+    SkipQueueDelta,
 }
 
 impl std::fmt::Debug for MachineShard {
@@ -177,7 +191,7 @@ impl MachineShard {
             base,
             nodes,
             programs,
-            events: EventQueue::with_backend(cfg.queue_backend),
+            events: EventQueue::new(),
             fabric,
             faults: cfg.faults.enabled().then(|| FaultPlan::new(&cfg.faults)),
             recv_batch: cfg.recv_batch,
@@ -185,7 +199,8 @@ impl MachineShard {
             epoch: cfg.timing.network_latency,
             parked: 0,
             dirty,
-            strategy: cfg.speculation.checkpoint,
+            #[cfg(test)]
+            sabotage: None,
             ckpt_stats: CheckpointStats::default(),
             dispatch: DispatchStats::default(),
         }
@@ -930,12 +945,12 @@ pub struct CheckpointStats {
     pub copied_nodes: u64,
     /// Nodes that *would* have been copied by full-clone snapshots
     /// (`shard size × snapshots`), so `copied_nodes / node_rounds` is the
-    /// dirty fraction — the incremental strategy's cost ratio.
+    /// dirty fraction — what dirty tracking saves.
     pub node_rounds: u64,
     /// Approximate bytes captured across all snapshots: node copies (a
     /// whole-node copy counts [`NodeCore::approx_bytes`], an incremental
     /// re-sync only the touched cache sets plus the rest of the node),
-    /// plus fabric, plus the whole event queue under the full strategy.
+    /// plus fabric.
     pub bytes: u64,
     /// Approximate bytes of the single most expensive snapshot — the
     /// buffer-shrink regression guard.
@@ -960,8 +975,8 @@ impl Merge for CheckpointStats {
 }
 
 impl CheckpointStats {
-    /// Fraction of node state the snapshots actually copied (1.0 for the
-    /// full strategy, activity-proportional for the incremental one).
+    /// Fraction of node state the snapshots actually copied: 1.0 if every
+    /// snapshot copied every node, activity-proportional otherwise.
     pub fn dirty_fraction(&self) -> f64 {
         if self.node_rounds == 0 {
             0.0
@@ -971,9 +986,9 @@ impl CheckpointStats {
     }
 }
 
-/// A reusable snapshot of everything a `MachineShard` mutates while
-/// advancing: the nodes (memory system, NI device, queues, protocol state),
-/// their programs, the local event queue and the per-shard fabric. The
+/// A reusable snapshot of what a `MachineShard` mutates while advancing,
+/// apart from its event queue: the nodes (memory system, NI device, queues,
+/// protocol state), their programs and the per-shard fabric. The
 /// immutable run configuration — the compiled fault plan, batch sizes,
 /// retry intervals — is deliberately *not* captured: [`FaultPlan`] verdicts
 /// are stamp-pure (`&self`), so a restored shard replays them identically.
@@ -983,18 +998,16 @@ impl CheckpointStats {
 /// steady-state checkpointing re-clones into existing allocations instead
 /// of growing fresh ones.
 ///
-/// Under [`CheckpointStrategy::Incremental`] the node/program vectors are a
-/// *mirror* maintained across rounds: the first snapshot fills them
-/// completely (`synced`), and every later snapshot re-copies only the slots
-/// the shard dirtied since the previous one, and within a slot only the
-/// cache sets written since (`NodeCore::sync_into`). `events` stays
-/// `None` — the queue rewinds through its in-place delta journal instead
-/// of a clone.
+/// The node/program vectors are a *mirror* maintained across rounds: the
+/// first snapshot fills them completely (`synced`), and every later
+/// snapshot re-copies only the slots the shard dirtied since the previous
+/// one, and within a slot only the cache sets written since
+/// (`NodeCore::sync_into`). The event queue is not copied at all — it
+/// rewinds through its in-place delta journal.
 #[derive(Default)]
 pub struct ShardCheckpoint {
     nodes: Vec<NodeCore>,
     programs: Vec<Box<dyn Program>>,
-    events: Option<EventQueue<Event>>,
     fabric: Option<Fabric>,
     parked: u64,
     /// Whether the node/program mirror has been filled at least once.
@@ -1006,9 +1019,8 @@ impl ShardSim for MachineShard {
     type Checkpoint = ShardCheckpoint;
 
     fn snapshot(&mut self, into: &mut ShardCheckpoint) {
-        let full = self.strategy == CheckpointStrategy::Full || !into.synced;
         let mut node_bytes = 0u64;
-        let copied = if full {
+        let copied = if !into.synced {
             into.nodes.clone_from(&self.nodes);
             into.programs.clone_from(&self.programs);
             into.synced = true;
@@ -1037,29 +1049,16 @@ impl ShardSim for MachineShard {
             copied
         };
         self.dirty.fill(0);
-        if self.strategy == CheckpointStrategy::Full {
-            match &mut into.events {
-                Some(events) => events.clone_from(&self.events),
-                None => into.events = Some(self.events.clone()),
-            }
-        } else {
-            // Arm (or re-arm) the in-place delta journal instead of cloning
-            // the queue; a rollback replays the journal, a commit drops it.
-            self.events.mark_delta();
-        }
+        // Arm (or re-arm) the in-place delta journal instead of cloning the
+        // queue; a rollback replays the journal, a commit drops it.
+        self.events.mark_delta();
         match &mut into.fabric {
             Some(fabric) => fabric.clone_from(&self.fabric),
             None => into.fabric = Some(self.fabric.clone()),
         }
         into.parked = self.parked;
 
-        let bytes = node_bytes
-            + std::mem::size_of::<Fabric>() as u64
-            + if self.strategy == CheckpointStrategy::Full {
-                self.events.len() as u64 * std::mem::size_of::<Event>() as u64
-            } else {
-                0
-            };
+        let bytes = node_bytes + std::mem::size_of::<Fabric>() as u64;
         self.ckpt_stats.snapshots += 1;
         self.ckpt_stats.copied_nodes += copied;
         self.ckpt_stats.node_rounds += self.nodes.len() as u64;
@@ -1068,42 +1067,32 @@ impl ShardSim for MachineShard {
     }
 
     fn restore(&mut self, from: &ShardCheckpoint) {
-        match self.strategy {
-            CheckpointStrategy::Full => {
-                self.nodes.clone_from(&from.nodes);
-                self.programs.clone_from(&from.programs);
-                self.events
-                    .clone_from(from.events.as_ref().expect("restore before snapshot"));
-            }
-            strategy => {
-                // Copy back exactly the slots the gamble dirtied — nothing
-                // else diverged from the mirror. (`SkipNodeRestore` is the
-                // deliberate oracle mutation: it leaves the first dirtied
-                // node un-rewound so the differential harness must notice.)
-                let mut skip = usize::from(strategy == CheckpointStrategy::SkipNodeRestore);
-                for (word, &bits) in self.dirty.iter().enumerate() {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let slot = (word << 6) | bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if skip > 0 {
-                            skip -= 1;
-                            continue;
-                        }
-                        self.nodes[slot].rewind_from(&from.nodes[slot]);
-                        self.programs[slot].clone_from(&from.programs[slot]);
-                    }
+        // Copy back exactly the slots the gamble dirtied — nothing else
+        // diverged from the mirror.
+        #[cfg(test)]
+        let mut skip = usize::from(self.sabotage == Some(Sabotage::SkipNodeRestore));
+        for (word, &bits) in self.dirty.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let slot = (word << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                #[cfg(test)]
+                if skip > 0 {
+                    skip -= 1;
+                    continue;
                 }
-                self.ckpt_stats.journal_capacity = self
-                    .ckpt_stats
-                    .journal_capacity
-                    .max(self.events.delta_capacity() as u64);
-                if strategy == CheckpointStrategy::SkipQueueDelta {
-                    self.events.rollback_delta_dropping_one();
-                } else {
-                    self.events.rollback_delta();
-                }
+                self.nodes[slot].rewind_from(&from.nodes[slot]);
+                self.programs[slot].clone_from(&from.programs[slot]);
             }
+        }
+        self.ckpt_stats.journal_capacity = self
+            .ckpt_stats
+            .journal_capacity
+            .max(self.events.delta_capacity() as u64);
+        self.events.rollback_delta();
+        #[cfg(test)]
+        if self.sabotage == Some(Sabotage::SkipQueueDelta) {
+            self.events.pop();
         }
         self.dirty.fill(0);
         self.fabric
@@ -1112,13 +1101,11 @@ impl ShardSim for MachineShard {
     }
 
     fn commit_speculation(&mut self) {
-        if self.strategy != CheckpointStrategy::Full {
-            self.ckpt_stats.journal_capacity = self
-                .ckpt_stats
-                .journal_capacity
-                .max(self.events.delta_capacity() as u64);
-            self.events.commit_delta();
-        }
+        self.ckpt_stats.journal_capacity = self
+            .ckpt_stats
+            .journal_capacity
+            .max(self.events.delta_capacity() as u64);
+        self.events.commit_delta();
     }
 
     fn accept(&mut self, at: Cycle, msg: NetEvent) {

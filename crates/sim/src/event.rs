@@ -6,88 +6,26 @@
 //! single cycle, by insertion order (FIFO) so simulations are deterministic
 //! regardless of the queue's internal layout.
 //!
-//! Two interchangeable backends implement the ordering (selectable through
-//! [`QueueBackend`]):
+//! The queue is a hierarchical timing wheel: eleven levels of 64 one-cycle
+//! (level 0) to 64¹⁰-cycle (level 10) slots, each with a 64-bit occupancy
+//! bitmap. Scheduling is `O(1)` (compute level and slot from `time ^ now`,
+//! append to the slot's deque); popping finds the lowest occupied level
+//! with two or three `trailing_zeros` instructions and cascades coarse
+//! slots toward level 0 as time advances. Slot deques retain their
+//! capacity, so the wheel performs **no allocation in steady state** — the
+//! property the machine model's hot loop depends on.
 //!
-//! * **[`QueueBackend::BinaryHeap`]** — a `std::collections::BinaryHeap` of
-//!   `(time, sequence)`-ordered entries. Every push/pop is `O(log n)` and a
-//!   pop may shuffle `O(log n)` entries through the heap.
-//! * **[`QueueBackend::TimingWheel`]** (the default) — a hierarchical timing
-//!   wheel: eleven levels of 64 one-cycle (level 0) to 64¹⁰-cycle (level 10)
-//!   slots, each with a 64-bit occupancy bitmap. Scheduling is `O(1)`
-//!   (compute level and slot from `time ^ now`, append to the slot's deque);
-//!   popping finds the lowest occupied level with two or three
-//!   `trailing_zeros` instructions and cascades coarse slots toward level 0
-//!   as time advances. Slot deques retain their capacity, so the wheel
-//!   performs **no allocation in steady state** — the property the machine
-//!   model's hot loop depends on.
-//!
-//! Both backends produce *bit-identical* pop sequences (each level-0 slot
-//! holds exactly one cycle, so FIFO-within-cycle is the deque order, and
-//! cascading preserves insertion order); `tests/properties.rs` proves this
-//! over randomized schedules. The one intentional divergence: scheduling an
-//! event *in the past* (disallowed, and caught by a debug assertion) is
-//! clamped to the current cycle by the wheel, while the heap preserves the
-//! stale timestamp ordering.
+//! Each level-0 slot holds exactly one cycle, so FIFO-within-cycle is the
+//! deque order, and cascading preserves insertion order: the wheel pops in
+//! `(time, schedule order)` order, which the unit tests and
+//! `tests/properties.rs` pin against a test-only binary-heap reference
+//! model under randomized schedules. Scheduling an event *in the past*
+//! (disallowed, and caught by a debug assertion) clamps it to the current
+//! cycle.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::Cycle;
-
-/// Which data structure an [`EventQueue`] uses internally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum QueueBackend {
-    /// `O(log n)` binary heap (the original backend; kept as the reference
-    /// implementation and for head-to-head benchmarking).
-    BinaryHeap,
-    /// `O(1)` hierarchical timing wheel, allocation-free in steady state.
-    #[default]
-    TimingWheel,
-}
-
-impl std::fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueueBackend::BinaryHeap => write!(f, "heap"),
-            QueueBackend::TimingWheel => write!(f, "wheel"),
-        }
-    }
-}
-
-/// A heap entry: time, monotonically increasing sequence number (to break
-/// ties deterministically) and the user event payload.
-#[derive(Clone)]
-struct HeapEntry<E> {
-    at: Cycle,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert the ordering so the earliest event
-        // (and lowest sequence number) is popped first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Hierarchical timing wheel
@@ -209,8 +147,8 @@ impl<E> Wheel<E> {
     /// shard drains its queue with `pop_before(epoch_end)` and stops exactly
     /// at the epoch boundary without ever observing a later event. A refused
     /// pop leaves the wheel untouched — in particular `elapsed` does not
-    /// advance, so a later `schedule` close to the current time is never
-    /// clamped differently than it would be on the heap backend.
+    /// advance, so a later `schedule` close to the current time keeps its
+    /// exact time instead of being clamped to a cascaded slot start.
     fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, u64, E)> {
         if self.len == 0 {
             return None;
@@ -336,12 +274,6 @@ impl<E> Wheel<E> {
 // Public queue
 // ---------------------------------------------------------------------------
 
-#[derive(Clone)]
-enum Backend<E> {
-    Heap(BinaryHeap<HeapEntry<E>>),
-    Wheel(Wheel<E>),
-}
-
 /// Retained capacity ceiling for the delta journal's pop log: after a
 /// [`EventQueue::commit_delta`] the buffer is trimmed back to at most this
 /// many entries, so one dense speculative phase cannot pin a huge allocation
@@ -389,13 +321,11 @@ impl<E> Journal<E> {
 /// ```
 ///
 /// Cloning a queue (requires `E: Clone`) captures its exact state — pending
-/// entries, FIFO tie-breaking sequence and clock — which is what the
-/// speculative epoch driver's shard checkpoints are built from: a restored
-/// clone replays the exact same pop sequence as the original.
+/// entries, FIFO tie-breaking sequence and clock — so a clone replays the
+/// exact same pop sequence as the original.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
-    kind: QueueBackend,
+    wheel: Wheel<E>,
     next_seq: u64,
     now: Cycle,
     journal: Journal<E>,
@@ -408,30 +338,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue positioned at cycle zero, using the default
-    /// (timing-wheel) backend.
+    /// Creates an empty queue positioned at cycle zero.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Creates an empty queue using the given backend.
-    pub fn with_backend(kind: QueueBackend) -> Self {
-        let backend = match kind {
-            QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            QueueBackend::TimingWheel => Backend::Wheel(Wheel::new()),
-        };
         EventQueue {
-            backend,
-            kind,
+            wheel: Wheel::new(),
             next_seq: 0,
             now: 0,
             journal: Journal::new(),
         }
-    }
-
-    /// Which backend this queue uses.
-    pub fn backend(&self) -> QueueBackend {
-        self.kind
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -441,10 +355,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len,
-        }
+        self.wheel.len
     }
 
     /// Returns `true` if no events are pending.
@@ -456,8 +367,7 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling an event in the past (before [`EventQueue::now`]) usually
     /// indicates a modelling error, so debug builds assert against it. In
-    /// release builds the heap backend fires it at the next pop while the
-    /// wheel backend clamps it to the current cycle.
+    /// release builds it is clamped to the current cycle.
     pub fn schedule(&mut self, at: Cycle, event: E) {
         debug_assert!(
             at >= self.now,
@@ -466,10 +376,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(HeapEntry { at, seq, event }),
-            Backend::Wheel(wheel) => wheel.schedule(at, seq, event),
-        }
+        self.wheel.schedule(at, seq, event);
     }
 
     /// Schedules `event` to fire `delay` cycles after the current time.
@@ -480,16 +387,13 @@ impl<E> EventQueue<E> {
 
     /// Exact cycle of the earliest pending event, if any.
     ///
-    /// Both backends answer without mutating the queue, and the answer is
-    /// **exact** (not a lower bound): the sharded driver places the next
-    /// epoch on the grid cell containing this cycle, so an early answer
-    /// would plan epochs that pop nothing. Heap-vs-wheel agreement is pinned
-    /// in `tests/properties.rs`.
+    /// Answers without mutating the queue, and the answer is **exact** (not
+    /// a lower bound): the sharded driver places the next epoch on the grid
+    /// cell containing this cycle, so an early answer would plan epochs that
+    /// pop nothing. Agreement with the reference model is pinned in
+    /// `tests/properties.rs`.
     pub fn peek_time(&self) -> Option<Cycle> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.at),
-            Backend::Wheel(wheel) => wheel.next_occupied(),
-        }
+        self.wheel.next_occupied()
     }
 
     /// Pops the earliest event, advancing the simulation clock to its time.
@@ -498,10 +402,7 @@ impl<E> EventQueue<E> {
             !self.journal.active,
             "pop() bypasses the delta journal; use pop_before inside a marked window"
         );
-        let (at, event) = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|e| (e.at, e.event))?,
-            Backend::Wheel(wheel) => wheel.pop().map(|(at, _, e)| (at, e))?,
-        };
+        let (at, _, event) = self.wheel.pop()?;
         // The clock never moves backwards even if an event was scheduled in
         // the past (see `schedule`).
         self.now = self.now.max(at);
@@ -532,15 +433,7 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        let (at, seq, event) = match &mut self.backend {
-            Backend::Heap(heap) => {
-                if heap.peek().is_none_or(|e| e.at >= horizon) {
-                    return None;
-                }
-                heap.pop().map(|e| (e.at, e.seq, e.event))?
-            }
-            Backend::Wheel(wheel) => wheel.pop_before(horizon)?,
-        };
+        let (at, seq, event) = self.wheel.pop_before(horizon)?;
         if self.journal.active {
             self.journal.popped.push((at, seq, event.clone()));
         }
@@ -561,10 +454,7 @@ impl<E> EventQueue<E> {
             !self.journal.active,
             "clear() would lose entries the delta journal needs to restore"
         );
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Wheel(wheel) => wheel.clear(),
-        }
+        self.wheel.clear();
     }
 
     // -- Speculative delta journal -----------------------------------------
@@ -616,25 +506,6 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        self.rollback_delta_impl(0);
-    }
-
-    /// Test-only oracle mutation: identical to
-    /// [`EventQueue::rollback_delta`] except the first re-insertable popped
-    /// entry is silently dropped — used to prove the differential harness
-    /// catches a broken queue restore.
-    #[doc(hidden)]
-    pub fn rollback_delta_dropping_one(&mut self)
-    where
-        E: Clone,
-    {
-        self.rollback_delta_impl(1);
-    }
-
-    fn rollback_delta_impl(&mut self, drop_popped: usize)
-    where
-        E: Clone,
-    {
         assert!(
             self.journal.active,
             "rollback_delta without a matching mark_delta"
@@ -642,60 +513,38 @@ impl<E> EventQueue<E> {
         let mark_seq = self.journal.mark_seq;
         let mark_now = self.journal.mark_now;
         // Survivors: pending entries from before the mark, plus logged pops
-        // from before the mark (the sabotage variant drops the first of the
-        // restorable pops, after filtering, so the divergence is real).
+        // from before the mark.
         let mut survivors: Vec<(Cycle, u64, E)> = Vec::new();
-        match &mut self.backend {
-            Backend::Heap(heap) => {
+        let wheel = &mut self.wheel;
+        for lvl in &mut wheel.levels {
+            let mut occupied = lvl.occupied;
+            while occupied != 0 {
+                let slot = occupied.trailing_zeros() as usize;
                 survivors.extend(
-                    heap.drain()
-                        .filter(|e| e.seq < mark_seq)
-                        .map(|e| (e.at, e.seq, e.event)),
+                    lvl.slots[slot]
+                        .entries
+                        .drain(..)
+                        .filter(|(_, seq, _)| *seq < mark_seq),
                 );
+                occupied &= occupied - 1;
             }
-            Backend::Wheel(wheel) => {
-                for lvl in &mut wheel.levels {
-                    let mut occupied = lvl.occupied;
-                    while occupied != 0 {
-                        let slot = occupied.trailing_zeros() as usize;
-                        survivors.extend(
-                            lvl.slots[slot]
-                                .entries
-                                .drain(..)
-                                .filter(|(_, seq, _)| *seq < mark_seq),
-                        );
-                        occupied &= occupied - 1;
-                    }
-                    lvl.occupied = 0;
-                }
-                wheel.len = 0;
-                // Every survivor fires at or after the marked clock, so the
-                // wheel's level invariant holds when re-anchored there (a
-                // refused pop never moves `elapsed`, so `elapsed == now`
-                // between wrapper calls).
-                wheel.elapsed = mark_now;
-            }
+            lvl.occupied = 0;
         }
+        wheel.len = 0;
+        // Every survivor fires at or after the marked clock, so the wheel's
+        // level invariant holds when re-anchored there (a refused pop never
+        // moves `elapsed`, so `elapsed == now` between wrapper calls).
+        wheel.elapsed = mark_now;
         survivors.extend(
             self.journal
                 .popped
                 .drain(..)
-                .filter(|(_, seq, _)| *seq < mark_seq)
-                .skip(drop_popped),
+                .filter(|(_, seq, _)| *seq < mark_seq),
         );
         survivors.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                for (at, seq, event) in survivors {
-                    heap.push(HeapEntry { at, seq, event });
-                }
-            }
-            Backend::Wheel(wheel) => {
-                for (at, seq, event) in survivors {
-                    wheel.insert(at, seq, event);
-                    wheel.len += 1;
-                }
-            }
+        for (at, seq, event) in survivors {
+            wheel.insert(at, seq, event);
+            wheel.len += 1;
         }
         self.now = mark_now;
         self.next_seq = mark_seq;
@@ -717,7 +566,6 @@ impl<E> EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("backend", &self.kind)
             .field("now", &self.now)
             .field("pending", &self.len())
             .finish()
@@ -728,96 +576,111 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::DetRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::BinaryHeap, QueueBackend::TimingWheel];
+    /// The queue's contract in its plainest form — a binary heap ordered by
+    /// `(time, schedule order)` — that the wheel is pinned against.
+    #[derive(Default)]
+    struct HeapModel {
+        heap: BinaryHeap<Reverse<(Cycle, u64, u64)>>,
+        next_seq: u64,
+        now: Cycle,
+    }
 
-    #[test]
-    fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(30, 3);
-            q.schedule(10, 1);
-            q.schedule(20, 2);
-            assert_eq!(q.pop(), Some((10, 1)), "{backend}");
-            assert_eq!(q.pop(), Some((20, 2)), "{backend}");
-            assert_eq!(q.pop(), Some((30, 3)), "{backend}");
-            assert_eq!(q.pop(), None, "{backend}");
+    impl HeapModel {
+        fn schedule(&mut self, at: Cycle, event: u64) {
+            self.heap.push(Reverse((at, self.next_seq, event)));
+            self.next_seq += 1;
+        }
+
+        fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, u64)> {
+            if self
+                .heap
+                .peek()
+                .is_none_or(|Reverse((at, ..))| *at >= horizon)
+            {
+                return None;
+            }
+            let Reverse((at, _, event)) = self.heap.pop()?;
+            self.now = at;
+            Some((at, event))
+        }
+
+        fn pop(&mut self) -> Option<(Cycle, u64)> {
+            self.pop_before(Cycle::MAX)
         }
     }
 
     #[test]
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        q.schedule(30, 3);
+        q.schedule(10, 1);
+        q.schedule(20, 2);
+        assert_eq!(q.pop(), Some((10, 1)));
+        assert_eq!(q.pop(), Some((20, 2)));
+        assert_eq!(q.pop(), Some((30, 3)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
     fn same_cycle_events_are_fifo() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule(42, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((42, i)), "{backend}");
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(42, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((42, i)));
         }
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            assert_eq!(q.now(), 0);
-            q.schedule(7, ());
-            q.schedule(9, ());
-            q.pop();
-            assert_eq!(q.now(), 7, "{backend}");
-            q.pop();
-            assert_eq!(q.now(), 9, "{backend}");
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.now(), 0);
+        q.schedule(7, ());
+        q.schedule(9, ());
+        q.pop();
+        assert_eq!(q.now(), 7);
+        q.pop();
+        assert_eq!(q.now(), 9);
     }
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(5, "first");
-            q.pop();
-            q.schedule_in(10, "second");
-            assert_eq!(q.peek_time(), Some(15), "{backend}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(5, "first");
+        q.pop();
+        q.schedule_in(10, "second");
+        assert_eq!(q.peek_time(), Some(15));
     }
 
     #[test]
     fn len_and_clear() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(1, ());
-            q.schedule(2, ());
-            assert_eq!(q.len(), 2, "{backend}");
-            assert!(!q.is_empty(), "{backend}");
-            q.clear();
-            assert!(q.is_empty(), "{backend}");
-            // The queue keeps working after a clear.
-            q.schedule(5, ());
-            assert_eq!(q.pop(), Some((5, ())), "{backend}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(1, ());
+        q.schedule(2, ());
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
+        q.clear();
+        assert!(q.is_empty());
+        // The queue keeps working after a clear.
+        q.schedule(5, ());
+        assert_eq!(q.pop(), Some((5, ())));
     }
 
     #[test]
     fn peek_does_not_advance_clock() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(99, ());
-            assert_eq!(q.peek_time(), Some(99), "{backend}");
-            assert_eq!(q.now(), 0, "{backend}");
-        }
-    }
-
-    #[test]
-    fn default_backend_is_the_wheel() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::TimingWheel);
+        let mut q = EventQueue::new();
+        q.schedule(99, ());
+        assert_eq!(q.peek_time(), Some(99));
+        assert_eq!(q.now(), 0);
     }
 
     #[test]
     fn wheel_handles_far_future_events_across_levels() {
-        let mut q = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let mut q = EventQueue::new();
         // One event per wheel level, far beyond the level-0 horizon.
         let times = [
             1u64,
@@ -841,7 +704,7 @@ mod tests {
 
     #[test]
     fn wheel_preserves_fifo_through_cascades() {
-        let mut q = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let mut q = EventQueue::new();
         // Two batches for the same far-future cycle, scheduled around an
         // intervening pop that forces a cascade before the second batch.
         q.schedule(10_000, 0);
@@ -856,57 +719,52 @@ mod tests {
 
     #[test]
     fn pop_before_respects_the_horizon() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(5, "a");
-            q.schedule(99, "b");
-            assert_eq!(q.pop_before(5), None, "{backend}: horizon is exclusive");
-            assert_eq!(q.pop_before(6), Some((5, "a")), "{backend}");
-            assert_eq!(q.pop_before(99), None, "{backend}");
-            assert_eq!(q.pop_before(Cycle::MAX), Some((99, "b")), "{backend}");
-            assert_eq!(q.pop_before(Cycle::MAX), None, "{backend}: empty");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(5, "a");
+        q.schedule(99, "b");
+        assert_eq!(q.pop_before(5), None, "horizon is exclusive");
+        assert_eq!(q.pop_before(6), Some((5, "a")));
+        assert_eq!(q.pop_before(99), None);
+        assert_eq!(q.pop_before(Cycle::MAX), Some((99, "b")));
+        assert_eq!(q.pop_before(Cycle::MAX), None, "empty");
     }
 
     #[test]
     fn refused_pop_before_leaves_the_queue_untouched() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            // 110 sits in a coarse wheel slot whose range straddles the
-            // horizon; the refusal must not cascade-and-clamp.
-            q.schedule(110, "far");
-            assert_eq!(q.pop_before(100), None, "{backend}");
-            assert_eq!(q.now(), 0, "{backend}: refusal advanced the clock");
-            // A later schedule below the refused horizon keeps its exact
-            // time on both backends.
-            q.schedule(50, "near");
-            assert_eq!(q.pop_before(100), Some((50, "near")), "{backend}");
-            assert_eq!(q.pop(), Some((110, "far")), "{backend}");
-        }
+        let mut q = EventQueue::new();
+        // 110 sits in a coarse wheel slot whose range straddles the
+        // horizon; the refusal must not cascade-and-clamp.
+        q.schedule(110, "far");
+        assert_eq!(q.pop_before(100), None);
+        assert_eq!(q.now(), 0, "refusal advanced the clock");
+        // A later schedule below the refused horizon keeps its exact time.
+        q.schedule(50, "near");
+        assert_eq!(q.pop_before(100), Some((50, "near")));
+        assert_eq!(q.pop(), Some((110, "far")));
     }
 
     #[test]
     fn backends_pop_before_identically_under_random_churn() {
         let mut rng = DetRng::new(0x90B0);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let mut heap = HeapModel::default();
+        let mut wheel = EventQueue::new();
         let mut next_id = 0u64;
         for _ in 0..5_000 {
-            if rng.gen_bool(0.55) || heap.is_empty() {
+            if rng.gen_bool(0.55) || wheel.is_empty() {
                 let delta = match rng.gen_index(8) {
                     0 => rng.gen_range(1 << 16),
                     1..=2 => rng.gen_range(2_000),
                     _ => rng.gen_range(16),
                 };
-                let at = heap.now() + delta;
+                let at = heap.now + delta;
                 heap.schedule(at, next_id);
                 wheel.schedule(at, next_id);
                 next_id += 1;
             } else {
                 // Horizons land before, inside and beyond the pending range.
-                let horizon = heap.now() + rng.gen_range(3_000);
+                let horizon = heap.now + rng.gen_range(3_000);
                 assert_eq!(heap.pop_before(horizon), wheel.pop_before(horizon));
-                assert_eq!(heap.now(), wheel.now());
+                assert_eq!(heap.now, wheel.now());
             }
         }
         loop {
@@ -920,46 +778,44 @@ mod tests {
 
     #[test]
     fn delta_rollback_restores_the_marked_state_under_random_churn() {
-        for backend in BACKENDS {
-            let mut rng = DetRng::new(0xDE17A);
-            let mut q = EventQueue::with_backend(backend);
-            let mut next_id = 0u64;
-            for round in 0..200 {
-                // Build up some pre-mark state.
-                for _ in 0..rng.gen_index(6) {
-                    q.schedule(q.now() + rng.gen_range(2_000), next_id);
+        let mut rng = DetRng::new(0xDE17A);
+        let mut q = EventQueue::new();
+        let mut next_id = 0u64;
+        for round in 0..200 {
+            // Build up some pre-mark state.
+            for _ in 0..rng.gen_index(6) {
+                q.schedule(q.now() + rng.gen_range(2_000), next_id);
+                next_id += 1;
+            }
+            let reference = q.clone();
+            q.mark_delta();
+            // A speculative burst: interleaved pops and schedules.
+            for _ in 0..rng.gen_index(12) {
+                if rng.gen_bool(0.5) {
+                    q.schedule(q.now() + rng.gen_range(500), next_id);
                     next_id += 1;
-                }
-                let reference = q.clone();
-                q.mark_delta();
-                // A speculative burst: interleaved pops and schedules.
-                for _ in 0..rng.gen_index(12) {
-                    if rng.gen_bool(0.5) {
-                        q.schedule(q.now() + rng.gen_range(500), next_id);
-                        next_id += 1;
-                    } else {
-                        let horizon = q.now() + rng.gen_range(3_000);
-                        q.pop_before(horizon);
-                    }
-                }
-                if round % 2 == 0 {
-                    q.rollback_delta();
-                    // The rewound queue must replay exactly like the clone
-                    // taken at the mark.
-                    let mut a = q.clone();
-                    let mut b = reference.clone();
-                    assert_eq!(a.len(), b.len(), "{backend}");
-                    assert_eq!(a.now(), b.now(), "{backend}");
-                    loop {
-                        let (x, y) = (a.pop_before(Cycle::MAX), b.pop_before(Cycle::MAX));
-                        assert_eq!(x, y, "{backend}");
-                        if x.is_none() {
-                            break;
-                        }
-                    }
                 } else {
-                    q.commit_delta();
+                    let horizon = q.now() + rng.gen_range(3_000);
+                    q.pop_before(horizon);
                 }
+            }
+            if round % 2 == 0 {
+                q.rollback_delta();
+                // The rewound queue must replay exactly like the clone taken
+                // at the mark.
+                let mut a = q.clone();
+                let mut b = reference.clone();
+                assert_eq!(a.len(), b.len());
+                assert_eq!(a.now(), b.now());
+                loop {
+                    let (x, y) = (a.pop_before(Cycle::MAX), b.pop_before(Cycle::MAX));
+                    assert_eq!(x, y);
+                    if x.is_none() {
+                        break;
+                    }
+                }
+            } else {
+                q.commit_delta();
             }
         }
     }
@@ -983,33 +839,17 @@ mod tests {
     }
 
     #[test]
-    fn sabotaged_rollback_observably_diverges() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(5, "a");
-            q.schedule(9, "b");
-            q.mark_delta();
-            assert_eq!(q.pop_before(100), Some((5, "a")));
-            q.rollback_delta_dropping_one();
-            // The dropped entry is the restorable pop: "a" is gone, "b" is
-            // still pending — a clean rollback would have both.
-            assert_eq!(q.len(), 1, "{backend}");
-            assert_eq!(q.pop(), Some((9, "b")), "{backend}");
-        }
-    }
-
-    #[test]
     fn backends_pop_identically_under_random_churn() {
-        // A compact in-crate version of the cross-backend determinism
-        // property (the full randomized suite lives in tests/properties.rs).
+        // A compact in-crate version of the reference-model property (the
+        // full randomized suite lives in tests/properties.rs).
         let mut rng = DetRng::new(0xC0FFEE);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let mut heap = HeapModel::default();
+        let mut wheel = EventQueue::new();
         let mut next_id = 0u64;
         for _ in 0..5_000 {
-            if rng.gen_bool(0.6) || heap.is_empty() {
+            if rng.gen_bool(0.6) || wheel.is_empty() {
                 // Small offsets force plenty of same-cycle ties.
-                let at = heap.now() + rng.gen_range(8);
+                let at = heap.now + rng.gen_range(8);
                 heap.schedule(at, next_id);
                 wheel.schedule(at, next_id);
                 next_id += 1;

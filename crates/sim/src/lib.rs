@@ -39,7 +39,7 @@ pub mod sharded;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, QueueBackend};
+pub use event::EventQueue;
 pub use rng::DetRng;
 pub use sharded::{run_epochs, EpochOutcome, ExecMode, Outbox, ShardSim, Stamp};
 pub use stats::{Counter, Histogram, OccupancyTracker, StatsRegistry};

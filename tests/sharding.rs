@@ -15,7 +15,6 @@
 
 use cni::core::machine::{Machine, MachineConfig, RunReport, ShardPolicy};
 use cni::nic::NiKind;
-use cni::sim::event::QueueBackend;
 use cni::sim::rng::DetRng;
 use cni::workloads::{Workload, WorkloadParams};
 
@@ -43,9 +42,37 @@ fn run_with_outcome(
 /// Sequential 1-shard, sequential N-shard and parallel N-shard runs are
 /// bit-identical for every NI kind, across four workloads with different
 /// communication patterns (fine-grain spsolve and em3d, broadcast-heavy
-/// gauss, convergent hotspot) and randomized machine/shard shapes.
+/// gauss, convergent hotspot) and randomized machine/shard shapes, plus one
+/// fixed case: em3d on a 6-node CNI16Qm machine split into 3 shards.
 #[test]
 fn sharding_never_changes_results() {
+    let check = |kind: NiKind, workload: Workload, nodes: usize, shards: usize| {
+        let params = WorkloadParams::tiny();
+        let case = format!("{kind}/{workload}: {nodes} nodes, {shards} shards");
+
+        let reference = run(MachineConfig::isca96(nodes, kind), workload, &params);
+        assert!(reference.completed, "{case}: reference did not complete");
+
+        let sequential = run(
+            MachineConfig::isca96(nodes, kind).with_shards(ShardPolicy::Fixed(shards)),
+            workload,
+            &params,
+        );
+        assert_eq!(
+            sequential, reference,
+            "{case}: sequential N-shard run diverged"
+        );
+
+        let parallel = run(
+            MachineConfig::isca96(nodes, kind)
+                .with_shards(ShardPolicy::Fixed(shards))
+                .with_parallel(true),
+            workload,
+            &params,
+        );
+        assert_eq!(parallel, reference, "{case}: parallel N-shard run diverged");
+    };
+
     let mut rng = DetRng::new(0x5AAD);
     for kind in NiKind::ALL {
         for workload in [
@@ -56,53 +83,12 @@ fn sharding_never_changes_results() {
         ] {
             let nodes = 3 + rng.gen_index(8); // 3..=10
             let shards = 2 + rng.gen_index(nodes - 1); // 2..=nodes
-            let params = WorkloadParams::tiny();
-            let case = format!("{kind}/{workload}: {nodes} nodes, {shards} shards");
-
-            let reference = run(MachineConfig::isca96(nodes, kind), workload, &params);
-            assert!(reference.completed, "{case}: reference did not complete");
-
-            let sequential = run(
-                MachineConfig::isca96(nodes, kind).with_shards(ShardPolicy::Fixed(shards)),
-                workload,
-                &params,
-            );
-            assert_eq!(
-                sequential, reference,
-                "{case}: sequential N-shard run diverged"
-            );
-
-            let parallel = run(
-                MachineConfig::isca96(nodes, kind)
-                    .with_shards(ShardPolicy::Fixed(shards))
-                    .with_parallel(true),
-                workload,
-                &params,
-            );
-            assert_eq!(parallel, reference, "{case}: parallel N-shard run diverged");
+            check(kind, workload, nodes, shards);
         }
     }
-}
-
-/// The two event-queue backends stay pop-order identical under sharding.
-#[test]
-fn sharding_is_backend_independent() {
-    let params = WorkloadParams::tiny();
-    let mut reports = Vec::new();
-    for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-        for policy in [ShardPolicy::Single, ShardPolicy::Fixed(3)] {
-            reports.push(run(
-                MachineConfig::isca96(6, NiKind::Cni16Qm)
-                    .with_queue_backend(backend)
-                    .with_shards(policy),
-                Workload::Em3d,
-                &params,
-            ));
-        }
-    }
-    for report in &reports[1..] {
-        assert_eq!(*report, reports[0], "backend × sharding grid diverged");
-    }
+    // The draws give CNI16Qm/em3d 5 nodes on 5 shards; also cover the
+    // uneven 6-node, 3-shard split.
+    check(NiKind::Cni16Qm, Workload::Em3d, 6, 3);
 }
 
 /// The acceptance-scale case: a 256-node machine on 8 shards — sequential
@@ -668,22 +654,4 @@ fn rpc_tail_latencies_shard_bit_identically() {
             );
         }
     }
-}
-
-/// `NodesPerShard` partitions (the "contiguous node group" policy) behave
-/// exactly like their `Fixed` equivalents.
-#[test]
-fn nodes_per_shard_policy_matches_fixed() {
-    let params = WorkloadParams::tiny();
-    let a = run(
-        MachineConfig::isca96(12, NiKind::Cni4).with_shards(ShardPolicy::NodesPerShard(4)),
-        Workload::Moldyn,
-        &params,
-    );
-    let b = run(
-        MachineConfig::isca96(12, NiKind::Cni4).with_shards(ShardPolicy::Fixed(3)),
-        Workload::Moldyn,
-        &params,
-    );
-    assert_eq!(a, b);
 }

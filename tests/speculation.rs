@@ -26,8 +26,8 @@
 use std::time::{Duration, Instant};
 
 use cni::core::machine::{
-    CheckpointStrategy, EpochOutcome, LookaheadMode, Machine, MachineConfig, RunReport,
-    ShardPolicy, SpecTuning, SpeculationConfig,
+    EpochOutcome, LookaheadMode, Machine, MachineConfig, RunReport, ShardPolicy, SpecTuning,
+    SpeculationConfig,
 };
 use cni::mem::system::DeviceLocation;
 use cni::net::faults::FaultConfig;
@@ -89,7 +89,7 @@ struct Case {
     faults: Option<FaultConfig>,
     /// Randomized pacer observable thresholds: every case exercises a
     /// different refuse/deepen/give-up regime, and the schedule must still
-    /// be identical across drivers and checkpoint strategies.
+    /// be identical across both drivers.
     tuning: SpecTuning,
 }
 
@@ -160,11 +160,10 @@ impl Case {
         }
     }
 
-    fn config(&self, lookahead: LookaheadMode, checkpoint: CheckpointStrategy) -> MachineConfig {
+    fn config(&self, lookahead: LookaheadMode) -> MachineConfig {
         let mut cfg = MachineConfig::for_bus(self.nodes, self.kind, self.location)
             .with_speculation(SpeculationConfig {
                 lookahead,
-                checkpoint,
                 pacer: self.tuning,
             });
         if self.snarfing {
@@ -222,7 +221,7 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     );
 
     let (reference, _) = run(
-        case.config(LookaheadMode::Fixed, CheckpointStrategy::default())
+        case.config(LookaheadMode::Fixed)
             .with_shards(ShardPolicy::Single),
         case.workload,
         &params,
@@ -231,7 +230,7 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     let want = report_digest(&reference);
 
     let (sharded, _) = run(
-        case.config(LookaheadMode::Fixed, CheckpointStrategy::default())
+        case.config(LookaheadMode::Fixed)
             .with_shards(ShardPolicy::Fixed(case.shards)),
         case.workload,
         &params,
@@ -244,36 +243,33 @@ fn check_case(case: &Case, seed: u64, index: usize) -> EpochOutcome {
     );
 
     let mut spec_outcome = None;
-    for strategy in [CheckpointStrategy::Full, CheckpointStrategy::Incremental] {
-        for parallel in [false, true] {
-            let (speculative, outcome) = run(
-                case.config(LookaheadMode::Speculative, strategy)
-                    .with_shards(ShardPolicy::Fixed(case.shards))
-                    .with_parallel(parallel),
-                case.workload,
-                &params,
-            );
-            assert_eq!(
-                speculative, reference,
-                "{repro}: speculative run ({strategy:?}, parallel = {parallel}) diverged"
-            );
-            assert_eq!(
-                report_digest(&speculative),
-                want,
-                "{repro}: speculative digest ({strategy:?}, parallel = {parallel}) diverged"
-            );
-            // The gamble/commit/rollback schedule is deterministic,
-            // driver-invariant *and* checkpoint-strategy-invariant (how a
-            // snapshot is stored cannot leak into what the pacer sees), so
-            // all four speculative runs must agree on it exactly.
-            match spec_outcome {
-                None => spec_outcome = Some(outcome),
-                Some(first) => assert_eq!(
-                    outcome, first,
-                    "{repro}: drivers/strategies disagreed on the speculation \
-                     schedule ({strategy:?}, parallel = {parallel})"
-                ),
-            }
+    for parallel in [false, true] {
+        let (speculative, outcome) = run(
+            case.config(LookaheadMode::Speculative)
+                .with_shards(ShardPolicy::Fixed(case.shards))
+                .with_parallel(parallel),
+            case.workload,
+            &params,
+        );
+        assert_eq!(
+            speculative, reference,
+            "{repro}: speculative run (parallel = {parallel}) diverged"
+        );
+        assert_eq!(
+            report_digest(&speculative),
+            want,
+            "{repro}: speculative digest (parallel = {parallel}) diverged"
+        );
+        // The gamble/commit/rollback schedule is deterministic and
+        // driver-invariant, so both speculative runs must agree on it
+        // exactly.
+        match spec_outcome {
+            None => spec_outcome = Some(outcome),
+            Some(first) => assert_eq!(
+                outcome, first,
+                "{repro}: drivers disagreed on the speculation schedule \
+                 (parallel = {parallel})"
+            ),
         }
     }
     spec_outcome.expect("the speculative matrix ran")
@@ -335,79 +331,6 @@ fn differential_speculation_is_unobservable() {
         rollbacks > 0,
         "seed {seed:#x}: no case rolled a speculative round back ({cases} cases)"
     );
-}
-
-/// Mutation-style check that the oracle has teeth for *incremental*
-/// restores, not just full-clone ones: two deliberately broken checkpoint
-/// strategies — [`CheckpointStrategy::SkipNodeRestore`] leaves the first
-/// dirtied node un-rewound on every rollback, and
-/// [`CheckpointStrategy::SkipQueueDelta`] drops one journaled event from
-/// every queue rewind — must each be caught, either by this harness's own
-/// report/digest comparison or by an internal invariant panicking mid-run.
-/// A control run with the honest incremental strategy on the same fixture
-/// must match the reference bit for bit *and* actually roll back, so the
-/// sabotage targets a path the fixture provably executes.
-#[test]
-fn sabotaged_incremental_restores_are_caught_by_the_oracle() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    let params = WorkloadParams::tiny();
-    // The appbt grinding fixture from `tests/properties.rs`: its pinned
-    // speculative schedule commits and rolls back under the default pacer.
-    let speculative = |strategy: CheckpointStrategy| {
-        MachineConfig::isca96(6, NiKind::Cni16Qm)
-            .with_shards(ShardPolicy::Fixed(2))
-            .with_speculation(SpeculationConfig {
-                checkpoint: strategy,
-                ..SpeculationConfig::with_lookahead(LookaheadMode::Speculative)
-            })
-    };
-
-    let (reference, _) = run(
-        MachineConfig::isca96(6, NiKind::Cni16Qm)
-            .with_shards(ShardPolicy::Single)
-            .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed)),
-        Workload::Appbt,
-        &params,
-    );
-    assert!(reference.completed);
-    let want = report_digest(&reference);
-
-    let (honest, outcome) = run(
-        speculative(CheckpointStrategy::Incremental),
-        Workload::Appbt,
-        &params,
-    );
-    assert_eq!(honest, reference, "control: honest incremental diverged");
-    assert_eq!(report_digest(&honest), want);
-    assert!(
-        outcome.spec_rollbacks > 0,
-        "control: the fixture must roll back, or the sabotages below are vacuous"
-    );
-
-    for sabotage in [
-        CheckpointStrategy::SkipNodeRestore,
-        CheckpointStrategy::SkipQueueDelta,
-    ] {
-        // A sabotaged run may legitimately panic on an internal invariant
-        // (e.g. the emitter census) before it ever produces a report;
-        // silence the hook so the expected panic does not spam the log.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run(speculative(sabotage), Workload::Appbt, &params).0
-        }));
-        std::panic::set_hook(hook);
-        let caught = match outcome {
-            Err(_) => true,
-            Ok(report) => report != reference || report_digest(&report) != want,
-        };
-        assert!(
-            caught,
-            "{sabotage:?}: the differential oracle failed to notice a \
-             sabotaged incremental restore"
-        );
-    }
 }
 
 /// Seed parsing accepts the formats CI and humans actually type.
