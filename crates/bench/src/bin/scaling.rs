@@ -1,11 +1,19 @@
-//! Scaling sweep: machine sizes × shard counts, sequential and parallel.
+//! Scaling sweep: machine sizes × shard counts, on one worker and on the
+//! parallel pool.
 //!
 //! The paper evaluates 16-node machines; this harness drives the sharded
 //! execution model past that — 16/64/256 (and with `big` 1024) nodes — and
-//! records, per configuration, the simulated result digest and the
-//! simulator's own wall-clock. Simulated results are **bit-identical across
-//! shard counts, execution modes and lookahead modes** (the run fails loudly
-//! if they are not); only the wall-clock column varies.
+//! records, per configuration, the simulated result digest, the number of
+//! worker threads that advanced the shards and the simulator's own
+//! wall-clock. Simulated results are **bit-identical across shard counts,
+//! worker counts and lookahead modes** (the run fails loudly if they are
+//! not); only the wall-clock column varies.
+//!
+//! The `mode` column says how a row was configured: `seq` runs every shard
+//! on the calling thread, `par` sets `MachineConfig::parallel` (one worker
+//! per shard, at most one per host core), and `auto` is
+//! `ShardPolicy::Auto` with `parallel` set. The `workers` column is what
+//! that resolved to on this host.
 //!
 //! Run with `cargo run --release -p cni-bench --bin scaling -- [quick|big]
 //! [--workload NAME] [--lookahead fixed|speculative] [--json] [--ci]`.
@@ -25,8 +33,8 @@
 //!   including the epoch statistics (epochs, extensions, mean/max epoch
 //!   length, speculation commits/rollbacks/re-executed cycles) that make the
 //!   speculation rates observable per configuration.
-//! * `--ci` runs the 64-node / 4-shard smoke configuration (sequential
-//!   1-shard, sequential 4-shard, parallel 4-shard, plus whatever
+//! * `--ci` runs the 64-node / 4-shard smoke configuration (1 shard, 4
+//!   shards on one worker, 4 shards on the parallel pool, plus whatever
 //!   `ShardPolicy::Auto` resolves to) **for every CI workload** — em3d and
 //!   the four workloads this repo added beyond the paper's figures — under
 //!   both lookahead modes, cross-checks that every report is bit-identical,
@@ -99,6 +107,7 @@ struct Row {
     nodes: usize,
     shards: usize,
     mode: &'static str,
+    workers: usize,
     lookahead: LookaheadMode,
     cycles: u64,
     digest: u64,
@@ -145,9 +154,9 @@ fn run_policy(
         .with_parallel(parallel)
         .with_speculation(SpeculationConfig::with_lookahead(lookahead));
     let shards = cfg.shard_count();
-    let mode = match (policy, cfg.exec_parallel()) {
-        (ShardPolicy::Auto, true) => "auto+",
-        (ShardPolicy::Auto, false) => "auto",
+    let workers = cfg.workers();
+    let mode = match (policy, parallel) {
+        (ShardPolicy::Auto, _) => "auto",
         (_, true) => "par",
         (_, false) => "seq",
     };
@@ -169,6 +178,7 @@ fn run_policy(
         nodes,
         shards,
         mode,
+        workers,
         lookahead,
         cycles: report.cycles,
         digest: report_digest(&report),
@@ -222,15 +232,15 @@ fn sweep(
                 rows.push(row);
             }
         }
-        // What ShardPolicy::Auto picks on this host, digest-checked like
-        // every other configuration.
-        let (report, row) = run_policy(workload, nodes, ShardPolicy::Auto, false, lookahead, quick);
+        // What ShardPolicy::Auto picks on this host, on the parallel pool,
+        // digest-checked like every other configuration.
+        let (report, row) = run_policy(workload, nodes, ShardPolicy::Auto, true, lookahead, quick);
         if let Some(reference) = &reference {
             if report != *reference {
                 eprintln!(
-                    "scaling: {workload} {nodes}-node auto run ({} shards, {}) diverged \
-                     from the 1-shard reference — determinism bug",
-                    row.shards, row.mode
+                    "scaling: {workload} {nodes}-node auto run ({} shards, {} workers) \
+                     diverged from the 1-shard reference — determinism bug",
+                    row.shards, row.workers
                 );
                 std::process::exit(1);
             }
@@ -245,10 +255,11 @@ fn rows_json(rows: &[Row]) -> String {
         .iter()
         .map(|r| {
             format!(
-                r#"{{"nodes":{},"shards":{},"mode":"{}","lookahead":"{}","cycles":{},"digest":"{:016x}","epochs":{},"extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"wall_seconds":{:.3}}}"#,
+                r#"{{"nodes":{},"shards":{},"mode":"{}","workers":{},"lookahead":"{}","cycles":{},"digest":"{:016x}","epochs":{},"extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"wall_seconds":{:.3}}}"#,
                 r.nodes,
                 r.shards,
                 r.mode,
+                r.workers,
                 r.lookahead,
                 r.cycles,
                 r.digest,
@@ -273,10 +284,11 @@ fn print_table(workload: Workload, rows: &[Row]) {
         "Scaling sweep: {workload}, CNI512Q, weak-scaled inputs (digest is the simulated-result hash)"
     );
     println!(
-        "{:>7} {:>7} {:>5} {:>11} {:>14} {:>18} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6} {:>10}",
+        "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6} {:>10}",
         "nodes",
         "shards",
         "mode",
+        "workers",
         "lookahead",
         "cycles",
         "digest",
@@ -290,10 +302,11 @@ fn print_table(workload: Workload, rows: &[Row]) {
     );
     for r in rows {
         println!(
-            "{:>7} {:>7} {:>5} {:>11} {:>14} {:>18x} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6.3} {:>10.3}",
+            "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18x} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6.3} {:>10.3}",
             r.nodes,
             r.shards,
             r.mode,
+            r.workers,
             r.lookahead,
             r.cycles,
             r.digest,
@@ -310,8 +323,8 @@ fn print_table(workload: Workload, rows: &[Row]) {
     println!("lookahead are simulator-performance knobs, never results knobs.");
 }
 
-/// The CI smoke configuration, per workload: 64 nodes, 1-vs-4 shards, both
-/// execution modes and both lookahead modes, plus whatever
+/// The CI smoke configuration, per workload: 64 nodes, 1-vs-4 shards, one
+/// worker and the parallel pool, both lookahead modes, plus whatever
 /// `ShardPolicy::Auto` resolves to on the CI host. The printed digest block
 /// is computed from the fixed-lookahead reference, and every other run is
 /// cross-checked against it — so the committed
@@ -334,13 +347,13 @@ fn run_ci() {
                     std::process::exit(1);
                 }
             }
-            let (report, row) =
-                run_policy(workload, 64, ShardPolicy::Auto, false, lookahead, quick);
+            let (report, row) = run_policy(workload, 64, ShardPolicy::Auto, true, lookahead, quick);
             if report != reference {
                 eprintln!(
-                    "scaling --ci: {workload} 64-node auto run ({} shards, {}, {} lookahead) \
-                     diverged from the fixed-lookahead 1-shard reference — determinism bug",
-                    row.shards, row.mode, lookahead
+                    "scaling --ci: {workload} 64-node auto run ({} shards, {} workers, {} \
+                     lookahead) diverged from the fixed-lookahead 1-shard reference — \
+                     determinism bug",
+                    row.shards, row.workers, lookahead
                 );
                 std::process::exit(1);
             }

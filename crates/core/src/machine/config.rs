@@ -20,13 +20,12 @@ pub enum ShardPolicy {
     /// One shard: the classic single event loop (the default).
     #[default]
     Single,
-    /// Pick the shard count — and whether to run the shards on worker
-    /// threads — from the host's [`std::thread::available_parallelism`] and
-    /// the machine size. Small machines on few cores stay on one shard;
-    /// large machines on one core get the sequential-sharding locality win;
-    /// multi-core hosts go as wide as the cores and the
-    /// [`ShardPolicy::AUTO_MIN_NODES_PER_SHARD`]-node floor allow and run
-    /// parallel. See [`ShardPolicy::resolve_for`] for the exact rule.
+    /// Pick the shard count from the host's core count
+    /// ([`cni_sim::pool::auto_jobs`]) and the machine size: one shard per
+    /// core, as wide as the [`ShardPolicy::AUTO_MIN_NODES_PER_SHARD`]-node
+    /// floor allows. See [`ShardPolicy::resolve_for`] for the exact rule.
+    /// How many threads advance the shards is [`MachineConfig::parallel`]'s
+    /// business, not the policy's.
     Auto,
     /// Exactly this many shards, clamped to `1..=nodes`.
     Fixed(usize),
@@ -38,15 +37,10 @@ impl ShardPolicy {
     /// events can amortize (measured in the `scaling` sweep).
     pub const AUTO_MIN_NODES_PER_SHARD: usize = 16;
 
-    /// Node count from which [`ShardPolicy::Auto`] shards even on a single
-    /// core: smaller per-shard event queues win on locality alone from here
-    /// up (the `scaling` sweep's sequential-sharding crossover).
-    pub const AUTO_SINGLE_CORE_THRESHOLD: usize = 256;
-
     /// The shard count this policy yields for a machine of `nodes` nodes,
     /// reading the host's parallelism for [`ShardPolicy::Auto`].
     pub fn resolve(self, nodes: usize) -> usize {
-        self.resolve_for(nodes, host_parallelism())
+        self.resolve_for(nodes, cni_sim::pool::auto_jobs())
     }
 
     /// The shard count this policy yields for a machine of `nodes` nodes on
@@ -54,51 +48,18 @@ impl ShardPolicy {
     /// [`ShardPolicy::resolve`]; only [`ShardPolicy::Auto`] looks at
     /// `cores`.
     ///
-    /// The auto rule, from the `scaling` sweep's crossovers:
-    ///
-    /// * one core: a single shard below
-    ///   [`ShardPolicy::AUTO_SINGLE_CORE_THRESHOLD`] nodes, four shards
-    ///   (locality, no threads) at or above it;
-    /// * many cores: one shard per core, but never shards smaller than
-    ///   [`ShardPolicy::AUTO_MIN_NODES_PER_SHARD`] nodes — a 64-node
-    ///   machine on a 32-core host gets 4 shards, not 32.
+    /// The auto rule: one shard per core, but never shards smaller than
+    /// [`ShardPolicy::AUTO_MIN_NODES_PER_SHARD`] nodes — a 64-node machine
+    /// on a 32-core host gets 4 shards, not 32, and a one-core host gets
+    /// one shard (extra shards on one thread measured no faster).
     pub fn resolve_for(self, nodes: usize, cores: usize) -> usize {
         let shards = match self {
             ShardPolicy::Single => 1,
-            ShardPolicy::Auto => {
-                let cores = cores.max(1);
-                if cores == 1 {
-                    if nodes >= Self::AUTO_SINGLE_CORE_THRESHOLD {
-                        4
-                    } else {
-                        1
-                    }
-                } else {
-                    cores.min(nodes / Self::AUTO_MIN_NODES_PER_SHARD)
-                }
-            }
+            ShardPolicy::Auto => cores.min(nodes / Self::AUTO_MIN_NODES_PER_SHARD),
             ShardPolicy::Fixed(n) => n,
         };
         shards.clamp(1, nodes.max(1))
     }
-
-    /// Whether this policy wants the shards on worker threads, given the
-    /// explicitly configured `parallel` flag ([`MachineConfig::parallel`]).
-    /// Pure counterpart of the decision [`MachineConfig::exec_parallel`]
-    /// makes: [`ShardPolicy::Auto`] runs parallel exactly when it resolved
-    /// to more than one shard *and* more than one core is available; every
-    /// other policy obeys the flag.
-    pub fn resolve_parallel_for(self, nodes: usize, cores: usize, parallel: bool) -> bool {
-        match self {
-            ShardPolicy::Auto => cores > 1 && self.resolve_for(nodes, cores) > 1,
-            _ => parallel && self.resolve_for(nodes, cores) > 1,
-        }
-    }
-}
-
-/// The host's usable core count (1 when it cannot be determined).
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The epoch driver's speculation knobs, grouped.
@@ -116,7 +77,7 @@ pub struct SpeculationConfig {
     pub lookahead: LookaheadMode,
     /// Speculation pacer tuning. All observables are globally merged, so
     /// any tuning keeps the gamble schedule identical across shard counts
-    /// and execution modes.
+    /// and worker counts.
     pub pacer: SpecTuning,
 }
 
@@ -162,10 +123,11 @@ pub struct MachineConfig {
     /// Purely a simulator-performance knob: simulated results are
     /// bit-identical for every policy.
     pub shards: ShardPolicy,
-    /// Whether shards advance on worker threads (one per shard) instead of
-    /// round-robining on the calling thread. Results are bit-identical
-    /// either way; only wall-clock differs. Ignored when the policy
-    /// resolves to a single shard.
+    /// Whether shards advance on worker threads — one per shard up to the
+    /// host's core count, each owning a contiguous block of shards —
+    /// instead of all on the calling thread. Results are bit-identical either way; only wall-clock
+    /// differs. `false` keeps the whole run on one thread. Ignored when the
+    /// policy resolves to a single shard.
     pub parallel: bool,
     /// Deterministic fault injection and the reliable-delivery protocol
     /// that recovers from it. All-zero (the default) disables the layer
@@ -275,9 +237,10 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy that advances shards on worker threads (bit-identical
-    /// results, different wall-clock). Only meaningful together with a
-    /// multi-shard [`MachineConfig::with_shards`] policy.
+    /// Returns a copy that advances shards on up to one worker thread per
+    /// host core (bit-identical results, different wall-clock). Only
+    /// meaningful together with a multi-shard
+    /// [`MachineConfig::with_shards`] policy.
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -304,13 +267,21 @@ impl MachineConfig {
         self.shards.resolve(self.nodes)
     }
 
-    /// Whether the machine will advance its shards on worker threads.
-    /// [`ShardPolicy::Auto`] decides from the host's parallelism; the other
-    /// policies follow [`MachineConfig::parallel`]. Always `false` when the
-    /// policy resolves to a single shard.
+    /// How many threads advance the shards: with
+    /// [`MachineConfig::parallel`], one per shard up to the host's core
+    /// count ([`cni_sim::pool::auto_jobs`]); otherwise one, the calling
+    /// thread.
+    pub fn workers(&self) -> usize {
+        if self.parallel {
+            self.shard_count().min(cni_sim::pool::auto_jobs())
+        } else {
+            1
+        }
+    }
+
+    /// Whether the machine will advance its shards on more than one thread.
     pub fn exec_parallel(&self) -> bool {
-        self.shards
-            .resolve_parallel_for(self.nodes, host_parallelism(), self.parallel)
+        self.workers() > 1
     }
 
     /// The per-node memory-system configuration implied by this machine
@@ -381,49 +352,6 @@ mod tests {
         assert_eq!(cfg.shard_count(), 4);
         assert!(!cfg.parallel);
         assert!(cfg.with_parallel(true).parallel);
-    }
-
-    #[test]
-    fn auto_policy_resolves_from_cores_and_machine_size() {
-        let auto = ShardPolicy::Auto;
-        // One core: single shard until the sequential-sharding crossover.
-        assert_eq!(auto.resolve_for(16, 1), 1);
-        assert_eq!(auto.resolve_for(255, 1), 1);
-        assert_eq!(auto.resolve_for(256, 1), 4);
-        assert_eq!(auto.resolve_for(1024, 1), 4);
-        // Many cores: one shard per core, floored at 16 nodes per shard.
-        assert_eq!(auto.resolve_for(16, 8), 1);
-        assert_eq!(auto.resolve_for(64, 2), 2);
-        assert_eq!(auto.resolve_for(64, 8), 4);
-        assert_eq!(auto.resolve_for(64, 32), 4);
-        assert_eq!(auto.resolve_for(256, 8), 8);
-        assert_eq!(auto.resolve_for(1024, 32), 32);
-        // Clamped to the node count, and degenerate inputs survive.
-        assert_eq!(auto.resolve_for(8, 64), 1);
-        assert_eq!(auto.resolve_for(1, 64), 1);
-        assert_eq!(auto.resolve_for(1024, 0), 4);
-    }
-
-    #[test]
-    fn auto_policy_decides_parallelism_itself() {
-        let auto = ShardPolicy::Auto;
-        // Auto ignores the explicit flag: cores decide.
-        assert!(!auto.resolve_parallel_for(64, 1, true));
-        assert!(!auto.resolve_parallel_for(256, 1, true)); // shards, but 1 core
-        assert!(auto.resolve_parallel_for(64, 8, false));
-        assert!(!auto.resolve_parallel_for(16, 8, false)); // resolves to 1 shard
-                                                           // Fixed policies obey the flag, and never go parallel on one shard.
-        assert!(ShardPolicy::Fixed(4).resolve_parallel_for(64, 1, true));
-        assert!(!ShardPolicy::Fixed(4).resolve_parallel_for(64, 8, false));
-        assert!(!ShardPolicy::Fixed(1).resolve_parallel_for(64, 8, true));
-        // The host-reading wrapper agrees with some pure resolution.
-        let cfg = MachineConfig::isca96(64, NiKind::Ni2w).with_shards(ShardPolicy::Auto);
-        assert_eq!(cfg.shard_count(), ShardPolicy::Auto.resolve(64));
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(
-            cfg.exec_parallel(),
-            ShardPolicy::Auto.resolve_parallel_for(64, cores, false)
-        );
     }
 
     #[test]

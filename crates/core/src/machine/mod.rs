@@ -32,17 +32,18 @@
 //! into contiguous **shards** ([`ShardPolicy`]), each with its own event
 //! queue and per-shard fabric statistics, and the shards advance in
 //! lock-step **epochs** of `network_latency` cycles driven by
-//! [`cni_sim::sharded::run_epochs`] — sequentially round-robined or, with
-//! [`MachineConfig::with_parallel`], on a persistent worker pool (one
-//! worker per shard) that rendezvouses at atomic epoch barriers and skips
-//! the cross-shard exchange for epochs that emitted no traffic. Under
+//! [`cni_sim::sharded::run_epochs`]. All shards advance on the calling
+//! thread, or, with [`MachineConfig::with_parallel`], on one worker per
+//! host core ([`MachineConfig::workers`]), each owning a contiguous block
+//! of shards; the workers rendezvous at atomic epoch barriers, and epochs
+//! that emitted no traffic skip the cross-shard exchange. Under
 //! speculative lookahead ([`SpeculationConfig::lookahead`]) the planner
 //! instead gambles past the one-latency grid and rolls back when an arrival
 //! lands inside the gamble; see [`cni_sim::sharded`]'s module docs for why
-//! neither mode can change results.
-//! [`ShardPolicy::Auto`] picks both the shard count and the execution mode
-//! from the host's core count and the machine size, so callers that just
-//! want the fastest correct run can stop hand-tuning.
+//! neither the worker count nor the lookahead mode can change results.
+//! [`ShardPolicy::Auto`] picks the shard count from the host's core count
+//! and the machine size, so callers that just want the fastest correct run
+//! can stop hand-tuning.
 //!
 //! **Lookahead argument.** The fabric imposes a fixed latency `L` on every
 //! network message and every acknowledgement, and nodes interact *only*
@@ -55,7 +56,7 @@
 //!
 //! **Determinism argument.** Lookahead makes parallel execution *safe*; one
 //! more ingredient makes it **bit-identical across shard counts and
-//! execution modes**. All network-borne events — including traffic between
+//! worker counts**. All network-borne events — including traffic between
 //! nodes of the *same* shard — are staged in an epoch router and inserted at
 //! the boundary of their arrival epoch, ordered by the sharding-invariant
 //! key `(arrival cycle, origin node, per-origin-node sequence number)`
@@ -69,8 +70,8 @@
 //! had, recorded as a queue sequence number, and run exactly there. Since nodes cannot affect each
 //! other within a cycle (any interaction rides the fabric and lands `≥ L`
 //! later), per-node event-order invariance implies whole-run invariance:
-//! the 1-shard sequential run, the N-shard sequential run and the N-shard
-//! parallel run produce identical [`RunReport`]s bit for bit
+//! the 1-shard run and an N-shard run on any number of workers produce
+//! identical [`RunReport`]s bit for bit
 //! (`tests/sharding.rs` proves this property over randomized machines).
 //!
 //! The run drains completely — every queued event and every in-flight
@@ -85,7 +86,7 @@ pub mod program;
 mod shard;
 
 use cni_net::fabric::{Fabric, FabricStats};
-use cni_sim::sharded::{run_epochs, ExecMode};
+use cni_sim::sharded::run_epochs;
 use cni_sim::stats::Merge;
 use cni_sim::time::Cycle;
 
@@ -326,8 +327,8 @@ impl Machine {
     /// Runs the machine until every event has drained (or the configured
     /// cycle limit is reached) and returns a report.
     ///
-    /// The report is bit-identical for every [`ShardPolicy`] and execution
-    /// mode — sharding only changes the simulator's wall-clock.
+    /// The report is bit-identical for every [`ShardPolicy`] and worker
+    /// count — sharding only changes the simulator's wall-clock.
     pub fn run(&mut self) -> RunReport {
         for shard in &mut self.shards {
             shard.prime();
@@ -335,21 +336,14 @@ impl Machine {
         let epoch = self.cfg.timing.network_latency;
         let bounds = self.bounds.clone();
         let shard_of = move |node: u32| bounds.partition_point(|&b| b <= node as usize) - 1;
-        // `exec_parallel()` re-reads the host's parallelism now, while the
-        // shard partition was fixed at construction — the extra guard keeps
-        // a 1-shard machine sequential even if the visible core count grew
-        // in between.
-        let mode = if self.cfg.exec_parallel() && self.shards.len() > 1 {
-            ExecMode::Parallel
-        } else {
-            ExecMode::Sequential
-        };
+        // `run_epochs` clamps the workers to the shard partition fixed at
+        // construction, even if the visible core count changed since.
         let outcome = run_epochs(
             &mut self.shards,
             &shard_of,
             epoch,
             self.cfg.max_cycles,
-            mode,
+            self.cfg.workers(),
             self.cfg.speculation.lookahead,
             self.cfg.speculation.pacer,
         );

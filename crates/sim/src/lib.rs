@@ -41,6 +41,6 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use rng::DetRng;
-pub use sharded::{run_epochs, EpochOutcome, ExecMode, Outbox, ShardSim, Stamp};
+pub use sharded::{run_epochs, EpochOutcome, Outbox, ShardSim, Stamp};
 pub use stats::{Counter, Histogram, OccupancyTracker, StatsRegistry};
 pub use time::{cycles_to_micros, Cycle, PROCESSOR_HZ};

@@ -12,8 +12,8 @@
 //! completion order, so the output of [`run_indexed`] is identical for every
 //! worker count — including `jobs = 1`, which runs inline on the calling
 //! thread with no pool at all. Callers may therefore treat the worker count
-//! as a pure wall-clock knob, exactly like [`sharded`]'s
-//! [`ExecMode`](crate::sharded::ExecMode).
+//! as a pure wall-clock knob, exactly like the `workers` argument of
+//! [`run_epochs`](crate::sharded::run_epochs).
 //!
 //! [`sharded`]: crate::sharded
 

@@ -6,7 +6,7 @@
 //! **epochs** of a fixed length chosen to be at most the model's minimum
 //! cross-shard latency (the classic conservative-PDES *lookahead*): no event
 //! emitted during an epoch can arrive inside the same epoch, so every shard
-//! can process its epoch independently — sequentially or on its own thread —
+//! can process its epoch independently — on whichever worker thread owns it —
 //! without ever observing a cross-shard event out of order.
 //!
 //! Cross-shard traffic never goes straight into a destination queue. Emitters
@@ -17,54 +17,54 @@
 //! [`Stamp`] is assigned by the *emitting* entity from a counter that
 //! advances with its own deterministic execution, so the canonical order is
 //! a pure function of the simulation — independent of shard count, shard
-//! assignment, and thread scheduling. This is what makes an N-shard parallel
-//! run **bit-identical** to the 1-shard sequential run: per-entity event
+//! assignment, and thread scheduling. This is what makes an N-shard run on
+//! any number of workers **bit-identical** to the 1-shard run: per-entity event
 //! order is invariant, and (by the lookahead argument) nothing else can
 //! matter.
 //!
 //! The driver itself is model-agnostic: anything implementing [`ShardSim`]
-//! can be run with [`run_epochs`], in [`ExecMode::Sequential`] (shards
-//! round-robined on the calling thread) or [`ExecMode::Parallel`]. Both modes
-//! execute the exact same event schedule, because they share one planner.
+//! can be run with [`run_epochs`] on any number of worker threads. Every
+//! worker count executes the exact same event schedule, because one planner
+//! makes every schedule decision.
 //!
-//! # One planner, two executors
+//! # One planner, one executor
 //!
 //! Every schedule decision lives in a single `Planner`: it owns the router
 //! (the staged cross-shard traffic), the speculation pacer and the
 //! accumulating [`EpochOutcome`]. Each round it picks the next epoch
 //! (fast-forwarding over empty stretches), decides whether to abort or
 //! gamble, hands out the due arrivals, and later routes the emissions and
-//! settles a gamble. The two executors only move events and advance shards.
-//! The sequential executor owns the planner outright: no lock, no dynamic
-//! dispatch, no allocation per round.
+//! settles a gamble. The executor only moves events and advances shards.
 //!
-//! [`ExecMode::Parallel`] runs a **persistent worker pool**: one worker per
-//! shard, spawned once per run, synchronized purely through atomics. The
-//! calling thread plans round one before any worker exists. Each epoch then
-//! ends in a sense barrier on an atomic arrival counter; the *last* worker
-//! to arrive becomes that barrier's **finisher**. Only the finisher touches
-//! the planner, which sits in one `Mutex`. That lock is never contended:
-//! every other worker is waiting at the barrier, and the finisher unlocks
-//! before it publishes the next plan by bumping the atomic generation
-//! counter that releases them. Workers report what the planner reads (next
-//! event, load, earliest held arrival) through per-shard atomic slots.
-//! There is no per-epoch channel traffic, no dedicated router thread to
-//! wake, and no allocation in the steady state: outboxes and staging
-//! buffers are handed over by `Vec` swaps that retain their capacity.
+//! The executor splits the shards into `workers` contiguous **blocks** and
+//! advances every block one step per round, the way a quantum-barrier
+//! simulator puts many target nodes on each host processor. The calling
+//! thread is the coordinator: it owns the planner and runs block 0 itself.
+//! One worker is therefore the plain sequential loop — no thread, no lock,
+//! no atomic, no allocation per round. With more workers, one helper thread
+//! per further block is spawned once per run. Each round the coordinator
+//! posts every helper its step and due arrivals, bumps an atomic generation
+//! counter to release them, runs block 0, and waits on an atomic arrival
+//! counter until every helper is back; then it routes the emissions and
+//! plans the next round while the helpers wait. A waiter spins briefly,
+//! then parks. Each helper's hand-off sits in one `Mutex` that is never
+//! contended, because the coordinator touches it only while that helper
+//! waits. Outboxes and staging buffers keep their capacity across rounds,
+//! so the steady state allocates nothing. Callers size `workers` to the
+//! host, not to the partition: with no more workers than cores, nobody
+//! waits for a thread that cannot run.
 //!
-//! The expensive part of a barrier — the cross-shard exchange — is skipped
-//! entirely whenever it has nothing to do: workers raise a shared
-//! "any-outbox-non-empty" flag only when they actually emitted, and a
-//! finisher that observes the flag clear absorbs nothing, while a router
-//! with nothing staged answers every query in O(1). Quiescent stretches
-//! therefore run exchange-free, paying only the atomic barrier itself. The
-//! *rendezvous* still happens every epoch — with a lookahead of exactly one
-//! epoch, a shard cannot know that no other shard emitted until that
-//! shard's epoch is complete, so skipping the barrier itself would race the
-//! very traffic it is waiting for. Skipping the exchange preserves the
-//! lookahead argument unchanged, and bit-identical results with it: an
-//! epoch with no emissions and no staged arrivals routes nothing and
-//! delivers nothing in either mode.
+//! The expensive part of a barrier — the cross-shard exchange — costs
+//! nothing when it has nothing to do: a block that emitted nothing hands
+//! over an empty outbox, and a router with nothing staged answers every
+//! query in O(1). Quiescent stretches therefore run exchange-free, paying
+//! only the rendezvous itself. The rendezvous still happens every epoch —
+//! with a lookahead of exactly one epoch, a shard cannot know that no other
+//! shard emitted until that shard's epoch is complete, so skipping the
+//! barrier itself would race the very traffic it is waiting for. Skipping
+//! the exchange preserves the lookahead argument unchanged, and
+//! bit-identical results with it: an epoch with no emissions and no staged
+//! arrivals routes nothing and delivers nothing on any worker count.
 //!
 //! # Speculative epochs
 //!
@@ -94,22 +94,22 @@
 //! results stay bit-identical across both lookahead modes
 //! (determinism invariant 7 in `ARCHITECTURE.md`).
 //!
-//! Both executors speculate in lock-step rounds — one uniform speculated
+//! Blocks speculate in lock-step rounds — one uniform speculated
 //! horizon for every shard, all-or-nothing validation — because per-shard
 //! divergent horizons are unsound: a lagging shard's post-rollback re-run
 //! emits *different* traffic than its speculative run did, which could land
 //! inside a leading shard's already-committed window (the classic Time
-//! Warp cascade). The planner decides the gamble and its verdict; the
-//! sequential executor holds the checkpoints and the held-aside outboxes
-//! itself, while each parallel worker keeps its own checkpoint on its stack
-//! and reports only its earliest held arrival. A shared exponential pacer
+//! Warp cascade). The planner decides the gamble and its verdict from the
+//! earliest held arrival over all blocks. Each block snapshots, holds and
+//! restores its own shards, and a rollback re-runs every block to the
+//! commit point. A shared exponential pacer
 //! (capped at [`SPEC_PENALTY_CAP`] conservative rounds) keeps dense
 //! workloads from paying checkpoint + rollback every round; it reads only
 //! globally merged state, so commit/rollback counts are invariant across
-//! shard counts and execution modes just like every other epoch statistic.
+//! shard counts and worker counts just like every other epoch statistic.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -197,8 +197,8 @@ impl<M> Outbox<M> {
 
 /// One shard of a sharded discrete-event model.
 ///
-/// `Send` is required so shards can move to worker threads in
-/// [`ExecMode::Parallel`].
+/// `Send` is required so a block of shards can move to a helper thread of
+/// [`run_epochs`].
 pub trait ShardSim: Send {
     /// Cross-shard event payload.
     type Msg: Send;
@@ -227,8 +227,8 @@ pub trait ShardSim: Send {
     /// other half being the router's staged count). Both halves are
     /// partition-invariant (every event lives in exactly one shard's
     /// queue), which keeps the gamble schedule identical across shard
-    /// counts and drivers (invariant 7). Must be O(1): both drivers read
-    /// it every planning round under [`LookaheadMode::Speculative`].
+    /// counts and worker counts (invariant 7). Must be O(1): every block
+    /// reports it after every step.
     ///
     /// The default of 0 blinds the pacer to local load — sound in the
     /// sense that it only makes the pacer gamble more, but implementors
@@ -269,18 +269,6 @@ pub trait ShardSim: Send {
     /// [`ShardSim::restore`] instead). The default is a no-op, which is
     /// correct for full-clone checkpoints.
     fn commit_speculation(&mut self) {}
-}
-
-/// How [`run_epochs`] executes the shards of each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// All shards advance on the calling thread, in shard order.
-    #[default]
-    Sequential,
-    /// A persistent worker pool, one worker per shard, rendezvousing at
-    /// atomic epoch barriers (see the module docs). Produces bit-identical
-    /// results to [`ExecMode::Sequential`].
-    Parallel,
 }
 
 /// Whether the epoch planner may gamble past the fixed grid.
@@ -327,7 +315,7 @@ pub const SPEC_PENALTY_CAP: Cycle = 64;
 /// (machine-wide load — router-staged traffic plus pending queue events —
 /// drive-wide commit/rollback counts, mean epoch length), so any tuning
 /// produces a gamble schedule that is identical
-/// across shard counts and execution modes — the knobs trade wasted
+/// across shard counts and worker counts — the knobs trade wasted
 /// speculative work against depth, never determinism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecTuning {
@@ -367,9 +355,9 @@ impl Default for SpecTuning {
 
 /// The deterministic speculation throttle. One per drive — global, not
 /// per-shard — so the speculation schedule is a pure function of the
-/// simulation and identical across shard counts and execution modes
+/// simulation and identical across shard counts and worker counts
 /// (invariant 7): every observable [`SpecPacer::decide`] consumes is
-/// globally merged state both drivers agree on at every planning round.
+/// globally merged state, the same for every partition.
 #[derive(Debug, Default)]
 struct SpecPacer {
     tuning: SpecTuning,
@@ -440,7 +428,7 @@ impl SpecPacer {
 
 /// Summary of a completed [`run_epochs`] drive.
 ///
-/// Every field is invariant across shard counts and execution modes: the
+/// Every field is invariant across shard counts and worker counts: the
 /// planner reads only globally merged state. `routed_events` and `aborted`
 /// are invariant across lookahead modes too; the epoch-shape statistics
 /// naturally differ between [`LookaheadMode::Fixed`] and
@@ -451,9 +439,9 @@ pub struct EpochOutcome {
     /// Epochs actually executed (empty epochs are skipped, not counted).
     pub epochs: u64,
     /// Epochs whose close required a cross-shard exchange (some shard
-    /// emitted traffic). Mode-invariant: an epoch's emissions are part of
-    /// the bit-identical schedule, so sequential and parallel runs count the
-    /// same epochs. `epochs - exchanges` barriers ran exchange-free.
+    /// emitted traffic). Worker-count-invariant: an epoch's emissions are
+    /// part of the bit-identical schedule, so every layout counts the same
+    /// epochs. `epochs - exchanges` barriers ran exchange-free.
     pub exchanges: u64,
     /// Cross-shard events routed through the barriers.
     pub routed_events: u64,
@@ -672,12 +660,11 @@ enum Round {
     Spec(Window),
 }
 
-/// The epoch planner both executors share. It owns the router, the
-/// speculation pacer and the accumulating [`EpochOutcome`], and makes every
-/// schedule decision exactly once: fast-forward and abort, the gamble and
-/// its verdict, and the epoch and exchange accounting. The executors only
-/// move events and advance shards, so the two cannot disagree on the
-/// schedule (invariant 7).
+/// The epoch planner. It owns the router, the speculation pacer and the
+/// accumulating [`EpochOutcome`], and makes every schedule decision exactly
+/// once: fast-forward and abort, the gamble and its verdict, and the epoch
+/// and exchange accounting. The executor only moves events and advances
+/// shards, so no worker count can change the schedule (invariant 7).
 struct Planner<M> {
     router: Router<M>,
     pacer: SpecPacer,
@@ -695,16 +682,11 @@ struct Planner<M> {
 }
 
 impl<M> Planner<M> {
-    /// Plans the next round from every shard's earliest pending event.
-    /// `load` (the summed [`ShardSim::pending_len`]) is called only under
-    /// [`LookaheadMode::Speculative`], and the held-arrival scan runs only
-    /// once the pacer approves a gamble. A refused round thus costs what a
-    /// fixed-lookahead one does.
-    fn plan(
-        &mut self,
-        next_events: impl Iterator<Item = Option<Cycle>>,
-        load: impl FnOnce() -> u64,
-    ) -> Round {
+    /// Plans the next round from every block's [`Summary`]. The pending
+    /// counts are summed only under [`LookaheadMode::Speculative`], and the
+    /// held-arrival scan runs only once the pacer approves a gamble. A
+    /// refused round thus costs what a fixed-lookahead one does.
+    fn plan(&mut self, blocks: &[Summary]) -> Round {
         if let Some(done) = self.current.take() {
             self.outcome
                 .note_epoch(done.start, done.planned, done.horizon);
@@ -712,6 +694,7 @@ impl<M> Planner<M> {
                 self.outcome.exchanges += 1;
             }
         }
+        let next_events = blocks.iter().map(|b| b.next_event);
         let Some((start, planned)) =
             next_epoch(next_events, self.router.earliest_from(0), self.epoch)
         else {
@@ -724,7 +707,7 @@ impl<M> Planner<M> {
         let horizon = match self.lookahead {
             LookaheadMode::Fixed => planned,
             LookaheadMode::Speculative => {
-                let load = self.router.staged_count + load();
+                let load = self.router.staged_count + blocks.iter().map(|b| b.pending).sum::<u64>();
                 // A refused gamble (pacer cooldown, or no room past the
                 // planned slot) runs on the fixed grid.
                 let decision = self.pacer.decide(load, &self.outcome, self.epoch);
@@ -746,14 +729,6 @@ impl<M> Planner<M> {
             return Round::Spec(window);
         }
         Round::Run(window)
-    }
-
-    /// [`Planner::plan`] read straight off the shards: every round of the
-    /// sequential executor and the first round of the parallel one.
-    fn plan_shards<S: ShardSim<Msg = M>>(&mut self, shards: &[S]) -> Round {
-        self.plan(shards.iter().map(|s| s.next_event_time()), || {
-            shards.iter().map(|s| s.pending_len()).sum()
-        })
     }
 
     /// Moves the arrivals for shard `shard` due before `planned` into
@@ -825,7 +800,10 @@ impl<M> Planner<M> {
 /// `shard_of` maps a global entity index (the `target` of
 /// [`Outbox::send`]) to the index of the shard that owns it. `epoch` must
 /// not exceed the model's minimum cross-shard latency (debug-asserted while
-/// routing) and must be non-zero.
+/// routing) and must be non-zero. `workers` is the number of threads that
+/// advance the shards, clamped to `1..=shards.len()`; one worker runs
+/// everything on the calling thread. Every worker count executes the same
+/// schedule (see the module docs).
 ///
 /// Empty stretches of simulated time are skipped: the driver fast-forwards
 /// to the epoch-grid slot containing the earliest pending event, so idle
@@ -838,13 +816,14 @@ impl<M> Planner<M> {
 ///
 /// # Panics
 ///
-/// Panics if `epoch` is zero or `shards` is empty.
+/// Panics if `epoch` is zero or `shards` is empty, and propagates a panic
+/// raised by any shard.
 pub fn run_epochs<S: ShardSim>(
     shards: &mut [S],
-    shard_of: &(dyn Fn(u32) -> usize + Sync),
+    shard_of: &dyn Fn(u32) -> usize,
     epoch: Cycle,
     max_cycles: Cycle,
-    mode: ExecMode,
+    workers: usize,
     lookahead: LookaheadMode,
     tuning: SpecTuning,
 ) -> EpochOutcome {
@@ -864,195 +843,318 @@ pub fn run_epochs<S: ShardSim>(
         limit: epoch_limit(max_cycles, epoch),
         lookahead,
     };
-    match mode {
-        ExecMode::Sequential => run_sequential(shards, shard_of, planner),
-        ExecMode::Parallel => run_parallel(shards, shard_of, planner),
+    let blocks = split_into_blocks(shards, workers.clamp(1, shards.len()));
+    let summaries = blocks.iter().map(|(_, mail)| mail.summary).collect();
+    let mut blocks = blocks.into_iter();
+    let (own, mail) = blocks.next().expect("at least one block");
+    let (helpers, mails): (Vec<_>, Vec<_>) = blocks.map(|(b, m)| (b, Mutex::new(m))).unzip();
+    let mut coordinator = Coordinator {
+        summaries,
+        planner,
+        shard_of,
+        own,
+        mail,
+        helpers: &mails,
+        barrier: None,
+    };
+    if helpers.is_empty() {
+        coordinator.drive();
+        return coordinator.planner.into_outcome();
     }
+    let barrier = Barrier {
+        generation: AtomicU64::new(0),
+        arrived: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        coordinator: std::thread::current(),
+        helpers: OnceLock::new(),
+    };
+    std::thread::scope(|scope| {
+        let barrier = &barrier;
+        let threads = helpers
+            .into_iter()
+            .zip(&mails)
+            .map(|(block, mail)| {
+                let spawned = scope.spawn(move || run_helper(block, mail, barrier));
+                spawned.thread().clone()
+            })
+            .collect();
+        barrier.helpers.get_or_init(|| threads);
+        let _stop = StopOnPanic(barrier);
+        coordinator.barrier = Some(barrier);
+        coordinator.drive();
+        // Finished, or a helper panicked: either way the helpers leave, and
+        // the scope join propagates any panic.
+        barrier.stop();
+    });
+    coordinator.planner.into_outcome()
 }
 
-fn run_sequential<S: ShardSim>(
+/// Splits `shards` into `workers` contiguous blocks, as even as possible
+/// and the larger ones last (block 0 also plans), each with its mail.
+fn split_into_blocks<S: ShardSim>(
     shards: &mut [S],
-    shard_of: &dyn Fn(u32) -> usize,
-    mut planner: Planner<S::Msg>,
-) -> EpochOutcome {
-    let mut outbox = Outbox::new();
-    let mut inbound: Vec<(Cycle, Stamp, S::Msg)> = Vec::new();
-    // Speculation state, allocated lazily on the first speculative round:
-    // one reusable checkpoint buffer and one held-aside outbox per shard.
-    let mut checkpoints: Vec<S::Checkpoint> = Vec::new();
-    let mut held: Vec<Outbox<S::Msg>> = Vec::new();
-    loop {
-        let (window, gamble) = match planner.plan_shards(shards) {
-            Round::Done | Round::Abort => return planner.into_outcome(),
-            Round::Run(window) => (window, false),
-            Round::Spec(window) => (window, true),
-        };
-        if gamble && checkpoints.is_empty() {
-            checkpoints = shards.iter().map(|_| S::Checkpoint::default()).collect();
-            held = shards.iter().map(|_| Outbox::new()).collect();
-        }
-        for (i, shard) in shards.iter_mut().enumerate() {
-            // A gamble delivers *before* its snapshot, so a restore rewinds
-            // to a state that already owns the round's arrivals.
-            planner.deliver(i, window.planned, &mut inbound);
-            for (at, _, msg) in inbound.drain(..) {
-                shard.accept(at, msg);
-            }
-            if gamble {
-                shard.snapshot(&mut checkpoints[i]);
-                shard.advance(window.horizon, &mut held[i]);
-            } else {
-                shard.advance(window.horizon, &mut outbox);
-                planner.absorb(&mut outbox.staged, shard_of, window.horizon);
-            }
-        }
-        if !gamble {
-            continue;
-        }
-        let earliest = held.iter().filter_map(Outbox::earliest_arrival).min();
-        match planner.resolve(earliest) {
-            None => {
-                for (shard, out) in shards.iter_mut().zip(&mut held) {
-                    shard.commit_speculation();
-                    planner.absorb(&mut out.staged, shard_of, window.horizon);
+    workers: usize,
+) -> Vec<(Block<'_, S>, Mail<S::Msg>)> {
+    let total = shards.len();
+    let mut rest = shards;
+    let mut first = 0;
+    (0..workers)
+        .map(|b| {
+            let (shards, tail) =
+                std::mem::take(&mut rest).split_at_mut((total - first) / (workers - b));
+            rest = tail;
+            let block = Block {
+                shards,
+                checkpoints: Vec::new(),
+                speculated: false,
+            };
+            let mail = Mail {
+                step: Step::Run(0),
+                first,
+                inbound: block.shards.iter().map(|_| Vec::new()).collect(),
+                outbox: Outbox::new(),
+                summary: block.summary(),
+            };
+            first += block.shards.len();
+            (block, mail)
+        })
+        .collect()
+}
+
+/// What every block does in one step of the drive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Deliver, then advance every shard to the horizon.
+    Run(Cycle),
+    /// Deliver, snapshot, then advance to the gambled horizon. The
+    /// emissions stay held in the block's outbox until the planner settles
+    /// the gamble.
+    Spec(Cycle),
+    /// The gamble rolled back: drop the held emissions, restore every
+    /// checkpoint and re-execute conservatively to the commit point.
+    Reexec(Cycle),
+}
+
+/// What the planner reads off a block after each step.
+#[derive(Debug, Clone, Copy, Default)]
+struct Summary {
+    /// Earliest pending event over the block's shards.
+    next_event: Option<Cycle>,
+    /// Summed [`ShardSim::pending_len`] over the block's shards.
+    pending: u64,
+}
+
+/// What the coordinator and a block exchange each step: the step and its
+/// due arrivals going in, the emissions and a [`Summary`] coming out.
+/// Block 0's mail is a plain local of the calling thread. A helper's sits in
+/// a `Mutex` that is never contended: the coordinator only locks it while
+/// the helper waits at the barrier.
+struct Mail<M> {
+    step: Step,
+    /// Index of the block's first shard in the whole partition.
+    first: usize,
+    /// Arrivals due this step, one buffer per shard of the block, in
+    /// canonical order; capacity is reused.
+    inbound: Vec<Vec<(Cycle, Stamp, M)>>,
+    /// The block's emissions from its last step, all its shards together.
+    outbox: Outbox<M>,
+    summary: Summary,
+}
+
+/// One worker's contiguous run of shards, with what the worker keeps to
+/// itself: one checkpoint per shard for gambles, and whether the last
+/// gamble is still unsettled.
+struct Block<'a, S: ShardSim> {
+    shards: &'a mut [S],
+    checkpoints: Vec<S::Checkpoint>,
+    speculated: bool,
+}
+
+impl<S: ShardSim> Block<'_, S> {
+    /// Executes `mail.step`. This is the only place shards advance.
+    fn run(&mut self, mail: &mut Mail<S::Msg>) {
+        match mail.step {
+            Step::Run(horizon) | Step::Spec(horizon) => {
+                let gamble = matches!(mail.step, Step::Spec(_));
+                self.settle();
+                if gamble && self.checkpoints.is_empty() {
+                    self.checkpoints = self
+                        .shards
+                        .iter()
+                        .map(|_| S::Checkpoint::default())
+                        .collect();
                 }
-            }
-            Some(commit) => {
-                for ((shard, out), checkpoint) in shards.iter_mut().zip(&mut held).zip(&checkpoints)
+                for (i, (shard, inbound)) in
+                    self.shards.iter_mut().zip(&mut mail.inbound).enumerate()
                 {
-                    out.staged.clear();
+                    // A gamble delivers *before* its snapshot, so a restore
+                    // rewinds to a state that already owns the arrivals.
+                    for (at, _, msg) in inbound.drain(..) {
+                        shard.accept(at, msg);
+                    }
+                    if gamble {
+                        shard.snapshot(&mut self.checkpoints[i]);
+                    }
+                    shard.advance(horizon, &mut mail.outbox);
+                }
+                self.speculated = gamble;
+            }
+            Step::Reexec(commit) => {
+                mail.outbox.staged.clear();
+                for (shard, checkpoint) in self.shards.iter_mut().zip(&self.checkpoints) {
                     shard.restore(checkpoint);
-                    shard.advance(commit, &mut outbox);
-                    planner.absorb(&mut outbox.staged, shard_of, commit);
+                    shard.advance(commit, &mut mail.outbox);
+                }
+                self.speculated = false;
+            }
+        }
+        mail.summary = self.summary();
+    }
+
+    /// Commits the last gamble if it is still unsettled. Any step but a
+    /// re-execution, and the end of the drive, means it validated clean.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.speculated) {
+            for shard in self.shards.iter_mut() {
+                shard.commit_speculation();
+            }
+        }
+    }
+
+    fn summary(&self) -> Summary {
+        Summary {
+            next_event: self.shards.iter().filter_map(S::next_event_time).min(),
+            pending: self.shards.iter().map(S::pending_len).sum(),
+        }
+    }
+}
+
+/// Applies `f` to every block's mail, block 0 first. Only the helpers'
+/// mails take a lock.
+fn for_each_mail<M>(
+    own: &mut Mail<M>,
+    helpers: &[Mutex<Mail<M>>],
+    mut f: impl FnMut(&mut Mail<M>),
+) {
+    f(own);
+    for mail in helpers {
+        f(&mut mail.lock().unwrap());
+    }
+}
+
+/// The calling thread's side of the drive. It owns the planner and block 0,
+/// and with more than one worker it releases and awaits the helpers.
+struct Coordinator<'a, S: ShardSim> {
+    planner: Planner<S::Msg>,
+    shard_of: &'a dyn Fn(u32) -> usize,
+    own: Block<'a, S>,
+    mail: Mail<S::Msg>,
+    helpers: &'a [Mutex<Mail<S::Msg>>],
+    /// `None` with one worker.
+    barrier: Option<&'a Barrier>,
+    /// Every block's summary after its last step, block 0 first.
+    summaries: Vec<Summary>,
+}
+
+impl<S: ShardSim> Coordinator<'_, S> {
+    fn drive(&mut self) {
+        loop {
+            let (window, gamble) = match self.planner.plan(&self.summaries) {
+                Round::Done | Round::Abort => break,
+                Round::Run(window) => (window, false),
+                Round::Spec(window) => (window, true),
+            };
+            let step = if gamble {
+                Step::Spec(window.horizon)
+            } else {
+                Step::Run(window.horizon)
+            };
+            let planner = &mut self.planner;
+            for_each_mail(&mut self.mail, self.helpers, |mail| {
+                for (i, inbound) in mail.inbound.iter_mut().enumerate() {
+                    planner.deliver(mail.first + i, window.planned, inbound);
+                }
+                mail.step = step;
+            });
+            if !self.step_all() {
+                return;
+            }
+            let mut floor = window.horizon;
+            if gamble {
+                let mut held = None;
+                for_each_mail(&mut self.mail, self.helpers, |mail| {
+                    held = held.into_iter().chain(mail.outbox.earliest_arrival()).min();
+                });
+                if let Some(commit) = self.planner.resolve(held) {
+                    for_each_mail(&mut self.mail, self.helpers, |mail| {
+                        mail.step = Step::Reexec(commit);
+                    });
+                    if !self.step_all() {
+                        return;
+                    }
+                    floor = commit;
                 }
             }
+            let (planner, shard_of) = (&mut self.planner, self.shard_of);
+            let mut summaries = self.summaries.iter_mut();
+            for_each_mail(&mut self.mail, self.helpers, |mail| {
+                planner.absorb(&mut mail.outbox.staged, shard_of, floor);
+                *summaries.next().expect("one summary per block") = mail.summary;
+            });
         }
+        self.own.settle();
+    }
+
+    /// Runs the posted step on every block: releases the helpers, runs
+    /// block 0 here, and waits for the helpers to arrive. Returns `false`
+    /// if a helper panicked instead.
+    fn step_all(&mut self) -> bool {
+        let Some(barrier) = self.barrier else {
+            self.own.run(&mut self.mail);
+            return true;
+        };
+        // No helper arrives again before the generation moves.
+        barrier.arrived.store(0, Ordering::Relaxed);
+        barrier.generation.fetch_add(1, Ordering::Release);
+        barrier.wake_helpers();
+        self.own.run(&mut self.mail);
+        barrier.wait(|| barrier.arrived.load(Ordering::Acquire) == barrier.helper_count())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parallel worker pool
-// ---------------------------------------------------------------------------
+/// How many times a waiting thread spins before it parks. Workers never
+/// outnumber the host's cores, so the thread waited on is running, usually
+/// on another core, and a short spin catches it without a syscall.
+const SPINS: u32 = 256;
 
-/// `next_event` sentinel for "shard has no pending events".
-const NO_EVENT: u64 = u64::MAX;
-
-/// Published plan states (`Shared::plan_state`).
-const PLAN_RUN: u64 = 0;
-/// The drive is over (drained or aborted); workers exit.
-const PLAN_STOP: u64 = 1;
-/// Speculative round: snapshot, then run to the published (optimistic)
-/// horizon with emissions held for validation.
-const PLAN_SPEC: u64 = 2;
-/// Rollback round: restore the checkpoint and re-execute conservatively to
-/// the published (validated) horizon.
-const PLAN_REEXEC: u64 = 3;
-
-/// The `(plan_state, plan_horizon)` pair that publishes `round`.
-fn publication(round: Round) -> (u64, Cycle) {
-    match round {
-        Round::Done | Round::Abort => (PLAN_STOP, 0),
-        Round::Run(window) => (PLAN_RUN, window.horizon),
-        Round::Spec(window) => (PLAN_SPEC, window.horizon),
-    }
-}
-
-/// Spins before a waiting worker parks. Zero when the host has a single
-/// core: there, every spin steals the quantum from the worker being waited
-/// on. On multi-core hosts a short spin window catches the common case
-/// (another core publishes within nanoseconds) without a syscall.
-fn spin_limit() -> u32 {
-    static LIMIT: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *LIMIT.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(cores) if cores.get() > 1 => 256,
-        _ => 0,
-    })
-}
-
-/// Per-worker communication slot. Workers write their own slot between
-/// barriers; the barrier's finisher reads and refills every slot while the
-/// other workers wait, so the mutexes are never contended.
-struct Slot<M> {
-    /// The shard's earliest pending event after its last epoch (`NO_EVENT`
-    /// when drained).
-    next_event: AtomicU64,
-    /// Events due in the epoch being published, in canonical order. Filled
-    /// by the finisher, drained by the owning worker; capacity is reused.
-    inbound: Mutex<Vec<(Cycle, Stamp, M)>>,
-    /// The shard's emissions from the epoch just executed. Swapped in by the
-    /// owning worker (only when non-empty — the exchange-skip fast path),
-    /// drained by the finisher; capacity is reused.
-    outbound: Mutex<Vec<Outbound<M>>>,
-    /// The worker's thread handle, registered before its first wait so any
-    /// finisher can unpark it.
-    thread: Mutex<Option<Thread>>,
-    /// Earliest arrival among the shard's emissions from the speculative
-    /// round just executed (`NO_EVENT` when it emitted nothing). The
-    /// finisher validates the round against the minimum over all slots.
-    spec_min: AtomicU64,
-    /// The shard's pending-event count after its last epoch
-    /// ([`ShardSim::pending_len`]) — the planner sums the slots into the
-    /// pacer's load observable. Only written under
-    /// [`LookaheadMode::Speculative`].
-    pending: AtomicU64,
-}
-
-/// State shared by the worker pool: the per-slot hand-off, the barrier, the
-/// published plan and the planner.
-struct Shared<M> {
-    slots: Vec<Slot<M>>,
-    /// Only a barrier's finisher locks the planner, while every other
-    /// worker waits, and it unlocks before publishing — so the lock is
-    /// never contended.
-    planner: Mutex<Planner<M>>,
-    /// Workers arrived at the current epoch's barrier. The worker that
-    /// brings it to `slots.len()` becomes the finisher.
-    arrived: AtomicUsize,
-    /// Barrier generation: bumped (release) once per published plan;
-    /// workers acquire it to observe the plan.
+/// The rendezvous between the coordinator and its helpers.
+struct Barrier {
+    /// Bumped (release) by the coordinator once per posted step.
     generation: AtomicU64,
-    /// Raised by any worker whose epoch emitted cross-shard traffic;
-    /// cleared by the finisher. Clear means the exchange can be skipped.
-    any_traffic: AtomicBool,
-    /// `PLAN_RUN`, `PLAN_STOP`, `PLAN_SPEC` or `PLAN_REEXEC`.
-    plan_state: AtomicU64,
-    /// Exclusive end of the published epoch.
-    plan_horizon: AtomicU64,
-    /// Raised by a panicking worker's drop guard so the others stop waiting
-    /// and the scope can propagate the panic.
-    poisoned: AtomicBool,
+    /// Helpers done with the current step; the last one wakes the
+    /// coordinator.
+    arrived: AtomicUsize,
+    /// Raised when the drive is over — finished, or a thread panicked.
+    stop: AtomicBool,
+    coordinator: Thread,
+    /// The helper threads, registered once they are spawned.
+    helpers: OnceLock<Vec<Thread>>,
 }
 
-impl<M> Shared<M> {
-    fn unpark_all(&self) {
-        for slot in &self.slots {
-            if let Some(thread) = &*slot.thread.lock().unwrap() {
-                thread.unpark();
-            }
-        }
-    }
-
-    /// Publishes a plan and releases every waiting worker.
-    fn publish(&self, state: u64, horizon: Cycle) {
-        self.plan_state.store(state, Ordering::Relaxed);
-        self.plan_horizon.store(horizon, Ordering::Relaxed);
-        self.generation.fetch_add(1, Ordering::Release);
-        self.unpark_all();
-    }
-
-    /// Waits until the generation moves past `seen` (or the pool is
-    /// poisoned), returning the new generation. Spins briefly (multi-core
-    /// hosts only), then parks; the unpark token set by [`Shared::publish`]
-    /// makes the handoff race-free, and the generous timeout turns any lost
-    /// wakeup into a stall instead of a deadlock.
-    fn wait_past(&self, seen: u64) -> u64 {
-        let mut spins = 0u32;
+impl Barrier {
+    /// Spins, then parks, until `done` holds (`true`) or the drive stops
+    /// (`false`). The unpark token makes the hand-off race-free, and the
+    /// timeout turns any lost wake-up into a stall instead of a deadlock.
+    fn wait(&self, done: impl Fn() -> bool) -> bool {
+        let mut spins = 0;
         loop {
-            let generation = self.generation.load(Ordering::Acquire);
-            if generation != seen || self.poisoned.load(Ordering::Relaxed) {
-                return generation;
+            if done() {
+                return true;
             }
-            if spins < spin_limit() {
+            if self.stop.load(Ordering::Acquire) {
+                return false;
+            }
+            if spins < SPINS {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
@@ -1060,205 +1162,51 @@ impl<M> Shared<M> {
             }
         }
     }
+
+    fn helper_count(&self) -> usize {
+        self.helpers.get().map_or(0, Vec::len)
+    }
+
+    fn wake_helpers(&self) {
+        for thread in self.helpers.get().into_iter().flatten() {
+            thread.unpark();
+        }
+    }
+
+    /// Ends the drive and wakes every thread to notice.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.coordinator.unpark();
+        self.wake_helpers();
+    }
 }
 
-/// Wakes the pool if its thread unwinds, so a worker panic propagates as a
-/// panic instead of deadlocking the barrier.
-struct PoisonOnPanic<'a, M>(&'a Shared<M>);
+/// Stops the drive if its thread unwinds, so a panic in any block (or in
+/// the planner) releases the other threads and propagates through the
+/// scope join instead of deadlocking it.
+struct StopOnPanic<'a>(&'a Barrier);
 
-impl<M> Drop for PoisonOnPanic<'_, M> {
+impl Drop for StopOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.poisoned.store(true, Ordering::Relaxed);
-            self.0.generation.fetch_add(1, Ordering::Release);
-            self.0.unpark_all();
+            self.0.stop();
         }
     }
 }
 
-/// Reads an atomic slot field, mapping the `NO_EVENT` sentinel to `None`.
-fn slot_time(at: &AtomicU64) -> Option<Cycle> {
-    let at = at.load(Ordering::Relaxed);
-    (at != NO_EVENT).then_some(at)
-}
-
-/// The barrier finisher: settles the round the workers just executed
-/// (published as `state` up to `horizon`), routes its emissions (only if
-/// any), plans the next round, hands out its due arrivals and publishes it.
-fn finish<M: Send>(
-    shared: &Shared<M>,
-    shard_of: &(dyn Fn(u32) -> usize + Sync),
-    state: u64,
-    horizon: Cycle,
-) {
-    // Reset the barrier before releasing anyone: released workers start
-    // arriving at the *next* barrier immediately.
-    shared.arrived.store(0, Ordering::Relaxed);
-    let slots = &shared.slots;
-    let mut planner = shared.planner.lock().unwrap();
-    if state == PLAN_SPEC {
-        let earliest = slots.iter().filter_map(|s| slot_time(&s.spec_min)).min();
-        if let Some(commit) = planner.resolve(earliest) {
-            // Discard the speculative emissions — the re-execution re-emits
-            // the surviving prefix itself — and reset the traffic flag so
-            // only re-executed emissions count.
-            shared.any_traffic.store(false, Ordering::Relaxed);
-            for slot in slots {
-                slot.outbound.lock().unwrap().clear();
-            }
-            drop(planner);
-            shared.publish(PLAN_REEXEC, commit);
-            return;
+/// A helper worker: runs its block once per posted step and arrives at the
+/// barrier, until the drive stops.
+fn run_helper<S: ShardSim>(mut block: Block<'_, S>, mail: &Mutex<Mail<S::Msg>>, barrier: &Barrier) {
+    let _stop = StopOnPanic(barrier);
+    let mut seen = 0;
+    while barrier.wait(|| barrier.generation.load(Ordering::Acquire) != seen) {
+        seen += 1;
+        block.run(&mut mail.lock().unwrap());
+        if barrier.arrived.fetch_add(1, Ordering::AcqRel) + 1 == barrier.helper_count() {
+            barrier.coordinator.unpark();
         }
     }
-    // The exchange-skip fast path: nothing emitted, nothing to absorb.
-    if shared.any_traffic.swap(false, Ordering::Relaxed) {
-        for slot in slots {
-            planner.absorb(&mut slot.outbound.lock().unwrap(), shard_of, horizon);
-        }
-    }
-    let round = planner.plan(slots.iter().map(|s| slot_time(&s.next_event)), || {
-        slots
-            .iter()
-            .map(|s| s.pending.load(Ordering::Relaxed))
-            .sum()
-    });
-    if let Round::Run(window) | Round::Spec(window) = round {
-        for (i, slot) in slots.iter().enumerate() {
-            planner.deliver(i, window.planned, &mut slot.inbound.lock().unwrap());
-        }
-    }
-    let (state, horizon) = publication(round);
-    drop(planner);
-    shared.publish(state, horizon);
-}
-
-/// One worker's run loop: wait for a plan, deliver the inbound, advance the
-/// shard, hand over emissions, arrive at the barrier (finishing it if last).
-///
-/// Speculative rounds split the normal body in two: `PLAN_SPEC` delivers
-/// the inbound, snapshots into the worker-local checkpoint and runs
-/// optimistically (emission minimum reported via `Slot::spec_min`);
-/// `PLAN_REEXEC` restores the checkpoint and re-runs conservatively. The
-/// checkpoint lives on the worker's stack — it is never shared.
-fn run_worker<S: ShardSim>(
-    shard: &mut S,
-    index: usize,
-    shared: &Shared<S::Msg>,
-    shard_of: &(dyn Fn(u32) -> usize + Sync),
-    lookahead: LookaheadMode,
-) {
-    let slot = &shared.slots[index];
-    *slot.thread.lock().unwrap() = Some(std::thread::current());
-    let _poison = PoisonOnPanic(shared);
-    let mut outbox = Outbox::new();
-    let mut checkpoint = S::Checkpoint::default();
-    let mut generation = 0u64;
-    // Whether the previous round speculated from this shard's checkpoint —
-    // resolved here, at the start of the next round, once the plan state
-    // reveals the verdict (re-execute = rolled back, anything else =
-    // committed).
-    let mut speculated = false;
-    loop {
-        generation = shared.wait_past(generation);
-        if shared.poisoned.load(Ordering::Relaxed) {
-            break;
-        }
-        let state = shared.plan_state.load(Ordering::Relaxed);
-        if state == PLAN_STOP {
-            break;
-        }
-        let horizon = shared.plan_horizon.load(Ordering::Relaxed);
-        if state != PLAN_REEXEC {
-            if speculated {
-                shard.commit_speculation();
-            }
-            // A rollback re-executes from the checkpoint: its due arrivals
-            // were already delivered before the snapshot was taken.
-            let mut inbound = slot.inbound.lock().unwrap();
-            for (at, _, msg) in inbound.drain(..) {
-                shard.accept(at, msg);
-            }
-        } else {
-            shard.restore(&checkpoint);
-        }
-        speculated = state == PLAN_SPEC;
-        if state == PLAN_SPEC {
-            shard.snapshot(&mut checkpoint);
-        }
-        shard.advance(horizon, &mut outbox);
-        if state == PLAN_SPEC {
-            let a_min = outbox.earliest_arrival().unwrap_or(NO_EVENT);
-            slot.spec_min.store(a_min, Ordering::Relaxed);
-        }
-        if !outbox.is_empty() {
-            shared.any_traffic.store(true, Ordering::Relaxed);
-            let mut outbound = slot.outbound.lock().unwrap();
-            debug_assert!(outbound.is_empty(), "previous epoch's emissions unrouted");
-            std::mem::swap(&mut *outbound, &mut outbox.staged);
-        }
-        slot.next_event.store(
-            shard.next_event_time().unwrap_or(NO_EVENT),
-            Ordering::Relaxed,
-        );
-        // Only the speculative planner reads the load slot (and
-        // `pending_len` is O(1), so this costs one store).
-        if lookahead == LookaheadMode::Speculative {
-            slot.pending.store(shard.pending_len(), Ordering::Relaxed);
-        }
-        // The release half of this increment publishes everything the worker
-        // wrote above; the finisher's acquire half (reading the last value of
-        // the release sequence) observes all of it.
-        let arrived = shared.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == shared.slots.len() {
-            finish(shared, shard_of, state, horizon);
-        }
-    }
-}
-
-fn run_parallel<S: ShardSim>(
-    shards: &mut [S],
-    shard_of: &(dyn Fn(u32) -> usize + Sync),
-    mut planner: Planner<S::Msg>,
-) -> EpochOutcome {
-    let lookahead = planner.lookahead;
-    // Round one is planned on the calling thread, before any worker exists;
-    // the barrier finishers plan every later round.
-    let round = planner.plan_shards(shards);
-    let (state, horizon) = publication(round);
-    if state == PLAN_STOP {
-        return planner.into_outcome();
-    }
-    let shared = Shared {
-        slots: shards
-            .iter()
-            .map(|_| Slot {
-                next_event: AtomicU64::new(NO_EVENT),
-                inbound: Mutex::new(Vec::new()),
-                outbound: Mutex::new(Vec::new()),
-                thread: Mutex::new(None),
-                spec_min: AtomicU64::new(NO_EVENT),
-                pending: AtomicU64::new(0),
-            })
-            .collect(),
-        planner: Mutex::new(planner),
-        arrived: AtomicUsize::new(0),
-        // The initial plan is published before any worker starts waiting.
-        generation: AtomicU64::new(1),
-        any_traffic: AtomicBool::new(false),
-        plan_state: AtomicU64::new(state),
-        plan_horizon: AtomicU64::new(horizon),
-        poisoned: AtomicBool::new(false),
-    };
-    std::thread::scope(|scope| {
-        for (index, shard) in shards.iter_mut().enumerate() {
-            let shared = &shared;
-            scope.spawn(move || run_worker(shard, index, shared, shard_of, lookahead));
-        }
-        // The scope join is the only wait: the pool drives itself to
-        // completion (or to a propagating panic).
-    });
-    shared.planner.into_inner().unwrap().into_outcome()
+    block.settle();
 }
 
 #[cfg(test)]
@@ -1444,7 +1392,7 @@ mod tests {
         shard_count: u32,
         hops: u64,
         local_work: u64,
-        mode: ExecMode,
+        workers: usize,
         lookahead: LookaheadMode,
     ) -> (Vec<u64>, EpochOutcome) {
         run_ring_until(
@@ -1453,7 +1401,7 @@ mod tests {
             hops,
             local_work,
             Cycle::MAX,
-            mode,
+            workers,
             lookahead,
         )
     }
@@ -1464,7 +1412,7 @@ mod tests {
         hops: u64,
         local_work: u64,
         max_cycles: Cycle,
-        mode: ExecMode,
+        workers: usize,
         lookahead: LookaheadMode,
     ) -> (Vec<u64>, EpochOutcome) {
         let mut shards = Vec::new();
@@ -1485,7 +1433,7 @@ mod tests {
             &shard_of,
             LATENCY,
             max_cycles,
-            mode,
+            workers,
             lookahead,
             SpecTuning::default(),
         );
@@ -1496,13 +1444,21 @@ mod tests {
         (sums, outcome)
     }
 
-    fn run_ring(
-        total: u32,
-        shard_count: u32,
-        hops: u64,
-        mode: ExecMode,
-    ) -> (Vec<u64>, EpochOutcome) {
-        run_ring_with(total, shard_count, hops, 0, mode, LookaheadMode::Fixed)
+    fn run_ring(total: u32, shard_count: u32, hops: u64) -> (Vec<u64>, EpochOutcome) {
+        run_ring_with(total, shard_count, hops, 0, 1, LookaheadMode::Fixed)
+    }
+
+    /// The worker counts each multi-worker check runs for `shards` shards:
+    /// one, two, three and one per shard, so that uneven blocks (3 shards
+    /// on 2 workers, 4 on 3) are covered.
+    fn worker_counts(shards: u32) -> Vec<usize> {
+        let shards = shards as usize;
+        let mut counts: Vec<usize> = [1, 2, 3, shards]
+            .into_iter()
+            .filter(|&w| w <= shards)
+            .collect();
+        counts.dedup();
+        counts
     }
 
     #[test]
@@ -1512,17 +1468,18 @@ mod tests {
         // must match the single-shard run of the same lookahead mode: the
         // planner reads only globally merged state.
         for (total, hops, local_work) in [(12, 40, 0), (6, 4, 30)] {
-            let run = |shards, mode, lookahead| {
-                run_ring_with(total, shards, hops, local_work, mode, lookahead)
+            let run = |shards, workers, lookahead| {
+                run_ring_with(total, shards, hops, local_work, workers, lookahead)
             };
-            let (reference, _) = run(1, ExecMode::Sequential, LookaheadMode::Fixed);
+            let (reference, _) = run(1, 1, LookaheadMode::Fixed);
             for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
-                let (_, outcome) = run(1, ExecMode::Sequential, lookahead);
+                let (_, outcome) = run(1, 1, lookahead);
                 for shard_count in [1, 2, 3, 4] {
-                    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                        let (sums, other) = run(shard_count, mode, lookahead);
-                        let case =
-                            format!("{total}-ring, {shard_count} shards {mode:?} ({lookahead})");
+                    for workers in worker_counts(shard_count) {
+                        let (sums, other) = run(shard_count, workers, lookahead);
+                        let case = format!(
+                            "{total}-ring, {shard_count} shards on {workers} workers ({lookahead})"
+                        );
                         assert_eq!(sums, reference, "{case} diverged");
                         assert_eq!(other, outcome, "{case} changed the epoch outcome");
                     }
@@ -1533,7 +1490,7 @@ mod tests {
 
     #[test]
     fn drive_terminates_and_counts_epochs() {
-        let (_, outcome) = run_ring(4, 2, 5, ExecMode::Sequential);
+        let (_, outcome) = run_ring(4, 2, 5);
         assert!(!outcome.aborted);
         assert!(outcome.epochs > 0);
         assert!(outcome.routed_events > 0);
@@ -1549,18 +1506,14 @@ mod tests {
         // epochs (covered below), which would defeat the "many epochs, few
         // exchanges" shape this test needs.
         let fixed = LookaheadMode::Fixed;
-        let (reference, seq) = run_ring_with(6, 1, 4, 30, ExecMode::Sequential, fixed);
+        let (reference, seq) = run_ring_with(6, 1, 4, 30, 1, fixed);
         for shard_count in [2, 3] {
-            let (sums, outcome) = run_ring_with(6, shard_count, 4, 30, ExecMode::Sequential, fixed);
-            assert_eq!(sums, reference, "{shard_count} sequential shards diverged");
-            assert_eq!(outcome, seq, "sequential outcome changed with sharding");
-            let (sums, outcome) = run_ring_with(6, shard_count, 4, 30, ExecMode::Parallel, fixed);
-            assert_eq!(sums, reference, "{shard_count} parallel shards diverged");
-            assert_eq!(
-                outcome.exchanges, seq.exchanges,
-                "exchange count must be mode-invariant"
-            );
-            assert_eq!(outcome.epochs, seq.epochs);
+            for workers in worker_counts(shard_count) {
+                let (sums, outcome) = run_ring_with(6, shard_count, 4, 30, workers, fixed);
+                let case = format!("{shard_count} shards on {workers} workers");
+                assert_eq!(sums, reference, "{case} diverged");
+                assert_eq!(outcome, seq, "{case} changed the exchange count");
+            }
         }
         assert!(
             seq.exchanges * 4 < seq.epochs,
@@ -1575,16 +1528,8 @@ mod tests {
         // The grinding ring is speculation's best case: long emission-free
         // stretches mean most gambles validate cleanly and each commit
         // swallows up to SPEC_DEPTH grid slots.
-        let (reference, fixed) =
-            run_ring_with(6, 1, 4, 30, ExecMode::Sequential, LookaheadMode::Fixed);
-        let (sums, spec) = run_ring_with(
-            6,
-            1,
-            4,
-            30,
-            ExecMode::Sequential,
-            LookaheadMode::Speculative,
-        );
+        let (reference, fixed) = run_ring_with(6, 1, 4, 30, 1, LookaheadMode::Fixed);
+        let (sums, spec) = run_ring_with(6, 1, 4, 30, 1, LookaheadMode::Speculative);
         assert_eq!(sums, reference, "speculation changed simulated results");
         assert_eq!(spec.routed_events, fixed.routed_events);
         assert!(spec.spec_commits > 0, "quiet ring should commit gambles");
@@ -1597,15 +1542,8 @@ mod tests {
         // The dense ring is the adversarial case: every slot carries a hop,
         // so gambles keep colliding with arrivals and roll back. Results
         // still must not move — that is the whole point.
-        let (dense_ref, _) = run_ring(12, 1, 40, ExecMode::Sequential);
-        let (dense_sums, dense) = run_ring_with(
-            12,
-            1,
-            40,
-            0,
-            ExecMode::Sequential,
-            LookaheadMode::Speculative,
-        );
+        let (dense_ref, _) = run_ring(12, 1, 40);
+        let (dense_sums, dense) = run_ring_with(12, 1, 40, 0, 1, LookaheadMode::Speculative);
         assert_eq!(dense_sums, dense_ref, "rollback changed simulated results");
         assert!(dense.spec_rollbacks > 0, "dense ring should roll back");
     }
@@ -1615,31 +1553,17 @@ mod tests {
         // Every speculation decision (gamble horizon, validation minimum,
         // pacer cooldown) is a function of global state only, so the whole
         // commit/rollback schedule — not just the results — must be
-        // identical for any sharding and either driver.
+        // identical for any sharding and any worker count.
         for (total, hops, local_work) in [(6, 4, 30), (12, 40, 0)] {
-            let (reference, outcome) = run_ring_with(
-                total,
-                1,
-                hops,
-                local_work,
-                ExecMode::Sequential,
-                LookaheadMode::Speculative,
-            );
+            let spec = LookaheadMode::Speculative;
+            let (reference, outcome) = run_ring_with(total, 1, hops, local_work, 1, spec);
             for shard_count in [2, 3] {
-                for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                    let (sums, other) = run_ring_with(
-                        total,
-                        shard_count,
-                        hops,
-                        local_work,
-                        mode,
-                        LookaheadMode::Speculative,
-                    );
-                    assert_eq!(sums, reference, "{shard_count} shards {mode:?} diverged");
-                    assert_eq!(
-                        other, outcome,
-                        "speculation schedule changed with {shard_count} shards {mode:?}"
-                    );
+                for workers in worker_counts(shard_count) {
+                    let (sums, other) =
+                        run_ring_with(total, shard_count, hops, local_work, workers, spec);
+                    let case = format!("{shard_count} shards on {workers} workers");
+                    assert_eq!(sums, reference, "{case} diverged");
+                    assert_eq!(other, outcome, "speculation schedule changed with {case}");
                 }
             }
         }
@@ -1651,15 +1575,8 @@ mod tests {
         // 30-link grind chains). A planner change that moves any of these
         // numbers is observable in RESULTS.md — it must fail here first, not
         // surface as a silent benchmark drift.
-        let (_, fixed) = run_ring_with(6, 2, 4, 30, ExecMode::Sequential, LookaheadMode::Fixed);
-        let (_, spec) = run_ring_with(
-            6,
-            2,
-            4,
-            30,
-            ExecMode::Sequential,
-            LookaheadMode::Speculative,
-        );
+        let (_, fixed) = run_ring_with(6, 2, 4, 30, 1, LookaheadMode::Fixed);
+        let (_, spec) = run_ring_with(6, 2, 4, 30, 1, LookaheadMode::Speculative);
         for (name, outcome) in [("fixed", &fixed), ("spec", &spec)] {
             assert_eq!(
                 outcome.routed_events, 24,
@@ -1697,7 +1614,7 @@ mod tests {
     fn cycle_limit_aborts_with_pending_work() {
         // An endless dense ring, and the quiet grinding ring cut mid-run so
         // the abort lands inside a gamble's clip.
-        // Both drivers must record the very same abort, and every lookahead
+        // Every layout must record the very same abort, and every lookahead
         // mode must process the same event set before it.
         for (total, hops, local_work, max_cycles) in [(4, u64::MAX, 0, 100), (6, 4, 30, 725)] {
             let (reference, _) = run_ring_until(
@@ -1706,14 +1623,16 @@ mod tests {
                 hops,
                 local_work,
                 max_cycles,
-                ExecMode::Sequential,
+                1,
                 LookaheadMode::Fixed,
             );
             for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
-                let run =
-                    |mode| run_ring_until(total, 2, hops, local_work, max_cycles, mode, lookahead);
-                let (sums, seq) = run(ExecMode::Sequential);
-                let (par_sums, par) = run(ExecMode::Parallel);
+                let run = |shards, workers| {
+                    run_ring_until(
+                        total, shards, hops, local_work, max_cycles, workers, lookahead,
+                    )
+                };
+                let (_, seq) = run(2, 1);
                 assert!(
                     seq.aborted,
                     "{lookahead}: the ring must hit the cycle limit"
@@ -1721,12 +1640,15 @@ mod tests {
                 // Gambles are clamped to the first epoch past
                 // the limit, so aborts land on the same boundary either way.
                 assert!(seq.last_horizon <= max_cycles + LATENCY, "{lookahead}");
-                assert_eq!(sums, reference, "{lookahead}: aborted at a different point");
-                assert_eq!(par_sums, reference, "{lookahead}: parallel diverged");
-                assert_eq!(
-                    par, seq,
-                    "{lookahead}: the drivers recorded different aborts"
-                );
+                for shard_count in [2, 3, 4] {
+                    for workers in worker_counts(shard_count) {
+                        let (sums, outcome) = run(shard_count, workers);
+                        let case =
+                            format!("{lookahead}, {shard_count} shards on {workers} workers");
+                        assert_eq!(sums, reference, "{case}: aborted at a different point");
+                        assert_eq!(outcome, seq, "{case}: recorded a different abort");
+                    }
+                }
             }
         }
     }
@@ -1734,22 +1656,27 @@ mod tests {
     #[test]
     fn empty_shards_finish_immediately() {
         for lookahead in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let mut shards = vec![RingShard::new(0, 2, 4, 0, 0), RingShard::new(2, 2, 4, 0, 0)];
-                for shard in &mut shards {
-                    shard.events.clear();
+            for shard_count in [2, 3, 4] {
+                for workers in worker_counts(shard_count) {
+                    let mut shards: Vec<RingShard> = (0..shard_count)
+                        .map(|s| RingShard::new(s, 1, shard_count, 0, 0))
+                        .collect();
+                    for shard in &mut shards {
+                        shard.events.clear();
+                    }
+                    let shard_of = |node: u32| node as usize;
+                    let outcome = run_epochs(
+                        &mut shards,
+                        &shard_of,
+                        LATENCY,
+                        Cycle::MAX,
+                        workers,
+                        lookahead,
+                        SpecTuning::default(),
+                    );
+                    let case = format!("{shard_count} shards on {workers} workers, {lookahead}");
+                    assert_eq!(outcome, EpochOutcome::default(), "{case}");
                 }
-                let shard_of = |node: u32| usize::from(node >= 2);
-                let outcome = run_epochs(
-                    &mut shards,
-                    &shard_of,
-                    LATENCY,
-                    Cycle::MAX,
-                    mode,
-                    lookahead,
-                    SpecTuning::default(),
-                );
-                assert_eq!(outcome, EpochOutcome::default(), "{mode:?} {lookahead}");
             }
         }
     }
@@ -1773,19 +1700,23 @@ mod tests {
                 Some(1)
             }
         }
-        let result = std::panic::catch_unwind(|| {
-            let mut shards = vec![Bomb { armed: true }, Bomb { armed: false }];
-            let shard_of = |_node: u32| 0usize;
-            run_epochs(
-                &mut shards,
-                &shard_of,
-                LATENCY,
-                100,
-                ExecMode::Parallel,
-                LookaheadMode::Fixed,
-                SpecTuning::default(),
-            )
-        });
-        assert!(result.is_err(), "the worker panic must propagate");
+        // Three shards on two workers split 1 + 2: shard 0 is block 0, run
+        // by the calling thread; shards 1 and 2 belong to the helper.
+        for armed in [0, 2] {
+            let result = std::panic::catch_unwind(|| {
+                let mut shards: Vec<Bomb> = (0..3).map(|s| Bomb { armed: s == armed }).collect();
+                let shard_of = |_node: u32| 0usize;
+                run_epochs(
+                    &mut shards,
+                    &shard_of,
+                    LATENCY,
+                    100,
+                    2,
+                    LookaheadMode::Fixed,
+                    SpecTuning::default(),
+                )
+            });
+            assert!(result.is_err(), "the panic in shard {armed} must propagate");
+        }
     }
 }

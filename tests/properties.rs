@@ -274,7 +274,7 @@ fn det_rng_is_deterministic_and_bounded() {
 /// The speculative line pins the PR 9 observable-driven pacer (commit
 /// ratio, staged-plus-pending load, mean epoch length): any change to its
 /// decision function moves this exact gamble/commit/rollback/depth
-/// sequence, in both drivers, and fails loudly here.
+/// sequence, on any worker count, and fails loudly here.
 #[test]
 fn lookahead_epoch_schedules_are_pinned() {
     use cni::core::machine::{EpochOutcome, LookaheadMode, Machine, MachineConfig, ShardPolicy};

@@ -131,22 +131,20 @@ fn large_machine_shards_bit_identically() {
     }
 }
 
-/// `ShardPolicy::Auto` resolves shard count and execution mode from the
-/// host shape deterministically: single-core hosts stay sequential (and
-/// only shard big machines, for locality), multi-core hosts go as wide as
-/// the cores and the 16-node-per-shard floor allow, and everything clamps
-/// at the node count.
+/// `ShardPolicy::Auto` resolves the shard count from the host shape
+/// deterministically: single-core hosts stay on one shard, multi-core
+/// hosts go as wide as the cores and the 16-node-per-shard floor allow,
+/// and everything clamps at the node count.
 #[test]
 fn auto_policy_resolution_covers_host_shapes() {
     let auto = ShardPolicy::Auto;
     // (nodes, cores) -> shard count.
     let expectations = [
-        // One core: sequential sharding only pays off from 256 nodes up.
+        // One core: one shard, whatever the machine size.
         (16, 1, 1),
         (64, 1, 1),
-        (255, 1, 1),
-        (256, 1, 4),
-        (1024, 1, 4),
+        (256, 1, 1),
+        (1024, 1, 1),
         // Many cores: one shard per core, floored at 16 nodes per shard.
         (16, 8, 1),
         (32, 2, 2),
@@ -157,7 +155,7 @@ fn auto_policy_resolution_covers_host_shapes() {
         // Clamping at the node count and degenerate core counts.
         (2, 64, 1),
         (1, 1, 1),
-        (512, 0, 4),
+        (512, 0, 1),
     ];
     for (nodes, cores, want) in expectations {
         assert_eq!(
@@ -166,20 +164,16 @@ fn auto_policy_resolution_covers_host_shapes() {
             "Auto at {nodes} nodes / {cores} cores"
         );
     }
-    // Auto decides parallelism from the cores, not from the config flag.
-    assert!(auto.resolve_parallel_for(64, 4, false));
-    assert!(!auto.resolve_parallel_for(64, 1, true));
-    // One shard: never parallel.
-    assert!(!auto.resolve_parallel_for(16, 8, true));
     // The host-reading entry points agree with the pure ones.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(auto.resolve(100), auto.resolve_for(100, cores));
     let cfg = MachineConfig::isca96(100, NiKind::Cni512Q).with_shards(ShardPolicy::Auto);
     assert_eq!(cfg.shard_count(), auto.resolve_for(100, cores));
-    assert_eq!(
-        cfg.exec_parallel(),
-        auto.resolve_parallel_for(100, cores, false)
-    );
+    // Auto picks only the shard count: the `parallel` flag decides whether
+    // more than the calling thread runs them, at most one per core.
+    assert_eq!(cfg.workers(), 1);
+    let parallel = cfg.with_parallel(true);
+    assert_eq!(parallel.workers(), parallel.shard_count().min(cores));
 }
 
 /// Randomized property: with the exchange-skipping barrier, every

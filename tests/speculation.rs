@@ -7,8 +7,8 @@
 //! `tests/sharding.rs` uses) *and* the [`report_digest`] fingerprint the
 //! scaling harness pins in `SCALING_ref.txt`, across three runs — the
 //! fixed-grid single-shard reference, a fixed-grid N-shard run and
-//! speculative runs on both epoch drivers (sequential and the persistent
-//! worker pool). If a rollback ever restored less than the full pre-gamble
+//! speculative runs on one worker and on the parallel pool (one worker per
+//! shard, up to the host's cores). If a rollback ever restored less than the full pre-gamble
 //! state, or a commit ever differed from the conservative re-execution it
 //! replaced, the digests diverge.
 //!
@@ -89,7 +89,7 @@ struct Case {
     faults: Option<FaultConfig>,
     /// Randomized pacer observable thresholds: every case exercises a
     /// different refuse/deepen/give-up regime, and the schedule must still
-    /// be identical across both drivers.
+    /// be identical on one worker and on the parallel pool.
     tuning: SpecTuning,
 }
 
