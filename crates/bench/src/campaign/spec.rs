@@ -16,12 +16,16 @@
 //! result as a canonical JSON string — the exact bytes that are cached on
 //! disk and compared across executor modes.
 
-use cni_core::digest::{fnv64_of_str, Fnv64};
-use cni_core::machine::{LookaheadMode, MachineConfig, ShardPolicy, SpeculationConfig};
+use cni_core::digest::Fnv64;
+use cni_core::machine::{
+    LookaheadMode, MachineConfig, ShardPolicy, SpeculationConfig, DELIVERY_RETRY_INTERVAL,
+    RECV_BATCH,
+};
 use cni_core::micro::{round_trip_latency, stream_bandwidth, BandwidthParams, LatencyParams};
-use cni_mem::system::DeviceLocation;
+use cni_mem::system::{DeviceLocation, PROC_CACHE_BYTES};
 use cni_mem::timing::TimingConfig;
 use cni_net::faults::FaultConfig;
+use cni_net::window::DEFAULT_WINDOW;
 use cni_nic::cq_model::CqOptimizations;
 use cni_nic::taxonomy::{NiKind, QueueHome, QueuePointers};
 use cni_sim::stats::{LatencyHistogram, Merge};
@@ -187,9 +191,10 @@ pub fn location_token(location: DeviceLocation) -> &'static str {
 }
 
 /// Fingerprint of everything a spec implies but does not spell out: the
-/// full default machine configuration (which covers the Table 2 cost model
-/// plus window size, cache capacity, receive batch, retry interval and
-/// cycle limit), the default CQ optimisations and each tier's workload
+/// default machine configuration (cycle limit and the other defaults the
+/// cells inherit), the machine constants it no longer carries (the Table 2
+/// cost model, window size, processor cache capacity, receive batch and
+/// retry interval), the default CQ optimisations and each tier's workload
 /// parameters. Mixed into every digest so a change to the model or the
 /// inputs orphans stale cache entries instead of serving them. (The
 /// simulator's *code* is deliberately not covered — after a
@@ -208,6 +213,10 @@ fn schema_fingerprint() -> u64 {
         // between runs.
         hasher.write_str(&format!("{:?}", MachineConfig::isca96(2, NiKind::Ni2w)));
         hasher.write_str(&format!("{:?}", TimingConfig::isca96()));
+        for constant in [DEFAULT_WINDOW, PROC_CACHE_BYTES, RECV_BATCH] {
+            hasher.write_u64(constant as u64);
+        }
+        hasher.write_u64(DELIVERY_RETRY_INTERVAL);
         hasher.write_str(&format!("{:?}", CqOptimizations::default()));
         for tier in ParamsTier::ALL {
             hasher.write_str(&format!("{:?}", tier.params()));
@@ -578,15 +587,6 @@ impl ExperimentSpec {
             ExperimentSpec::Taxonomy => "taxonomy".to_owned(),
         }
     }
-}
-
-/// Digest of an arbitrary string under the campaign schema — used by tests
-/// and by `RESULTS.md` provenance lines.
-pub fn campaign_text_digest(text: &str) -> u64 {
-    let mut hasher = Fnv64::new();
-    hasher.write_u64(fnv64_of_str(SPEC_SCHEMA));
-    hasher.write_str(text);
-    hasher.finish()
 }
 
 #[cfg(test)]

@@ -128,7 +128,8 @@ impl CampaignCli {
         }
     }
 
-    /// The workload filter, defaulting to all five macrobenchmarks.
+    /// The workload filter, defaulting to every registered workload
+    /// ([`Workload::ALL`]).
     pub fn workloads_or_all(&self) -> Vec<Workload> {
         if self.workloads.is_empty() {
             Workload::ALL.to_vec()

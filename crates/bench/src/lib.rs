@@ -255,7 +255,7 @@ mod tests {
         // gauss exercises the block-transfer advantage (2 KB broadcasts) that
         // separates the CNIs from NI2w even at tiny input sizes; the
         // fine-grain benchmarks need larger inputs before the gap opens up
-        // (see EXPERIMENTS.md).
+        // (see the scaled-tier Figure 8 tables in RESULTS.md).
         let params = WorkloadParams::tiny();
         let cycles = |ni| run_workload(Workload::Gauss, &MachineConfig::isca96(4, ni), &params);
         let baseline = cycles(NiKind::Ni2w);

@@ -166,12 +166,6 @@ impl<T> CqSender<T> {
         self.shadow_refreshes
     }
 
-    /// Whether the queue appears full *without* re-reading the consumer's
-    /// head pointer.
-    pub fn looks_full(&self) -> bool {
-        self.tail - self.shadow_head >= self.ring.slots.len() as u64
-    }
-
     /// Attempts to enqueue `value`.
     ///
     /// # Errors

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cni_mem::system::DeviceLocation;
+use cni_mem::system::{DeviceLocation, PROC_CACHE_BYTES};
 use cni_mem::timing::TimingConfig;
 use cni_net::faults::FaultConfig;
 use cni_nic::cq_model::CqOptimizations;
@@ -93,6 +93,13 @@ impl SpeculationConfig {
 }
 
 /// Configuration of a simulated parallel machine (§4.1).
+///
+/// Only what callers vary is a field. The rest of the paper's machine is
+/// fixed: the Table 2 cost model ([`TimingConfig::isca96`]), the
+/// four-message window ([`cni_net::window::DEFAULT_WINDOW`]), the 256 KB
+/// processor cache ([`PROC_CACHE_BYTES`]), the receive batch
+/// ([`super::RECV_BATCH`]) and the delivery retry interval
+/// ([`super::DELIVERY_RETRY_INTERVAL`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Number of nodes (the paper simulates 16).
@@ -101,21 +108,10 @@ pub struct MachineConfig {
     pub ni_kind: NiKind,
     /// Which bus the NI sits on.
     pub device_location: DeviceLocation,
-    /// Bus/coherence cost model (Table 2).
-    pub timing: TimingConfig,
     /// Whether the processor cache snarfs device writebacks (§5.1.2).
     pub snarfing: bool,
     /// Cachable-queue optimisations (all on for the paper's configuration).
     pub cq_opts: CqOptimizations,
-    /// Sliding-window size per destination (4 in the paper).
-    pub window: usize,
-    /// Processor cache capacity in bytes (256 KB in the paper).
-    pub proc_cache_bytes: usize,
-    /// Maximum messages the processor drains from the NI per scheduling step.
-    pub recv_batch: usize,
-    /// Cycles between retries when the receiving NI refuses a delivery
-    /// (models messages backing up into the network).
-    pub delivery_retry_interval: Cycle,
     /// Hard stop for the simulation (guards against livelock in buggy
     /// workloads).
     pub max_cycles: Cycle,
@@ -153,13 +149,8 @@ impl MachineConfig {
             nodes,
             ni_kind,
             device_location: DeviceLocation::MemoryBus,
-            timing: TimingConfig::isca96(),
             snarfing: false,
             cq_opts: CqOptimizations::default(),
-            window: 4,
-            proc_cache_bytes: 256 * 1024,
-            recv_batch: 8,
-            delivery_retry_interval: 64,
             max_cycles: 2_000_000_000,
             shards: ShardPolicy::default(),
             parallel: false,
@@ -224,12 +215,6 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy with a different cost model.
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// Returns a copy using the given shard policy (simulator-performance
     /// knob; simulated results are bit-identical for every policy).
     pub fn with_shards(mut self, policy: ShardPolicy) -> Self {
@@ -288,14 +273,14 @@ impl MachineConfig {
     /// configuration.
     pub fn node_mem_config(&self) -> cni_mem::system::NodeMemConfig {
         cni_mem::system::NodeMemConfig {
-            proc_cache_bytes: self.proc_cache_bytes,
+            proc_cache_bytes: PROC_CACHE_BYTES,
             device_cache_blocks: if self.device_location == DeviceLocation::CacheBus {
                 None
             } else {
                 self.ni_kind.spec().device_cache_blocks
             },
             device_location: self.device_location,
-            timing: self.timing,
+            timing: TimingConfig::isca96(),
             snarfing: self.snarfing,
         }
     }
@@ -307,12 +292,17 @@ mod tests {
 
     #[test]
     fn default_machine_matches_the_paper() {
+        use crate::machine::{DELIVERY_RETRY_INTERVAL, RECV_BATCH};
         let cfg = MachineConfig::isca96(16, NiKind::Cni16Qm);
         assert_eq!(cfg.nodes, 16);
-        assert_eq!(cfg.window, 4);
-        assert_eq!(cfg.proc_cache_bytes, 256 * 1024);
         assert_eq!(cfg.device_location, DeviceLocation::MemoryBus);
         assert!(!cfg.snarfing);
+        assert_eq!(cni_net::window::DEFAULT_WINDOW, 4);
+        assert_eq!(PROC_CACHE_BYTES, 256 * 1024);
+        assert_eq!(cfg.node_mem_config().proc_cache_bytes, PROC_CACHE_BYTES);
+        assert_eq!(TimingConfig::isca96().network_latency, 100);
+        assert_eq!(RECV_BATCH, 8);
+        assert_eq!(DELIVERY_RETRY_INTERVAL, 64);
     }
 
     #[test]

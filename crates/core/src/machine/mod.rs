@@ -9,17 +9,17 @@
 //! * `ProcStep` events run a node's processor: drain the NI receive queue,
 //!   dispatch reassembled messages to the program, push buffered outgoing
 //!   fragments into the NI, and fall back to the program's idle hook.
-//! * `NetArrival` events deliver network messages to the destination NI
+//! * `Net` events carrying a data message deliver it to the destination NI
 //!   and generate acknowledgements for the sender's sliding window. A
 //!   refused delivery waits in the network and is retried every
-//!   [`MachineConfig::delivery_retry_interval`] cycles, modelling
+//!   [`DELIVERY_RETRY_INTERVAL`] cycles, modelling
 //!   backpressure: by a `DeliveryRetry` event per attempt when the refusal
 //!   did device work, or — when it was pure, so every attempt fails alike
 //!   until the processor receives — parked in the node, with only the
 //!   attempts that can succeed actually run (`WakeParked`; see the
 //!   "Receive backpressure" section of `ARCHITECTURE.md`).
-//! * `AckArrival` events release window credits and trigger further
-//!   injections.
+//! * `Net` events carrying an acknowledgement release window credits and
+//!   trigger further injections.
 //!
 //! Idle nodes do not spin in the event queue: they are woken by the next
 //! arrival, and the bus occupancy their uncached status polling would have
@@ -85,6 +85,7 @@ mod parked;
 pub mod program;
 mod shard;
 
+use cni_mem::timing::TimingConfig;
 use cni_net::fabric::{Fabric, FabricStats};
 use cni_sim::sharded::run_epochs;
 use cni_sim::stats::Merge;
@@ -94,7 +95,9 @@ pub use cni_sim::sharded::{EpochOutcome, LookaheadMode, SpecTuning};
 pub use config::{MachineConfig, ShardPolicy, SpeculationConfig};
 pub use node::{NodeCore, NodeStats, ReliableState};
 pub use program::{IdleProgram, ProcCtx, Program};
-pub use shard::{CheckpointStats, DispatchStats, ShardCheckpoint};
+pub use shard::{
+    CheckpointStats, DispatchStats, ShardCheckpoint, DELIVERY_RETRY_INTERVAL, RECV_BATCH,
+};
 
 use shard::MachineShard;
 
@@ -169,19 +172,6 @@ impl RunReport {
         }
         out
     }
-
-    /// Average memory-bus utilisation across nodes over the run.
-    pub fn memory_bus_utilization(&self) -> f64 {
-        if self.cycles == 0 || self.memory_bus_busy_per_node.is_empty() {
-            return 0.0;
-        }
-        let per_node: f64 = self
-            .memory_bus_busy_per_node
-            .iter()
-            .map(|&b| b as f64 / self.cycles as f64)
-            .sum();
-        per_node / self.memory_bus_busy_per_node.len() as f64
-    }
 }
 
 /// A simulated parallel machine.
@@ -210,11 +200,11 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the number of programs differs from the number of nodes, if
-    /// the configured network latency is zero (the epoch execution model
-    /// needs at least one cycle of lookahead), or if the delivery retry
-    /// interval is zero (a refused delivery would retry in the same cycle
-    /// forever).
+    /// Panics if the number of programs differs from the number of nodes.
+    /// (The network latency and [`DELIVERY_RETRY_INTERVAL`] are checked at
+    /// compile time: the epoch execution model needs at least one cycle of
+    /// lookahead, and a refused delivery retried in the same cycle would
+    /// retry forever.)
     pub fn new(cfg: MachineConfig, mut programs: Vec<Box<dyn Program>>) -> Self {
         assert_eq!(
             programs.len(),
@@ -223,16 +213,8 @@ impl Machine {
             cfg.nodes,
             programs.len()
         );
-        assert!(
-            cfg.timing.network_latency >= 1,
-            "the sharded machine needs a network latency of at least one cycle of lookahead"
-        );
-        assert!(
-            cfg.delivery_retry_interval >= 1,
-            "a refused delivery needs a retry interval of at least one cycle"
-        );
         let shard_count = cfg.shard_count();
-        let shared_fabric = Fabric::new(cfg.timing.network_latency);
+        let shared_fabric = Fabric::new(TimingConfig::isca96().network_latency);
         let mut shards = Vec::with_capacity(shard_count);
         let mut bounds = Vec::with_capacity(shard_count);
         // Contiguous, balanced partition: shard s owns [s*N/S, (s+1)*N/S).
@@ -333,7 +315,7 @@ impl Machine {
         for shard in &mut self.shards {
             shard.prime();
         }
-        let epoch = self.cfg.timing.network_latency;
+        let epoch = TimingConfig::isca96().network_latency;
         let bounds = self.bounds.clone();
         let shard_of = move |node: u32| bounds.partition_point(|&b| b <= node as usize) - 1;
         // `run_epochs` clamps the workers to the shard partition fixed at
@@ -383,7 +365,7 @@ impl Machine {
             // before aborting, so anchoring on the grid keeps aborted reports
             // bit-identical across lookahead modes instead of leaking the
             // gambled horizon.
-            let epoch = self.cfg.timing.network_latency;
+            let epoch = TimingConfig::isca96().network_latency;
             let cut = match self.outcome.as_ref() {
                 Some(o) if o.epochs > 0 => {
                     let last = self
@@ -588,14 +570,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "retry interval")]
-    fn zero_delivery_retry_interval_is_rejected() {
-        let mut cfg = MachineConfig::isca96(2, NiKind::Ni2w);
-        cfg.delivery_retry_interval = 0;
-        let _ = Machine::new(cfg, pitch_catch_programs(1, 2));
-    }
-
-    #[test]
     fn local_sends_complete_without_network_traffic() {
         #[derive(Clone)]
         struct LocalTalker {
@@ -628,13 +602,6 @@ mod tests {
         assert!(report.completed);
         assert_eq!(report.fabric.messages, 0);
         assert_eq!(report.node_stats[0].local_messages, 1);
-    }
-
-    #[test]
-    fn report_utilization_is_bounded() {
-        let (_, report) = run_pitch_catch(NiKind::Ni2w, 10);
-        let u = report.memory_bus_utilization();
-        assert!((0.0..=1.0).contains(&u), "utilisation {u} out of range");
     }
 
     #[test]

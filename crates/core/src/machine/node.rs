@@ -280,7 +280,7 @@ impl NodeCore {
             num_nodes: cfg.nodes,
             mem: NodeMemSystem::new(cfg.node_mem_config()),
             ni: build_ni(cfg),
-            window: SlidingWindow::new(cfg.window),
+            window: SlidingWindow::isca96(),
             tx_tokens: FragArena::new(),
             rx_tokens: FragArena::new(),
             assembler: Assembler::new(),

@@ -4,9 +4,9 @@
 //! When a device refuses an arriving message with
 //! [`DeliverOutcome::Blocked`](cni_nic::device::DeliverOutcome::Blocked) the
 //! network holds the message and retries it every
-//! [`delivery_retry_interval`](super::MachineConfig::delivery_retry_interval)
-//! cycles, exactly as it does for a polled refusal. But a blocked refusal
-//! changes nothing, and every further attempt fails the same way until the
+//! [`DELIVERY_RETRY_INTERVAL`](super::DELIVERY_RETRY_INTERVAL) cycles,
+//! exactly as it does for a polled refusal. But a blocked refusal changes
+//! nothing, and every further attempt fails the same way until the
 //! processor receives from the device — so dispatching those attempts is
 //! pure overhead. The shard instead *parks* the delivery here, in its
 //! node's state, and only executes the attempts whose outcome can differ:

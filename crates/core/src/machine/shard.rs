@@ -4,14 +4,15 @@
 //! The event handlers here are the machine model proper — processor steps,
 //! NI deliveries, acknowledgements, delivery retries. They are identical in
 //! spirit to the original monolithic `Machine::run` handlers, with one
-//! structural difference: network-bound traffic (`NetArrival`, `AckArrival`)
-//! is never scheduled directly. It is emitted into the epoch driver's
-//! [`Outbox`] stamped with `(origin node, per-node sequence)` and delivered
-//! at the boundary of the epoch in which it arrives — even when source and
-//! destination share a shard. See [`crate::machine`]'s module docs for why
-//! this uniform routing is what makes results independent of the shard
-//! count.
+//! structural difference: network-bound traffic ([`NetEvent`]: data
+//! messages and acknowledgements) is never scheduled directly. It is
+//! emitted into the epoch driver's [`Outbox`] stamped with `(origin node,
+//! per-node sequence)` and delivered at the boundary of the epoch in which
+//! it arrives — even when source and destination share a shard. See
+//! [`crate::machine`]'s module docs for why this uniform routing is what
+//! makes results independent of the shard count.
 
+use cni_mem::timing::TimingConfig;
 use cni_net::fabric::{Fabric, FabricStats};
 use cni_net::faults::{FaultDecision, FaultPlan};
 use cni_net::message::NodeId;
@@ -28,11 +29,28 @@ use super::config::MachineConfig;
 use super::node::{NodeCore, PendingTx};
 use super::program::{IdleProgram, ProcCtx, Program};
 
+/// Maximum fragments the processor drains from the NI, and reassembled
+/// messages it hands to its program, per scheduling step.
+pub const RECV_BATCH: usize = 8;
+
+/// Cycles between attempts when the receiving NI refuses a delivery: the
+/// message backs up into the network and is offered again this much later.
+pub const DELIVERY_RETRY_INTERVAL: Cycle = 64;
+
+const _: () = assert!(
+    DELIVERY_RETRY_INTERVAL >= 1,
+    "a refused delivery needs a retry interval of at least one cycle"
+);
+const _: () = assert!(
+    TimingConfig::isca96().network_latency >= 1,
+    "the sharded machine needs a network latency of at least one cycle of lookahead"
+);
+
 /// Wire-level metadata the fault layer and the reliable-delivery protocol
 /// attach to a network message. With fault injection disabled (the default)
-/// every message carries the inert default and the machine behaves exactly
-/// as it did before the protocol existed.
-#[derive(Debug, Clone, Copy, Default)]
+/// every message carries no sequence number and is never corrupted, and the
+/// machine behaves exactly as it did before the protocol existed.
+#[derive(Debug, Clone, Copy)]
 pub(super) struct WireMeta {
     /// The sender's per-destination sequence number (receive-side dedup and
     /// ack matching); `None` when the protocol is disabled.
@@ -44,28 +62,14 @@ pub(super) struct WireMeta {
 
 /// Events a shard schedules in its local queue. Node-local events
 /// (`ProcStep`, `DeliveryRetry`, `WakeParked`, `RetxTimer`) are scheduled
-/// directly;
-/// network-borne ones (`NetArrival`, `AckArrival`) only ever enter through
-/// the epoch router.
+/// directly; network-borne ones (`Net`) only ever enter through the epoch
+/// router.
 #[derive(Debug, Clone)]
 pub(super) enum Event {
     /// Run one scheduling step of a node's processor.
     ProcStep(NodeId),
-    /// A network message arrives at a node's NI.
-    NetArrival(NodeId, FragPayload, WireMeta),
-    /// An acknowledgement for a message sent from `src` to `dst` arrives
-    /// back at `src`.
-    AckArrival {
-        /// The original sender (where the ack arrives).
-        src: NodeId,
-        /// The destination that acknowledged.
-        dst: NodeId,
-        /// The acknowledged per-destination sequence number, when the
-        /// reliable-delivery protocol is active.
-        seq: Option<u64>,
-        /// Whether the fault layer corrupted the ack in flight.
-        corrupted: bool,
-    },
+    /// A network message — data or acknowledgement — arrives at its node.
+    Net(NetEvent),
     /// A delivery the device refused with a polled refusal is retried.
     DeliveryRetry(NodeId, FragPayload, WireMeta),
     /// A node's parked deliveries have an attempt due that must really run
@@ -78,19 +82,18 @@ pub(super) enum Event {
 }
 
 impl Event {
-    /// The one node this event's handler mutates — its named node
-    /// (`AckArrival` lands at the original sender). Handlers never touch
-    /// any other node's state: cross-node effects ride the outbox even
-    /// within a shard, which is exactly what makes one dirty bit per
-    /// dispatch a complete write-set.
+    /// The one node this event's handler mutates — its named node (an ack
+    /// lands at the original sender). Handlers never touch any other
+    /// node's state: cross-node effects ride the outbox even within a
+    /// shard, which is exactly what makes one dirty bit per dispatch a
+    /// complete write-set.
     fn node(&self) -> NodeId {
         match self {
             Event::ProcStep(id)
-            | Event::NetArrival(id, ..)
             | Event::DeliveryRetry(id, ..)
             | Event::WakeParked(id)
             | Event::RetxTimer(id) => *id,
-            Event::AckArrival { src, .. } => *src,
+            Event::Net(msg) => msg.node(),
         }
     }
 }
@@ -114,6 +117,26 @@ pub(super) enum NetEvent {
     },
 }
 
+impl NetEvent {
+    /// The node the message lands on: a data message's destination, an
+    /// ack's original sender.
+    fn node(&self) -> NodeId {
+        match self {
+            NetEvent::Arrival(frag, _) => frag.dst,
+            NetEvent::Ack { src, .. } => *src,
+        }
+    }
+
+    /// Marks the message as corrupted in flight; the receiver's CRC check
+    /// will discard it.
+    fn corrupt(&mut self) {
+        match self {
+            NetEvent::Arrival(_, meta) => meta.corrupted = true,
+            NetEvent::Ack { corrupted, .. } => *corrupted = true,
+        }
+    }
+}
+
 /// A contiguous slice of the machine, advancing independently within epochs.
 pub(super) struct MachineShard {
     /// Global index of the first node owned by this shard.
@@ -127,11 +150,6 @@ pub(super) struct MachineShard {
     /// Compiled fault plan; `None` (the default) disables fault injection
     /// and the reliable-delivery protocol entirely.
     faults: Option<FaultPlan>,
-    recv_batch: usize,
-    delivery_retry_interval: Cycle,
-    /// The epoch grid the driver delivers network events on: an arrival at
-    /// `at` is accepted at the boundary `at - at % epoch`.
-    epoch: Cycle,
     /// Deliveries parked across this shard's nodes — outstanding work the
     /// speculation pacer's load signal must see, as it saw their polled
     /// retries.
@@ -194,9 +212,6 @@ impl MachineShard {
             events: EventQueue::new(),
             fabric,
             faults: cfg.faults.enabled().then(|| FaultPlan::new(&cfg.faults)),
-            recv_batch: cfg.recv_batch,
-            delivery_retry_interval: cfg.delivery_retry_interval,
-            epoch: cfg.timing.network_latency,
             parked: 0,
             dirty,
             #[cfg(test)]
@@ -325,7 +340,7 @@ impl MachineShard {
         let mut did_work = false;
 
         // 1. Drain the NI receive queue (bounded per step).
-        for _ in 0..self.recv_batch {
+        for _ in 0..RECV_BATCH {
             let poll = node.ni.proc_poll(t, &mut node.mem);
             t = poll.done;
             if !poll.available {
@@ -346,7 +361,7 @@ impl MachineShard {
         }
 
         // 2. Dispatch reassembled messages to the program.
-        for _ in 0..self.recv_batch {
+        for _ in 0..RECV_BATCH {
             let Some(msg) = node.inbox.pop_front() else {
                 break;
             };
@@ -457,15 +472,18 @@ impl MachineShard {
                 let delivery = self
                     .fabric
                     .send(ready, src, dst, frag.payload_bytes, payload);
-                Self::emit_data(
+                let meta = WireMeta {
+                    tx_seq,
+                    corrupted: false,
+                };
+                Self::emit(
                     &self.faults,
                     &mut self.fabric,
                     node,
                     outbox,
                     ready,
                     delivery.arrives_at,
-                    delivery.message.payload,
-                    tx_seq,
+                    NetEvent::Arrival(delivery.message.payload, meta),
                 );
             }
             // Arm the retransmission timer for anything newly in flight.
@@ -491,34 +509,28 @@ impl MachineShard {
         }
     }
 
-    /// Stamps one outgoing data fragment and stages it in the outbox,
-    /// rolling its fate through the fault layer when one is configured.
-    /// Always consumes a `net_seq` per staged copy so fault verdicts stay a
-    /// pure function of the stamp and `(origin, seq)` never repeats.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_data(
+    /// Stamps one outgoing network message — data or acknowledgement —
+    /// and stages it in the outbox to arrive at `arrives_at`, rolling its
+    /// fate through the fault layer when one is configured. Always consumes
+    /// a `net_seq` per staged copy so fault verdicts stay a pure function of
+    /// the stamp and `(origin, seq)` never repeats.
+    fn emit(
         faults: &Option<FaultPlan>,
         fabric: &mut Fabric,
         node: &mut NodeCore,
         outbox: &mut Outbox<NetEvent>,
         sent_at: Cycle,
         arrives_at: Cycle,
-        frag: FragPayload,
-        tx_seq: Option<u64>,
+        mut msg: NetEvent,
     ) {
-        let target = frag.dst.index() as u32;
+        let target = msg.node().index() as u32;
         let stamp = Stamp {
             origin: node.id.index() as u32,
             seq: node.net_seq,
         };
         node.net_seq += 1;
         let Some(plan) = faults else {
-            outbox.send(
-                target,
-                arrives_at,
-                stamp,
-                NetEvent::Arrival(frag, WireMeta::default()),
-            );
+            outbox.send(target, arrives_at, stamp, msg);
             return;
         };
         // Traffic to or from a node inside an outage window dies in the
@@ -528,99 +540,27 @@ impl MachineShard {
             fabric.note_fault_drop();
             return;
         }
-        let meta = WireMeta {
-            tx_seq,
-            corrupted: false,
-        };
         match plan.decide(stamp.origin, stamp.seq) {
-            FaultDecision::Deliver => {
-                outbox.send(target, arrives_at, stamp, NetEvent::Arrival(frag, meta))
-            }
+            FaultDecision::Deliver => outbox.send(target, arrives_at, stamp, msg),
             FaultDecision::Drop => fabric.note_fault_drop(),
-            FaultDecision::Corrupt => outbox.send(
-                target,
-                arrives_at,
-                stamp,
-                NetEvent::Arrival(
-                    frag,
-                    WireMeta {
-                        corrupted: true,
-                        ..meta
-                    },
-                ),
-            ),
+            FaultDecision::Corrupt => {
+                msg.corrupt();
+                outbox.send(target, arrives_at, stamp, msg);
+            }
             FaultDecision::Duplicate => {
                 // The fabric materializes a second copy. It gets its own
                 // stamp — `(origin, seq)` must never repeat, the canonical
                 // merge order depends on that — but is not re-rolled (one
                 // fault per injection) and not re-counted as an injection.
-                outbox.send(
-                    target,
-                    arrives_at,
-                    stamp,
-                    NetEvent::Arrival(frag.clone(), meta),
-                );
+                outbox.send(target, arrives_at, stamp, msg.clone());
                 let copy = Stamp {
                     origin: stamp.origin,
                     seq: node.net_seq,
                 };
                 node.net_seq += 1;
-                outbox.send(target, arrives_at, copy, NetEvent::Arrival(frag, meta));
+                outbox.send(target, arrives_at, copy, msg);
             }
-            FaultDecision::Delay(k) => {
-                outbox.send(target, arrives_at + k, stamp, NetEvent::Arrival(frag, meta))
-            }
-        }
-    }
-
-    /// Emits the acknowledgement for a delivery accepted at `done`, routed
-    /// through the fault layer like any other network message.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_ack(
-        faults: &Option<FaultPlan>,
-        fabric: &mut Fabric,
-        node: &mut NodeCore,
-        outbox: &mut Outbox<NetEvent>,
-        done: Cycle,
-        src: NodeId,
-        dst: NodeId,
-        seq: Option<u64>,
-    ) {
-        let target = src.index() as u32;
-        let arrives_at = fabric.ack_arrival(done);
-        let stamp = Stamp {
-            origin: node.id.index() as u32,
-            seq: node.net_seq,
-        };
-        node.net_seq += 1;
-        let ack = |corrupted: bool| NetEvent::Ack {
-            src,
-            dst,
-            seq,
-            corrupted,
-        };
-        let Some(plan) = faults else {
-            outbox.send(target, arrives_at, stamp, ack(false));
-            return;
-        };
-        if plan.node_down(stamp.origin, done) || plan.node_down(target, arrives_at) {
-            fabric.note_fault_drop();
-            return;
-        }
-        match plan.decide(stamp.origin, stamp.seq) {
-            FaultDecision::Deliver => outbox.send(target, arrives_at, stamp, ack(false)),
-            FaultDecision::Drop => fabric.note_fault_drop(),
-            FaultDecision::Corrupt => outbox.send(target, arrives_at, stamp, ack(true)),
-            FaultDecision::Duplicate => {
-                outbox.send(target, arrives_at, stamp, ack(false));
-                let copy = Stamp {
-                    origin: stamp.origin,
-                    seq: node.net_seq,
-                };
-                node.net_seq += 1;
-                outbox.send(target, arrives_at, copy, ack(false));
-            }
-            FaultDecision::Delay(k) => outbox.send(target, arrives_at + k, stamp, ack(false)),
+            FaultDecision::Delay(k) => outbox.send(target, arrives_at + k, stamp, msg),
         }
     }
 
@@ -651,15 +591,21 @@ impl MachineShard {
                 .is_some_and(|rel| rel.seen[src.index()].contains(tx_seq));
             if duplicate {
                 self.fabric.note_dup_discard();
-                Self::emit_ack(
+                let arrives_at = self.fabric.ack_arrival(now);
+                let ack = NetEvent::Ack {
+                    src,
+                    dst: id,
+                    seq: Some(tx_seq),
+                    corrupted: false,
+                };
+                Self::emit(
                     &self.faults,
                     &mut self.fabric,
                     node,
                     outbox,
                     now,
-                    src,
-                    id,
-                    Some(tx_seq),
+                    arrives_at,
+                    ack,
                 );
                 return;
             }
@@ -695,16 +641,21 @@ impl MachineShard {
                 // Acknowledge back to the sender's sliding window. The ack is
                 // network traffic, so it takes the epoch router like any
                 // other cross-node event.
-                let node = &mut self.nodes[slot];
-                Self::emit_ack(
+                let arrives_at = self.fabric.ack_arrival(done);
+                let ack = NetEvent::Ack {
+                    src,
+                    dst: id,
+                    seq: meta.tx_seq,
+                    corrupted: false,
+                };
+                Self::emit(
                     &self.faults,
                     &mut self.fabric,
-                    node,
+                    &mut self.nodes[slot],
                     outbox,
                     done,
-                    src,
-                    id,
-                    meta.tx_seq,
+                    arrives_at,
+                    ack,
                 );
                 if let Some(at) = wake_at {
                     self.schedule_step(id, at);
@@ -715,12 +666,12 @@ impl MachineShard {
                 // delivery is retried. Node-local, so scheduled directly —
                 // or, behind a pure refusal, parked in the node at the
                 // position the retry event would take.
-                let at = now + self.delivery_retry_interval;
+                let at = now + DELIVERY_RETRY_INTERVAL;
                 if blocked {
                     let key = self.events.next_seq();
                     let parked = &mut self.nodes[slot].parked;
                     parked.blocked = true;
-                    parked.park(at, key, self.delivery_retry_interval, frag, meta);
+                    parked.park(at, key, DELIVERY_RETRY_INTERVAL, frag, meta);
                     self.parked += 1;
                     self.dispatch.parked += 1;
                 } else {
@@ -736,11 +687,10 @@ impl MachineShard {
     /// advance in place, attempts that must really execute are delivered
     /// here, in the order their polled retries would pop.
     fn run_parked(&mut self, slot: usize, now: Cycle, seq: u64, outbox: &mut Outbox<NetEvent>) {
-        let interval = self.delivery_retry_interval;
         loop {
             let cur = self.events.next_seq();
             let node = &mut self.nodes[slot];
-            let Some(parked) = node.parked.next_due(now, seq, cur, interval) else {
+            let Some(parked) = node.parked.next_due(now, seq, cur, DELIVERY_RETRY_INTERVAL) else {
                 return;
             };
             let id = node.id;
@@ -850,15 +800,18 @@ impl MachineShard {
                 frag.payload_bytes,
                 frag,
             );
-            Self::emit_data(
+            let meta = WireMeta {
+                tx_seq: Some(seq),
+                corrupted: false,
+            };
+            Self::emit(
                 &self.faults,
                 &mut self.fabric,
                 node,
                 outbox,
                 now,
                 delivery.arrives_at,
-                delivery.message.payload,
-                Some(seq),
+                NetEvent::Arrival(delivery.message.payload, meta),
             );
         }
         // Re-arm for the earliest remaining deadline.
@@ -890,9 +843,9 @@ impl MachineShard {
 pub struct DispatchStats {
     /// `ProcStep` events dispatched.
     pub proc_step: u64,
-    /// `NetArrival` events dispatched.
+    /// Network data messages dispatched at their destination.
     pub net_arrival: u64,
-    /// `AckArrival` events dispatched.
+    /// Acknowledgements dispatched at the original sender.
     pub ack_arrival: u64,
     /// `DeliveryRetry` events dispatched (polled refusals).
     pub delivery_retry: u64,
@@ -911,8 +864,8 @@ impl DispatchStats {
     fn count(&mut self, event: &Event) {
         let counter = match event {
             Event::ProcStep(_) => &mut self.proc_step,
-            Event::NetArrival(..) => &mut self.net_arrival,
-            Event::AckArrival { .. } => &mut self.ack_arrival,
+            Event::Net(NetEvent::Arrival(..)) => &mut self.net_arrival,
+            Event::Net(NetEvent::Ack { .. }) => &mut self.ack_arrival,
             Event::DeliveryRetry(..) => &mut self.delivery_retry,
             Event::WakeParked(_) => &mut self.wake_parked,
             Event::RetxTimer(_) => &mut self.retx_timer,
@@ -1112,46 +1065,21 @@ impl ShardSim for MachineShard {
         // The driver delivers at the epoch boundary: every parked attempt
         // before it happened before this event is scheduled (and none after
         // it), so advance them now, while their keys can still tell.
-        let node = match &msg {
-            NetEvent::Arrival(frag, _) => frag.dst,
-            NetEvent::Ack { src, .. } => *src,
-        };
-        let slot = self.slot(node);
+        let slot = self.slot(msg.node());
         if !self.nodes[slot].parked.is_empty() {
             self.mark_dirty(slot);
-            let boundary = at - at % self.epoch;
+            // The driver delivers on the one-latency epoch grid.
+            let boundary = at - at % TimingConfig::isca96().network_latency;
             let cur = self.events.next_seq();
-            let due =
-                self.nodes[slot]
-                    .parked
-                    .next_due(boundary, 0, cur, self.delivery_retry_interval);
+            let due = self.nodes[slot]
+                .parked
+                .next_due(boundary, 0, cur, DELIVERY_RETRY_INTERVAL);
             debug_assert!(
                 due.is_none(),
                 "parked attempts due before {boundary} were never woken"
             );
         }
-        match msg {
-            NetEvent::Arrival(frag, meta) => {
-                let dst = frag.dst;
-                self.events.schedule(at, Event::NetArrival(dst, frag, meta));
-            }
-            NetEvent::Ack {
-                src,
-                dst,
-                seq,
-                corrupted,
-            } => {
-                self.events.schedule(
-                    at,
-                    Event::AckArrival {
-                        src,
-                        dst,
-                        seq,
-                        corrupted,
-                    },
-                );
-            }
-        }
+        self.events.schedule(at, Event::Net(msg));
     }
 
     fn advance(&mut self, horizon: Cycle, outbox: &mut Outbox<NetEvent>) {
@@ -1162,13 +1090,15 @@ impl ShardSim for MachineShard {
             self.run_parked(slot, now, seq, outbox);
             match event {
                 Event::ProcStep(id) => self.proc_step(id, now, outbox),
-                Event::NetArrival(id, frag, meta) => self.deliver(id, frag, meta, now, outbox),
-                Event::AckArrival {
+                Event::Net(NetEvent::Arrival(frag, meta)) => {
+                    self.deliver(frag.dst, frag, meta, now, outbox)
+                }
+                Event::Net(NetEvent::Ack {
                     src,
                     dst,
                     seq,
                     corrupted,
-                } => self.handle_ack(src, dst, seq, corrupted, now, outbox),
+                }) => self.handle_ack(src, dst, seq, corrupted, now, outbox),
                 Event::DeliveryRetry(id, frag, meta) => self.deliver(id, frag, meta, now, outbox),
                 Event::WakeParked(_) => {
                     let parked = &mut self.nodes[slot].parked;

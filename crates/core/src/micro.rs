@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use cni_mem::timing::{BusKind, TimingConfig};
 use cni_net::message::NodeId;
-use cni_sim::stats::Histogram;
+use cni_sim::stats::LatencyHistogram;
 use cni_sim::time::{bytes_per_cycles_to_mbps, cycles_to_micros, Cycle};
 
 use crate::machine::{Machine, MachineConfig, ProcCtx, Program};
@@ -70,7 +70,7 @@ pub struct LatencyReport {
     /// Mean round-trip time in microseconds (the unit of Figure 6).
     pub round_trip_micros: f64,
     /// Distribution of the individual round trips.
-    pub samples: Histogram,
+    pub samples: LatencyHistogram,
 }
 
 /// The pinging side of the latency microbenchmark.
@@ -81,7 +81,7 @@ struct PingProgram {
     iterations: usize,
     completed: usize,
     outstanding_since: Option<Cycle>,
-    samples: Histogram,
+    samples: LatencyHistogram,
 }
 
 impl Program for PingProgram {
@@ -172,7 +172,7 @@ pub fn round_trip_latency(cfg: &MachineConfig, params: &LatencyParams) -> Latenc
                     iterations: params.iterations,
                     completed: 0,
                     outstanding_since: None,
-                    samples: Histogram::new(),
+                    samples: LatencyHistogram::new(),
                 }),
                 1 => Box::new(EchoProgram {
                     peer: NodeId(0),
@@ -199,11 +199,16 @@ pub fn round_trip_latency(cfg: &MachineConfig, params: &LatencyParams) -> Latenc
     let ping = machine
         .program_as::<PingProgram>(0)
         .expect("node 0 runs the ping program");
-    let mean = ping.samples.mean().unwrap_or(0.0);
+    let samples = ping.samples;
+    let mean = if samples.is_empty() {
+        0.0
+    } else {
+        samples.sum() as f64 / samples.count() as f64
+    };
     LatencyReport {
         round_trip_cycles: mean.round() as Cycle,
         round_trip_micros: cycles_to_micros(mean.round() as Cycle),
-        samples: ping.samples.clone(),
+        samples,
     }
 }
 
@@ -373,7 +378,7 @@ pub fn stream_bandwidth(cfg: &MachineConfig, params: &BandwidthParams) -> Bandwi
     let mbps = bytes_per_cycles_to_mbps(bytes, cycles);
     BandwidthReport {
         mbytes_per_sec: mbps,
-        relative: mbps / local_queue_max_bandwidth_mbps(&cfg.timing),
+        relative: mbps / local_queue_max_bandwidth_mbps(&TimingConfig::isca96()),
         bytes,
         cycles,
     }

@@ -47,11 +47,6 @@ impl AmMessage {
             data,
         }
     }
-
-    /// Number of network messages this user message fragments into.
-    pub fn fragment_count(&self) -> usize {
-        fragments_for_bytes(self.bytes)
-    }
 }
 
 /// One network message's worth of a user message.
@@ -420,38 +415,6 @@ impl OutgoingBuffer {
     }
 }
 
-/// A split-phase barrier helper.
-///
-/// Workloads enter the barrier and then keep polling; the machine's node 0
-/// coordinates arrival/release messages using reserved handler ids. The
-/// helper only tracks local state; the message exchange is done by the
-/// workload/machine using ordinary active messages.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierState {
-    /// Barriers this node has entered.
-    pub entered: u64,
-    /// Barriers this node has seen released.
-    pub released: u64,
-}
-
-impl BarrierState {
-    /// Enters the next barrier; returns its sequence number.
-    pub fn enter(&mut self) -> u64 {
-        self.entered += 1;
-        self.entered
-    }
-
-    /// Records a release.
-    pub fn release(&mut self) {
-        self.released += 1;
-    }
-
-    /// Whether the node is currently waiting inside a barrier.
-    pub fn waiting(&self) -> bool {
-        self.entered > self.released
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,15 +555,5 @@ mod tests {
         assert_eq!(buf.pop().unwrap().msg_id, 0);
         assert_eq!(buf.front().unwrap().msg_id, 1);
         assert_eq!(buf.high_water(), 5, "high water does not shrink");
-    }
-
-    #[test]
-    fn barrier_state_tracks_waiting() {
-        let mut b = BarrierState::default();
-        assert!(!b.waiting());
-        assert_eq!(b.enter(), 1);
-        assert!(b.waiting());
-        b.release();
-        assert!(!b.waiting());
     }
 }

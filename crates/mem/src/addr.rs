@@ -29,11 +29,6 @@ impl BlockAddr {
         BlockAddr(byte / CACHE_BLOCK_BYTES as u64)
     }
 
-    /// First byte address covered by this block.
-    pub fn first_byte(self) -> u64 {
-        self.0 * CACHE_BLOCK_BYTES as u64
-    }
-
     /// The `n`-th block after this one.
     pub fn offset(self, n: u64) -> Self {
         BlockAddr(self.0 + n)
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(BlockAddr::containing(0), BlockAddr(0));
         assert_eq!(BlockAddr::containing(63), BlockAddr(0));
         assert_eq!(BlockAddr::containing(64), BlockAddr(1));
-        assert_eq!(BlockAddr(3).first_byte(), 192);
         assert_eq!(BlockAddr(3).offset(2), BlockAddr(5));
     }
 

@@ -71,11 +71,6 @@ impl Bridge {
         self.stats
     }
 
-    /// Resets statistics.
-    pub fn reset(&mut self) {
-        self.stats = BridgeStats::default();
-    }
-
     /// Executes a bridged transaction.
     ///
     /// * `earliest` — earliest start time requested by the initiator.

@@ -115,12 +115,6 @@ impl Bus {
         BusGrant { start, end, wait }
     }
 
-    /// Reserves the bus without charging occupancy statistics (used by the
-    /// bridge to keep the two buses aligned during a bridged transaction).
-    pub fn reserve_until(&mut self, until: Cycle) {
-        self.free_at = self.free_at.max(until);
-    }
-
     /// Records occupancy that happened "in the background" without advancing
     /// the bus timeline — used to account for the bus cycles an idle,
     /// spin-polling processor burns on uncached status reads (§5.2's
@@ -157,13 +151,6 @@ impl Bus {
     /// Utilisation over `elapsed` total cycles.
     pub fn utilization(&self, elapsed: Cycle) -> f64 {
         self.occupancy.utilization(elapsed)
-    }
-
-    /// Clears statistics and the timeline (used between measurement phases).
-    pub fn reset(&mut self) {
-        self.free_at = 0;
-        self.occupancy.reset();
-        self.total_wait = 0;
     }
 }
 
@@ -212,25 +199,5 @@ mod tests {
         bus.occupy(0, 42, "c2c_from_device");
         assert_eq!(bus.occupancy().busy_for("uncached_load"), 56);
         assert_eq!(bus.occupancy().count_for("c2c_from_device"), 1);
-    }
-
-    #[test]
-    fn reserve_until_blocks_later_transactions() {
-        let mut bus = Bus::new(BusKind::MemoryBus);
-        bus.reserve_until(50);
-        let g = bus.occupy(0, 10, "x");
-        assert_eq!(g.start, 50);
-        // Reservations do not count as busy.
-        assert_eq!(bus.busy_cycles(), 10);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut bus = Bus::new(BusKind::MemoryBus);
-        bus.occupy(0, 10, "x");
-        bus.reset();
-        assert_eq!(bus.busy_cycles(), 0);
-        assert_eq!(bus.free_at(), 0);
-        assert_eq!(bus.transactions(), 0);
     }
 }

@@ -430,27 +430,6 @@ impl Cache {
         }
     }
 
-    /// Evicts `block` if present, returning the eviction record.
-    pub fn evict(&mut self, block: BlockAddr) -> Option<Eviction> {
-        let idx = self.set_index(block);
-        match &self.sets[idx] {
-            Some(line) if line.block == block && line.state.is_valid() => {
-                let ev = Eviction {
-                    block: line.block,
-                    state: line.state,
-                    home: line.home,
-                };
-                *self.set_mut(idx) = None;
-                self.counts.evictions += 1;
-                if ev.needs_writeback() {
-                    self.counts.writebacks += 1;
-                }
-                Some(ev)
-            }
-            _ => None,
-        }
-    }
-
     /// Number of valid lines currently resident.
     pub fn resident_blocks(&self) -> usize {
         self.sets
@@ -627,16 +606,6 @@ mod tests {
         assert!(!cache.snarf_fill(blk(22), BlockHome::Memory));
     }
 
-    #[test]
-    fn explicit_evict() {
-        let mut cache = Cache::new("t", 1024);
-        assert!(cache.evict(blk(8)).is_none());
-        cache.fill(blk(8), MoesiState::Modified, BlockHome::Memory);
-        let ev = cache.evict(blk(8)).unwrap();
-        assert!(ev.needs_writeback());
-        assert_eq!(cache.resident_blocks(), 0);
-    }
-
     /// The cache's state as a checkpoint sees it: everything but the
     /// write marks, which record divergence rather than state.
     fn assert_same_state(got: &Cache, want: &Cache, what: &str) {
@@ -659,7 +628,7 @@ mod tests {
             MoesiState::Shared,
             MoesiState::Invalid,
         ][rng.gen_index(5)];
-        match rng.gen_index(8) {
+        match rng.gen_index(7) {
             0 | 1 => {
                 let home = if rng.gen_bool(0.5) {
                     BlockHome::Memory
@@ -682,9 +651,6 @@ mod tests {
             }
             5 => {
                 cache.snoop_invalidate(block);
-            }
-            6 => {
-                cache.evict(block);
             }
             _ => {
                 if cache.classify_write(block) == AccessOutcome::UpgradeMiss {

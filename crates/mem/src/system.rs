@@ -50,10 +50,14 @@ impl std::fmt::Display for DeviceLocation {
     }
 }
 
+/// Processor cache capacity in bytes (256 KB, §4.1).
+pub const PROC_CACHE_BYTES: usize = 256 * 1024;
+
 /// Configuration of a node's memory system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeMemConfig {
-    /// Processor cache capacity in bytes (256 KB in the paper).
+    /// Processor cache capacity in bytes ([`PROC_CACHE_BYTES`] in the
+    /// paper's machine).
     pub proc_cache_bytes: usize,
     /// Device (CNI) cache capacity in 64-byte blocks; `None` for uncached NIs.
     pub device_cache_blocks: Option<usize>,
@@ -69,7 +73,7 @@ pub struct NodeMemConfig {
 impl Default for NodeMemConfig {
     fn default() -> Self {
         NodeMemConfig {
-            proc_cache_bytes: 256 * 1024,
+            proc_cache_bytes: PROC_CACHE_BYTES,
             device_cache_blocks: Some(16),
             device_location: DeviceLocation::MemoryBus,
             timing: TimingConfig::isca96(),
@@ -248,14 +252,6 @@ impl NodeMemSystem {
     /// Bridge statistics.
     pub fn bridge_stats(&self) -> BridgeStats {
         self.bridge.stats()
-    }
-
-    /// Resets bus, bridge and cache statistics and timelines (cache contents
-    /// are kept so warm-up state survives between measurement phases).
-    pub fn reset_interconnect_stats(&mut self) {
-        self.memory_bus.reset();
-        self.io_bus.reset();
-        self.bridge.reset();
     }
 
     /// Accounts for `idle_cycles` of processor spin-polling on an *uncached*
@@ -440,19 +436,6 @@ impl NodeMemSystem {
         }
     }
 
-    /// An explicit memory-barrier-like stall: the processor waits until all
-    /// its previously issued bus transactions are visible. In this
-    /// transaction-level model stores already complete in order, so the cost
-    /// is the time until the device-facing bus is quiescent.
-    pub fn proc_store_barrier(&mut self, now: Cycle) -> Cycle {
-        let bus_free = match self.cfg.device_location {
-            DeviceLocation::CacheBus => now,
-            DeviceLocation::MemoryBus => self.memory_bus.free_at(),
-            DeviceLocation::IoBus => self.io_bus.free_at().max(self.memory_bus.free_at()),
-        };
-        now.max(bus_free) + self.cfg.timing.cache_hit
-    }
-
     // ------------------------------------------------------------------
     // Device-side coherent accesses
     // ------------------------------------------------------------------
@@ -534,21 +517,6 @@ impl NodeMemSystem {
             return self.handle_device_eviction(done, eviction);
         }
         done
-    }
-
-    /// Explicitly flushes a (possibly dirty) device-cache block to its home.
-    /// Used by `CNI16Qm` when its small cache overflows to main memory.
-    ///
-    /// Returns the cycle at which the writeback completes (equal to `now` if
-    /// there was nothing to write back).
-    pub fn device_flush_block(&mut self, now: Cycle, block: BlockAddr) -> Cycle {
-        let Some(dev) = self.dev_cache.as_mut() else {
-            return now;
-        };
-        match dev.evict(block) {
-            Some(ev) if ev.needs_writeback() => self.writeback_from_device(now, ev.block, ev.home),
-            _ => now,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -925,26 +893,5 @@ mod tests {
         assert!(done >= 10 + 76);
         assert!(sys.io_bus().busy_cycles() >= 76);
         assert!(sys.memory_bus().busy_cycles() >= 42);
-    }
-
-    #[test]
-    fn store_barrier_waits_for_outstanding_transactions() {
-        let mut sys = memory_bus_system();
-        let visible = sys.proc_uncached_store(0);
-        assert_eq!(visible, 12);
-        // Barrier issued immediately after the store retires from the
-        // processor's point of view must wait for the bus transaction.
-        let done = sys.proc_store_barrier(1);
-        assert!(done >= visible);
-    }
-
-    #[test]
-    fn stats_reset_clears_bus_timelines() {
-        let mut sys = memory_bus_system();
-        sys.proc_uncached_load(0);
-        assert!(sys.memory_bus().busy_cycles() > 0);
-        sys.reset_interconnect_stats();
-        assert_eq!(sys.memory_bus().busy_cycles(), 0);
-        assert_eq!(sys.bridge_stats().crossings, 0);
     }
 }

@@ -97,7 +97,7 @@ impl Default for TimingConfig {
 
 impl TimingConfig {
     /// The parameters of the paper's evaluation (§4.1, Table 2).
-    pub fn isca96() -> Self {
+    pub const fn isca96() -> Self {
         TimingConfig {
             cache_hit: 1,
             uncached_load_cache_bus: 4,
@@ -115,32 +115,6 @@ impl TimingConfig {
             invalidate_io_bus: 32,
             bridge_nack_penalty: 16,
             network_latency: 100,
-        }
-    }
-
-    /// A faster, more aggressive system (used by sensitivity sweeps): halves
-    /// every bus occupancy except the cache hit and network latency,
-    /// approximating the "more aggressive system assumptions" discussion at
-    /// the end of §5.1.2.
-    pub fn aggressive() -> Self {
-        let base = Self::isca96();
-        TimingConfig {
-            cache_hit: base.cache_hit,
-            uncached_load_cache_bus: base.uncached_load_cache_bus / 2,
-            uncached_load_memory_bus: base.uncached_load_memory_bus / 2,
-            uncached_load_io_bus: base.uncached_load_io_bus / 2,
-            uncached_store_cache_bus: base.uncached_store_cache_bus / 2,
-            uncached_store_memory_bus: base.uncached_store_memory_bus / 2,
-            uncached_store_io_bus: base.uncached_store_io_bus / 2,
-            c2c_from_device_memory_bus: base.c2c_from_device_memory_bus / 2,
-            c2c_from_device_io_bus: base.c2c_from_device_io_bus / 2,
-            c2c_to_device_memory_bus: base.c2c_to_device_memory_bus / 2,
-            c2c_to_device_io_bus: base.c2c_to_device_io_bus / 2,
-            memory_transfer: base.memory_transfer / 2,
-            invalidate_memory_bus: base.invalidate_memory_bus / 2,
-            invalidate_io_bus: base.invalidate_io_bus / 2,
-            bridge_nack_penalty: base.bridge_nack_penalty / 2,
-            network_latency: base.network_latency,
         }
     }
 
@@ -237,15 +211,6 @@ mod tests {
         assert_eq!(t.c2c_to_device(BusKind::IoBus), 62);
         assert_eq!(t.memory_transfer, 42);
         assert_eq!(t.network_latency, 100);
-    }
-
-    #[test]
-    fn aggressive_halves_bus_occupancies_but_not_latency() {
-        let t = TimingConfig::aggressive();
-        assert_eq!(t.uncached_load(BusKind::MemoryBus), 14);
-        assert_eq!(t.c2c_from_device(BusKind::MemoryBus), 21);
-        assert_eq!(t.network_latency, 100);
-        assert_eq!(t.cache_hit, 1);
     }
 
     #[test]

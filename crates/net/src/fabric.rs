@@ -177,12 +177,6 @@ impl Fabric {
     pub fn note_timeout(&mut self) {
         self.stats.timeouts += 1;
     }
-
-    /// Resets statistics (the sequence counter keeps increasing so sequence
-    /// numbers stay unique across measurement phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = FabricStats::default();
-    }
 }
 
 impl Default for Fabric {
@@ -221,8 +215,6 @@ mod tests {
         assert_eq!(s.messages, 2);
         assert_eq!(s.wire_bytes, 512);
         assert_eq!(s.payload_bytes, 256);
-        f.reset_stats();
-        assert_eq!(f.stats().messages, 0);
     }
 
     #[test]

@@ -220,11 +220,6 @@ impl FaultPlan {
             .iter()
             .any(|w| w.node == node && w.from <= at && at < w.until)
     }
-
-    /// Whether any outage window exists at all (cheap pre-check).
-    pub fn has_outages(&self) -> bool {
-        !self.fail_windows.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +351,6 @@ mod tests {
         };
         assert!(!cfg.is_zero(), "outage windows alone enable the layer");
         let plan = FaultPlan::new(&cfg);
-        assert!(plan.has_outages());
         assert!(!plan.node_down(2, 99));
         assert!(plan.node_down(2, 100));
         assert!(plan.node_down(2, 199));

@@ -17,7 +17,7 @@ use cni_mem::addr::RegionAllocator;
 use cni_mem::system::NodeMemSystem;
 use cni_sim::time::Cycle;
 
-use crate::cq_model::{CqConfig, CqOptimizations, CqStats, DeviceToProcCq, ProcToDeviceCq};
+use crate::cq_model::{CqConfig, CqOptimizations, DeviceToProcCq, ProcToDeviceCq};
 use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
 use crate::frag::FragRef;
 use crate::taxonomy::{NiKind, QueueHome};
@@ -82,16 +82,6 @@ impl CniQDevice {
             send_cq: ProcToDeviceCq::new(send_cfg),
             recv_cq: DeviceToProcCq::new(recv_cfg),
         }
-    }
-
-    /// Statistics of the send-side queue.
-    pub fn send_stats(&self) -> CqStats {
-        self.send_cq.stats()
-    }
-
-    /// Statistics of the receive-side queue.
-    pub fn recv_stats(&self) -> CqStats {
-        self.recv_cq.stats()
     }
 
     /// The send queue's layout (exposed for tests).

@@ -245,16 +245,9 @@ impl ProcToDeviceCq {
         self.state.len() == 0
     }
 
-    /// Whether the producer believes there is room (using the shadow head;
-    /// no bus traffic). This can be stale: the real enqueue refreshes the
-    /// shadow pointer before giving up.
-    pub fn producer_sees_room(&self) -> bool {
-        self.state.tail - self.state.shadow_head < self.cfg.capacity_entries as u64
-    }
-
     /// Whether the queue actually has room for another entry right now
-    /// (simulator introspection — the timed protocol uses
-    /// [`ProcToDeviceCq::producer_sees_room`] plus the lazy refresh).
+    /// (simulator introspection — the timed protocol checks the producer's
+    /// possibly stale shadow head, refreshing it lazily before giving up).
     pub fn has_room(&self) -> bool {
         self.state.entries.len() < self.cfg.capacity_entries
     }

@@ -75,7 +75,7 @@ pub enum DeliverOutcome {
     /// The device's receive queue is full and the refusal itself did device
     /// work (a CQ re-reads the processor's head pointer over the bus on
     /// every attempt), so the network holds the message and polls: it
-    /// retries every `delivery_retry_interval` cycles, each attempt charged
+    /// retries every `DELIVERY_RETRY_INTERVAL` cycles, each attempt charged
     /// like the first.
     Refused,
     /// The device's receive queue is full and the refusal was *pure*: it

@@ -379,12 +379,6 @@ impl<E> EventQueue<E> {
         self.wheel.schedule(at, seq, event);
     }
 
-    /// Schedules `event` to fire `delay` cycles after the current time.
-    pub fn schedule_in(&mut self, delay: Cycle, event: E) {
-        let at = self.now.saturating_add(delay);
-        self.schedule(at, event);
-    }
-
     /// Exact cycle of the earliest pending event, if any.
     ///
     /// Answers without mutating the queue, and the answer is **exact** (not
@@ -645,15 +639,6 @@ mod tests {
         assert_eq!(q.now(), 7);
         q.pop();
         assert_eq!(q.now(), 9);
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(5, "first");
-        q.pop();
-        q.schedule_in(10, "second");
-        assert_eq!(q.peek_time(), Some(15));
     }
 
     #[test]

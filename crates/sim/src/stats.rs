@@ -4,9 +4,6 @@
 //! bandwidths (Figure 7) and execution times / bus occupancies (Figure 8 and
 //! §5.2). The types in this module cover all three:
 //!
-//! * [`Counter`] — a monotonically increasing event count.
-//! * [`Histogram`] — sample distribution with mean/min/max/percentiles, used
-//!   for per-message latencies.
 //! * [`LatencyHistogram`] — a fixed-size log-bucketed (power-of-two) latency
 //!   distribution whose record and merge paths are pure integer arithmetic,
 //!   so per-shard histograms compose into machine totals bit-identically in
@@ -15,15 +12,12 @@
 //! * [`OccupancyTracker`] — accumulates how many cycles a shared resource
 //!   (a bus) was busy, broken down by transaction kind, which is exactly what
 //!   the memory-bus-occupancy comparison in §5.2 needs.
-//! * [`StatsRegistry`] — a string-keyed collection of the above so harness
-//!   code can dump everything uniformly.
 //!
 //! Aggregation across shards, nodes and campaign cells goes through one
 //! trait, [`Merge`], so a new counter cannot silently be dropped from a
 //! hand-written merge function.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,145 +51,6 @@ pub trait Merge {
             total.merge(&part);
         }
         total
-    }
-}
-
-/// A simple monotonically increasing counter.
-///
-/// ```
-/// use cni_sim::stats::Counter;
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
-
-/// A sample distribution.
-///
-/// Stores every sample (the simulations here produce at most a few hundred
-/// thousand samples per run, so this is cheap) and computes summary
-/// statistics on demand.
-///
-/// ```
-/// use cni_sim::stats::Histogram;
-/// let mut h = Histogram::new();
-/// for v in [10, 20, 30] { h.record(v); }
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.min(), Some(10));
-/// assert_eq!(h.max(), Some(30));
-/// assert!((h.mean().unwrap() - 20.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    samples: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
-    }
-
-    /// Arithmetic mean, if any samples were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.sum() as f64 / self.samples.len() as f64)
-        }
-    }
-
-    /// The `p`-th percentile (0.0..=100.0) using nearest-rank, if non-empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        Some(sorted[rank.min(sorted.len() - 1)])
-    }
-
-    /// Removes all samples.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-    }
-
-    /// Iterates over the raw samples in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.samples.iter().copied()
     }
 }
 
@@ -333,11 +188,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Removes all samples.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl Merge for LatencyHistogram {
@@ -468,13 +318,6 @@ impl OccupancyTracker {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64, Cycle)> + '_ {
         self.by_kind.iter().map(|(k, (n, c))| (*k, *n, *c))
     }
-
-    /// Resets the tracker.
-    pub fn reset(&mut self) {
-        self.by_kind.clear();
-        self.total_busy = 0;
-        self.transactions = 0;
-    }
 }
 
 impl Merge for OccupancyTracker {
@@ -489,121 +332,9 @@ impl Merge for OccupancyTracker {
     }
 }
 
-/// A string-keyed registry of counters and histograms.
-///
-/// Harness binaries use this to dump everything a simulation collected in a
-/// uniform, diffable format.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct StatsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl StatsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns (creating if necessary) the counter named `name`.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
-    }
-
-    /// Returns (creating if necessary) the histogram named `name`.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
-    }
-
-    /// Reads a counter's value, zero if it does not exist.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map(|c| c.get()).unwrap_or(0)
-    }
-
-    /// Reads a histogram, `None` if it does not exist.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates over counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-
-    /// Iterates over histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Clears every counter and histogram (keys are retained).
-    pub fn reset(&mut self) {
-        for c in self.counters.values_mut() {
-            c.reset();
-        }
-        for h in self.histograms.values_mut() {
-            h.reset();
-        }
-    }
-}
-
-impl fmt::Display for StatsRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, value) in self.counters() {
-            writeln!(f, "{name}: {value}")?;
-        }
-        for (name, hist) in self.histograms() {
-            writeln!(
-                f,
-                "{name}: n={} mean={:.1} min={:?} max={:?}",
-                hist.count(),
-                hist.mean().unwrap_or(0.0),
-                hist.min(),
-                hist.max()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn histogram_summary_statistics() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), None);
-        for v in 1..=100 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(100));
-        assert!((h.mean().unwrap() - 50.5).abs() < 1e-9);
-        assert_eq!(h.percentile(0.0), Some(1));
-        assert_eq!(h.percentile(100.0), Some(100));
-        let median = h.percentile(50.0).unwrap();
-        assert!((50..=51).contains(&median));
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn histogram_percentile_rejects_out_of_range() {
-        let h = Histogram::new();
-        let _ = h.percentile(101.0);
-    }
 
     #[test]
     fn latency_bucket_boundaries_are_pinned_powers_of_two() {
@@ -713,19 +444,5 @@ mod tests {
         assert_eq!(a.transactions(), 3);
         assert!((a.utilization(44) - 0.5).abs() < 1e-9);
         assert_eq!(a.utilization(0), 0.0);
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let mut reg = StatsRegistry::new();
-        reg.counter("messages").add(12);
-        reg.histogram("latency").record(300);
-        assert_eq!(reg.counter_value("messages"), 12);
-        assert_eq!(reg.counter_value("missing"), 0);
-        assert_eq!(reg.histogram_ref("latency").unwrap().count(), 1);
-        let rendered = reg.to_string();
-        assert!(rendered.contains("messages: 12"));
-        reg.reset();
-        assert_eq!(reg.counter_value("messages"), 0);
     }
 }

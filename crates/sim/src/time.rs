@@ -37,11 +37,6 @@ pub fn cycles_to_micros(cycles: Cycle) -> f64 {
     cycles as f64 / (PROCESSOR_HZ as f64 / 1_000_000.0)
 }
 
-/// Converts a cycle count to nanoseconds of simulated time.
-pub fn cycles_to_nanos(cycles: Cycle) -> f64 {
-    cycles as f64 / (PROCESSOR_HZ as f64 / 1_000_000_000.0)
-}
-
 /// Converts a byte count moved in `cycles` cycles into a bandwidth in MB/s.
 ///
 /// Returns zero for a zero-cycle interval so callers do not have to special
@@ -62,11 +57,6 @@ pub fn bytes_per_cycles_to_mbps(bytes: u64, cycles: Cycle) -> f64 {
     (bytes as f64 / 1_000_000.0) / seconds
 }
 
-/// Converts microseconds to processor cycles, rounding up.
-pub fn micros_to_cycles(micros: f64) -> Cycle {
-    (micros * (PROCESSOR_HZ as f64 / 1_000_000.0)).ceil() as Cycle
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,23 +65,6 @@ mod tests {
     fn bus_clock_ratios_match_the_paper() {
         assert_eq!(CYCLES_PER_MEMORY_BUS_CYCLE, 2);
         assert_eq!(CYCLES_PER_IO_BUS_CYCLE, 4);
-    }
-
-    #[test]
-    fn micros_round_trips_through_cycles() {
-        for micros in [0.5, 1.0, 3.25, 10.0] {
-            let cycles = micros_to_cycles(micros);
-            let back = cycles_to_micros(cycles);
-            assert!(
-                (back - micros).abs() < 0.01,
-                "{micros} -> {cycles} -> {back}"
-            );
-        }
-    }
-
-    #[test]
-    fn nanos_is_a_thousand_times_micros() {
-        assert!((cycles_to_nanos(200) - 1000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -495,7 +495,7 @@ fn full_report_digest(report: &cni::core::machine::RunReport) -> u64 {
 
 /// Receive backpressure is bit-identical to per-attempt polling. NI2w and
 /// CNI4 refuse purely, so the machine parks their refused deliveries
-/// instead of dispatching a retry every `delivery_retry_interval` cycles;
+/// instead of dispatching a retry every `DELIVERY_RETRY_INTERVAL` cycles;
 /// these digests were recorded while every attempt still ran as its own
 /// event, on retry-heavy fixtures (8 I/O-bus nodes, thousands of refused
 /// attempts each), and every layout and lookahead mode must reproduce
@@ -609,26 +609,43 @@ fn aborted_backpressure_run_matches_polled_reference() {
 /// Deterministic work counters, pinned exactly: the dispatch profile of a
 /// small NI2w backpressure fixture, identical across layouts under fixed
 /// lookahead. Polling re-dispatched each refused delivery every
-/// `delivery_retry_interval` cycles — 3 416 `DeliveryRetry` events on this
+/// `DELIVERY_RETRY_INTERVAL` cycles — 3 416 `DeliveryRetry` events on this
 /// fixture — where parking needs 21 wake-ups for the 56 attempts that can
 /// succeed; a regression back to polling fails here. The CQ devices, whose
 /// refusals read the head pointer over the bus, keep polling.
+///
+/// The lossy case runs the same fixture over a fabric that drops,
+/// corrupts, duplicates and delays at rates high enough that data
+/// messages and acknowledgements each take every fault branch, plus an
+/// outage window on the hotspot that swallows both kinds; its dispatch
+/// and fabric counters pin the emit path's fault handling exactly.
 #[test]
 fn backpressure_dispatch_counts_are_pinned() {
     use cni::core::machine::{DispatchStats, Machine, MachineConfig, ShardPolicy};
+    use cni::net::faults::{FailWindow, FaultConfig};
+    use cni::net::FabricStats;
     use cni::nic::NiKind;
     use cni::workloads::{Workload, WorkloadParams};
 
     let params = WorkloadParams::tiny();
-    let run = |ni: NiKind, policy: ShardPolicy, parallel: bool| {
+    let run = |ni: NiKind, faults: &FaultConfig, policy: ShardPolicy, parallel: bool| {
         let cfg = MachineConfig::isca96_io(8, ni)
             .with_shards(policy)
             .with_parallel(parallel)
-            .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed));
+            .with_speculation(SpeculationConfig::with_lookahead(LookaheadMode::Fixed))
+            .with_faults(faults.clone());
         let mut machine = Machine::new(cfg, Workload::Hotspot.programs(8, &params));
-        assert!(machine.run().completed, "{ni}");
-        machine.dispatch_stats()
+        let report = machine.run();
+        assert!(report.completed, "{ni}");
+        (machine.dispatch_stats(), report.fabric)
     };
+    let layouts = [
+        (ShardPolicy::Single, false),
+        (ShardPolicy::Fixed(2), false),
+        (ShardPolicy::Fixed(2), true),
+    ];
+
+    let reliable = FaultConfig::default();
     let want = DispatchStats {
         proc_step: 446,
         net_arrival: 96,
@@ -639,19 +656,53 @@ fn backpressure_dispatch_counts_are_pinned() {
         parked: 56,
         woken: 56,
     };
-    for (policy, parallel) in [
-        (ShardPolicy::Single, false),
-        (ShardPolicy::Fixed(2), false),
-        (ShardPolicy::Fixed(2), true),
-    ] {
+    for (policy, parallel) in layouts {
         assert_eq!(
-            run(NiKind::Ni2w, policy, parallel),
+            run(NiKind::Ni2w, &reliable, policy, parallel).0,
             want,
             "{policy:?} {parallel}"
         );
     }
 
-    let cq = run(NiKind::Cni16Q, ShardPolicy::Single, false);
+    let lossy = FaultConfig {
+        fail_windows: vec![FailWindow {
+            node: 0,
+            from: 4_000,
+            until: 6_000,
+        }],
+        ..FaultConfig::lossy(7, 200_000)
+    };
+    let want = (
+        DispatchStats {
+            proc_step: 540,
+            net_arrival: 211,
+            ack_arrival: 146,
+            delivery_retry: 0,
+            wake_parked: 41,
+            retx_timer: 118,
+            parked: 100,
+            woken: 100,
+        },
+        FabricStats {
+            messages: 265,
+            wire_bytes: 67_840,
+            payload_bytes: 8_480,
+            faults_dropped: 122,
+            corruptions_detected: 40,
+            dup_discards: 95,
+            retransmits: 169,
+            timeouts: 169,
+        },
+    );
+    for (policy, parallel) in layouts {
+        assert_eq!(
+            run(NiKind::Ni2w, &lossy, policy, parallel),
+            want,
+            "lossy {policy:?} {parallel}"
+        );
+    }
+
+    let (cq, _) = run(NiKind::Cni16Q, &reliable, ShardPolicy::Single, false);
     assert!(cq.delivery_retry > 0, "CQ refusals are polled: {cq:?}");
     assert_eq!((cq.wake_parked, cq.parked, cq.woken), (0, 0, 0));
 }
