@@ -76,7 +76,6 @@ impl Bridge {
     /// * `earliest` — earliest start time requested by the initiator.
     /// * `io_occupancy` — the full I/O-bus occupancy (Table 2 I/O column).
     /// * `mem_share` — the memory-bus share of that occupancy.
-    /// * `kind` — statistics label.
     ///
     /// Returns the grant as seen by the initiator (start on its own bus, end
     /// when the whole transaction completes).
@@ -91,7 +90,6 @@ impl Bridge {
         memory_bus: &mut Bus,
         io_bus: &mut Bus,
         timing: &TimingConfig,
-        kind: &'static str,
     ) -> BusGrant {
         self.stats.crossings += 1;
         let mut start_request = earliest;
@@ -114,12 +112,12 @@ impl Bridge {
             BridgeMode::Buffered => memory_bus.free_at(),
         });
 
-        let io_grant = io_bus.occupy(start, io_occupancy, kind);
+        let io_grant = io_bus.occupy(start, io_occupancy);
         let mem_occupancy = match mode {
             BridgeMode::Blocking => io_occupancy.min(io_grant.end - io_grant.start),
             BridgeMode::Buffered => mem_share,
         };
-        let _mem_grant = memory_bus.occupy(io_grant.start, mem_occupancy, kind);
+        let _mem_grant = memory_bus.occupy(io_grant.start, mem_occupancy);
 
         BusGrant {
             start: io_grant.start,
@@ -155,7 +153,6 @@ mod tests {
             &mut mem,
             &mut io,
             &t,
-            "uncached_load",
         );
         assert_eq!(g.start, 0);
         assert_eq!(g.end, 48);
@@ -177,7 +174,6 @@ mod tests {
             &mut mem,
             &mut io,
             &t,
-            "uncached_store",
         );
         assert_eq!(g.end, 32);
         assert_eq!(io.busy_cycles(), 32);
@@ -188,7 +184,7 @@ mod tests {
     fn io_initiator_is_nacked_when_memory_bus_is_busy() {
         let (mut bridge, mut mem, mut io, t) = setup();
         // Processor-side transaction holds the memory bus until cycle 42.
-        mem.occupy(0, 42, "c2c");
+        mem.occupy(0, 42);
         let g = bridge.bridged(
             BridgeInitiator::IoSide,
             BridgeMode::Blocking,
@@ -198,7 +194,6 @@ mod tests {
             &mut mem,
             &mut io,
             &t,
-            "c2c_from_device",
         );
         assert_eq!(bridge.stats().nacks, 1);
         // The retried transaction starts after the memory bus frees up (42)
@@ -219,7 +214,6 @@ mod tests {
             &mut mem,
             &mut io,
             &t,
-            "c2c",
         );
         assert_eq!(bridge.stats().nacks, 0);
         assert_eq!(g.start, 10);
@@ -237,7 +231,6 @@ mod tests {
             &mut mem,
             &mut io,
             &t,
-            "load",
         );
         let b = bridge.bridged(
             BridgeInitiator::MemorySide,
@@ -248,7 +241,6 @@ mod tests {
             &mut mem,
             &mut io,
             &t,
-            "load",
         );
         assert_eq!(a.end, 48);
         assert_eq!(b.start, 48);

@@ -10,7 +10,6 @@
 
 use serde::Serialize;
 
-use cni_sim::stats::OccupancyTracker;
 use cni_sim::time::Cycle;
 
 pub use crate::timing::BusKind;
@@ -33,47 +32,21 @@ pub struct BusGrant {
 /// use cni_mem::bus::{Bus, BusKind};
 ///
 /// let mut bus = Bus::new(BusKind::MemoryBus);
-/// let a = bus.occupy(0, 42, "c2c");
-/// let b = bus.occupy(10, 42, "c2c");
+/// let a = bus.occupy(0, 42);
+/// let b = bus.occupy(10, 42);
 /// assert_eq!(a.start, 0);
 /// assert_eq!(a.end, 42);
 /// // The second transaction wanted to start at 10 but the bus was busy.
 /// assert_eq!(b.start, 42);
 /// assert_eq!(b.wait, 32);
+/// assert_eq!(bus.busy_cycles(), 84);
 /// ```
-// No `Deserialize`: contains an `OccupancyTracker`, whose interned static
-// labels are serialize-only.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Bus {
     kind: BusKind,
     free_at: Cycle,
-    occupancy: OccupancyTracker,
+    busy: Cycle,
     total_wait: Cycle,
-}
-
-impl Clone for Bus {
-    fn clone(&self) -> Self {
-        Bus {
-            kind: self.kind,
-            free_at: self.free_at,
-            occupancy: self.occupancy.clone(),
-            total_wait: self.total_wait,
-        }
-    }
-
-    /// Copies into `self`'s existing occupancy map.
-    fn clone_from(&mut self, source: &Self) {
-        let Bus {
-            kind,
-            free_at,
-            occupancy,
-            total_wait,
-        } = source;
-        self.kind = *kind;
-        self.free_at = *free_at;
-        self.occupancy.clone_from(occupancy);
-        self.total_wait = *total_wait;
-    }
 }
 
 impl Bus {
@@ -82,7 +55,7 @@ impl Bus {
         Bus {
             kind,
             free_at: 0,
-            occupancy: OccupancyTracker::new(),
+            busy: 0,
             total_wait: 0,
         }
     }
@@ -98,18 +71,12 @@ impl Bus {
     }
 
     /// Grants a transaction of `occupancy` cycles that may start no earlier
-    /// than `earliest`; records the occupancy under `txn_kind` (a static
-    /// label so the hot path stays allocation-free).
-    pub fn occupy(
-        &mut self,
-        earliest: Cycle,
-        occupancy: Cycle,
-        txn_kind: &'static str,
-    ) -> BusGrant {
+    /// than `earliest`, and adds them to the busy total.
+    pub fn occupy(&mut self, earliest: Cycle, occupancy: Cycle) -> BusGrant {
         let start = earliest.max(self.free_at);
         let end = start + occupancy;
         self.free_at = end;
-        self.occupancy.record(txn_kind, occupancy);
+        self.busy += occupancy;
         let wait = start - earliest;
         self.total_wait += wait;
         BusGrant { start, end, wait }
@@ -119,8 +86,8 @@ impl Bus {
     /// the bus timeline — used to account for the bus cycles an idle,
     /// spin-polling processor burns on uncached status reads (§5.2's
     /// occupancy comparison) without simulating every individual poll.
-    pub fn record_untimed(&mut self, txn_kind: &'static str, cycles: Cycle) {
-        self.occupancy.record(txn_kind, cycles);
+    pub fn record_untimed(&mut self, cycles: Cycle) {
+        self.busy += cycles;
     }
 
     /// Whether the bus would be free at `at`.
@@ -130,27 +97,12 @@ impl Bus {
 
     /// Total busy cycles accumulated so far.
     pub fn busy_cycles(&self) -> Cycle {
-        self.occupancy.total_busy()
+        self.busy
     }
 
     /// Total cycles transactions spent waiting for the bus.
     pub fn wait_cycles(&self) -> Cycle {
         self.total_wait
-    }
-
-    /// Number of transactions granted.
-    pub fn transactions(&self) -> u64 {
-        self.occupancy.transactions()
-    }
-
-    /// Per-kind occupancy breakdown.
-    pub fn occupancy(&self) -> &OccupancyTracker {
-        &self.occupancy
-    }
-
-    /// Utilisation over `elapsed` total cycles.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        self.occupancy.utilization(elapsed)
     }
 }
 
@@ -161,43 +113,31 @@ mod tests {
     #[test]
     fn serializes_back_to_back_transactions() {
         let mut bus = Bus::new(BusKind::MemoryBus);
-        let a = bus.occupy(0, 10, "a");
-        let b = bus.occupy(0, 10, "b");
-        let c = bus.occupy(0, 10, "c");
+        let a = bus.occupy(0, 10);
+        let b = bus.occupy(0, 10);
+        let c = bus.occupy(0, 10);
         assert_eq!((a.start, a.end), (0, 10));
         assert_eq!((b.start, b.end), (10, 20));
         assert_eq!((c.start, c.end), (20, 30));
         assert_eq!(bus.busy_cycles(), 30);
-        assert_eq!(bus.transactions(), 3);
     }
 
     #[test]
     fn idle_gaps_are_not_counted_as_busy() {
         let mut bus = Bus::new(BusKind::IoBus);
-        bus.occupy(0, 5, "x");
-        let g = bus.occupy(100, 5, "x");
+        bus.occupy(0, 5);
+        let g = bus.occupy(100, 5);
         assert_eq!(g.start, 100);
         assert_eq!(g.wait, 0);
         assert_eq!(bus.busy_cycles(), 10);
-        assert!((bus.utilization(105) - 10.0 / 105.0).abs() < 1e-12);
     }
 
     #[test]
     fn wait_cycles_accumulate_under_contention() {
         let mut bus = Bus::new(BusKind::MemoryBus);
-        bus.occupy(0, 42, "c2c");
-        let g = bus.occupy(1, 42, "c2c");
+        bus.occupy(0, 42);
+        let g = bus.occupy(1, 42);
         assert_eq!(g.wait, 41);
         assert_eq!(bus.wait_cycles(), 41);
-    }
-
-    #[test]
-    fn per_kind_breakdown() {
-        let mut bus = Bus::new(BusKind::MemoryBus);
-        bus.occupy(0, 28, "uncached_load");
-        bus.occupy(0, 28, "uncached_load");
-        bus.occupy(0, 42, "c2c_from_device");
-        assert_eq!(bus.occupancy().busy_for("uncached_load"), 56);
-        assert_eq!(bus.occupancy().count_for("c2c_from_device"), 1);
     }
 }

@@ -11,7 +11,7 @@
 //!   processor in this model).
 //! * [`timing`] — the Table 2 bus-occupancy cost model.
 //! * [`bus`] — a single-outstanding-transaction bus as a timeline resource
-//!   with per-kind occupancy statistics.
+//!   that totals its busy and wait cycles.
 //! * [`bridge`] — the memory-bus ↔ I/O-bus bridge with NACK-based deadlock
 //!   avoidance.
 //! * [`system`] — [`system::NodeMemSystem`], which composes the above into

@@ -273,14 +273,14 @@ impl NodeMemSystem {
             DeviceLocation::MemoryBus => {
                 let per = t.uncached_load(BusKind::MemoryBus);
                 let polls = idle_cycles / per.max(1);
-                self.memory_bus.record_untimed("idle_poll", polls * per);
+                self.memory_bus.record_untimed(polls * per);
             }
             DeviceLocation::IoBus => {
                 let per = t.uncached_load(BusKind::IoBus);
                 let polls = idle_cycles / per.max(1);
-                self.io_bus.record_untimed("idle_poll", polls * per);
+                self.io_bus.record_untimed(polls * per);
                 self.memory_bus
-                    .record_untimed("idle_poll", polls * t.uncached_load(BusKind::MemoryBus));
+                    .record_untimed(polls * t.uncached_load(BusKind::MemoryBus));
             }
         }
     }
@@ -299,7 +299,7 @@ impl NodeMemSystem {
             DeviceLocation::CacheBus => now + t.uncached_load(BusKind::CacheBus),
             DeviceLocation::MemoryBus => {
                 self.memory_bus
-                    .occupy(now, t.uncached_load(BusKind::MemoryBus), "uncached_load")
+                    .occupy(now, t.uncached_load(BusKind::MemoryBus))
                     .end
             }
             DeviceLocation::IoBus => {
@@ -313,7 +313,6 @@ impl NodeMemSystem {
                         &mut self.memory_bus,
                         &mut self.io_bus,
                         &t,
-                        "uncached_load",
                     )
                     .end
             }
@@ -332,7 +331,7 @@ impl NodeMemSystem {
             DeviceLocation::CacheBus => now + t.uncached_store(BusKind::CacheBus),
             DeviceLocation::MemoryBus => {
                 self.memory_bus
-                    .occupy(now, t.uncached_store(BusKind::MemoryBus), "uncached_store")
+                    .occupy(now, t.uncached_store(BusKind::MemoryBus))
                     .end
             }
             DeviceLocation::IoBus => {
@@ -346,7 +345,6 @@ impl NodeMemSystem {
                         &mut self.memory_bus,
                         &mut self.io_bus,
                         &t,
-                        "uncached_store",
                     )
                     .end
             }
@@ -375,12 +373,10 @@ impl NodeMemSystem {
                     .map(|c| c.snoop_read(block).supplies_data)
                     .unwrap_or(false);
                 let done = if device_supplies || home == BlockHome::Device {
-                    self.device_to_proc_transfer(now, "c2c_from_device")
+                    self.device_to_proc_transfer(now)
                 } else {
                     // From main memory on the memory bus.
-                    self.memory_bus
-                        .occupy(now, t.memory_transfer, "memory_read")
-                        .end
+                    self.memory_bus.occupy(now, t.memory_transfer).end
                 };
                 let fill_state = if device_supplies {
                     MoesiState::Shared
@@ -412,7 +408,7 @@ impl NodeMemSystem {
                 if let Some(dev) = self.dev_cache.as_mut() {
                     dev.snoop_invalidate(block);
                 }
-                let done = self.invalidate_transaction(now, "proc_upgrade");
+                let done = self.invalidate_transaction(now);
                 self.proc_cache.upgrade_to_modified(block);
                 done
             }
@@ -424,11 +420,9 @@ impl NodeMemSystem {
                     .map(|c| c.snoop_invalidate(block).supplies_data)
                     .unwrap_or(false);
                 let done = if device_supplied || home == BlockHome::Device {
-                    self.device_to_proc_transfer(now, "c2c_from_device")
+                    self.device_to_proc_transfer(now)
                 } else {
-                    self.memory_bus
-                        .occupy(now, t.memory_transfer, "memory_read_excl")
-                        .end
+                    self.memory_bus.occupy(now, t.memory_transfer).end
                 };
                 let eviction = self.proc_cache.fill(block, MoesiState::Modified, home);
                 self.handle_proc_eviction(done, eviction)
@@ -457,10 +451,10 @@ impl NodeMemSystem {
         }
         let proc_supplies = self.proc_cache.snoop_read(block).supplies_data;
         let done = if proc_supplies {
-            self.proc_to_device_transfer(now, "c2c_to_device")
+            self.proc_to_device_transfer(now)
         } else {
             match home {
-                BlockHome::Memory => self.memory_to_device_transfer(now, "device_memory_read"),
+                BlockHome::Memory => self.memory_to_device_transfer(now),
                 // Device-homed data not in the device cache lives in the
                 // device's own backing store: no bus transaction.
                 BlockHome::Device => now + t.cache_hit,
@@ -498,14 +492,14 @@ impl NodeMemSystem {
         let done = if proc_action.was_dirty {
             // The dirty data travels to the device with the invalidating
             // transaction (read-exclusive).
-            self.proc_to_device_transfer(now, "c2c_to_device_excl")
+            self.proc_to_device_transfer(now)
         } else if proc_action.prev.is_valid() {
             // Address-only invalidation of a clean processor copy.
-            self.invalidate_transaction(now, "device_invalidate")
+            self.invalidate_transaction(now)
         } else {
             match home {
                 // The device still must obtain ownership from the home.
-                BlockHome::Memory => self.invalidate_transaction(now, "device_ownership"),
+                BlockHome::Memory => self.invalidate_transaction(now),
                 BlockHome::Device => now + t.cache_hit,
             }
         };
@@ -523,12 +517,12 @@ impl NodeMemSystem {
     // Internal transfer helpers
     // ------------------------------------------------------------------
 
-    fn device_to_proc_transfer(&mut self, now: Cycle, kind: &'static str) -> Cycle {
+    fn device_to_proc_transfer(&mut self, now: Cycle) -> Cycle {
         let t = self.cfg.timing;
         match self.cfg.device_location {
             DeviceLocation::MemoryBus => {
                 self.memory_bus
-                    .occupy(now, t.c2c_from_device(BusKind::MemoryBus), kind)
+                    .occupy(now, t.c2c_from_device(BusKind::MemoryBus))
                     .end
             }
             DeviceLocation::IoBus => {
@@ -542,7 +536,6 @@ impl NodeMemSystem {
                         &mut self.memory_bus,
                         &mut self.io_bus,
                         &t,
-                        kind,
                     )
                     .end
             }
@@ -550,12 +543,12 @@ impl NodeMemSystem {
         }
     }
 
-    fn proc_to_device_transfer(&mut self, now: Cycle, kind: &'static str) -> Cycle {
+    fn proc_to_device_transfer(&mut self, now: Cycle) -> Cycle {
         let t = self.cfg.timing;
         match self.cfg.device_location {
             DeviceLocation::MemoryBus => {
                 self.memory_bus
-                    .occupy(now, t.c2c_to_device(BusKind::MemoryBus), kind)
+                    .occupy(now, t.c2c_to_device(BusKind::MemoryBus))
                     .end
             }
             DeviceLocation::IoBus => {
@@ -569,7 +562,6 @@ impl NodeMemSystem {
                         &mut self.memory_bus,
                         &mut self.io_bus,
                         &t,
-                        kind,
                     )
                     .end
             }
@@ -577,10 +569,10 @@ impl NodeMemSystem {
         }
     }
 
-    fn memory_to_device_transfer(&mut self, now: Cycle, kind: &'static str) -> Cycle {
+    fn memory_to_device_transfer(&mut self, now: Cycle) -> Cycle {
         let t = self.cfg.timing;
         match self.cfg.device_location {
-            DeviceLocation::MemoryBus => self.memory_bus.occupy(now, t.memory_transfer, kind).end,
+            DeviceLocation::MemoryBus => self.memory_bus.occupy(now, t.memory_transfer).end,
             DeviceLocation::IoBus => {
                 self.bridge
                     .bridged(
@@ -592,7 +584,6 @@ impl NodeMemSystem {
                         &mut self.memory_bus,
                         &mut self.io_bus,
                         &t,
-                        kind,
                     )
                     .end
             }
@@ -600,12 +591,12 @@ impl NodeMemSystem {
         }
     }
 
-    fn invalidate_transaction(&mut self, now: Cycle, kind: &'static str) -> Cycle {
+    fn invalidate_transaction(&mut self, now: Cycle) -> Cycle {
         let t = self.cfg.timing;
         match self.cfg.device_location {
             DeviceLocation::CacheBus | DeviceLocation::MemoryBus => {
                 self.memory_bus
-                    .occupy(now, t.invalidate(BusKind::MemoryBus), kind)
+                    .occupy(now, t.invalidate(BusKind::MemoryBus))
                     .end
             }
             DeviceLocation::IoBus => {
@@ -619,7 +610,6 @@ impl NodeMemSystem {
                         &mut self.memory_bus,
                         &mut self.io_bus,
                         &t,
-                        kind,
                     )
                     .end
             }
@@ -631,11 +621,7 @@ impl NodeMemSystem {
         let done = match home {
             BlockHome::Device => now, // internal to the device, free
             BlockHome::Memory => match self.cfg.device_location {
-                DeviceLocation::MemoryBus => {
-                    self.memory_bus
-                        .occupy(now, t.memory_transfer, "device_writeback")
-                        .end
-                }
+                DeviceLocation::MemoryBus => self.memory_bus.occupy(now, t.memory_transfer).end,
                 DeviceLocation::IoBus => {
                     self.bridge
                         .bridged(
@@ -647,7 +633,6 @@ impl NodeMemSystem {
                             &mut self.memory_bus,
                             &mut self.io_bus,
                             &t,
-                            "device_writeback",
                         )
                         .end
                 }
@@ -671,12 +656,8 @@ impl NodeMemSystem {
         let t = self.cfg.timing;
         match eviction {
             Some(ev) if ev.needs_writeback() => match ev.home {
-                BlockHome::Memory => {
-                    self.memory_bus
-                        .occupy(now, t.memory_transfer, "proc_writeback")
-                        .end
-                }
-                BlockHome::Device => self.proc_to_device_transfer(now, "proc_writeback_to_device"),
+                BlockHome::Memory => self.memory_bus.occupy(now, t.memory_transfer).end,
+                BlockHome::Device => self.proc_to_device_transfer(now),
             },
             _ => now,
         }
@@ -827,34 +808,40 @@ mod tests {
         assert_eq!(sys.device_state(blk), MoesiState::Modified);
     }
 
+    /// Writes `blocks` distinct blocks with `home` into the 16-block device
+    /// cache and returns the system afterwards.
+    fn device_writes(blocks: u64, home: BlockHome) -> NodeMemSystem {
+        let mut sys = memory_bus_system();
+        let mut now = 0;
+        for i in 0..blocks {
+            now = sys.device_write_block(now, BlockAddr(i), home);
+        }
+        sys
+    }
+
     #[test]
     fn device_cache_overflow_writes_back_to_memory_home() {
         // A 16-block device cache receiving 17 distinct memory-homed blocks
-        // must write back a dirty victim.
-        let mut sys = memory_bus_system();
-        let mut now = 0;
-        for i in 0..17u64 {
-            now = sys.device_write_block(now, BlockAddr(i), BlockHome::Memory);
-        }
-        let dev = sys.device_cache().unwrap();
-        assert!(
-            dev.writebacks() >= 1,
-            "expected at least one overflow writeback"
+        // must write back a dirty victim: the 17th write costs its ownership
+        // invalidation plus one memory transfer on the memory bus.
+        let fits = device_writes(16, BlockHome::Memory);
+        let overflows = device_writes(17, BlockHome::Memory);
+        assert_eq!(fits.device_cache().unwrap().writebacks(), 0);
+        assert_eq!(overflows.device_cache().unwrap().writebacks(), 1);
+        let t = TimingConfig::isca96();
+        assert_eq!(
+            overflows.memory_bus().busy_cycles() - fits.memory_bus().busy_cycles(),
+            t.invalidate(BusKind::MemoryBus) + t.memory_transfer
         );
-        assert!(sys.memory_bus().occupancy().count_for("device_writeback") >= 1);
     }
 
     #[test]
     fn device_homed_overflow_is_free_of_bus_traffic() {
-        let mut sys = memory_bus_system();
-        let mut now = 0;
-        for i in 0..17u64 {
-            now = sys.device_write_block(now, BlockAddr(i), BlockHome::Device);
-        }
-        assert_eq!(
-            sys.memory_bus().occupancy().count_for("device_writeback"),
-            0
-        );
+        // The same overflow with device-homed blocks writes the victim back
+        // into the device's own backing store: no memory-bus cycles at all.
+        let sys = device_writes(17, BlockHome::Device);
+        assert_eq!(sys.device_cache().unwrap().writebacks(), 1);
+        assert_eq!(sys.memory_bus().busy_cycles(), 0);
     }
 
     #[test]

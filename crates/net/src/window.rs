@@ -7,8 +7,6 @@
 //! The window is owned by the sending NI. `try_acquire` grabs a credit if one
 //! is available; `release` returns a credit when the acknowledgement arrives.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::message::NodeId;
@@ -32,9 +30,11 @@ pub const DEFAULT_WINDOW: usize = 4;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlidingWindow {
-    limit: usize,
-    in_flight: BTreeMap<NodeId, usize>,
-    blocked_attempts: u64,
+    limit: u8,
+    /// Unacknowledged messages per destination, indexed by
+    /// [`NodeId::index`]. Grows on a destination's first acquire; entries
+    /// past the end read as zero.
+    in_flight: Vec<u8>,
 }
 
 impl SlidingWindow {
@@ -43,13 +43,12 @@ impl SlidingWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `limit` is zero.
+    /// Panics if `limit` is zero or above `u8::MAX`.
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "window limit must be positive");
         SlidingWindow {
-            limit,
-            in_flight: BTreeMap::new(),
-            blocked_attempts: 0,
+            limit: u8::try_from(limit).expect("window limit must fit in a u8"),
+            in_flight: Vec::new(),
         }
     }
 
@@ -58,30 +57,28 @@ impl SlidingWindow {
         Self::new(DEFAULT_WINDOW)
     }
 
-    /// The per-destination limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
     /// Messages currently unacknowledged towards `dst`.
     pub fn in_flight(&self, dst: NodeId) -> usize {
-        self.in_flight.get(&dst).copied().unwrap_or(0)
+        self.in_flight.get(dst.index()).map_or(0, |&n| n.into())
     }
 
     /// Whether a send to `dst` would be admitted right now.
     pub fn can_send(&self, dst: NodeId) -> bool {
-        self.in_flight(dst) < self.limit
+        self.in_flight(dst) < self.limit.into()
     }
 
-    /// Attempts to take a credit towards `dst`. Returns `false` (and records
-    /// a blocked attempt) if the window is full.
+    /// Attempts to take a credit towards `dst`. Returns `false` if the
+    /// window is full.
     pub fn try_acquire(&mut self, dst: NodeId) -> bool {
-        let entry = self.in_flight.entry(dst).or_insert(0);
-        if *entry < self.limit {
-            *entry += 1;
+        let i = dst.index();
+        if i >= self.in_flight.len() {
+            self.in_flight.resize(i + 1, 0);
+        }
+        let n = &mut self.in_flight[i];
+        if *n < self.limit {
+            *n += 1;
             true
         } else {
-            self.blocked_attempts += 1;
             false
         }
     }
@@ -93,22 +90,15 @@ impl SlidingWindow {
     /// Panics if no message was in flight to `dst` — that indicates a
     /// protocol bug in the caller.
     pub fn release(&mut self, dst: NodeId) {
-        let entry = self
-            .in_flight
-            .get_mut(&dst)
-            .unwrap_or_else(|| panic!("release without acquire for {dst}"));
-        assert!(*entry > 0, "release without acquire for {dst}");
-        *entry -= 1;
+        match self.in_flight.get_mut(dst.index()) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => panic!("release without acquire for {dst}"),
+        }
     }
 
     /// Total messages currently unacknowledged across all destinations.
     pub fn total_in_flight(&self) -> usize {
-        self.in_flight.values().sum()
-    }
-
-    /// How many times a send attempt found the window full.
-    pub fn blocked_attempts(&self) -> u64 {
-        self.blocked_attempts
+        self.in_flight.iter().map(|&n| usize::from(n)).sum()
     }
 }
 
@@ -124,8 +114,12 @@ mod tests {
 
     #[test]
     fn default_window_is_four() {
-        let w = SlidingWindow::default();
-        assert_eq!(w.limit(), 4);
+        let mut w = SlidingWindow::default();
+        let dst = NodeId(2);
+        for _ in 0..4 {
+            assert!(w.try_acquire(dst));
+        }
+        assert!(!w.try_acquire(dst));
     }
 
     #[test]
@@ -135,13 +129,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fit in a u8")]
+    fn limit_past_the_counter_width_is_rejected() {
+        let _ = SlidingWindow::new(256);
+    }
+
+    #[test]
     fn window_is_per_destination() {
         let mut w = SlidingWindow::new(1);
         assert!(w.try_acquire(NodeId(0)));
         assert!(w.try_acquire(NodeId(1)));
         assert!(!w.try_acquire(NodeId(0)));
         assert_eq!(w.total_in_flight(), 2);
-        assert_eq!(w.blocked_attempts(), 1);
     }
 
     #[test]
@@ -162,5 +161,24 @@ mod tests {
     fn release_without_acquire_panics() {
         let mut w = SlidingWindow::new(4);
         w.release(NodeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "release without acquire")]
+    fn release_to_a_drained_destination_panics() {
+        let mut w = SlidingWindow::new(4);
+        assert!(w.try_acquire(NodeId(1)));
+        w.release(NodeId(1));
+        w.release(NodeId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "release without acquire")]
+    fn release_to_an_untouched_destination_below_a_touched_one_panics() {
+        // Acquiring towards node 9 sizes the counters past node 3, which
+        // was never touched and so has nothing to release.
+        let mut w = SlidingWindow::new(4);
+        assert!(w.try_acquire(NodeId(9)));
+        w.release(NodeId(3));
     }
 }

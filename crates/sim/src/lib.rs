@@ -42,5 +42,4 @@ pub mod time;
 pub use event::EventQueue;
 pub use rng::DetRng;
 pub use sharded::{run_epochs, EpochOutcome, Outbox, ShardSim, Stamp};
-pub use stats::OccupancyTracker;
 pub use time::{cycles_to_micros, Cycle, PROCESSOR_HZ};

@@ -1,27 +1,16 @@
 //! Statistic primitives used throughout the simulator.
 //!
-//! The paper reports three kinds of quantities: latencies (Figure 6),
-//! bandwidths (Figure 7) and execution times / bus occupancies (Figure 8 and
-//! §5.2). The types in this module cover all three:
-//!
-//! * [`LatencyHistogram`] — a fixed-size log-bucketed (power-of-two) latency
-//!   distribution whose record and merge paths are pure integer arithmetic,
-//!   so per-shard histograms compose into machine totals bit-identically in
-//!   any merge order. This is the tail-latency instrument for the
-//!   request/response service workloads.
-//! * [`OccupancyTracker`] — accumulates how many cycles a shared resource
-//!   (a bus) was busy, broken down by transaction kind, which is exactly what
-//!   the memory-bus-occupancy comparison in §5.2 needs.
+//! [`LatencyHistogram`] is a fixed-size log-bucketed (power-of-two) latency
+//! distribution whose record and merge paths are pure integer arithmetic,
+//! so per-shard histograms compose into machine totals bit-identically in
+//! any merge order. This is the tail-latency instrument for the
+//! request/response service workloads.
 //!
 //! Aggregation across shards, nodes and campaign cells goes through one
 //! trait, [`Merge`], so a new counter cannot silently be dropped from a
 //! hand-written merge function.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
-
-use crate::time::Cycle;
 
 /// Combining two statistics of the same kind into one.
 ///
@@ -201,137 +190,6 @@ impl Merge for LatencyHistogram {
     }
 }
 
-/// Tracks how long a shared resource was occupied, broken down by a caller
-/// supplied kind label.
-///
-/// Buses use this to report occupancy per transaction type; the §5.2 claim
-/// that CQ-based CNIs cut memory-bus occupancy by ~66 % relative to `NI2w`
-/// is computed from two of these trackers.
-///
-/// ```
-/// use cni_sim::stats::OccupancyTracker;
-/// let mut t = OccupancyTracker::new();
-/// t.record("uncached_load", 28);
-/// t.record("uncached_load", 28);
-/// t.record("cache_to_cache", 42);
-/// assert_eq!(t.total_busy(), 98);
-/// assert_eq!(t.busy_for("uncached_load"), 56);
-/// assert_eq!(t.transactions(), 3);
-/// ```
-// No `Deserialize`: the interned `&'static str` keys make the tracker
-// serializable but not deserializable (real serde cannot conjure a
-// `&'static str` from input data), and nothing round-trips trackers.
-#[derive(Debug, Default, PartialEq, Eq, Serialize)]
-pub struct OccupancyTracker {
-    // Kinds are interned static labels: recording a transaction on the
-    // simulator's hot path must not allocate (a `String` key per bus
-    // transaction showed up as the dominant allocation in the machine loop).
-    by_kind: BTreeMap<&'static str, (u64, Cycle)>,
-    total_busy: Cycle,
-    transactions: u64,
-}
-
-impl Clone for OccupancyTracker {
-    fn clone(&self) -> Self {
-        OccupancyTracker {
-            by_kind: self.by_kind.clone(),
-            total_busy: self.total_busy,
-            transactions: self.transactions,
-        }
-    }
-
-    /// Overwrites the per-kind counts in place when both trackers hold the
-    /// same kinds — the steady state of a checkpoint mirror, since a bus
-    /// meets its last new transaction kind early in a run — so a re-sync
-    /// reuses the map's nodes instead of reallocating them.
-    fn clone_from(&mut self, source: &Self) {
-        let OccupancyTracker {
-            by_kind,
-            total_busy,
-            transactions,
-        } = source;
-        if self.by_kind.keys().eq(by_kind.keys()) {
-            for (mine, theirs) in self.by_kind.values_mut().zip(by_kind.values()) {
-                *mine = *theirs;
-            }
-        } else {
-            self.by_kind.clone_from(by_kind);
-        }
-        self.total_busy = *total_busy;
-        self.transactions = *transactions;
-    }
-}
-
-impl OccupancyTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a transaction of `kind` that occupied the resource for
-    /// `cycles` cycles.
-    ///
-    /// `kind` is a `&'static str` so the per-transaction record is
-    /// allocation-free; every call site labels transactions with string
-    /// literals anyway.
-    pub fn record(&mut self, kind: &'static str, cycles: Cycle) {
-        let entry = self.by_kind.entry(kind).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += cycles;
-        self.total_busy += cycles;
-        self.transactions += 1;
-    }
-
-    /// Total busy cycles across all kinds.
-    pub fn total_busy(&self) -> Cycle {
-        self.total_busy
-    }
-
-    /// Total number of transactions across all kinds.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Busy cycles attributed to `kind` (zero if never recorded).
-    pub fn busy_for(&self, kind: &str) -> Cycle {
-        self.by_kind.get(kind).map(|(_, c)| *c).unwrap_or(0)
-    }
-
-    /// Number of transactions of `kind` (zero if never recorded).
-    pub fn count_for(&self, kind: &str) -> u64 {
-        self.by_kind.get(kind).map(|(n, _)| *n).unwrap_or(0)
-    }
-
-    /// Utilisation in `0.0..=1.0` over an elapsed wall-clock interval.
-    ///
-    /// Returns zero when `elapsed` is zero.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.total_busy as f64 / elapsed as f64
-        }
-    }
-
-    /// Iterates over `(kind, transaction count, busy cycles)` in
-    /// lexicographic kind order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64, Cycle)> + '_ {
-        self.by_kind.iter().map(|(k, (n, c))| (*k, *n, *c))
-    }
-}
-
-impl Merge for OccupancyTracker {
-    fn merge(&mut self, other: &Self) {
-        for (kind, n, cycles) in other.iter() {
-            let entry = self.by_kind.entry(kind).or_insert((0, 0));
-            entry.0 += n;
-            entry.1 += cycles;
-        }
-        self.total_busy += other.total_busy;
-        self.transactions += other.transactions;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,21 +286,5 @@ mod tests {
                 "counts add, round {round}"
             );
         }
-    }
-
-    #[test]
-    fn occupancy_breakdown_and_merge() {
-        let mut a = OccupancyTracker::new();
-        a.record("x", 10);
-        a.record("y", 5);
-        let mut b = OccupancyTracker::new();
-        b.record("x", 7);
-        a.merge(&b);
-        assert_eq!(a.total_busy(), 22);
-        assert_eq!(a.busy_for("x"), 17);
-        assert_eq!(a.count_for("x"), 2);
-        assert_eq!(a.transactions(), 3);
-        assert!((a.utilization(44) - 0.5).abs() < 1e-9);
-        assert_eq!(a.utilization(0), 0.0);
     }
 }

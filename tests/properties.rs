@@ -97,7 +97,9 @@ fn fragmentation_reassembly_round_trip() {
 }
 
 /// The sliding window never admits more than its limit per destination and
-/// always recovers after releases.
+/// always recovers after releases. Destinations are sparse, high ids first
+/// touched out of order (node 1023 before node 0), so the per-destination
+/// counters grow past ids that stay untouched and must read as empty.
 #[test]
 fn sliding_window_invariants() {
     for case in 0..CASES {
@@ -105,22 +107,39 @@ fn sliding_window_invariants() {
         let limit = 1 + rng.gen_index(7);
         let ops = 1 + rng.gen_index(200);
         let mut window = SlidingWindow::new(limit);
+        let ids = [1023, 512 + rng.gen_index(511), 0, 1 + rng.gen_index(64)];
         let mut in_flight = [0usize; 4];
+        // The highest id is touched first, every case.
+        assert!(window.try_acquire(NodeId(ids[0])), "case {case}");
+        in_flight[0] = 1;
         for _ in 0..ops {
-            let dst = rng.gen_index(4);
-            let node = NodeId(dst);
+            let slot = rng.gen_index(4);
+            let node = NodeId(ids[slot]);
             if rng.gen_bool(0.5) {
                 let ok = window.try_acquire(node);
-                assert_eq!(ok, in_flight[dst] < limit, "case {case}: admission");
+                assert_eq!(ok, in_flight[slot] < limit, "case {case}: admission");
                 if ok {
-                    in_flight[dst] += 1;
+                    in_flight[slot] += 1;
                 }
-            } else if in_flight[dst] > 0 {
+            } else if in_flight[slot] > 0 {
                 window.release(node);
-                in_flight[dst] -= 1;
+                in_flight[slot] -= 1;
             }
             assert!(window.in_flight(node) <= limit, "case {case}: over limit");
-            assert_eq!(window.in_flight(node), in_flight[dst], "case {case}");
+            assert_eq!(window.in_flight(node), in_flight[slot], "case {case}");
+            assert_eq!(
+                window.can_send(node),
+                in_flight[slot] < limit,
+                "case {case}"
+            );
+        }
+        for (slot, &id) in ids.iter().enumerate() {
+            assert_eq!(window.in_flight(NodeId(id)), in_flight[slot], "case {case}");
+        }
+        // Ids never used as a destination, inside and past the counters.
+        for untouched in [100, 511, 1024, 4096] {
+            assert_eq!(window.in_flight(NodeId(untouched)), 0, "case {case}");
+            assert!(window.can_send(NodeId(untouched)), "case {case}");
         }
         assert_eq!(
             window.total_in_flight(),
@@ -389,7 +408,7 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
             stats.bytes,
             stats.peak_bytes
         ),
-        (20, 41, 60, 473_168, 202_592),
+        (20, 41, 60, 470_216, 202_376),
         "checkpoint accounting moved (snapshots, copied nodes, node-rounds, bytes, peak bytes)"
     );
     assert!(
