@@ -29,7 +29,7 @@
 //!   counters appear in the table and JSON, with the checkpoint-bytes and
 //!   dirty-fraction columns showing what the gambles' snapshots copied).
 //!   The digest column must be identical in both modes.
-//! * `--json` emits the sweep in the same trajectory format as `fig8 --json`,
+//! * `--json` emits the sweep as one JSON row per configuration,
 //!   including the epoch statistics (epochs, extensions, mean/max epoch
 //!   length, speculation commits/rollbacks/re-executed cycles) that make the
 //!   speculation rates observable per configuration.

@@ -1018,57 +1018,6 @@ fn render_taxonomy(run: &CampaignRun) -> String {
     out
 }
 
-/// Renders a Figure 8 campaign run in the legacy `fig8 --json` trajectory
-/// shape — the format of `BENCH_seed.json`, the repo's simulator-performance
-/// trajectory file: per-panel `(ni, cycles, speedup)` rows plus the
-/// harness's wall-clock.
-pub fn fig8_trajectory_json(run: &CampaignRun, wall_seconds: f64) -> String {
-    let cells = parsed_cells(run);
-    let by_digest: HashMap<u64, &Json> = run
-        .cells
-        .iter()
-        .zip(&cells)
-        .map(|(cell, json)| (cell.digest, json))
-        .collect();
-    let mut index = 0;
-    let panel_titles = ["memory bus", "I/O bus", "alternate buses"];
-    let panels: Vec<String> = fig8_panels()
-        .iter()
-        .zip(panel_titles)
-        .map(|(panel, title)| {
-            let results: Vec<String> = run
-                .workloads
-                .iter()
-                .map(|&workload| {
-                    let baseline =
-                        by_digest[&fig8_baseline_spec(workload, run.tier).digest()].num("cycles");
-                    let rows: Vec<String> = panel
-                        .columns
-                        .iter()
-                        .map(|&(ni, _)| {
-                            let cycles = cells[index].num("cycles");
-                            index += 1;
-                            format!(
-                                r#"{{"ni":"{ni}","cycles":{},"speedup":{:.6}}}"#,
-                                cycles as u64,
-                                baseline / cycles
-                            )
-                        })
-                        .collect();
-                    format!(r#"{{"workload":"{workload}","rows":[{}]}}"#, rows.join(","))
-                })
-                .collect();
-            format!(r#"{{"title":"{title}","results":[{}]}}"#, results.join(","))
-        })
-        .collect();
-    format!(
-        r#"{{"experiment":"fig8","mode":"{}","nodes":{},"wall_seconds":{wall_seconds:.3},"panels":[{}]}}"#,
-        run.tier,
-        run.tier.nodes(),
-        panels.join(",")
-    )
-}
-
 /// Renders one campaign's results as a markdown section body (no heading).
 ///
 /// # Panics

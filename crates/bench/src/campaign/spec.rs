@@ -4,9 +4,9 @@
 //! — workload, NI, bus, input tier, machine size, microbenchmark parameters
 //! — and nothing that doesn't. Simulator-performance knobs (shard policy,
 //! worker threads) are deliberately *not* part of the
-//! spec: the repository's determinism invariant (see `tests/sharding.rs` and
-//! `tests/properties.rs`) is that they never change a simulated result, so
-//! two runs differing only in those knobs share one cache entry.
+//! spec: the repository's determinism invariant (see `tests/harness`
+//! and `tests/properties.rs`) is that they never change a simulated result,
+//! so two runs differing only in those knobs share one cache entry.
 //!
 //! [`ExperimentSpec::canonical`] renders the spec as a canonical JSON
 //! string; [`ExperimentSpec::digest`] hashes it (together with a schema

@@ -1,7 +1,6 @@
 //! Shared command-line plumbing for the harness binaries.
 //!
-//! Both campaign front-ends (`report` and `fig8`) accept the same
-//! vocabulary, parsed here once instead of per-binary:
+//! The campaign front-end, `report`, accepts this vocabulary:
 //!
 //! * `quick` / `scaled` / `paper` — the input tier
 //!   ([`cni_workloads::ParamsTier`]; default `scaled`);
@@ -135,14 +134,6 @@ impl CampaignCli {
             Workload::ALL.to_vec()
         } else {
             self.workloads.clone()
-        }
-    }
-
-    /// Fails with [`usage_error`] if any unrecognised arguments remain —
-    /// for binaries with no flags of their own beyond the shared set.
-    pub fn reject_rest(&self, usage: &str) {
-        if let Some(arg) = self.rest.first() {
-            usage_error(usage, &format!("unrecognized argument {arg:?}"));
         }
     }
 

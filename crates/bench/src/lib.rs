@@ -31,8 +31,6 @@
 //! | Resilience sweep (beyond the paper) | [`campaign::figures::resilience_campaign`] | `resilience` |
 //! | Tail-latency sweep (beyond the paper) | [`campaign::figures::latency_campaign`] | `latency` |
 //!
-//! The `fig8` binary remains as the `--json` trajectory entry point.
-//!
 //! This crate root keeps only the shared primitives the campaigns, the
 //! harness binaries and the Criterion benches build on: the figure size
 //! sweeps, the NI-per-bus sets, [`run_workload_stats`] and [`report_digest`].
@@ -66,12 +64,12 @@
 //! `BENCH_seed.json` at the repo root, regenerated with:
 //!
 //! ```text
-//! cargo run --release -p cni-bench --bin fig8 -- --json > BENCH_seed.json
+//! cargo run --release -p cni-bench --bin report -- --only fig8 --cold --json > BENCH_seed.json
 //! ```
 //!
-//! (`fig8 --json` always simulates — it bypasses the campaign result cache,
-//! since a cached wall-clock would time nothing) and summarized in
-//! ROADMAP.md's Performance section.
+//! (`--cold` makes every cell simulate, so the recorded `wall_seconds`
+//! times real work rather than cache reads) and summarized in ROADMAP.md's
+//! Performance section.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -8,7 +8,7 @@
 //! derives (from the sibling `serde_derive` shim) expand to nothing; the
 //! traits are empty markers. No code in the workspace currently calls any
 //! serde functionality — harness binaries that need machine-readable output
-//! (e.g. `fig8 --json`) format JSON by hand. Point the workspace `serde`
+//! (e.g. `report --json`) format JSON by hand. Point the workspace `serde`
 //! dependency back at the registry crate to restore the real thing.
 #![forbid(unsafe_code)]
 

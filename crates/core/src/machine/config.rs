@@ -341,7 +341,52 @@ mod tests {
         let cfg = MachineConfig::isca96(64, NiKind::Ni2w).with_shards(ShardPolicy::Fixed(4));
         assert_eq!(cfg.shard_count(), 4);
         assert!(!cfg.parallel);
-        assert!(cfg.with_parallel(true).parallel);
+    }
+
+    /// `ShardPolicy::Auto` resolves the shard count from the host shape
+    /// deterministically: single-core hosts stay on one shard, multi-core
+    /// hosts go as wide as the cores and the 16-node-per-shard floor allow,
+    /// and everything clamps at the node count.
+    #[test]
+    fn auto_policy_resolution_covers_host_shapes() {
+        let auto = ShardPolicy::Auto;
+        // (nodes, cores) -> shard count.
+        let expectations = [
+            // One core: one shard, whatever the machine size.
+            (16, 1, 1),
+            (64, 1, 1),
+            (256, 1, 1),
+            (1024, 1, 1),
+            // Many cores: one shard per core, floored at 16 nodes per shard.
+            (16, 8, 1),
+            (32, 2, 2),
+            (64, 4, 4),
+            (64, 64, 4),
+            (256, 16, 16),
+            (1024, 64, 64),
+            // Clamping at the node count and degenerate core counts.
+            (2, 64, 1),
+            (1, 1, 1),
+            (512, 0, 1),
+        ];
+        for (nodes, cores, want) in expectations {
+            assert_eq!(
+                auto.resolve_for(nodes, cores),
+                want,
+                "Auto at {nodes} nodes / {cores} cores"
+            );
+        }
+        // The host-reading entry points agree with the pure ones.
+        let cores = cni_sim::pool::auto_jobs();
+        assert_eq!(auto.resolve(100), auto.resolve_for(100, cores));
+        let cfg = MachineConfig::isca96(100, NiKind::Cni512Q).with_shards(ShardPolicy::Auto);
+        assert_eq!(cfg.shard_count(), auto.resolve_for(100, cores));
+        // Auto picks only the shard count: the `parallel` flag decides whether
+        // more than the calling thread runs them, at most one per core.
+        assert_eq!(cfg.workers(), 1);
+        let parallel = cfg.with_parallel(true);
+        assert!(parallel.parallel);
+        assert_eq!(parallel.workers(), parallel.shard_count().min(cores));
     }
 
     #[test]

@@ -72,7 +72,8 @@
 //! later), per-node event-order invariance implies whole-run invariance:
 //! the 1-shard run and an N-shard run on any number of workers produce
 //! identical [`RunReport`]s bit for bit
-//! (`tests/sharding.rs` proves this property over randomized machines).
+//! (the differential harness in `tests/harness` proves this property over
+//! randomized machines).
 //!
 //! The run drains completely — every queued event and every in-flight
 //! message is consumed — unless the cycle limit aborts it first

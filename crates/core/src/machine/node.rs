@@ -154,8 +154,9 @@ impl Merge for NodeStats {
 /// dirty bit — set once at dispatch — is a *complete* record of
 /// divergence from the checkpoint mirror. Anything that adds a
 /// mutation path outside event dispatch must also mark the node dirty,
-/// or the sabotage oracle in `tests/speculation.rs` will show restores
-/// losing state. The one such path today: an epoch-boundary delivery to
+/// or the sabotage oracle in the `cni_core::machine` unit tests
+/// (`sabotaged_incremental_restores_are_caught_by_the_oracle`) will show
+/// restores losing state. The one such path today: an epoch-boundary delivery to
 /// a node with parked deliveries advances them first, and marks it.
 ///
 /// Within a dirty node, the checkpoint re-sync and rewind

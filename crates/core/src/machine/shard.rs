@@ -838,7 +838,12 @@ impl MachineShard {
 /// [`super::RunReport`] and its digests, and never rewound: an event
 /// re-executed after a speculative rollback counts again. The counts are
 /// therefore exact and repeatable for one configuration (what tests pin
-/// with `==`), but differ between lookahead modes.
+/// with `==`), but differ between lookahead modes. Within one lookahead
+/// mode the machine-wide merge is invariant across shard counts and worker
+/// counts: every event belongs to one node, and the speculation schedule
+/// that decides what re-executes is itself partition-invariant.
+/// The differential harness (`tests/harness`) asserts this on every case
+/// it runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// `ProcStep` events dispatched.
