@@ -25,14 +25,13 @@ use std::collections::HashMap;
 
 use cni_core::micro::local_queue_max_bandwidth_mbps;
 use cni_mem::system::DeviceLocation;
-use cni_mem::timing::TimingConfig;
 use cni_nic::cq_model::CqOptimizations;
 use cni_nic::taxonomy::NiKind;
 use cni_workloads::{ParamsTier, Workload, WorkloadClass};
 
 use super::{Campaign, CampaignRun, CampaignSetRun, ExperimentSpec};
 use crate::json::Json;
-use crate::{location_name, ni_set_for, FIG6_SIZES, FIG7_SIZES};
+use crate::{ni_set_for, FIG6_SIZES, FIG7_SIZES};
 
 /// The alternate-buses comparison of Figures 6c/7c/8c: `NI2w` on the cache
 /// bus, `CNI16Qm` on the memory bus, `CNI512Q` on the I/O bus.
@@ -53,7 +52,7 @@ struct SeriesDef {
 
 impl SeriesDef {
     fn label(&self) -> String {
-        let base = format!("{} ({})", self.ni, location_name(self.location));
+        let base = format!("{} ({})", self.ni, self.location);
         if self.snarfing {
             format!("{base} + snarf")
         } else {
@@ -584,7 +583,7 @@ fn render_fig7(run: &CampaignRun) -> String {
     let mut out = format!(
         "Bandwidth relative to the two-processor local cachable queue maximum of \
          {:.1} MB/s (§5.1.2), {messages} messages per point.\n",
-        local_queue_max_bandwidth_mbps(&TimingConfig::isca96())
+        local_queue_max_bandwidth_mbps()
     );
     out.push_str(&render_micro(run, &sizes, &panels, "relative", 3));
     out
@@ -616,7 +615,7 @@ fn render_fig8(run: &CampaignRun) -> String {
         let mut header = vec!["benchmark".to_owned()];
         header.extend(panel.columns.iter().map(|&(ni, loc)| {
             if panel.title.contains("alternate") {
-                format!("{ni} ({})", location_name(loc))
+                format!("{ni} ({loc})")
             } else {
                 ni.to_string()
             }

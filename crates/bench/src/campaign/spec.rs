@@ -23,7 +23,7 @@ use cni_core::machine::{
 };
 use cni_core::micro::{round_trip_latency, stream_bandwidth, BandwidthParams, LatencyParams};
 use cni_mem::system::{DeviceLocation, PROC_CACHE_BYTES};
-use cni_mem::timing::TimingConfig;
+use cni_mem::timing::TIMING;
 use cni_net::faults::FaultConfig;
 use cni_net::window::DEFAULT_WINDOW;
 use cni_nic::cq_model::CqOptimizations;
@@ -207,12 +207,12 @@ fn schema_fingerprint() -> u64 {
         let mut hasher = Fnv64::new();
         hasher.write_str(SPEC_SCHEMA);
         // Debug output includes every field, so any default the cells
-        // inherit (not just TimingConfig) perturbs the fingerprint when
+        // inherit (not just `TIMING`) perturbs the fingerprint when
         // edited. The wall-clock knobs it also sweeps in (shards, parallel,
         // speculation) are constants of `isca96`, so they never vary
         // between runs.
         hasher.write_str(&format!("{:?}", MachineConfig::isca96(2, NiKind::Ni2w)));
-        hasher.write_str(&format!("{:?}", TimingConfig::isca96()));
+        hasher.write_str(&format!("{TIMING:?}"));
         for constant in [DEFAULT_WINDOW, PROC_CACHE_BYTES, RECV_BATCH] {
             hasher.write_u64(constant as u64);
         }

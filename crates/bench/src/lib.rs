@@ -31,9 +31,9 @@
 //! | Resilience sweep (beyond the paper) | [`campaign::figures::resilience_campaign`] | `resilience` |
 //! | Tail-latency sweep (beyond the paper) | [`campaign::figures::latency_campaign`] | `latency` |
 //!
-//! This crate root keeps only the shared primitives the campaigns, the
-//! harness binaries and the Criterion benches build on: the figure size
-//! sweeps, the NI-per-bus sets, [`run_workload_stats`] and [`report_digest`].
+//! This crate root keeps only the shared primitives the campaigns and the
+//! harness binaries build on: the figure size sweeps, the NI-per-bus sets,
+//! [`run_workload_stats`] and [`report_digest`].
 //! There is exactly one implementation of each figure sweep — the campaign
 //! definition in [`campaign::figures`].
 //!
@@ -49,19 +49,17 @@
 //! plus `--json`, `--jobs N` and `--cold` (see [`cli`]).
 //!
 //! **Simulator performance** (wall-clock of the simulator itself) comes from
-//! the Criterion benches:
+//! the one Criterion bench and from `perfbench/` at the repo root:
 //!
 //! ```text
-//! cargo bench -p cni-bench                      # all benches
 //! cargo bench -p cni-bench --bench queue_ops    # event queue + host CQ
 //! ```
 //!
 //! `queue_ops` races the timing-wheel `cni_sim::EventQueue` against a
-//! `std::collections::BinaryHeap` baseline under machine-loop-shaped churn;
-//! `micro_latency`,
-//! `micro_bandwidth` and `macro_speedup` time complete simulated experiments
-//! end to end. The perf trajectory across PRs is recorded in
-//! `BENCH_seed.json` at the repo root, regenerated with:
+//! `std::collections::BinaryHeap` baseline under machine-loop-shaped churn.
+//! Complete simulated experiments are timed end to end, with repeated and
+//! normalised samples, by `perfbench/`. The perf trajectory across PRs is
+//! recorded in `BENCH_seed.json` at the repo root, regenerated with:
 //!
 //! ```text
 //! cargo run --release -p cni-bench --bin report -- --only fig8 --cold --json > BENCH_seed.json
@@ -88,15 +86,6 @@ pub const FIG6_SIZES: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
 /// The message sizes swept by Figure 7 (bytes).
 pub const FIG7_SIZES: [usize; 7] = [8, 32, 64, 256, 512, 2048, 4096];
-
-/// Human-readable bus name.
-pub fn location_name(location: DeviceLocation) -> &'static str {
-    match location {
-        DeviceLocation::CacheBus => "cache bus",
-        DeviceLocation::MemoryBus => "memory bus",
-        DeviceLocation::IoBus => "I/O bus",
-    }
-}
 
 /// The set of NIs the paper evaluates on a given bus (§5: all five on the
 /// memory bus, all but `CNI16Qm` on the I/O bus, only `NI2w` on the cache
@@ -144,15 +133,14 @@ pub fn run_workload_stats(
         "{workload} on {} ({}) hit the cycle limit (max_cycles = {}) — \
          results would be silently truncated; {}",
         cfg.ni_kind,
-        location_name(cfg.device_location),
+        cfg.device_location,
         cfg.max_cycles,
         report.pending_summary()
     );
     assert!(
         report.completed,
         "{workload} did not complete on {} ({})",
-        cfg.ni_kind,
-        location_name(cfg.device_location)
+        cfg.ni_kind, cfg.device_location
     );
     let outcome = machine
         .epoch_outcome()

@@ -2,8 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cni_mem::system::{DeviceLocation, PROC_CACHE_BYTES};
-use cni_mem::timing::TimingConfig;
+use cni_mem::system::DeviceLocation;
 use cni_net::faults::FaultConfig;
 use cni_nic::cq_model::CqOptimizations;
 use cni_nic::taxonomy::NiKind;
@@ -95,9 +94,9 @@ impl SpeculationConfig {
 /// Configuration of a simulated parallel machine (§4.1).
 ///
 /// Only what callers vary is a field. The rest of the paper's machine is
-/// fixed: the Table 2 cost model ([`TimingConfig::isca96`]), the
+/// fixed: the Table 2 cost model ([`cni_mem::timing::TIMING`]), the
 /// four-message window ([`cni_net::window::DEFAULT_WINDOW`]), the 256 KB
-/// processor cache ([`PROC_CACHE_BYTES`]), the receive batch
+/// processor cache ([`cni_mem::system::PROC_CACHE_BYTES`]), the receive batch
 /// ([`super::RECV_BATCH`]) and the delivery retry interval
 /// ([`super::DELIVERY_RETRY_INTERVAL`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -273,14 +272,12 @@ impl MachineConfig {
     /// configuration.
     pub fn node_mem_config(&self) -> cni_mem::system::NodeMemConfig {
         cni_mem::system::NodeMemConfig {
-            proc_cache_bytes: PROC_CACHE_BYTES,
             device_cache_blocks: if self.device_location == DeviceLocation::CacheBus {
                 None
             } else {
                 self.ni_kind.spec().device_cache_blocks
             },
             device_location: self.device_location,
-            timing: TimingConfig::isca96(),
             snarfing: self.snarfing,
         }
     }
@@ -293,14 +290,15 @@ mod tests {
     #[test]
     fn default_machine_matches_the_paper() {
         use crate::machine::{DELIVERY_RETRY_INTERVAL, RECV_BATCH};
+        use cni_mem::system::PROC_CACHE_BYTES;
+        use cni_mem::timing::TIMING;
         let cfg = MachineConfig::isca96(16, NiKind::Cni16Qm);
         assert_eq!(cfg.nodes, 16);
         assert_eq!(cfg.device_location, DeviceLocation::MemoryBus);
         assert!(!cfg.snarfing);
         assert_eq!(cni_net::window::DEFAULT_WINDOW, 4);
         assert_eq!(PROC_CACHE_BYTES, 256 * 1024);
-        assert_eq!(cfg.node_mem_config().proc_cache_bytes, PROC_CACHE_BYTES);
-        assert_eq!(TimingConfig::isca96().network_latency, 100);
+        assert_eq!(TIMING.network_latency, 100);
         assert_eq!(RECV_BATCH, 8);
         assert_eq!(DELIVERY_RETRY_INTERVAL, 64);
     }

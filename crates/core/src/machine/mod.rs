@@ -86,7 +86,7 @@ mod parked;
 pub mod program;
 mod shard;
 
-use cni_mem::timing::TimingConfig;
+use cni_mem::timing::TIMING;
 use cni_net::fabric::{Fabric, FabricStats};
 use cni_sim::sharded::run_epochs;
 use cni_sim::stats::Merge;
@@ -215,7 +215,7 @@ impl Machine {
             programs.len()
         );
         let shard_count = cfg.shard_count();
-        let shared_fabric = Fabric::new(TimingConfig::isca96().network_latency);
+        let shared_fabric = Fabric::new(TIMING.network_latency);
         let mut shards = Vec::with_capacity(shard_count);
         let mut bounds = Vec::with_capacity(shard_count);
         // Contiguous, balanced partition: shard s owns [s*N/S, (s+1)*N/S).
@@ -316,7 +316,7 @@ impl Machine {
         for shard in &mut self.shards {
             shard.prime();
         }
-        let epoch = TimingConfig::isca96().network_latency;
+        let epoch = TIMING.network_latency;
         let bounds = self.bounds.clone();
         let shard_of = move |node: u32| bounds.partition_point(|&b| b <= node as usize) - 1;
         // `run_epochs` clamps the workers to the shard partition fixed at
@@ -366,7 +366,7 @@ impl Machine {
             // before aborting, so anchoring on the grid keeps aborted reports
             // bit-identical across lookahead modes instead of leaking the
             // gambled horizon.
-            let epoch = TimingConfig::isca96().network_latency;
+            let epoch = TIMING.network_latency;
             let cut = match self.outcome.as_ref() {
                 Some(o) if o.epochs > 0 => {
                     let last = self

@@ -171,7 +171,7 @@ pub struct NodeCore {
     pub id: NodeId,
     /// Number of nodes in the machine (exposed to programs).
     pub num_nodes: usize,
-    /// The node's memory system (caches, buses, bridge).
+    /// The node's memory system (caches and buses).
     pub mem: NodeMemSystem,
     /// The node's network interface.
     pub ni: Box<dyn NiDevice>,

@@ -12,7 +12,7 @@
 //! [`crate::machine`]'s module docs for why this uniform routing is what
 //! makes results independent of the shard count.
 
-use cni_mem::timing::TimingConfig;
+use cni_mem::timing::TIMING;
 use cni_net::fabric::{Fabric, FabricStats};
 use cni_net::faults::{FaultDecision, FaultPlan};
 use cni_net::message::NodeId;
@@ -42,7 +42,7 @@ const _: () = assert!(
     "a refused delivery needs a retry interval of at least one cycle"
 );
 const _: () = assert!(
-    TimingConfig::isca96().network_latency >= 1,
+    TIMING.network_latency >= 1,
     "the sharded machine needs a network latency of at least one cycle of lookahead"
 );
 
@@ -1074,7 +1074,7 @@ impl ShardSim for MachineShard {
         if !self.nodes[slot].parked.is_empty() {
             self.mark_dirty(slot);
             // The driver delivers on the one-latency epoch grid.
-            let boundary = at - at % TimingConfig::isca96().network_latency;
+            let boundary = at - at % TIMING.network_latency;
             let cur = self.events.next_seq();
             let due = self.nodes[slot]
                 .parked

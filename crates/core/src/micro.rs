@@ -10,7 +10,7 @@ use std::any::Any;
 
 use serde::{Deserialize, Serialize};
 
-use cni_mem::timing::{BusKind, TimingConfig};
+use cni_mem::timing::TIMING;
 use cni_net::message::NodeId;
 use cni_sim::stats::LatencyHistogram;
 use cni_sim::time::{bytes_per_cycles_to_mbps, cycles_to_micros, Cycle};
@@ -32,10 +32,9 @@ const H_DATA: u16 = 3;
 /// Per 256-byte (4-block) message the steady-state local queue costs one
 /// invalidation plus one cache-to-cache transfer per block, plus the word
 /// accesses on both sides and a small amortised pointer overhead.
-pub fn local_queue_max_bandwidth_mbps(timing: &TimingConfig) -> f64 {
-    let per_message: Cycle = 4
-        * (timing.invalidate(BusKind::MemoryBus) + timing.c2c_from_device(BusKind::MemoryBus))
-        + 128 * timing.cache_hit
+pub fn local_queue_max_bandwidth_mbps() -> f64 {
+    let per_message: Cycle = 4 * (TIMING.invalidate_memory_bus + TIMING.c2c_from_device_memory_bus)
+        + 128 * TIMING.cache_hit
         + 8;
     bytes_per_cycles_to_mbps(256, per_message)
 }
@@ -378,7 +377,7 @@ pub fn stream_bandwidth(cfg: &MachineConfig, params: &BandwidthParams) -> Bandwi
     let mbps = bytes_per_cycles_to_mbps(bytes, cycles);
     BandwidthReport {
         mbytes_per_sec: mbps,
-        relative: mbps / local_queue_max_bandwidth_mbps(&TimingConfig::isca96()),
+        relative: mbps / local_queue_max_bandwidth_mbps(),
         bytes,
         cycles,
     }
@@ -391,7 +390,7 @@ mod tests {
 
     #[test]
     fn normalisation_constant_matches_the_paper() {
-        let mbps = local_queue_max_bandwidth_mbps(&TimingConfig::isca96());
+        let mbps = local_queue_max_bandwidth_mbps();
         assert!(
             (140.0..=155.0).contains(&mbps),
             "local-queue max bandwidth {mbps:.1} MB/s should be close to the paper's 144 MB/s"

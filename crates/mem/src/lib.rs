@@ -9,25 +9,25 @@
 //! * [`moesi`] — a direct-mapped, write-allocate MOESI cache model with
 //!   snooping (duplicate-tag behaviour is implicit: snoops never stall the
 //!   processor in this model).
-//! * [`timing`] — the Table 2 bus-occupancy cost model.
+//! * [`timing`] — the Table 2 bus-occupancy cost model, [`TIMING`].
 //! * [`bus`] — a single-outstanding-transaction bus as a timeline resource
-//!   that totals its busy and wait cycles.
-//! * [`bridge`] — the memory-bus ↔ I/O-bus bridge with NACK-based deadlock
-//!   avoidance.
+//!   that totals its busy cycles.
 //! * [`system`] — [`system::NodeMemSystem`], which composes the above into
-//!   the per-node memory system the NI device models drive.
+//!   the per-node memory system the NI device models drive. It charges every
+//!   bus transaction through one path, and the §4.1 memory-bus ↔ I/O-bus
+//!   bridge (buffered writes, blocking reads, NACKs) is that path's bridged
+//!   route.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod bridge;
 pub mod bus;
 pub mod moesi;
 pub mod system;
 pub mod timing;
 
 pub use addr::{BlockAddr, BlockHome, CACHE_BLOCK_BYTES};
-pub use bus::{Bus, BusKind};
+pub use bus::Bus;
 pub use moesi::{Cache, MoesiState, SnoopAction};
 pub use system::{DeviceLocation, NodeMemConfig, NodeMemSystem};
-pub use timing::TimingConfig;
+pub use timing::{TimingConfig, TIMING};

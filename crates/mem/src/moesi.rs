@@ -122,7 +122,7 @@ struct Line {
 /// use cni_mem::moesi::{Cache, MoesiState, AccessOutcome};
 /// use cni_mem::addr::{BlockAddr, BlockHome};
 ///
-/// let mut cache = Cache::new("proc", 256 * 1024);
+/// let mut cache = Cache::new(256 * 1024);
 /// let blk = BlockAddr(7);
 /// assert_eq!(cache.lookup(blk), MoesiState::Invalid);
 /// assert_eq!(cache.classify_read(blk), AccessOutcome::Miss);
@@ -138,7 +138,6 @@ struct Line {
 /// `set_mut`, the one place that marks it.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Cache {
-    name: String,
     sets: Vec<Option<Line>>,
     /// One bit per set written since the last sync.
     touched: Vec<u64>,
@@ -160,7 +159,6 @@ struct CacheCounts {
 impl Clone for Cache {
     fn clone(&self) -> Self {
         Cache {
-            name: self.name.clone(),
             sets: self.sets.clone(),
             touched: self.touched.clone(),
             counts: self.counts,
@@ -171,12 +169,10 @@ impl Clone for Cache {
     /// re-copies the set vector without reallocating it.
     fn clone_from(&mut self, source: &Self) {
         let Cache {
-            name,
             sets,
             touched,
             counts,
         } = source;
-        self.name.clone_from(name);
         self.sets.clone_from(sets);
         self.touched.clone_from(touched);
         self.counts = *counts;
@@ -207,14 +203,13 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `size_bytes` is not a positive multiple of the block size.
-    pub fn new(name: &str, size_bytes: usize) -> Self {
+    pub fn new(size_bytes: usize) -> Self {
         assert!(
             size_bytes >= CACHE_BLOCK_BYTES && size_bytes.is_multiple_of(CACHE_BLOCK_BYTES),
             "cache size must be a positive multiple of {CACHE_BLOCK_BYTES} bytes, got {size_bytes}"
         );
         let num_sets = size_bytes / CACHE_BLOCK_BYTES;
         Cache {
-            name: name.to_owned(),
             sets: vec![None; num_sets],
             touched: vec![0; num_sets.div_ceil(64)],
             counts: CacheCounts::default(),
@@ -249,11 +244,6 @@ impl Cache {
     /// mirror: the two are equal, so nothing is left to re-sync.
     pub fn mark_synced(&mut self) {
         self.touched.fill(0);
-    }
-
-    /// The cache's name (used in traces and statistics).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of sets (== number of blocks for a direct-mapped cache).
@@ -378,7 +368,7 @@ impl Cache {
     pub fn set_state(&mut self, block: BlockAddr, state: MoesiState) {
         match self.line_mut(block) {
             Some(line) => line.state = state,
-            None => panic!("{}: set_state on absent block {block}", self.name),
+            None => panic!("set_state on absent block {block}"),
         }
     }
 
@@ -485,7 +475,7 @@ mod tests {
 
     #[test]
     fn new_cache_is_empty_and_misses() {
-        let cache = Cache::new("t", 1024);
+        let cache = Cache::new(1024);
         assert_eq!(cache.num_sets(), 16);
         assert_eq!(cache.lookup(blk(3)), MoesiState::Invalid);
         assert_eq!(cache.classify_read(blk(3)), AccessOutcome::Miss);
@@ -496,12 +486,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple")]
     fn cache_size_must_be_block_multiple() {
-        let _ = Cache::new("bad", 100);
+        let _ = Cache::new(100);
     }
 
     #[test]
     fn fill_then_hit() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         assert!(cache
             .fill(blk(5), MoesiState::Exclusive, BlockHome::Memory)
             .is_none());
@@ -512,7 +502,7 @@ mod tests {
 
     #[test]
     fn shared_write_requires_upgrade() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         cache.fill(blk(5), MoesiState::Shared, BlockHome::Memory);
         assert_eq!(cache.classify_write(blk(5)), AccessOutcome::UpgradeMiss);
         cache.upgrade_to_modified(blk(5));
@@ -522,7 +512,7 @@ mod tests {
 
     #[test]
     fn direct_mapped_conflict_evicts_and_writes_back_dirty_victim() {
-        let mut cache = Cache::new("t", 1024); // 16 sets
+        let mut cache = Cache::new(1024); // 16 sets
         cache.fill(blk(1), MoesiState::Modified, BlockHome::Memory);
         // Block 17 maps to the same set as block 1 (17 mod 16 == 1).
         let ev = cache
@@ -538,7 +528,7 @@ mod tests {
 
     #[test]
     fn clean_victim_needs_no_writeback() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         cache.fill(blk(2), MoesiState::Shared, BlockHome::Memory);
         let ev = cache
             .fill(blk(18), MoesiState::Shared, BlockHome::Memory)
@@ -549,7 +539,7 @@ mod tests {
 
     #[test]
     fn snoop_read_downgrades_owner() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         cache.fill(blk(9), MoesiState::Modified, BlockHome::Memory);
         let action = cache.snoop_read(blk(9));
         assert!(action.supplies_data);
@@ -566,7 +556,7 @@ mod tests {
 
     #[test]
     fn snoop_read_of_shared_or_absent_supplies_nothing() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         cache.fill(blk(9), MoesiState::Shared, BlockHome::Memory);
         assert!(!cache.snoop_read(blk(9)).supplies_data);
         assert!(!cache.snoop_read(blk(99)).supplies_data);
@@ -575,7 +565,7 @@ mod tests {
 
     #[test]
     fn snoop_invalidate_clears_the_line() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         cache.fill(blk(4), MoesiState::Owned, BlockHome::Device);
         let action = cache.snoop_invalidate(blk(4));
         assert!(action.supplies_data);
@@ -590,7 +580,7 @@ mod tests {
 
     #[test]
     fn snarf_requires_invalid_tag_match() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         // Nothing allocated in the set: cannot snarf.
         assert!(!cache.snarf_fill(blk(6), BlockHome::Memory));
         // Valid line: cannot snarf (already have data).
@@ -609,7 +599,6 @@ mod tests {
     /// The cache's state as a checkpoint sees it: everything but the
     /// write marks, which record divergence rather than state.
     fn assert_same_state(got: &Cache, want: &Cache, what: &str) {
-        assert_eq!(got.name, want.name, "{what}: name");
         assert_eq!(got.counts, want.counts, "{what}: counters");
         for (set, (g, w)) in got.sets.iter().zip(&want.sets).enumerate() {
             assert_eq!(g, w, "{what}: set {set}");
@@ -672,7 +661,7 @@ mod tests {
         for case in 0..24 {
             let mut rng = DetRng::new(0x5e7_7ac4 ^ case);
             // 16..=271 sets: one to five bitmap words, some partly used.
-            let mut live = Cache::new("t", CACHE_BLOCK_BYTES * (16 + rng.gen_index(256)));
+            let mut live = Cache::new(CACHE_BLOCK_BYTES * (16 + rng.gen_index(256)));
             let mut mirror = live.clone();
             let mut synced = live.clone();
             for round in 0..60 {
@@ -707,7 +696,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "absent block")]
     fn set_state_on_absent_block_panics() {
-        let mut cache = Cache::new("t", 1024);
+        let mut cache = Cache::new(1024);
         cache.set_state(blk(1), MoesiState::Shared);
     }
 }

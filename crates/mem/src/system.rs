@@ -1,10 +1,32 @@
-//! Per-node memory system: processor cache + device cache + buses + bridge.
+//! Per-node memory system: processor cache, device cache and the two buses.
 //!
 //! [`NodeMemSystem`] is the substrate the NI device models drive. Every
 //! processor-side and device-side access is decomposed into MOESI state
-//! changes (handled by [`crate::moesi::Cache`]) and bus transactions (charged
-//! on [`crate::bus::Bus`] timelines using the Table 2 occupancies in
-//! [`crate::timing::TimingConfig`]).
+//! changes (handled by [`crate::moesi::Cache`]) and bus transactions. Every
+//! bus transaction is charged in one place, `NodeMemSystem::transact`, on
+//! [`crate::bus::Bus`] timelines with the Table 2 occupancies in
+//! [`crate::timing::TIMING`].
+//!
+//! # The I/O bridge
+//!
+//! §4.1: "An I/O bridge connects the memory and I/O buses. The bridge buffers
+//! writes and coherent invalidations, but blocks on reads. When transactions
+//! are simultaneously initiated on the two buses, the I/O bridge NACKs the
+//! I/O bus transaction to prevent deadlock. Fairness is preserved by ensuring
+//! that the next I/O bus transaction succeeds."
+//!
+//! The bridge is not an object here but the *bridged* route of a
+//! transaction, at transaction granularity. A bridged transaction (a
+//! processor access to an I/O-bus device, or an I/O-bus device access to
+//! processor cache or memory) starts once both buses are free:
+//!
+//! * **Reads** hold both buses for the full I/O-bus occupancy (the bridge
+//!   blocks).
+//! * **Writes and invalidations** are buffered: the I/O bus is held for the
+//!   full occupancy, the memory bus only for its memory-bus share.
+//! * An **I/O-side** transaction that finds the memory bus busy is NACKed
+//!   once and retried after [`crate::timing::TimingConfig::bridge_nack_penalty`]
+//!   cycles; the retry is guaranteed to succeed (fairness).
 //!
 //! There is one `NodeMemSystem` per simulated node. The two caches it manages
 //! are the 256 KB processor cache and, for coherent NIs, the CNI device
@@ -15,11 +37,10 @@ use serde::{Deserialize, Serialize};
 
 use cni_sim::time::Cycle;
 
-use crate::addr::{BlockAddr, BlockHome};
-use crate::bridge::{Bridge, BridgeInitiator, BridgeMode, BridgeStats};
-use crate::bus::{Bus, BusKind};
-use crate::moesi::{AccessOutcome, Cache, MoesiState};
-use crate::timing::TimingConfig;
+use crate::addr::{BlockAddr, BlockHome, CACHE_BLOCK_BYTES};
+use crate::bus::Bus;
+use crate::moesi::{AccessOutcome, Cache, Eviction, MoesiState};
+use crate::timing::TIMING;
 
 /// Where the NI device lives in the node (§1, §4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -33,20 +54,13 @@ pub enum DeviceLocation {
     IoBus,
 }
 
-impl DeviceLocation {
-    /// The bus kind used for timing lookups of device accesses.
-    pub fn bus_kind(self) -> BusKind {
-        match self {
-            DeviceLocation::CacheBus => BusKind::CacheBus,
-            DeviceLocation::MemoryBus => BusKind::MemoryBus,
-            DeviceLocation::IoBus => BusKind::IoBus,
-        }
-    }
-}
-
 impl std::fmt::Display for DeviceLocation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.bus_kind())
+        f.write_str(match self {
+            DeviceLocation::CacheBus => "cache bus",
+            DeviceLocation::MemoryBus => "memory bus",
+            DeviceLocation::IoBus => "I/O bus",
+        })
     }
 }
 
@@ -56,15 +70,10 @@ pub const PROC_CACHE_BYTES: usize = 256 * 1024;
 /// Configuration of a node's memory system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeMemConfig {
-    /// Processor cache capacity in bytes ([`PROC_CACHE_BYTES`] in the
-    /// paper's machine).
-    pub proc_cache_bytes: usize,
     /// Device (CNI) cache capacity in 64-byte blocks; `None` for uncached NIs.
     pub device_cache_blocks: Option<usize>,
     /// Where the device sits.
     pub device_location: DeviceLocation,
-    /// Cost model.
-    pub timing: TimingConfig,
     /// Whether the processor cache snarfs device writebacks it observes on
     /// the memory bus (§5.1.2).
     pub snarfing: bool,
@@ -73,11 +82,107 @@ pub struct NodeMemConfig {
 impl Default for NodeMemConfig {
     fn default() -> Self {
         NodeMemConfig {
-            proc_cache_bytes: PROC_CACHE_BYTES,
             device_cache_blocks: Some(16),
             device_location: DeviceLocation::MemoryBus,
-            timing: TimingConfig::isca96(),
             snarfing: false,
+        }
+    }
+}
+
+/// A bus transaction, named by what it moves between whom.
+#[derive(Debug, Clone, Copy)]
+enum Txn {
+    /// Processor uncached 8-byte load from a device register.
+    UncachedLoad,
+    /// Processor uncached 8-byte store to a device register.
+    UncachedStore,
+    /// 64-byte block, device → processor cache.
+    DeviceToProc,
+    /// 64-byte block, processor cache → device.
+    ProcToDevice,
+    /// 64-byte block, main memory → device.
+    MemoryToDevice,
+    /// 64-byte block between the processor cache and main memory.
+    ProcMemory,
+    /// Address-only invalidate / ownership upgrade.
+    Invalidate,
+    /// 64-byte writeback of a dirty memory-homed block the device evicted.
+    DeviceWriteback,
+}
+
+/// Which buses a transaction holds, and for how many cycles.
+enum Route {
+    /// Between the processor and a cache-bus device: no shared bus.
+    Local(Cycle),
+    /// The memory bus only.
+    Memory(Cycle),
+    /// Across the bridge: the I/O bus for `io` cycles and the memory bus for
+    /// `mem`, both from the same start. A blocking read has `mem == io`; a
+    /// buffered write or invalidation holds the memory bus only for its
+    /// memory-bus share.
+    /// `io_side` marks a transaction the I/O-bus side initiates, which the
+    /// bridge NACKs once if the memory bus is busy.
+    Bridged {
+        io_side: bool,
+        io: Cycle,
+        mem: Cycle,
+    },
+}
+
+impl Route {
+    /// A read across the bridge, which blocks: both buses are held for the
+    /// full I/O-bus occupancy.
+    fn blocking(io_side: bool, io: Cycle) -> Route {
+        Route::Bridged {
+            io_side,
+            io,
+            mem: io,
+        }
+    }
+}
+
+impl Txn {
+    /// The route of this transaction for a device at `location`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a coherent transfer with a cache-bus device: devices on
+    /// the cache bus are accessed uncached in this study.
+    fn route(self, location: DeviceLocation) -> Route {
+        use DeviceLocation::{CacheBus, IoBus, MemoryBus};
+        use Route::{Bridged, Local, Memory};
+        let t = &TIMING;
+        match (self, location) {
+            (Txn::UncachedLoad, CacheBus) => Local(t.uncached_load_cache_bus),
+            (Txn::UncachedLoad, MemoryBus) => Memory(t.uncached_load_memory_bus),
+            (Txn::UncachedLoad, IoBus) => Route::blocking(false, t.uncached_load_io_bus),
+            (Txn::UncachedStore, CacheBus) => Local(t.uncached_store_cache_bus),
+            (Txn::UncachedStore, MemoryBus) => Memory(t.uncached_store_memory_bus),
+            (Txn::UncachedStore, IoBus) => Bridged {
+                io_side: false,
+                io: t.uncached_store_io_bus,
+                mem: t.uncached_store_memory_bus,
+            },
+            (Txn::ProcMemory, _) => Memory(t.memory_transfer),
+            (Txn::Invalidate, CacheBus | MemoryBus) => Memory(t.invalidate_memory_bus),
+            (Txn::Invalidate, IoBus) => Bridged {
+                io_side: false,
+                io: t.invalidate_io_bus,
+                mem: t.invalidate_memory_bus,
+            },
+            (_, CacheBus) => panic!("coherent transfers are not modelled on the cache bus"),
+            (Txn::DeviceToProc, MemoryBus) => Memory(t.c2c_from_device_memory_bus),
+            (Txn::DeviceToProc, IoBus) => Route::blocking(false, t.c2c_from_device_io_bus),
+            (Txn::ProcToDevice, MemoryBus) => Memory(t.c2c_to_device_memory_bus),
+            (Txn::ProcToDevice, IoBus) => Route::blocking(true, t.c2c_to_device_io_bus),
+            (Txn::MemoryToDevice, MemoryBus) => Memory(t.memory_transfer),
+            (Txn::MemoryToDevice, IoBus) => Route::blocking(true, t.c2c_from_device_io_bus),
+            (Txn::DeviceWriteback, MemoryBus) => Memory(t.memory_transfer),
+            (Txn::DeviceWriteback, IoBus) => Bridged {
+                io_side: true,
+                io: t.c2c_to_device_io_bus,
+                mem: t.memory_transfer,
+            },
         }
     }
 }
@@ -85,23 +190,20 @@ impl Default for NodeMemConfig {
 /// The per-node memory system.
 #[derive(Debug)]
 pub struct NodeMemSystem {
-    cfg: NodeMemConfig,
+    location: DeviceLocation,
+    snarfing: bool,
     proc_cache: Cache,
     dev_cache: Option<Cache>,
     memory_bus: Bus,
     io_bus: Bus,
-    bridge: Bridge,
 }
 
 impl Clone for NodeMemSystem {
     fn clone(&self) -> Self {
         NodeMemSystem {
-            cfg: self.cfg.clone(),
             proc_cache: self.proc_cache.clone(),
             dev_cache: self.dev_cache.clone(),
-            memory_bus: self.memory_bus.clone(),
-            io_bus: self.io_bus.clone(),
-            bridge: self.bridge.clone(),
+            ..*self
         }
     }
 
@@ -127,33 +229,21 @@ impl NodeMemSystem {
                 "cache-bus NIs are uncached; they cannot have a coherent device cache"
             );
         }
-        let proc_cache = Cache::new("proc", cfg.proc_cache_bytes);
-        let dev_cache = cfg
-            .device_cache_blocks
-            .map(|blocks| Cache::new("device", blocks * crate::addr::CACHE_BLOCK_BYTES));
         NodeMemSystem {
-            proc_cache,
-            dev_cache,
-            memory_bus: Bus::new(BusKind::MemoryBus),
-            io_bus: Bus::new(BusKind::IoBus),
-            bridge: Bridge::new(),
-            cfg,
+            location: cfg.device_location,
+            snarfing: cfg.snarfing,
+            proc_cache: Cache::new(PROC_CACHE_BYTES),
+            dev_cache: cfg
+                .device_cache_blocks
+                .map(|blocks| Cache::new(blocks * CACHE_BLOCK_BYTES)),
+            memory_bus: Bus::default(),
+            io_bus: Bus::default(),
         }
-    }
-
-    /// The configuration this system was built with.
-    pub fn config(&self) -> &NodeMemConfig {
-        &self.cfg
-    }
-
-    /// The cost model in use.
-    pub fn timing(&self) -> &TimingConfig {
-        &self.cfg.timing
     }
 
     /// Where the device sits.
     pub fn device_location(&self) -> DeviceLocation {
-        self.cfg.device_location
+        self.location
     }
 
     /// Processor-cache coherence state of `block`.
@@ -188,8 +278,8 @@ impl NodeMemSystem {
 
     /// Brings `mirror` — a copy of this system as of the last sync — up to
     /// date: the caches copy only the sets written since then (see
-    /// [`Cache::sync_into`]), the buses and bridge are cloned. Returns the
-    /// bytes of cache sets copied.
+    /// [`Cache::sync_into`]), the buses are copied. Returns the bytes of
+    /// cache sets copied.
     pub fn sync_into(&mut self, mirror: &mut NodeMemSystem) -> usize {
         mirror.clone_uncached_from(self);
         let sets = self.proc_cache.sync_into(&mut mirror.proc_cache)
@@ -203,7 +293,7 @@ impl NodeMemSystem {
 
     /// Rewinds this system to `mirror`, its state as of the last sync:
     /// the caches copy back only the sets written since then (see
-    /// [`Cache::rewind_from`]), the buses and bridge are cloned.
+    /// [`Cache::rewind_from`]), the buses are copied.
     pub fn rewind_from(&mut self, mirror: &NodeMemSystem) {
         self.clone_uncached_from(mirror);
         self.proc_cache.rewind_from(&mirror.proc_cache);
@@ -226,17 +316,17 @@ impl NodeMemSystem {
     /// Everything but the caches.
     fn clone_uncached_from(&mut self, source: &Self) {
         let NodeMemSystem {
-            cfg,
+            location,
+            snarfing,
             proc_cache: _,
             dev_cache: _,
             memory_bus,
             io_bus,
-            bridge,
-        } = source;
-        self.cfg.clone_from(cfg);
-        self.memory_bus.clone_from(memory_bus);
-        self.io_bus.clone_from(io_bus);
-        self.bridge.clone_from(bridge);
+        } = *source;
+        self.location = location;
+        self.snarfing = snarfing;
+        self.memory_bus = memory_bus;
+        self.io_bus = io_bus;
     }
 
     /// Read-only access to the memory bus (occupancy statistics).
@@ -249,11 +339,6 @@ impl NodeMemSystem {
         &self.io_bus
     }
 
-    /// Bridge statistics.
-    pub fn bridge_stats(&self) -> BridgeStats {
-        self.bridge.stats()
-    }
-
     /// Accounts for `idle_cycles` of processor spin-polling on an *uncached*
     /// NI status register while the node had nothing else to do.
     ///
@@ -261,28 +346,22 @@ impl NodeMemSystem {
     /// every poll; this method charges the bus occupancy those polls would
     /// have generated (one uncached load back-to-back) so that the §5.2
     /// memory-bus-occupancy comparison remains faithful. It never advances
-    /// the bus timeline. Cached polling (the CQ-based CNIs) generates no bus
-    /// traffic and needs no equivalent.
+    /// the bus timeline, so it is a tally rather than a transaction: each
+    /// poll adds its uncached-load occupancy to the device's bus, and its
+    /// memory-bus uncached-load occupancy to the memory bus. Cached polling
+    /// (the CQ-based CNIs) generates no bus traffic and needs no equivalent.
     pub fn note_uncached_idle_polling(&mut self, idle_cycles: Cycle) {
-        if idle_cycles == 0 {
-            return;
+        let per_poll = match self.location {
+            DeviceLocation::CacheBus => return,
+            DeviceLocation::MemoryBus => TIMING.uncached_load_memory_bus,
+            DeviceLocation::IoBus => TIMING.uncached_load_io_bus,
+        };
+        let polls = idle_cycles / per_poll;
+        if self.location == DeviceLocation::IoBus {
+            self.io_bus.record_untimed(polls * per_poll);
         }
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::CacheBus => {}
-            DeviceLocation::MemoryBus => {
-                let per = t.uncached_load(BusKind::MemoryBus);
-                let polls = idle_cycles / per.max(1);
-                self.memory_bus.record_untimed(polls * per);
-            }
-            DeviceLocation::IoBus => {
-                let per = t.uncached_load(BusKind::IoBus);
-                let polls = idle_cycles / per.max(1);
-                self.io_bus.record_untimed(polls * per);
-                self.memory_bus
-                    .record_untimed(polls * t.uncached_load(BusKind::MemoryBus));
-            }
-        }
+        self.memory_bus
+            .record_untimed(polls * TIMING.uncached_load_memory_bus);
     }
 
     // ------------------------------------------------------------------
@@ -294,29 +373,7 @@ impl NodeMemSystem {
     /// Returns the cycle at which the load's value is available to the
     /// processor (loads always stall).
     pub fn proc_uncached_load(&mut self, now: Cycle) -> Cycle {
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::CacheBus => now + t.uncached_load(BusKind::CacheBus),
-            DeviceLocation::MemoryBus => {
-                self.memory_bus
-                    .occupy(now, t.uncached_load(BusKind::MemoryBus))
-                    .end
-            }
-            DeviceLocation::IoBus => {
-                self.bridge
-                    .bridged(
-                        BridgeInitiator::MemorySide,
-                        BridgeMode::Blocking,
-                        now,
-                        t.uncached_load(BusKind::IoBus),
-                        t.uncached_load(BusKind::MemoryBus),
-                        &mut self.memory_bus,
-                        &mut self.io_bus,
-                        &t,
-                    )
-                    .end
-            }
-        }
+        self.transact(now, Txn::UncachedLoad)
     }
 
     /// Processor uncached 8-byte store to an NI device register.
@@ -326,29 +383,7 @@ impl NodeMemSystem {
     /// stores the processor may proceed earlier; for stores followed by a
     /// memory barrier it must wait for the returned cycle.
     pub fn proc_uncached_store(&mut self, now: Cycle) -> Cycle {
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::CacheBus => now + t.uncached_store(BusKind::CacheBus),
-            DeviceLocation::MemoryBus => {
-                self.memory_bus
-                    .occupy(now, t.uncached_store(BusKind::MemoryBus))
-                    .end
-            }
-            DeviceLocation::IoBus => {
-                self.bridge
-                    .bridged(
-                        BridgeInitiator::MemorySide,
-                        BridgeMode::Buffered,
-                        now,
-                        t.uncached_store(BusKind::IoBus),
-                        t.uncached_store(BusKind::MemoryBus),
-                        &mut self.memory_bus,
-                        &mut self.io_bus,
-                        &t,
-                    )
-                    .end
-            }
-        }
+        self.transact(now, Txn::UncachedStore)
     }
 
     // ------------------------------------------------------------------
@@ -359,35 +394,27 @@ impl NodeMemSystem {
     ///
     /// Returns the cycle at which the data is available.
     pub fn proc_cached_read(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
-        let t = self.cfg.timing;
-        match self.proc_cache.classify_read(block) {
-            AccessOutcome::Hit => {
-                self.proc_cache.note_hit();
-                now + t.cache_hit
-            }
-            _ => {
-                // Who supplies the data?
-                let device_supplies = self
-                    .dev_cache
-                    .as_mut()
-                    .map(|c| c.snoop_read(block).supplies_data)
-                    .unwrap_or(false);
-                let done = if device_supplies || home == BlockHome::Device {
-                    self.device_to_proc_transfer(now)
-                } else {
-                    // From main memory on the memory bus.
-                    self.memory_bus.occupy(now, t.memory_transfer).end
-                };
-                let fill_state = if device_supplies {
-                    MoesiState::Shared
-                } else {
-                    MoesiState::Exclusive
-                };
-                let eviction = self.proc_cache.fill(block, fill_state, home);
-
-                self.handle_proc_eviction(done, eviction)
-            }
+        if self.proc_cache.classify_read(block) == AccessOutcome::Hit {
+            self.proc_cache.note_hit();
+            return now + TIMING.cache_hit;
         }
+        // Who supplies the data, and does the device keep a copy?
+        let snoop = self.dev_cache.as_mut().map(|c| c.snoop_read(block));
+        let device_supplies = snoop.is_some_and(|s| s.supplies_data);
+        let done = if device_supplies || home == BlockHome::Device {
+            self.transact(now, Txn::DeviceToProc)
+        } else {
+            self.transact(now, Txn::ProcMemory)
+        };
+        // A copy the device keeps, even one it did not supply, makes the
+        // processor's copy Shared.
+        let fill_state = if snoop.is_some_and(|s| s.prev.is_valid()) {
+            MoesiState::Shared
+        } else {
+            MoesiState::Exclusive
+        };
+        let eviction = self.proc_cache.fill(block, fill_state, home);
+        self.handle_proc_eviction(done, eviction)
     }
 
     /// Processor coherent store to `block` whose home is `home`
@@ -395,12 +422,11 @@ impl NodeMemSystem {
     ///
     /// Returns the cycle at which the store has retired (ownership obtained).
     pub fn proc_cached_write(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
-        let t = self.cfg.timing;
         match self.proc_cache.classify_write(block) {
             AccessOutcome::Hit => {
                 self.proc_cache.note_hit();
                 self.proc_cache.set_state(block, MoesiState::Modified);
-                now + t.cache_hit
+                now + TIMING.cache_hit
             }
             AccessOutcome::UpgradeMiss => {
                 // Address-only invalidation; the device copy (if any) is
@@ -408,7 +434,7 @@ impl NodeMemSystem {
                 if let Some(dev) = self.dev_cache.as_mut() {
                     dev.snoop_invalidate(block);
                 }
-                let done = self.invalidate_transaction(now);
+                let done = self.transact(now, Txn::Invalidate);
                 self.proc_cache.upgrade_to_modified(block);
                 done
             }
@@ -417,12 +443,11 @@ impl NodeMemSystem {
                 let device_supplied = self
                     .dev_cache
                     .as_mut()
-                    .map(|c| c.snoop_invalidate(block).supplies_data)
-                    .unwrap_or(false);
+                    .is_some_and(|c| c.snoop_invalidate(block).supplies_data);
                 let done = if device_supplied || home == BlockHome::Device {
-                    self.device_to_proc_transfer(now)
+                    self.transact(now, Txn::DeviceToProc)
                 } else {
-                    self.memory_bus.occupy(now, t.memory_transfer).end
+                    self.transact(now, Txn::ProcMemory)
                 };
                 let eviction = self.proc_cache.fill(block, MoesiState::Modified, home);
                 self.handle_proc_eviction(done, eviction)
@@ -439,35 +464,28 @@ impl NodeMemSystem {
     ///
     /// Returns the cycle at which the device holds the data.
     pub fn device_read_block(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
-        let t = self.cfg.timing;
         assert!(
-            self.cfg.device_location != DeviceLocation::CacheBus,
+            self.location != DeviceLocation::CacheBus,
             "cache-bus devices perform no coherent transactions"
         );
-        if let Some(dev) = self.dev_cache.as_ref() {
-            if dev.lookup(block).is_valid() {
-                return now + t.cache_hit;
-            }
+        if self
+            .dev_cache
+            .as_ref()
+            .is_some_and(|dev| dev.lookup(block).is_valid())
+        {
+            return now + TIMING.cache_hit;
         }
-        let proc_supplies = self.proc_cache.snoop_read(block).supplies_data;
-        let done = if proc_supplies {
-            self.proc_to_device_transfer(now)
+        let done = if self.proc_cache.snoop_read(block).supplies_data {
+            self.transact(now, Txn::ProcToDevice)
         } else {
             match home {
-                BlockHome::Memory => self.memory_to_device_transfer(now),
+                BlockHome::Memory => self.transact(now, Txn::MemoryToDevice),
                 // Device-homed data not in the device cache lives in the
                 // device's own backing store: no bus transaction.
-                BlockHome::Device => now + t.cache_hit,
+                BlockHome::Device => now + TIMING.cache_hit,
             }
         };
-        if self.dev_cache.is_some() {
-            let eviction = {
-                let dev = self.dev_cache.as_mut().expect("device cache present");
-                dev.fill(block, MoesiState::Shared, home)
-            };
-            return self.handle_device_eviction(done, eviction);
-        }
-        done
+        self.device_fill(done, block, MoesiState::Shared, home)
     }
 
     /// The CNI device obtains an exclusive (writable) copy of `block`,
@@ -476,200 +494,102 @@ impl NodeMemSystem {
     ///
     /// Returns the cycle at which the device owns the block.
     pub fn device_write_block(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
-        let t = self.cfg.timing;
         assert!(
-            self.cfg.device_location != DeviceLocation::CacheBus,
+            self.location != DeviceLocation::CacheBus,
             "cache-bus devices perform no coherent transactions"
         );
-        if let Some(dev) = self.dev_cache.as_ref() {
+        if let Some(dev) = self.dev_cache.as_mut() {
             if dev.lookup(block).can_write_silently() {
-                let dev = self.dev_cache.as_mut().expect("device cache present");
                 dev.set_state(block, MoesiState::Modified);
-                return now + t.cache_hit;
+                return now + TIMING.cache_hit;
             }
         }
         let proc_action = self.proc_cache.snoop_invalidate(block);
         let done = if proc_action.was_dirty {
             // The dirty data travels to the device with the invalidating
             // transaction (read-exclusive).
-            self.proc_to_device_transfer(now)
-        } else if proc_action.prev.is_valid() {
-            // Address-only invalidation of a clean processor copy.
-            self.invalidate_transaction(now)
+            self.transact(now, Txn::ProcToDevice)
+        } else if proc_action.prev.is_valid() || home == BlockHome::Memory {
+            // Address-only invalidation of a clean processor copy, or the
+            // device obtaining ownership of a memory-homed block.
+            self.transact(now, Txn::Invalidate)
         } else {
-            match home {
-                // The device still must obtain ownership from the home.
-                BlockHome::Memory => self.invalidate_transaction(now),
-                BlockHome::Device => now + t.cache_hit,
-            }
+            now + TIMING.cache_hit
         };
-        if self.dev_cache.is_some() {
-            let eviction = {
-                let dev = self.dev_cache.as_mut().expect("device cache present");
-                dev.fill(block, MoesiState::Modified, home)
-            };
-            return self.handle_device_eviction(done, eviction);
-        }
-        done
+        self.device_fill(done, block, MoesiState::Modified, home)
     }
 
     // ------------------------------------------------------------------
-    // Internal transfer helpers
+    // Bus transactions and writebacks
     // ------------------------------------------------------------------
 
-    fn device_to_proc_transfer(&mut self, now: Cycle) -> Cycle {
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::MemoryBus => {
-                self.memory_bus
-                    .occupy(now, t.c2c_from_device(BusKind::MemoryBus))
-                    .end
-            }
-            DeviceLocation::IoBus => {
-                self.bridge
-                    .bridged(
-                        BridgeInitiator::MemorySide,
-                        BridgeMode::Blocking,
-                        now,
-                        t.c2c_from_device(BusKind::IoBus),
-                        t.c2c_from_device(BusKind::MemoryBus),
-                        &mut self.memory_bus,
-                        &mut self.io_bus,
-                        &t,
-                    )
-                    .end
-            }
-            DeviceLocation::CacheBus => unreachable!("checked by callers"),
-        }
-    }
-
-    fn proc_to_device_transfer(&mut self, now: Cycle) -> Cycle {
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::MemoryBus => {
-                self.memory_bus
-                    .occupy(now, t.c2c_to_device(BusKind::MemoryBus))
-                    .end
-            }
-            DeviceLocation::IoBus => {
-                self.bridge
-                    .bridged(
-                        BridgeInitiator::IoSide,
-                        BridgeMode::Blocking,
-                        now,
-                        t.c2c_to_device(BusKind::IoBus),
-                        t.c2c_to_device(BusKind::MemoryBus),
-                        &mut self.memory_bus,
-                        &mut self.io_bus,
-                        &t,
-                    )
-                    .end
-            }
-            DeviceLocation::CacheBus => unreachable!("checked by callers"),
-        }
-    }
-
-    fn memory_to_device_transfer(&mut self, now: Cycle) -> Cycle {
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::MemoryBus => self.memory_bus.occupy(now, t.memory_transfer).end,
-            DeviceLocation::IoBus => {
-                self.bridge
-                    .bridged(
-                        BridgeInitiator::IoSide,
-                        BridgeMode::Blocking,
-                        now,
-                        t.c2c_from_device(BusKind::IoBus),
-                        t.memory_transfer,
-                        &mut self.memory_bus,
-                        &mut self.io_bus,
-                        &t,
-                    )
-                    .end
-            }
-            DeviceLocation::CacheBus => unreachable!("checked by callers"),
-        }
-    }
-
-    fn invalidate_transaction(&mut self, now: Cycle) -> Cycle {
-        let t = self.cfg.timing;
-        match self.cfg.device_location {
-            DeviceLocation::CacheBus | DeviceLocation::MemoryBus => {
-                self.memory_bus
-                    .occupy(now, t.invalidate(BusKind::MemoryBus))
-                    .end
-            }
-            DeviceLocation::IoBus => {
-                self.bridge
-                    .bridged(
-                        BridgeInitiator::MemorySide,
-                        BridgeMode::Buffered,
-                        now,
-                        t.invalidate(BusKind::IoBus),
-                        t.invalidate(BusKind::MemoryBus),
-                        &mut self.memory_bus,
-                        &mut self.io_bus,
-                        &t,
-                    )
-                    .end
+    /// Charges `txn`, requested at `now`, on the buses its route holds and
+    /// returns the cycle at which it completes. Every bus transaction of
+    /// the memory system goes through here.
+    fn transact(&mut self, now: Cycle, txn: Txn) -> Cycle {
+        match txn.route(self.location) {
+            Route::Local(cycles) => now + cycles,
+            Route::Memory(cycles) => self.memory_bus.occupy(now, cycles),
+            Route::Bridged { io_side, io, mem } => {
+                // Deadlock avoidance: the bridge NACKs an I/O-side
+                // transaction that meets a busy memory bus; the retry after
+                // the penalty is guaranteed to succeed.
+                let request = if io_side && self.memory_bus.free_at() > now {
+                    now + TIMING.bridge_nack_penalty
+                } else {
+                    now
+                };
+                // The transaction cannot cross until both buses can take it.
+                let start = request
+                    .max(self.io_bus.free_at())
+                    .max(self.memory_bus.free_at());
+                self.memory_bus.occupy(start, mem);
+                self.io_bus.occupy(start, io)
             }
         }
     }
 
-    fn writeback_from_device(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
-        let t = self.cfg.timing;
-        let done = match home {
-            BlockHome::Device => now, // internal to the device, free
-            BlockHome::Memory => match self.cfg.device_location {
-                DeviceLocation::MemoryBus => self.memory_bus.occupy(now, t.memory_transfer).end,
-                DeviceLocation::IoBus => {
-                    self.bridge
-                        .bridged(
-                            BridgeInitiator::IoSide,
-                            BridgeMode::Buffered,
-                            now,
-                            t.c2c_to_device(BusKind::IoBus),
-                            t.memory_transfer,
-                            &mut self.memory_bus,
-                            &mut self.io_bus,
-                            &t,
-                        )
-                        .end
-                }
-                DeviceLocation::CacheBus => unreachable!("checked by callers"),
-            },
-        };
-        // Data snarfing (§5.1.2): the processor cache grabs device writebacks
-        // it observes on the memory bus if it still has a matching invalid
-        // tag. Only meaningful for memory-homed blocks.
-        if self.cfg.snarfing && home == BlockHome::Memory {
-            self.proc_cache.snarf_fill(block, home);
-        }
-        done
-    }
-
-    fn handle_proc_eviction(
+    /// Fills `block` into the device cache, if there is one, and writes back
+    /// a dirty victim after `done`.
+    fn device_fill(
         &mut self,
-        now: Cycle,
-        eviction: Option<crate::moesi::Eviction>,
+        done: Cycle,
+        block: BlockAddr,
+        state: MoesiState,
+        home: BlockHome,
     ) -> Cycle {
-        let t = self.cfg.timing;
+        let Some(dev) = self.dev_cache.as_mut() else {
+            return done;
+        };
+        match dev.fill(block, state, home) {
+            Some(ev) if ev.needs_writeback() => self.writeback_from_device(done, ev),
+            _ => done,
+        }
+    }
+
+    fn writeback_from_device(&mut self, now: Cycle, ev: Eviction) -> Cycle {
+        match ev.home {
+            // Internal to the device, free.
+            BlockHome::Device => now,
+            BlockHome::Memory => {
+                let done = self.transact(now, Txn::DeviceWriteback);
+                // Data snarfing (§5.1.2): the processor cache grabs device
+                // writebacks it observes on the memory bus if it still has a
+                // matching invalid tag.
+                if self.snarfing {
+                    self.proc_cache.snarf_fill(ev.block, ev.home);
+                }
+                done
+            }
+        }
+    }
+
+    fn handle_proc_eviction(&mut self, now: Cycle, eviction: Option<Eviction>) -> Cycle {
         match eviction {
             Some(ev) if ev.needs_writeback() => match ev.home {
-                BlockHome::Memory => self.memory_bus.occupy(now, t.memory_transfer).end,
-                BlockHome::Device => self.proc_to_device_transfer(now),
+                BlockHome::Memory => self.transact(now, Txn::ProcMemory),
+                BlockHome::Device => self.transact(now, Txn::ProcToDevice),
             },
-            _ => now,
-        }
-    }
-
-    fn handle_device_eviction(
-        &mut self,
-        now: Cycle,
-        eviction: Option<crate::moesi::Eviction>,
-    ) -> Cycle {
-        match eviction {
-            Some(ev) if ev.needs_writeback() => self.writeback_from_device(now, ev.block, ev.home),
             _ => now,
         }
     }
@@ -828,10 +748,9 @@ mod tests {
         let overflows = device_writes(17, BlockHome::Memory);
         assert_eq!(fits.device_cache().unwrap().writebacks(), 0);
         assert_eq!(overflows.device_cache().unwrap().writebacks(), 1);
-        let t = TimingConfig::isca96();
         assert_eq!(
             overflows.memory_bus().busy_cycles() - fits.memory_bus().busy_cycles(),
-            t.invalidate(BusKind::MemoryBus) + t.memory_transfer
+            TIMING.invalidate_memory_bus + TIMING.memory_transfer
         );
     }
 
@@ -880,5 +799,106 @@ mod tests {
         assert!(done >= 10 + 76);
         assert!(sys.io_bus().busy_cycles() >= 76);
         assert!(sys.memory_bus().busy_cycles() >= 42);
+    }
+
+    /// A processor read of a block the device holds Shared fills Shared,
+    /// whether or not the device supplied the data, so the processor's next
+    /// write must invalidate the device copy instead of hitting silently.
+    #[test]
+    fn proc_read_of_a_device_shared_block_fills_shared() {
+        for (location, invalidate) in [
+            (DeviceLocation::MemoryBus, TIMING.invalidate_memory_bus),
+            (DeviceLocation::IoBus, TIMING.invalidate_io_bus),
+        ] {
+            for home in [BlockHome::Device, BlockHome::Memory] {
+                let mut sys = NodeMemSystem::new(NodeMemConfig {
+                    device_location: location,
+                    ..NodeMemConfig::default()
+                });
+                let blk = BlockAddr(21);
+                let t = sys.device_read_block(0, blk, home);
+                assert_eq!(sys.device_state(blk), MoesiState::Shared);
+                let t = sys.proc_cached_read(t, blk, home);
+                assert_eq!(
+                    sys.proc_state(blk),
+                    MoesiState::Shared,
+                    "{location}, {home:?} home: read fill"
+                );
+                let done = sys.proc_cached_write(t, blk, home);
+                assert_eq!(done - t, invalidate, "{location}, {home:?} home: write");
+                assert_eq!(sys.proc_state(blk), MoesiState::Modified);
+                assert_eq!(sys.device_state(blk), MoesiState::Invalid);
+            }
+        }
+    }
+
+    // The I/O bridge: the bridged route of `transact`.
+
+    #[test]
+    fn blocking_read_holds_both_buses() {
+        let mut sys = io_bus_system();
+        assert_eq!(sys.proc_uncached_load(0), 48);
+        assert_eq!(sys.io_bus().busy_cycles(), 48);
+        assert_eq!(sys.memory_bus().busy_cycles(), 48);
+        // The memory bus stays held until the read completes.
+        assert_eq!(
+            sys.proc_cached_read(0, BlockAddr(1), BlockHome::Memory),
+            48 + 42
+        );
+    }
+
+    #[test]
+    fn buffered_write_releases_the_memory_bus_early() {
+        let mut sys = io_bus_system();
+        assert_eq!(sys.proc_uncached_store(0), 32);
+        assert_eq!(sys.io_bus().busy_cycles(), 32);
+        assert_eq!(sys.memory_bus().busy_cycles(), 12);
+        // A memory-bus-only transfer may start once the memory-bus share is
+        // done, while the I/O bus is still busy.
+        assert_eq!(
+            sys.proc_cached_read(0, BlockAddr(1), BlockHome::Memory),
+            12 + 42
+        );
+    }
+
+    #[test]
+    fn io_initiator_is_nacked_when_memory_bus_is_busy() {
+        let mut sys = io_bus_system();
+        // A processor read from memory holds the memory bus until cycle 42.
+        assert_eq!(sys.proc_cached_read(0, BlockAddr(1), BlockHome::Memory), 42);
+        // The device's fetch from memory at cycle 30 is NACKed once: it
+        // retries 16 cycles later, not when the memory bus frees at 42.
+        let done = sys.device_read_block(30, BlockAddr(2), BlockHome::Memory);
+        assert_eq!(done, 30 + 16 + 76);
+        // A processor-side transaction meeting the busy bus only waits.
+        assert_eq!(sys.proc_uncached_load(done - 1), done + 48);
+    }
+
+    #[test]
+    fn io_initiator_with_idle_memory_bus_is_not_nacked() {
+        let mut sys = io_bus_system();
+        assert_eq!(
+            sys.device_read_block(10, BlockAddr(2), BlockHome::Memory),
+            10 + 76
+        );
+        assert_eq!(sys.io_bus().busy_cycles(), 76);
+        assert_eq!(sys.memory_bus().busy_cycles(), 76);
+    }
+
+    #[test]
+    fn contention_on_the_io_bus_serialises_transactions() {
+        let mut sys = io_bus_system();
+        assert_eq!(sys.proc_uncached_load(0), 48);
+        assert_eq!(sys.proc_uncached_load(0), 96);
+        assert_eq!(sys.io_bus().busy_cycles(), 96);
+    }
+
+    #[test]
+    fn contending_loads_wait_for_the_memory_bus() {
+        let mut sys = memory_bus_system();
+        assert_eq!(sys.proc_uncached_load(0), 28);
+        // Requested at 1, the second load waits 27 cycles for the bus.
+        assert_eq!(sys.proc_uncached_load(1), 56);
+        assert_eq!(sys.memory_bus().busy_cycles(), 56);
     }
 }

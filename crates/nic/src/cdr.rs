@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 
 use cni_mem::addr::{BlockAddr, BlockHome, RegionAllocator};
 use cni_mem::system::NodeMemSystem;
+use cni_mem::timing::TIMING;
 use cni_sim::time::Cycle;
 
 use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
@@ -104,7 +105,7 @@ impl NiDevice for Cni4Device {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_write(t, self.send_cdr.offset(b as u64), BlockHome::Device);
         }
-        t += mem.timing().cache_hit * (frag.words().saturating_sub(frag.blocks())) as Cycle;
+        t += frag.word_hit_cycles();
         // 3. Uncached store signalling "message ready".
         t = mem.proc_uncached_store(t);
         self.send_exposed = Some(frag);
@@ -129,7 +130,7 @@ impl NiDevice for Cni4Device {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_read(t, self.recv_cdr.offset(b as u64), BlockHome::Device);
         }
-        t += mem.timing().cache_hit * (frag.words().saturating_sub(frag.blocks())) as Cycle;
+        t += frag.word_hit_cycles();
 
         // The three-cycle handshake that makes CDR reuse safe (§2.1):
         // (1) explicit clear via an uncached store,
@@ -137,7 +138,7 @@ impl NiDevice for Cni4Device {
         // (2) make sure the device has seen it. `proc_uncached_store` already
         //     returns the time the store is visible on the bus, so the
         //     store-buffer flush costs only the barrier instruction itself.
-        t += mem.timing().cache_hit;
+        t += TIMING.cache_hit;
         // (3) the device invalidates the CDR blocks and the processor
         //     confirms by reading the uncached status register.
         for b in 0..frag.blocks() {

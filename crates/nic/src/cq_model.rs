@@ -29,6 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use cni_mem::addr::{BlockAddr, BlockHome, RegionAllocator};
 use cni_mem::system::NodeMemSystem;
+use cni_mem::timing::TIMING;
 use cni_sim::time::Cycle;
 
 use crate::device::{DeliverOutcome, PollOutcome, SendOutcome};
@@ -192,14 +193,6 @@ impl CqState {
     }
 }
 
-/// Per-block extra cost of reading/writing the words of a message once the
-/// block itself is owned: one cycle per word beyond the first.
-fn word_hit_cycles(mem: &NodeMemSystem, frag: FragRef) -> Cycle {
-    let words = frag.words();
-    let blocks = frag.blocks();
-    mem.timing().cache_hit * (words.saturating_sub(blocks)) as Cycle
-}
-
 // ---------------------------------------------------------------------------
 // Send queue: processor produces, device consumes
 // ---------------------------------------------------------------------------
@@ -298,14 +291,14 @@ impl ProcToDeviceCq {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_write(t, first_block.offset(b as u64), self.cfg.home);
         }
-        t += word_hit_cycles(mem, frag);
+        t += frag.word_hit_cycles();
 
         // 3. Write the valid bit / sense word (part of the first block —
         //    already owned, so a hit). Without sense reverse the producer
         //    also has to have cleared it... the clearing cost is charged to
         //    the *consumer* side (see `DeviceToProcCq::proc_dequeue`), which
         //    is where the paper places it.
-        t += mem.timing().cache_hit;
+        t += TIMING.cache_hit;
 
         // 4. Advance the tail pointer (private to the producer: a hit after
         //    the first access).
@@ -477,7 +470,7 @@ impl DeviceToProcCq {
             t = mem.proc_cached_read(t, self.cfg.tail_ptr_block, self.cfg.home);
         }
         // Compare the sense/valid word: a register-to-register compare.
-        t += mem.timing().cache_hit;
+        t += TIMING.cache_hit;
         let available = !self.state.entries.is_empty();
         if available {
             self.state.stats.successful_polls += 1;
@@ -507,7 +500,7 @@ impl DeviceToProcCq {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_read(t, first_block.offset(b as u64), self.cfg.home);
         }
-        t += word_hit_cycles(mem, frag);
+        t += frag.word_hit_cycles();
 
         if !self.cfg.opts.sense_reverse {
             // Without sense reverse the consumer must clear the valid bit,

@@ -11,7 +11,9 @@
 use serde::{Deserialize, Serialize};
 
 use cni_mem::addr::blocks_for_bytes;
+use cni_mem::timing::TIMING;
 use cni_net::message::NET_HEADER_BYTES;
+use cni_sim::time::Cycle;
 
 /// A reference to one network message's worth of payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -60,6 +62,13 @@ impl FragRef {
     /// data through the cache (one access per word).
     pub fn words(&self) -> usize {
         cni_mem::addr::words_for_bytes(self.queue_bytes())
+    }
+
+    /// Cycles of cache hits to read or write the fragment's words once its
+    /// blocks are held: one per word beyond the first of each block. The
+    /// per-word copy cost of every cachable queue (the CQs and CNI4's CDRs).
+    pub(crate) fn word_hit_cycles(&self) -> Cycle {
+        TIMING.cache_hit * self.words().saturating_sub(self.blocks()) as Cycle
     }
 }
 

@@ -4,7 +4,7 @@
 //! tests and downstream users can depend on a single package:
 //!
 //! * [`sim`] — discrete-event simulation engine.
-//! * [`mem`] — MOESI caches, buses, bridge and memory timing.
+//! * [`mem`] — MOESI caches, buses and the Table 2 memory timing.
 //! * [`net`] — network fabric and sliding-window flow control.
 //! * [`nic`] — the five network-interface device models and the taxonomy.
 //! * [`core`] — cachable queues / device registers, the machine model and the

@@ -408,7 +408,7 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
             stats.bytes,
             stats.peak_bytes
         ),
-        (20, 41, 60, 470_216, 202_376),
+        (20, 41, 60, 460_048, 201_632),
         "checkpoint accounting moved (snapshots, copied nodes, node-rounds, bytes, peak bytes)"
     );
     assert!(
