@@ -13,11 +13,12 @@
 //!   CDR-style channel. These run on real shared memory and are
 //!   independently useful.
 //! * [`msg`] — the user-level messaging layer the simulated machines run:
-//!   active messages, fragmentation/reassembly to 256-byte network messages,
-//!   software buffering for overflow, and split-phase barriers.
+//!   active messages and fragmentation/reassembly to 256-byte network
+//!   messages. A fragment stays one value from `fragment_message` to
+//!   `Assembler::push`, and the NI queues hold it in between.
 //! * [`machine`] — the full-machine simulation model: N nodes, each with a
 //!   processor, a 256 KB MOESI cache, one of the five NI devices, memory and
-//!   I/O buses and a shared network fabric with sliding-window flow control.
+//!   I/O buses and a latency-only network with sliding-window flow control.
 //! * [`micro`] — the round-trip latency and bandwidth microbenchmarks of
 //!   Figures 6 and 7.
 //! * [`digest`] — the portable FNV-1a digests that pin simulated results

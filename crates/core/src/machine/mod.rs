@@ -2,13 +2,20 @@
 //!
 //! A [`Machine`] is N nodes — each with a processor, a 256 KB MOESI cache,
 //! one of the five NI devices, a memory bus and (optionally) a coherent I/O
-//! bus — connected by the latency-only fabric of [`cni_net`] with
-//! per-destination sliding-window flow control. Workloads are [`Program`]s;
-//! the machine drives them with a discrete-event loop:
+//! bus — connected by a latency-only network with per-destination
+//! sliding-window flow control ([`cni_net`]). There is no fabric object:
+//! every network message and every acknowledgement arrives
+//! `TIMING.network_latency` cycles after it leaves, and each shard counts
+//! the traffic in a [`FabricStats`]. Workloads are [`Program`]s; the
+//! machine drives them with a discrete-event loop:
 //!
 //! * `ProcStep` events run a node's processor: drain the NI receive queue,
 //!   dispatch reassembled messages to the program, push buffered outgoing
-//!   fragments into the NI, and fall back to the program's idle hook.
+//!   fragments into the NI, and fall back to the program's idle hook. A
+//!   fragment ([`crate::msg::FragPayload`]) moves by value from the
+//!   software send buffer into the NI send queue, out of it at injection,
+//!   into the destination's receive queue and out again to the reassembler.
+//!   A refused send or delivery hands it back; no side table tracks it.
 //! * `Net` events carrying a data message deliver it to the destination NI
 //!   and generate acknowledgements for the sender's sliding window. A
 //!   refused delivery waits in the network and is retried every
@@ -87,7 +94,7 @@ pub mod program;
 mod shard;
 
 use cni_mem::timing::TIMING;
-use cni_net::fabric::{Fabric, FabricStats};
+use cni_net::fabric::FabricStats;
 use cni_sim::sharded::run_epochs;
 use cni_sim::stats::Merge;
 use cni_sim::time::Cycle;
@@ -215,7 +222,6 @@ impl Machine {
             programs.len()
         );
         let shard_count = cfg.shard_count();
-        let shared_fabric = Fabric::new(TIMING.network_latency);
         let mut shards = Vec::with_capacity(shard_count);
         let mut bounds = Vec::with_capacity(shard_count);
         // Contiguous, balanced partition: shard s owns [s*N/S, (s+1)*N/S).
@@ -225,13 +231,7 @@ impl Machine {
             bounds.push(lo);
             let nodes = (lo..hi).map(|i| NodeCore::new(i, &cfg)).collect();
             let shard_programs: Vec<Box<dyn Program>> = programs.drain(..hi - lo).collect();
-            shards.push(MachineShard::new(
-                lo,
-                nodes,
-                shard_programs,
-                shared_fabric.fork(),
-                &cfg,
-            ));
+            shards.push(MachineShard::new(lo, nodes, shard_programs, &cfg));
         }
         Machine {
             cfg,

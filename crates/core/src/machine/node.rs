@@ -15,7 +15,7 @@ use cni_nic::taxonomy::NiKind;
 use cni_sim::stats::{LatencyHistogram, Merge};
 use cni_sim::time::Cycle;
 
-use crate::msg::{AmMessage, Assembler, FragArena, FragPayload, OutgoingBuffer};
+use crate::msg::{AmMessage, Assembler, FragPayload};
 
 use super::config::MachineConfig;
 use super::parked::ParkedDeliveries;
@@ -173,18 +173,17 @@ pub struct NodeCore {
     pub num_nodes: usize,
     /// The node's memory system (caches and buses).
     pub mem: NodeMemSystem,
-    /// The node's network interface.
-    pub ni: Box<dyn NiDevice>,
+    /// The node's network interface; its queues hold the fragments in it.
+    pub ni: Box<dyn NiDevice<FragPayload>>,
     /// Sliding-window flow control for outgoing network messages.
     pub window: SlidingWindow,
-    /// Fragments currently inside the NI send queue, keyed by arena token.
-    pub tx_tokens: FragArena,
-    /// Fragments currently inside the NI receive queue, keyed by arena token.
-    pub rx_tokens: FragArena,
     /// Reassembly state for incoming fragments.
     pub assembler: Assembler,
-    /// Software-buffered outgoing fragments not yet accepted by the NI.
-    pub outgoing: OutgoingBuffer,
+    /// Software send buffer: fragments the messaging layer has produced but
+    /// the NI has not accepted yet, because its send queue or the sliding
+    /// window was full — the "buffer messages in user space" path of the
+    /// paper's deadlock-avoidance rule (§4.1).
+    pub outgoing: VecDeque<FragPayload>,
     /// Fully reassembled messages waiting to be dispatched to the program.
     pub inbox: VecDeque<AmMessage>,
     /// The processor's local time.
@@ -222,8 +221,6 @@ impl Clone for NodeCore {
             mem: self.mem.clone(),
             ni: self.ni.clone(),
             window: self.window.clone(),
-            tx_tokens: self.tx_tokens.clone(),
-            rx_tokens: self.rx_tokens.clone(),
             assembler: self.assembler.clone(),
             outgoing: self.outgoing.clone(),
             inbox: self.inbox.clone(),
@@ -258,7 +255,7 @@ impl std::fmt::Debug for NodeCore {
 }
 
 /// Builds the NI device implied by the machine configuration.
-fn build_ni(cfg: &MachineConfig) -> Box<dyn NiDevice> {
+fn build_ni(cfg: &MachineConfig) -> Box<dyn NiDevice<FragPayload>> {
     let mut alloc = RegionAllocator::new();
     match cfg.ni_kind {
         NiKind::Ni2w => Box::new(Ni2wDevice::new()),
@@ -281,11 +278,9 @@ impl NodeCore {
             num_nodes: cfg.nodes,
             mem: NodeMemSystem::new(cfg.node_mem_config()),
             ni: build_ni(cfg),
-            window: SlidingWindow::isca96(),
-            tx_tokens: FragArena::new(),
-            rx_tokens: FragArena::new(),
+            window: SlidingWindow::default(),
             assembler: Assembler::new(),
-            outgoing: OutgoingBuffer::new(),
+            outgoing: VecDeque::new(),
             inbox: VecDeque::new(),
             proc_time: 0,
             idle_since: None,
@@ -305,8 +300,8 @@ impl NodeCore {
     /// Approximate in-memory footprint of this node's checkpointable
     /// state, in bytes: what a whole copy of the node moves — the inline
     /// struct, the caches' set vectors and the dominant heap buffers
-    /// (in-flight and parked fragments, software send buffer, delivered
-    /// inbox). The unit of [`crate::machine::CheckpointStats`] byte
+    /// (fragments in the NI queues, parked fragments, software send buffer,
+    /// delivered inbox). The unit of [`crate::machine::CheckpointStats`] byte
     /// accounting — an estimate cheap enough to take per snapshot, not an
     /// allocator-exact census, so snapshots are compared in a consistent
     /// currency rather than measured absolutely.
@@ -317,8 +312,8 @@ impl NodeCore {
     /// [`NodeCore::approx_bytes`] without the caches' set vectors.
     fn uncached_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + (self.tx_tokens.len()
-                + self.rx_tokens.len()
+            + (self.ni.send_queue_len()
+                + self.ni.recv_queue_len()
                 + self.outgoing.len()
                 + self.parked.len())
                 * std::mem::size_of::<FragPayload>()
@@ -350,8 +345,6 @@ impl NodeCore {
             mem: _,
             ni,
             window,
-            tx_tokens,
-            rx_tokens,
             assembler,
             outgoing,
             inbox,
@@ -369,8 +362,6 @@ impl NodeCore {
         self.num_nodes = *num_nodes;
         self.ni.clone_from(ni);
         self.window.clone_from(window);
-        self.tx_tokens.clone_from(tx_tokens);
-        self.rx_tokens.clone_from(rx_tokens);
         self.assembler.clone_from(assembler);
         self.outgoing.clone_from(outgoing);
         self.inbox.clone_from(inbox);

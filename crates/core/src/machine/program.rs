@@ -171,7 +171,7 @@ impl<'a> ProcCtx<'a> {
         // Vec per message on the send path.
         let outgoing = &mut self.node.outgoing;
         let count = fragment_message_with(self.node.id, dst, msg_id, msg, |frag| {
-            outgoing.push(frag);
+            outgoing.push_back(frag);
         });
         self.now += SEND_SOFTWARE_OVERHEAD * count as Cycle;
     }

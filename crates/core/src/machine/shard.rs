@@ -1,5 +1,5 @@
 //! One shard of a sharded machine: a contiguous group of nodes, their
-//! programs, a local event queue and a per-shard fabric.
+//! programs, a local event queue and per-shard network statistics.
 //!
 //! The event handlers here are the machine model proper — processor steps,
 //! NI deliveries, acknowledgements, delivery retries. They are identical in
@@ -13,11 +13,10 @@
 //! makes results independent of the shard count.
 
 use cni_mem::timing::TIMING;
-use cni_net::fabric::{Fabric, FabricStats};
+use cni_net::fabric::FabricStats;
 use cni_net::faults::{FaultDecision, FaultPlan};
 use cni_net::message::NodeId;
 use cni_nic::device::{DeliverOutcome, SendOutcome};
-use cni_nic::frag::FragRef;
 use cni_sim::event::EventQueue;
 use cni_sim::sharded::{Outbox, ShardSim, Stamp};
 use cni_sim::stats::Merge;
@@ -144,9 +143,10 @@ pub(super) struct MachineShard {
     nodes: Vec<NodeCore>,
     programs: Vec<Box<dyn Program>>,
     events: EventQueue<Event>,
-    /// Per-shard fabric: same latency everywhere, statistics accumulate
-    /// locally and merge at reporting time.
-    fabric: Fabric,
+    /// Per-shard network statistics; they merge at reporting time. Every
+    /// message and acknowledgement arrives `TIMING.network_latency` cycles
+    /// after it is sent.
+    fabric: FabricStats,
     /// Compiled fault plan; `None` (the default) disables fault injection
     /// and the reliable-delivery protocol entirely.
     faults: Option<FaultPlan>,
@@ -200,7 +200,6 @@ impl MachineShard {
         base: usize,
         nodes: Vec<NodeCore>,
         programs: Vec<Box<dyn Program>>,
-        fabric: Fabric,
         cfg: &MachineConfig,
     ) -> Self {
         debug_assert_eq!(nodes.len(), programs.len());
@@ -210,7 +209,7 @@ impl MachineShard {
             nodes,
             programs,
             events: EventQueue::new(),
-            fabric,
+            fabric: FabricStats::default(),
             faults: cfg.faults.enabled().then(|| FaultPlan::new(&cfg.faults)),
             parked: 0,
             dirty,
@@ -251,7 +250,7 @@ impl MachineShard {
 
     /// This shard's fabric statistics.
     pub(super) fn fabric_stats(&self) -> FabricStats {
-        self.fabric.stats()
+        self.fabric
     }
 
     /// Latest processor time across this shard's nodes.
@@ -353,9 +352,8 @@ impl MachineShard {
             did_work = true;
             node.parked.blocked = false;
             node.stats.received_fragments += 1;
-            let payload = node.rx_tokens.take(rx.frag.token);
-            node.stats.received_bytes += payload.payload_bytes as u64;
-            if let Some(msg) = node.assembler.push(payload) {
+            node.stats.received_bytes += rx.frag.payload_bytes as u64;
+            if let Some(msg) = node.assembler.push(rx.frag) {
                 node.inbox.push_back(msg);
             }
         }
@@ -383,12 +381,9 @@ impl MachineShard {
                 node.stats.send_full_retries += 1;
                 break;
             }
-            // Move the payload into the token arena (no clones on this path);
-            // a refused fragment is moved back to the buffer's front below.
-            let payload = node.outgoing.pop().expect("front() was Some");
-            let payload_bytes = payload.payload_bytes;
-            let token = node.tx_tokens.insert(payload);
-            let frag = FragRef::new(token, payload_bytes);
+            // The fragment moves into the NI; a refused one comes back and
+            // returns to the buffer's front, keeping FIFO order.
+            let frag = node.outgoing.pop_front().expect("front() was Some");
             match node.ni.proc_send(t, &mut node.mem, frag) {
                 SendOutcome::Accepted { done } => {
                     t = done;
@@ -396,9 +391,9 @@ impl MachineShard {
                     node.stats.sent_fragments += 1;
                     did_work = true;
                 }
-                SendOutcome::Full { done } => {
+                SendOutcome::Full { done, frag } => {
                     t = done;
-                    node.outgoing.push_front(node.tx_tokens.take(token));
+                    node.outgoing.push_front(frag);
                     node.stats.send_full_retries += 1;
                     break;
                 }
@@ -442,17 +437,11 @@ impl MachineShard {
         let mut arm_timer = None;
         {
             let node = &mut self.nodes[slot];
-            let src = node.id;
             // The NI injects whatever sits in its send queue: window admission
             // already happened when the processor handed the fragment to the
             // NI, so there is no head-of-line blocking here.
-            while node.ni.peek_send().is_some() {
-                let (ready, frag) = node
-                    .ni
-                    .device_take_for_injection(now, &mut node.mem)
-                    .expect("peeked fragment must be injectable");
-                let payload = node.tx_tokens.take(frag.token);
-                let dst = payload.dst;
+            while let Some((ready, frag)) = node.ni.device_take_for_injection(now, &mut node.mem) {
+                let dst = frag.dst;
                 // Under the reliable-delivery protocol every fragment gets a
                 // per-destination sequence number and a retransmission copy
                 // held until the acknowledgement arrives.
@@ -462,16 +451,14 @@ impl MachineShard {
                     rel.unacked.insert(
                         (dst.index() as u32, seq),
                         PendingTx {
-                            frag: payload.clone(),
+                            frag: frag.clone(),
                             deadline: ready + rel.rto,
                             backoff: rel.rto,
                         },
                     );
                     seq
                 });
-                let delivery = self
-                    .fabric
-                    .send(ready, src, dst, frag.payload_bytes, payload);
+                self.fabric.note_send(frag.payload_bytes);
                 let meta = WireMeta {
                     tx_seq,
                     corrupted: false,
@@ -482,8 +469,8 @@ impl MachineShard {
                     node,
                     outbox,
                     ready,
-                    delivery.arrives_at,
-                    NetEvent::Arrival(delivery.message.payload, meta),
+                    ready + TIMING.network_latency,
+                    NetEvent::Arrival(frag, meta),
                 );
             }
             // Arm the retransmission timer for anything newly in flight.
@@ -516,7 +503,7 @@ impl MachineShard {
     /// the stamp and `(origin, seq)` never repeats.
     fn emit(
         faults: &Option<FaultPlan>,
-        fabric: &mut Fabric,
+        fabric: &mut FabricStats,
         node: &mut NodeCore,
         outbox: &mut Outbox<NetEvent>,
         sent_at: Cycle,
@@ -537,12 +524,12 @@ impl MachineShard {
         // fabric. The receiving end is judged at the arrival time, so a
         // frozen node starts receiving again the moment its window closes.
         if plan.node_down(stamp.origin, sent_at) || plan.node_down(target, arrives_at) {
-            fabric.note_fault_drop();
+            fabric.faults_dropped += 1;
             return;
         }
         match plan.decide(stamp.origin, stamp.seq) {
             FaultDecision::Deliver => outbox.send(target, arrives_at, stamp, msg),
-            FaultDecision::Drop => fabric.note_fault_drop(),
+            FaultDecision::Drop => fabric.faults_dropped += 1,
             FaultDecision::Corrupt => {
                 msg.corrupt();
                 outbox.send(target, arrives_at, stamp, msg);
@@ -580,7 +567,7 @@ impl MachineShard {
         // number the receiver already accepted is a duplicate — discarded,
         // but re-acknowledged in case the original ack was lost.
         if meta.corrupted {
-            self.fabric.note_corruption_detected();
+            self.fabric.corruptions_detected += 1;
             return;
         }
         if let Some(tx_seq) = meta.tx_seq {
@@ -590,8 +577,8 @@ impl MachineShard {
                 .as_ref()
                 .is_some_and(|rel| rel.seen[src.index()].contains(tx_seq));
             if duplicate {
-                self.fabric.note_dup_discard();
-                let arrives_at = self.fabric.ack_arrival(now);
+                self.fabric.dup_discards += 1;
+                let arrives_at = now + TIMING.network_latency;
                 let ack = NetEvent::Ack {
                     src,
                     dst: id,
@@ -610,14 +597,11 @@ impl MachineShard {
                 return;
             }
         }
-        let payload_bytes = frag.payload_bytes;
-        // Move the payload into the receive arena (no clones on this path);
-        // a refused delivery moves it back out for the retry.
+        // The fragment moves into the NI; a refused one comes back for the
+        // retry.
         let (outcome, wake_at) = {
             let node = &mut self.nodes[slot];
-            let token = node.rx_tokens.insert(frag);
-            let frag_ref = FragRef::new(token, payload_bytes);
-            match node.ni.device_deliver(now, &mut node.mem, frag_ref) {
+            match node.ni.device_deliver(now, &mut node.mem, frag) {
                 DeliverOutcome::Accepted { done } => {
                     let wake = node.idle_since.is_some().then_some(done);
                     // The sequence number is consumed only once the NI
@@ -632,8 +616,8 @@ impl MachineShard {
                     }
                     (Ok(done), wake)
                 }
-                DeliverOutcome::Refused => (Err((node.rx_tokens.take(token), false)), None),
-                DeliverOutcome::Blocked => (Err((node.rx_tokens.take(token), true)), None),
+                DeliverOutcome::Refused(frag) => (Err((frag, false)), None),
+                DeliverOutcome::Blocked(frag) => (Err((frag, true)), None),
             }
         };
         match outcome {
@@ -641,7 +625,7 @@ impl MachineShard {
                 // Acknowledge back to the sender's sliding window. The ack is
                 // network traffic, so it takes the epoch router like any
                 // other cross-node event.
-                let arrives_at = self.fabric.ack_arrival(done);
+                let arrives_at = done + TIMING.network_latency;
                 let ack = NetEvent::Ack {
                     src,
                     dst: id,
@@ -727,7 +711,7 @@ impl MachineShard {
         // the message it acknowledged will simply be retransmitted and
         // re-acknowledged.
         if corrupted {
-            self.fabric.note_corruption_detected();
+            self.fabric.corruptions_detected += 1;
             return;
         }
         let slot = self.slot(src);
@@ -777,7 +761,7 @@ impl MachineShard {
                 .collect()
         };
         for (dst_index, seq) in due {
-            self.fabric.note_timeout();
+            self.fabric.timeouts += 1;
             let node = &mut self.nodes[slot];
             let rel = node.rel.as_mut().expect("timer only runs with faults on");
             let retransmit = rel.retransmit;
@@ -792,14 +776,8 @@ impl MachineShard {
                 continue;
             }
             let frag = entry.frag.clone();
-            self.fabric.note_retransmit();
-            let delivery = self.fabric.send(
-                now,
-                node.id,
-                NodeId(dst_index as usize),
-                frag.payload_bytes,
-                frag,
-            );
+            self.fabric.retransmits += 1;
+            self.fabric.note_send(frag.payload_bytes);
             let meta = WireMeta {
                 tx_seq: Some(seq),
                 corrupted: false,
@@ -810,8 +788,8 @@ impl MachineShard {
                 node,
                 outbox,
                 now,
-                delivery.arrives_at,
-                NetEvent::Arrival(delivery.message.payload, meta),
+                now + TIMING.network_latency,
+                NetEvent::Arrival(frag, meta),
             );
         }
         // Re-arm for the earliest remaining deadline.
@@ -946,7 +924,7 @@ impl CheckpointStats {
 
 /// A reusable snapshot of what a `MachineShard` mutates while advancing,
 /// apart from its event queue: the nodes (memory system, NI device, queues,
-/// protocol state), their programs and the per-shard fabric. The
+/// protocol state), their programs and the per-shard network statistics. The
 /// immutable run configuration — the compiled fault plan, batch sizes,
 /// retry intervals — is deliberately *not* captured: [`FaultPlan`] verdicts
 /// are stamp-pure (`&self`), so a restored shard replays them identically.
@@ -966,7 +944,7 @@ impl CheckpointStats {
 pub struct ShardCheckpoint {
     nodes: Vec<NodeCore>,
     programs: Vec<Box<dyn Program>>,
-    fabric: Option<Fabric>,
+    fabric: FabricStats,
     parked: u64,
     /// Whether the node/program mirror has been filled at least once.
     synced: bool,
@@ -1010,13 +988,10 @@ impl ShardSim for MachineShard {
         // Arm (or re-arm) the in-place delta journal instead of cloning the
         // queue; a rollback replays the journal, a commit drops it.
         self.events.mark_delta();
-        match &mut into.fabric {
-            Some(fabric) => fabric.clone_from(&self.fabric),
-            None => into.fabric = Some(self.fabric.clone()),
-        }
+        into.fabric = self.fabric;
         into.parked = self.parked;
 
-        let bytes = node_bytes + std::mem::size_of::<Fabric>() as u64;
+        let bytes = node_bytes + std::mem::size_of::<FabricStats>() as u64;
         self.ckpt_stats.snapshots += 1;
         self.ckpt_stats.copied_nodes += copied;
         self.ckpt_stats.node_rounds += self.nodes.len() as u64;
@@ -1053,8 +1028,7 @@ impl ShardSim for MachineShard {
             self.events.pop();
         }
         self.dirty.fill(0);
-        self.fabric
-            .clone_from(from.fabric.as_ref().expect("restore before snapshot"));
+        self.fabric = from.fabric;
         self.parked = from.parked;
     }
 

@@ -12,12 +12,13 @@
 //! operation is charged by the machine model in [`crate::machine`]. Keeping
 //! them separate makes them easy to unit test and reuse.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cni_net::message::{fragments_for_bytes, NodeId, NET_PAYLOAD_BYTES};
+use cni_nic::frag::Payload;
 
 /// Identifies the handler a message should be dispatched to at the receiver.
 pub type HandlerId = u16;
@@ -69,6 +70,13 @@ pub struct FragPayload {
     pub message: Arc<AmMessage>,
 }
 
+/// The NI queues hold fragments themselves.
+impl Payload for FragPayload {
+    fn payload_bytes(&self) -> usize {
+        self.payload_bytes
+    }
+}
+
 /// Splits a user message into per-network-message fragments.
 ///
 /// ```
@@ -93,8 +101,8 @@ pub fn fragment_message(
 
 /// Splits a user message into fragments, handing each to `sink` — the
 /// allocation-free core of [`fragment_message`], used by the machine's send
-/// path to append fragments straight into a node's [`OutgoingBuffer`] without
-/// materialising an intermediate `Vec` per message.
+/// path to append fragments straight into a node's software send buffer
+/// without materialising an intermediate `Vec` per message.
 ///
 /// Returns the number of fragments produced.
 pub fn fragment_message_with(
@@ -131,22 +139,18 @@ pub fn fragment_message_with(
 #[derive(Debug, Default)]
 pub struct Assembler {
     partial: HashMap<(NodeId, u64), (u32, Arc<AmMessage>)>,
-    completed: u64,
 }
 
 impl Clone for Assembler {
     fn clone(&self) -> Self {
         Assembler {
             partial: self.partial.clone(),
-            completed: self.completed,
         }
     }
 
     /// Copies into `self`'s existing table.
     fn clone_from(&mut self, source: &Self) {
-        let Assembler { partial, completed } = source;
-        self.partial.clone_from(partial);
-        self.completed = *completed;
+        self.partial.clone_from(&source.partial);
     }
 }
 
@@ -183,235 +187,10 @@ impl Assembler {
         };
         if arrived >= frag_count {
             let (_, msg) = self.partial.remove(&key).expect("entry just updated");
-            self.completed += 1;
             Some(Arc::try_unwrap(msg).unwrap_or_else(|shared| AmMessage::clone(&shared)))
         } else {
             None
         }
-    }
-
-    /// Number of user messages fully reassembled so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Number of user messages currently partially assembled.
-    pub fn in_progress(&self) -> usize {
-        self.partial.len()
-    }
-}
-
-/// A slab arena for in-flight fragment payloads.
-///
-/// The opaque tokens that flow through the NI queue models
-/// ([`cni_nic::frag::FragRef`] carries one) are arena handles: slot index in
-/// the low 32 bits, a generation counter in the high 32 bits so a stale or
-/// double-freed token is caught immediately instead of silently resolving to
-/// the wrong fragment. Freed slots go on a free list and are reused, so in
-/// steady state insert/take perform **no allocation** — this replaced a
-/// `HashMap<u64, FragPayload>` that hashed and rehashed every fragment twice
-/// per hop on the simulator's hot path.
-#[derive(Debug, Default)]
-pub struct FragArena {
-    slots: Vec<ArenaSlot>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl Clone for FragArena {
-    fn clone(&self) -> Self {
-        FragArena {
-            slots: self.slots.clone(),
-            free: self.free.clone(),
-            len: self.len,
-        }
-    }
-
-    /// Copies into `self`'s existing slot and free-list buffers.
-    fn clone_from(&mut self, source: &Self) {
-        let FragArena { slots, free, len } = source;
-        self.slots.clone_from(slots);
-        self.free.clone_from(free);
-        self.len = *len;
-    }
-}
-
-#[derive(Debug, Clone)]
-enum ArenaSlot {
-    Vacant {
-        generation: u32,
-    },
-    Occupied {
-        generation: u32,
-        payload: FragPayload,
-    },
-}
-
-fn arena_token(index: u32, generation: u32) -> u64 {
-    (u64::from(generation) << 32) | u64::from(index)
-}
-
-impl FragArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores `payload` and returns its token.
-    pub fn insert(&mut self, payload: FragPayload) -> u64 {
-        self.len += 1;
-        if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
-            let generation = match *slot {
-                ArenaSlot::Vacant { generation } => generation,
-                ArenaSlot::Occupied { .. } => unreachable!("free list points at occupied slot"),
-            };
-            *slot = ArenaSlot::Occupied {
-                generation,
-                payload,
-            };
-            arena_token(index, generation)
-        } else {
-            let index = u32::try_from(self.slots.len()).expect("more than 2^32 live fragments");
-            self.slots.push(ArenaSlot::Occupied {
-                generation: 0,
-                payload,
-            });
-            arena_token(index, 0)
-        }
-    }
-
-    /// Looks up a token without removing it.
-    pub fn get(&self, token: u64) -> Option<&FragPayload> {
-        let index = (token & u64::from(u32::MAX)) as usize;
-        let generation = (token >> 32) as u32;
-        match self.slots.get(index) {
-            Some(ArenaSlot::Occupied {
-                generation: g,
-                payload,
-            }) if *g == generation => Some(payload),
-            _ => None,
-        }
-    }
-
-    /// Removes and returns a token's payload; the slot is recycled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token is unknown or stale — that indicates the NI model
-    /// lost or duplicated a fragment, which is a simulator bug worth failing
-    /// loudly on.
-    pub fn take(&mut self, token: u64) -> FragPayload {
-        let index = (token & u64::from(u32::MAX)) as usize;
-        let generation = (token >> 32) as u32;
-        let slot = self
-            .slots
-            .get_mut(index)
-            .unwrap_or_else(|| panic!("unknown fragment token {token}"));
-        match std::mem::replace(
-            slot,
-            ArenaSlot::Vacant {
-                generation: generation.wrapping_add(1),
-            },
-        ) {
-            ArenaSlot::Occupied {
-                generation: g,
-                payload,
-            } if g == generation => {
-                self.free.push(index as u32);
-                self.len -= 1;
-                payload
-            }
-            previous => {
-                // Put whatever was there back before failing so the panic
-                // message, not a corrupted arena, is what the test sees.
-                *slot = previous;
-                panic!("unknown fragment token {token}")
-            }
-        }
-    }
-
-    /// Number of live fragments.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the arena holds no fragments.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Software send buffer: fragments the messaging layer has produced but not
-/// yet managed to hand to the NI (because the NI send queue or the sliding
-/// window was full). This is the "buffer messages in user space" path of the
-/// paper's deadlock-avoidance rule (§4.1).
-#[derive(Debug, Default)]
-pub struct OutgoingBuffer {
-    queue: VecDeque<FragPayload>,
-    high_water: usize,
-}
-
-impl Clone for OutgoingBuffer {
-    fn clone(&self) -> Self {
-        OutgoingBuffer {
-            queue: self.queue.clone(),
-            high_water: self.high_water,
-        }
-    }
-
-    /// Copies into `self`'s existing ring buffer.
-    fn clone_from(&mut self, source: &Self) {
-        let OutgoingBuffer { queue, high_water } = source;
-        self.queue.clone_from(queue);
-        self.high_water = *high_water;
-    }
-}
-
-impl OutgoingBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a fragment.
-    pub fn push(&mut self, frag: FragPayload) {
-        self.queue.push_back(frag);
-        self.high_water = self.high_water.max(self.queue.len());
-    }
-
-    /// Returns a fragment to the *front* of the buffer — used when the NI
-    /// refused a fragment that had already been popped, so the retry keeps
-    /// the original FIFO order without cloning the payload.
-    pub fn push_front(&mut self, frag: FragPayload) {
-        self.queue.push_front(frag);
-        self.high_water = self.high_water.max(self.queue.len());
-    }
-
-    /// Next fragment to hand to the NI, if any.
-    pub fn front(&self) -> Option<&FragPayload> {
-        self.queue.front()
-    }
-
-    /// Removes the front fragment.
-    pub fn pop(&mut self) -> Option<FragPayload> {
-        self.queue.pop_front()
-    }
-
-    /// Number of buffered fragments.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Largest number of fragments ever buffered (a measure of how much
-    /// software buffering the NI forced).
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -456,11 +235,11 @@ mod tests {
         let mut asm = Assembler::new();
         let frags = fragment_message(NodeId(4), NodeId(0), 3, AmMessage::new(9, 1000, vec![1]));
         let n = frags.len();
+        let again = frags.clone();
         for (i, frag) in frags.into_iter().enumerate() {
             let result = asm.push(frag);
             if i + 1 < n {
                 assert!(result.is_none());
-                assert_eq!(asm.in_progress(), 1);
             } else {
                 let msg = result.expect("last fragment completes the message");
                 assert_eq!(msg.handler, 9);
@@ -468,8 +247,11 @@ mod tests {
                 assert_eq!(msg.src, NodeId(4));
             }
         }
-        assert_eq!(asm.completed(), 1);
-        assert_eq!(asm.in_progress(), 0);
+        // The completed message left nothing behind: the same fragments
+        // arriving again assemble a second copy only at their last one.
+        let mut results = again.into_iter().map(|frag| asm.push(frag).is_some());
+        assert!(results.by_ref().take(n - 1).all(|done| !done));
+        assert_eq!(results.next(), Some(true));
     }
 
     #[test]
@@ -488,72 +270,5 @@ mod tests {
             }
         }
         assert_eq!(done, 2);
-    }
-
-    #[test]
-    fn frag_arena_round_trips() {
-        let mut arena = FragArena::new();
-        let frag = fragment_message(NodeId(0), NodeId(5), 0, AmMessage::new(0, 8, vec![]))
-            .pop()
-            .unwrap();
-        let token = arena.insert(frag.clone());
-        assert_eq!(arena.len(), 1);
-        assert_eq!(arena.get(token).unwrap().dst, NodeId(5));
-        let back = arena.take(token);
-        assert_eq!(back, frag);
-        assert!(arena.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown fragment token")]
-    fn taking_an_unknown_token_panics() {
-        FragArena::new().take(99);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown fragment token")]
-    fn stale_generation_tokens_are_rejected() {
-        let mut arena = FragArena::new();
-        let frag = fragment_message(NodeId(0), NodeId(1), 0, AmMessage::new(0, 8, vec![]))
-            .pop()
-            .unwrap();
-        let token = arena.insert(frag.clone());
-        arena.take(token);
-        // The slot is recycled with a new generation; the old token is dead.
-        let fresh = arena.insert(frag);
-        assert_ne!(fresh, token);
-        assert!(arena.get(token).is_none());
-        arena.take(token);
-    }
-
-    #[test]
-    fn arena_reuses_slots_without_growing() {
-        let mut arena = FragArena::new();
-        let frag = fragment_message(NodeId(0), NodeId(1), 0, AmMessage::new(0, 8, vec![]))
-            .pop()
-            .unwrap();
-        for _ in 0..1000 {
-            let token = arena.insert(frag.clone());
-            let _ = arena.take(token);
-        }
-        assert!(arena.is_empty());
-        assert_eq!(arena.slots.len(), 1, "churn must reuse the single slot");
-    }
-
-    #[test]
-    fn outgoing_buffer_is_fifo_and_tracks_high_water() {
-        let mut buf = OutgoingBuffer::new();
-        assert!(buf.is_empty());
-        for i in 0..5 {
-            let frag = fragment_message(NodeId(0), NodeId(1), i, AmMessage::new(0, 8, vec![]))
-                .pop()
-                .unwrap();
-            buf.push(frag);
-        }
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf.high_water(), 5);
-        assert_eq!(buf.pop().unwrap().msg_id, 0);
-        assert_eq!(buf.front().unwrap().msg_id, 1);
-        assert_eq!(buf.high_water(), 5, "high water does not shrink");
     }
 }

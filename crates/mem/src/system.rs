@@ -901,4 +901,32 @@ mod tests {
         assert_eq!(sys.proc_uncached_load(1), 56);
         assert_eq!(sys.memory_bus().busy_cycles(), 56);
     }
+
+    /// Fast-forwarded idle polling is a tally: one uncached load's
+    /// occupancy per whole poll on the device's bus and on the memory bus,
+    /// with neither bus timeline advanced.
+    #[test]
+    fn idle_polling_tally_charges_whole_polls() {
+        // (system, I/O-bus busy, memory-bus busy) after 1000 idle cycles.
+        let rows = [
+            // The polls never leave the cache bus.
+            (cache_bus_system(), 0, 0),
+            // 1000 / 28 = 35 polls of 28 cycles.
+            (memory_bus_system(), 0, 35 * 28),
+            // 1000 / 48 = 20 polls of 48 I/O-bus cycles, but only 28
+            // memory-bus cycles each, while a timed I/O-bus poll holds the
+            // memory bus 48 (`blocking_read_holds_both_buses`). CHANGES.md
+            // records this discrepancy as a FOUND line; mending it is a model
+            // change.
+            (io_bus_system(), 20 * 48, 20 * 28),
+        ];
+        for (mut sys, io, memory) in rows {
+            let location = sys.device_location();
+            sys.note_uncached_idle_polling(1000);
+            assert_eq!(sys.io_bus().busy_cycles(), io, "{location}");
+            assert_eq!(sys.memory_bus().busy_cycles(), memory, "{location}");
+            assert_eq!(sys.io_bus().free_at(), 0, "{location}");
+            assert_eq!(sys.memory_bus().free_at(), 0, "{location}");
+        }
+    }
 }

@@ -7,16 +7,16 @@
 //! destination, and flow control is a per-destination sliding window of four
 //! unacknowledged messages enforced in hardware at the end points.
 //!
-//! This crate provides exactly those pieces:
+//! This crate provides those pieces but the latency, which the machine model
+//! adds itself (`TIMING.network_latency`): there is no fabric component.
 //!
 //! * [`message`] — node identifiers, the fixed network-message format and
 //!   fragmentation helpers.
 //! * [`window`] — the per-destination sliding-window flow control.
-//! * [`fabric`] — the latency-only fabric with delivery bookkeeping and
-//!   statistics.
+//! * [`fabric`] — the network's traffic statistics.
 //! * [`faults`] — deterministic fault injection (drop / corrupt / duplicate
-//!   / delay / per-node outages) layered on the fabric, with per-message
-//!   verdicts that are a pure function of the message stamp.
+//!   / delay / per-node outages) applied to each injected message, with
+//!   per-message verdicts that are a pure function of the message stamp.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -25,9 +25,9 @@ pub mod faults;
 pub mod message;
 pub mod window;
 
-pub use fabric::{Delivery, Fabric, FabricStats};
+pub use fabric::FabricStats;
 pub use faults::{FailWindow, FaultConfig, FaultDecision, FaultPlan};
 pub use message::{
-    fragments_for_bytes, NetMessage, NodeId, NET_HEADER_BYTES, NET_MESSAGE_BYTES, NET_PAYLOAD_BYTES,
+    fragments_for_bytes, NodeId, NET_HEADER_BYTES, NET_MESSAGE_BYTES, NET_PAYLOAD_BYTES,
 };
 pub use window::SlidingWindow;

@@ -49,34 +49,6 @@ pub fn fragments_for_bytes(user_bytes: usize) -> usize {
     user_bytes.div_ceil(NET_PAYLOAD_BYTES).max(1)
 }
 
-/// A network message in flight.
-///
-/// The payload `P` is whatever the messaging layer wants to carry (an active
-/// message descriptor, a fragment of a bulk transfer, ...). The network never
-/// inspects it; size accounting uses the fixed wire format, not `P`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetMessage<P> {
-    /// Sending node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Sequence number assigned by the fabric at send time (unique per run).
-    pub seq: u64,
-    /// User payload bytes actually carried (≤ [`NET_PAYLOAD_BYTES`]); used
-    /// for bandwidth accounting.
-    pub payload_bytes: usize,
-    /// Opaque payload.
-    pub payload: P,
-}
-
-impl<P> NetMessage<P> {
-    /// Total bytes this message occupies on the wire (always the fixed
-    /// network message size).
-    pub fn wire_bytes(&self) -> usize {
-        NET_MESSAGE_BYTES
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,17 +74,5 @@ mod tests {
         let n: NodeId = 3usize.into();
         assert_eq!(n.index(), 3);
         assert_eq!(n.to_string(), "n3");
-    }
-
-    #[test]
-    fn wire_size_is_fixed() {
-        let msg = NetMessage {
-            src: NodeId(0),
-            dst: NodeId(1),
-            seq: 0,
-            payload_bytes: 12,
-            payload: (),
-        };
-        assert_eq!(msg.wire_bytes(), 256);
     }
 }

@@ -11,26 +11,27 @@ use serde::{Deserialize, Serialize};
 
 use crate::message::NodeId;
 
-/// Default window size used by the paper.
+/// Window size used by the paper: unacknowledged network messages allowed
+/// per destination.
 pub const DEFAULT_WINDOW: usize = 4;
 
-/// Per-destination sliding window.
+/// Per-destination sliding window of [`DEFAULT_WINDOW`] messages.
 ///
 /// ```
 /// use cni_net::window::SlidingWindow;
 /// use cni_net::message::NodeId;
 ///
-/// let mut w = SlidingWindow::new(2);
+/// let mut w = SlidingWindow::default();
 /// let dst = NodeId(3);
-/// assert!(w.try_acquire(dst));
-/// assert!(w.try_acquire(dst));
+/// for _ in 0..4 {
+///     assert!(w.try_acquire(dst));
+/// }
 /// assert!(!w.try_acquire(dst)); // window full
 /// w.release(dst);
 /// assert!(w.try_acquire(dst));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlidingWindow {
-    limit: u8,
     /// Unacknowledged messages per destination, indexed by
     /// [`NodeId::index`]. Grows on a destination's first acquire; entries
     /// past the end read as zero.
@@ -38,25 +39,6 @@ pub struct SlidingWindow {
 }
 
 impl SlidingWindow {
-    /// Creates a window allowing `limit` unacknowledged messages per
-    /// destination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero or above `u8::MAX`.
-    pub fn new(limit: usize) -> Self {
-        assert!(limit > 0, "window limit must be positive");
-        SlidingWindow {
-            limit: u8::try_from(limit).expect("window limit must fit in a u8"),
-            in_flight: Vec::new(),
-        }
-    }
-
-    /// Creates the paper's default four-message window.
-    pub fn isca96() -> Self {
-        Self::new(DEFAULT_WINDOW)
-    }
-
     /// Messages currently unacknowledged towards `dst`.
     pub fn in_flight(&self, dst: NodeId) -> usize {
         self.in_flight.get(dst.index()).map_or(0, |&n| n.into())
@@ -64,7 +46,7 @@ impl SlidingWindow {
 
     /// Whether a send to `dst` would be admitted right now.
     pub fn can_send(&self, dst: NodeId) -> bool {
-        self.in_flight(dst) < self.limit.into()
+        self.in_flight(dst) < DEFAULT_WINDOW
     }
 
     /// Attempts to take a credit towards `dst`. Returns `false` if the
@@ -75,7 +57,7 @@ impl SlidingWindow {
             self.in_flight.resize(i + 1, 0);
         }
         let n = &mut self.in_flight[i];
-        if *n < self.limit {
+        if usize::from(*n) < DEFAULT_WINDOW {
             *n += 1;
             true
         } else {
@@ -102,12 +84,6 @@ impl SlidingWindow {
     }
 }
 
-impl Default for SlidingWindow {
-    fn default() -> Self {
-        Self::isca96()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,29 +99,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_limit_is_rejected() {
-        let _ = SlidingWindow::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fit in a u8")]
-    fn limit_past_the_counter_width_is_rejected() {
-        let _ = SlidingWindow::new(256);
-    }
-
-    #[test]
     fn window_is_per_destination() {
-        let mut w = SlidingWindow::new(1);
-        assert!(w.try_acquire(NodeId(0)));
+        let mut w = SlidingWindow::default();
+        for _ in 0..4 {
+            assert!(w.try_acquire(NodeId(0)));
+        }
         assert!(w.try_acquire(NodeId(1)));
         assert!(!w.try_acquire(NodeId(0)));
-        assert_eq!(w.total_in_flight(), 2);
+        assert_eq!(w.total_in_flight(), 5);
     }
 
     #[test]
     fn release_restores_credit() {
-        let mut w = SlidingWindow::new(4);
+        let mut w = SlidingWindow::default();
         let dst = NodeId(7);
         for _ in 0..4 {
             assert!(w.try_acquire(dst));
@@ -159,14 +125,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "release without acquire")]
     fn release_without_acquire_panics() {
-        let mut w = SlidingWindow::new(4);
+        let mut w = SlidingWindow::default();
         w.release(NodeId(0));
     }
 
     #[test]
     #[should_panic(expected = "release without acquire")]
     fn release_to_a_drained_destination_panics() {
-        let mut w = SlidingWindow::new(4);
+        let mut w = SlidingWindow::default();
         assert!(w.try_acquire(NodeId(1)));
         w.release(NodeId(1));
         w.release(NodeId(1));
@@ -177,7 +143,7 @@ mod tests {
     fn release_to_an_untouched_destination_below_a_touched_one_panics() {
         // Acquiring towards node 9 sizes the counters past node 3, which
         // was never touched and so has nothing to release.
-        let mut w = SlidingWindow::new(4);
+        let mut w = SlidingWindow::default();
         assert!(w.try_acquire(NodeId(9)));
         w.release(NodeId(3));
     }

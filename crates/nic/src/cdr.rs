@@ -22,7 +22,7 @@ use cni_mem::timing::TIMING;
 use cni_sim::time::Cycle;
 
 use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
-use crate::frag::FragRef;
+use crate::frag::{word_hit_cycles, Payload};
 use crate::taxonomy::NiKind;
 
 /// Number of CDR blocks per direction (one 256-byte network message).
@@ -30,22 +30,21 @@ pub const CDR_BLOCKS: usize = 4;
 
 /// The `CNI4` device model.
 #[derive(Debug, Clone)]
-pub struct Cni4Device {
+pub struct Cni4Device<P> {
     send_cdr: BlockAddr,
     recv_cdr: BlockAddr,
     /// Message written into the send CDRs by the processor, not yet pulled by
     /// the device.
-    send_exposed: Option<FragRef>,
+    send_exposed: Option<P>,
     /// Message currently exposed through the receive CDRs.
-    recv_exposed: Option<FragRef>,
+    recv_exposed: Option<P>,
     /// Messages buffered behind the exposed one in the device FIFO.
-    recv_fifo: VecDeque<FragRef>,
+    recv_fifo: VecDeque<P>,
     /// Total receive-side buffering (exposed message + FIFO) in messages.
     recv_capacity: usize,
-    handshakes: u64,
 }
 
-impl Cni4Device {
+impl<P: Payload> Cni4Device<P> {
     /// Creates a `CNI4`, allocating its CDR blocks from `alloc`.
     pub fn new(alloc: &mut RegionAllocator) -> Self {
         let send_cdr = alloc.alloc_blocks(CDR_BLOCKS as u64);
@@ -57,13 +56,7 @@ impl Cni4Device {
             recv_exposed: None,
             recv_fifo: VecDeque::new(),
             recv_capacity: NiKind::Cni4.spec().queue_capacity_messages(),
-            handshakes: 0,
         }
-    }
-
-    /// Number of three-cycle handshakes performed so far.
-    pub fn handshakes(&self) -> u64 {
-        self.handshakes
     }
 
     fn buffered_receives(&self) -> usize {
@@ -88,16 +81,16 @@ impl Cni4Device {
     }
 }
 
-impl NiDevice for Cni4Device {
+impl<P: Payload> NiDevice<P> for Cni4Device<P> {
     fn kind(&self) -> NiKind {
         NiKind::Cni4
     }
 
-    fn proc_send(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: FragRef) -> SendOutcome {
+    fn proc_send(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: P) -> SendOutcome<P> {
         // 1. Uncached status check: is the send CDR free?
         let mut t = mem.proc_uncached_load(now);
         if self.send_exposed.is_some() {
-            return SendOutcome::Full { done: t };
+            return SendOutcome::Full { done: t, frag };
         }
         // 2. Write the message into the send CDR blocks using ordinary
         //    coherent stores; the block transfers happen when the device
@@ -105,7 +98,7 @@ impl NiDevice for Cni4Device {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_write(t, self.send_cdr.offset(b as u64), BlockHome::Device);
         }
-        t += frag.word_hit_cycles();
+        t += word_hit_cycles(&frag);
         // 3. Uncached store signalling "message ready".
         t = mem.proc_uncached_store(t);
         self.send_exposed = Some(frag);
@@ -122,15 +115,15 @@ impl NiDevice for Cni4Device {
         }
     }
 
-    fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome> {
-        let frag = self.recv_exposed?;
+    fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome<P>> {
+        let frag = self.recv_exposed.take()?;
         let mut t = now;
         // Read the message out of the CDR blocks: one cache-to-cache block
         // transfer per block, then word-granularity hits.
         for b in 0..frag.blocks() {
             t = mem.proc_cached_read(t, self.recv_cdr.offset(b as u64), BlockHome::Device);
         }
-        t += frag.word_hit_cycles();
+        t += word_hit_cycles(&frag);
 
         // The three-cycle handshake that makes CDR reuse safe (§2.1):
         // (1) explicit clear via an uncached store,
@@ -145,8 +138,6 @@ impl NiDevice for Cni4Device {
             t = mem.device_write_block(t, self.recv_cdr.offset(b as u64), BlockHome::Device);
         }
         t = mem.proc_uncached_load(t);
-        self.handshakes += 1;
-        self.recv_exposed = None;
 
         // Device-side: expose the next buffered message, if any. This work
         // overlaps with the processor's next instructions but occupies the
@@ -156,21 +147,16 @@ impl NiDevice for Cni4Device {
         Some(ReceiveOutcome { done: t, frag })
     }
 
-    fn peek_send(&self) -> Option<FragRef> {
-        self.send_exposed
-    }
-
     fn device_take_for_injection(
         &mut self,
         now: Cycle,
         mem: &mut NodeMemSystem,
-    ) -> Option<(Cycle, FragRef)> {
-        let frag = self.send_exposed?;
+    ) -> Option<(Cycle, P)> {
+        let frag = self.send_exposed.take()?;
         let mut t = now;
         for b in 0..frag.blocks() {
             t = mem.device_read_block(t, self.send_cdr.offset(b as u64), BlockHome::Device);
         }
-        self.send_exposed = None;
         Some((t, frag))
     }
 
@@ -178,12 +164,12 @@ impl NiDevice for Cni4Device {
         &mut self,
         now: Cycle,
         mem: &mut NodeMemSystem,
-        frag: FragRef,
-    ) -> DeliverOutcome {
+        frag: P,
+    ) -> DeliverOutcome<P> {
         // Full buffering refuses without touching any state; only
         // `proc_receive` frees an entry, so the refusal stands until then.
         if self.buffered_receives() >= self.recv_capacity {
-            return DeliverOutcome::Blocked;
+            return DeliverOutcome::Blocked(frag);
         }
         if self.recv_exposed.is_none() {
             // Write straight into the CDRs.
@@ -210,7 +196,7 @@ impl NiDevice for Cni4Device {
         self.send_exposed.is_none()
     }
 
-    fn clone_box(&self) -> Box<dyn NiDevice> {
+    fn clone_box(&self) -> Box<dyn NiDevice<P>> {
         Box::new(self.clone())
     }
 }
@@ -218,6 +204,7 @@ impl NiDevice for Cni4Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frag::Frag;
     use cni_mem::system::{DeviceLocation, NodeMemConfig};
 
     fn mem() -> NodeMemSystem {
@@ -228,7 +215,7 @@ mod tests {
         })
     }
 
-    fn device() -> Cni4Device {
+    fn device() -> Cni4Device<Frag> {
         let mut alloc = RegionAllocator::new();
         Cni4Device::new(&mut alloc)
     }
@@ -237,7 +224,7 @@ mod tests {
     fn send_uses_block_writes_not_uncached_stores() {
         let mut m = mem();
         let mut ni = device();
-        let frag = FragRef::new(0, 244); // full message: 4 blocks
+        let frag = Frag(0, 244); // full message: 4 blocks
         let out = ni.proc_send(0, &mut m, frag);
         assert!(out.is_accepted());
         // Compared to NI2w's 32 uncached stores (32 × 12 = 384 cycles of bus
@@ -250,16 +237,15 @@ mod tests {
     fn send_is_full_until_device_pulls_the_message() {
         let mut m = mem();
         let mut ni = device();
-        let out = ni.proc_send(0, &mut m, FragRef::new(0, 100));
+        let out = ni.proc_send(0, &mut m, Frag(0, 100));
         assert!(out.is_accepted());
-        let second = ni.proc_send(out.done(), &mut m, FragRef::new(1, 100));
+        let second = ni.proc_send(out.done(), &mut m, Frag(1, 100));
         assert!(
             !second.is_accepted(),
             "CDR is busy until the device reads it"
         );
-        let (t, frag) = ni.device_take_for_injection(second.done(), &mut m).unwrap();
-        assert_eq!(frag.token, 0);
-        let third = ni.proc_send(t, &mut m, FragRef::new(2, 100));
+        let (t, _) = ni.device_take_for_injection(second.done(), &mut m).unwrap();
+        let third = ni.proc_send(t, &mut m, Frag(2, 100));
         assert!(third.is_accepted());
     }
 
@@ -267,23 +253,19 @@ mod tests {
     fn receive_includes_the_three_cycle_handshake() {
         let mut m = mem();
         let mut ni = device();
-        let frag = FragRef::new(5, 244);
+        let frag = Frag(5, 244);
         assert!(ni.device_deliver(0, &mut m, frag).is_accepted());
         let poll = ni.proc_poll(1000, &mut m);
         assert!(poll.available);
-        let before = ni.handshakes();
         let rx = ni.proc_receive(poll.done, &mut m).unwrap();
         assert_eq!(rx.frag, frag);
-        assert_eq!(ni.handshakes(), before + 1);
-        // The handshake costs at least an uncached store + barrier + uncached
-        // load + one invalidation per block on top of the data reads.
-        let data_only = 4 * 42 + (64 - 4);
-        assert!(
-            rx.done - poll.done > data_only as u64,
-            "receive {} should exceed the pure data cost {}",
-            rx.done - poll.done,
-            data_only
-        );
+        // Data: one cache-to-cache transfer per block, then one hit per
+        // further word.
+        let data = 4 * 42 + (64 - 4);
+        // Handshake: the uncached clear store, the barrier, the device's
+        // invalidation of each CDR block, the uncached status load.
+        let handshake = 12 + 1 + 4 * 12 + 28;
+        assert_eq!(rx.done - poll.done, data + handshake);
     }
 
     #[test]
@@ -291,19 +273,16 @@ mod tests {
         let mut m = mem();
         let mut ni = device();
         for i in 0..4 {
-            assert!(ni
-                .device_deliver(0, &mut m, FragRef::new(i, 12))
-                .is_accepted());
+            assert!(ni.device_deliver(0, &mut m, Frag(i, 12)).is_accepted());
         }
         assert_eq!(ni.recv_queue_len(), 4);
         assert_eq!(
-            ni.device_deliver(0, &mut m, FragRef::new(9, 12)),
-            DeliverOutcome::Blocked
+            ni.device_deliver(0, &mut m, Frag(9, 12)),
+            DeliverOutcome::Blocked(Frag(9, 12))
         );
         // Receiving the exposed message exposes the next one.
         let poll = ni.proc_poll(0, &mut m);
         let rx = ni.proc_receive(poll.done, &mut m).unwrap();
-        assert_eq!(rx.frag.token, 0);
         let poll = ni.proc_poll(rx.done, &mut m);
         assert!(
             poll.available,
@@ -326,7 +305,7 @@ mod tests {
         let mut m = mem();
         let mut ni = device();
         // 12-byte payload + 12-byte header = 24 bytes: one block.
-        let frag = FragRef::new(0, 12);
+        let frag = Frag(0, 12);
         assert!(ni.device_deliver(0, &mut m, frag).is_accepted());
         let poll = ni.proc_poll(500, &mut m);
         let rx = ni.proc_receive(poll.done, &mut m).unwrap();
@@ -335,9 +314,7 @@ mod tests {
         // A full 244-byte message costs noticeably more.
         let mut m2 = mem();
         let mut ni2 = device();
-        assert!(ni2
-            .device_deliver(0, &mut m2, FragRef::new(1, 244))
-            .is_accepted());
+        assert!(ni2.device_deliver(0, &mut m2, Frag(1, 244)).is_accepted());
         let poll2 = ni2.proc_poll(500, &mut m2);
         let rx2 = ni2.proc_receive(poll2.done, &mut m2).unwrap();
         assert!(rx2.done - poll2.done > small_cost);

@@ -19,18 +19,18 @@ use cni_sim::time::Cycle;
 
 use crate::cq_model::{CqConfig, CqOptimizations, DeviceToProcCq, ProcToDeviceCq};
 use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
-use crate::frag::FragRef;
+use crate::frag::Payload;
 use crate::taxonomy::{NiKind, QueueHome};
 
 /// A CQ-based coherent network interface (`CNI16Q`, `CNI512Q` or `CNI16Qm`).
 #[derive(Debug, Clone)]
-pub struct CniQDevice {
+pub struct CniQDevice<P> {
     kind: NiKind,
-    send_cq: ProcToDeviceCq,
-    recv_cq: DeviceToProcCq,
+    send_cq: ProcToDeviceCq<P>,
+    recv_cq: DeviceToProcCq<P>,
 }
 
-impl CniQDevice {
+impl<P: Payload> CniQDevice<P> {
     /// Creates a CQ-based CNI of the given kind, allocating its queues from
     /// `alloc` with the default optimisations enabled.
     ///
@@ -95,12 +95,12 @@ impl CniQDevice {
     }
 }
 
-impl NiDevice for CniQDevice {
+impl<P: Payload> NiDevice<P> for CniQDevice<P> {
     fn kind(&self) -> NiKind {
         self.kind
     }
 
-    fn proc_send(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: FragRef) -> SendOutcome {
+    fn proc_send(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: P) -> SendOutcome<P> {
         self.send_cq.proc_enqueue(now, mem, frag)
     }
 
@@ -108,21 +108,17 @@ impl NiDevice for CniQDevice {
         self.recv_cq.proc_poll(now, mem)
     }
 
-    fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome> {
+    fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome<P>> {
         self.recv_cq
             .proc_dequeue(now, mem)
             .map(|(done, frag)| ReceiveOutcome { done, frag })
-    }
-
-    fn peek_send(&self) -> Option<FragRef> {
-        self.send_cq.peek()
     }
 
     fn device_take_for_injection(
         &mut self,
         now: Cycle,
         mem: &mut NodeMemSystem,
-    ) -> Option<(Cycle, FragRef)> {
+    ) -> Option<(Cycle, P)> {
         self.send_cq.device_dequeue(now, mem)
     }
 
@@ -130,8 +126,8 @@ impl NiDevice for CniQDevice {
         &mut self,
         now: Cycle,
         mem: &mut NodeMemSystem,
-        frag: FragRef,
-    ) -> DeliverOutcome {
+        frag: P,
+    ) -> DeliverOutcome<P> {
         self.recv_cq.device_enqueue(now, mem, frag)
     }
 
@@ -147,7 +143,7 @@ impl NiDevice for CniQDevice {
         self.send_cq.has_room()
     }
 
-    fn clone_box(&self) -> Box<dyn NiDevice> {
+    fn clone_box(&self) -> Box<dyn NiDevice<P>> {
         Box::new(self.clone())
     }
 }
@@ -155,6 +151,7 @@ impl NiDevice for CniQDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frag::Frag;
     use cni_mem::system::{DeviceLocation, NodeMemConfig};
 
     fn mem_for(kind: NiKind) -> NodeMemSystem {
@@ -165,7 +162,7 @@ mod tests {
         })
     }
 
-    fn device(kind: NiKind) -> CniQDevice {
+    fn device(kind: NiKind) -> CniQDevice<Frag> {
         let mut alloc = RegionAllocator::new();
         CniQDevice::new(kind, &mut alloc)
     }
@@ -174,7 +171,7 @@ mod tests {
     #[should_panic(expected = "not a CQ-based device")]
     fn non_cq_kinds_are_rejected() {
         let mut alloc = RegionAllocator::new();
-        let _ = CniQDevice::new(NiKind::Ni2w, &mut alloc);
+        let _ = CniQDevice::<Frag>::new(NiKind::Ni2w, &mut alloc);
     }
 
     #[test]
@@ -200,7 +197,7 @@ mod tests {
         for kind in [NiKind::Cni16Q, NiKind::Cni512Q, NiKind::Cni16Qm] {
             let mut m = mem_for(kind);
             let mut ni = device(kind);
-            let frag = FragRef::new(42, 200);
+            let frag = Frag(42, 200);
 
             let out = ni.proc_send(0, &mut m, frag);
             assert!(out.is_accepted(), "{kind}: send should be accepted");
@@ -245,7 +242,7 @@ mod tests {
         let mut ni = device(NiKind::Cni16Q);
         let mut now = 0;
         for i in 0..burst {
-            match ni.device_deliver(now, &mut m, FragRef::new(i, 244)) {
+            match ni.device_deliver(now, &mut m, Frag(i, 244)) {
                 DeliverOutcome::Accepted { done } => now = done,
                 _ => refused_16q += 1,
             }
@@ -260,7 +257,7 @@ mod tests {
         let mut now = 0;
         let mut refused_qm = 0;
         for i in 0..burst {
-            match ni.device_deliver(now, &mut m, FragRef::new(i, 244)) {
+            match ni.device_deliver(now, &mut m, Frag(i, 244)) {
                 DeliverOutcome::Accepted { done } => now = done,
                 _ => refused_qm += 1,
             }
@@ -282,7 +279,7 @@ mod tests {
         let mut now = 0;
         let mut accepted = 0;
         for i in 0..8 {
-            match ni.proc_send(now, &mut m, FragRef::new(i, 244)) {
+            match ni.proc_send(now, &mut m, Frag(i, 244)) {
                 SendOutcome::Accepted { done } => {
                     accepted += 1;
                     now = done;

@@ -33,7 +33,7 @@ use cni_mem::timing::TIMING;
 use cni_sim::time::Cycle;
 
 use crate::device::{DeliverOutcome, PollOutcome, SendOutcome};
-use crate::frag::FragRef;
+use crate::frag::{word_hit_cycles, Payload};
 
 /// Number of 64-byte blocks per CQ entry (one 256-byte network message).
 pub const ENTRY_BLOCKS: usize = 4;
@@ -139,9 +139,9 @@ pub struct CqStats {
     pub successful_polls: u64,
 }
 
-/// Shared pointer state for one queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CqState {
+/// Shared pointer state for one queue, and the fragments it holds.
+#[derive(Debug, Clone)]
+struct CqState<P> {
     /// Total entries ever enqueued (producer pointer).
     tail: u64,
     /// Total entries ever dequeued (consumer pointer).
@@ -153,11 +153,11 @@ struct CqState {
     /// Consumer sense bit (flips each pass).
     consumer_sense: bool,
     /// Fragments resident in the queue.
-    entries: VecDeque<FragRef>,
+    entries: VecDeque<P>,
     stats: CqStats,
 }
 
-impl CqState {
+impl<P> CqState<P> {
     fn new() -> Self {
         CqState {
             tail: 0,
@@ -198,17 +198,17 @@ impl CqState {
 // ---------------------------------------------------------------------------
 
 /// The send-side cachable queue (processor → CNI device).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProcToDeviceCq {
+#[derive(Debug, Clone)]
+pub struct ProcToDeviceCq<P> {
     cfg: CqConfig,
-    state: CqState,
+    state: CqState<P>,
     /// Count of message-ready signals the device has received but not yet
     /// consumed (§3: the CNIiQ send is optimised with an uncached
     /// message-ready store; the device keeps a pending-message counter).
     pending_signals: u64,
 }
 
-impl ProcToDeviceCq {
+impl<P: Payload> ProcToDeviceCq<P> {
     /// Creates a send queue with the given layout.
     pub fn new(cfg: CqConfig) -> Self {
         ProcToDeviceCq {
@@ -250,13 +250,8 @@ impl ProcToDeviceCq {
         self.state.producer_sense
     }
 
-    /// Processor-side enqueue of one fragment.
-    pub fn proc_enqueue(
-        &mut self,
-        now: Cycle,
-        mem: &mut NodeMemSystem,
-        frag: FragRef,
-    ) -> SendOutcome {
+    /// Processor-side enqueue of one fragment; a full queue hands it back.
+    pub fn proc_enqueue(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: P) -> SendOutcome<P> {
         let cap = self.cfg.capacity_entries as u64;
         let mut t = now;
 
@@ -277,7 +272,7 @@ impl ProcToDeviceCq {
         }
         if self.state.tail - self.state.shadow_head >= cap {
             self.state.stats.full_stalls += 1;
-            return SendOutcome::Full { done: t };
+            return SendOutcome::Full { done: t, frag };
         }
 
         // 2. Write the message blocks. In steady state the device holds the
@@ -291,7 +286,7 @@ impl ProcToDeviceCq {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_write(t, first_block.offset(b as u64), self.cfg.home);
         }
-        t += frag.word_hit_cycles();
+        t += word_hit_cycles(&frag);
 
         // 3. Write the valid bit / sense word (part of the first block —
         //    already owned, so a hit). Without sense reverse the producer
@@ -316,27 +311,14 @@ impl ProcToDeviceCq {
         SendOutcome::Accepted { done: t }
     }
 
-    /// The fragment the device would dequeue next, if it has been signalled.
-    pub fn peek(&self) -> Option<FragRef> {
-        if self.pending_signals == 0 {
-            None
-        } else {
-            self.state.entries.front().copied()
-        }
-    }
-
     /// Device-side dequeue: the device pulls the message blocks out of the
     /// processor cache (or its own backing store) and hands the fragment to
     /// the injection path.
-    pub fn device_dequeue(
-        &mut self,
-        now: Cycle,
-        mem: &mut NodeMemSystem,
-    ) -> Option<(Cycle, FragRef)> {
-        if self.pending_signals == 0 || self.state.entries.is_empty() {
+    pub fn device_dequeue(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<(Cycle, P)> {
+        if self.pending_signals == 0 {
             return None;
         }
-        let frag = *self.state.entries.front().expect("non-empty");
+        let frag = self.state.entries.pop_front()?;
         let slot = self
             .state
             .slot_of(self.state.head, self.cfg.capacity_entries);
@@ -351,7 +333,6 @@ impl ProcToDeviceCq {
         t = mem.device_write_block(t, self.cfg.head_ptr_block, self.cfg.home);
 
         self.pending_signals -= 1;
-        self.state.entries.pop_front();
         self.state.advance_consumer(self.cfg.capacity_entries);
         self.state.stats.dequeues += 1;
         Some((t, frag))
@@ -363,15 +344,15 @@ impl ProcToDeviceCq {
 // ---------------------------------------------------------------------------
 
 /// The receive-side cachable queue (CNI device → processor).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DeviceToProcCq {
+#[derive(Debug, Clone)]
+pub struct DeviceToProcCq<P> {
     cfg: CqConfig,
-    state: CqState,
+    state: CqState<P>,
     /// The device's stale copy of the processor's head pointer.
     device_shadow_head: u64,
 }
 
-impl DeviceToProcCq {
+impl<P: Payload> DeviceToProcCq<P> {
     /// Creates a receive queue with the given layout.
     pub fn new(cfg: CqConfig) -> Self {
         DeviceToProcCq {
@@ -406,13 +387,14 @@ impl DeviceToProcCq {
         self.state.consumer_sense
     }
 
-    /// Device-side enqueue of an arriving network message.
+    /// Device-side enqueue of an arriving network message; a full queue
+    /// hands it back.
     pub fn device_enqueue(
         &mut self,
         now: Cycle,
         mem: &mut NodeMemSystem,
-        frag: FragRef,
-    ) -> DeliverOutcome {
+        frag: P,
+    ) -> DeliverOutcome<P> {
         let cap = self.cfg.capacity_entries as u64;
         let mut t = now;
 
@@ -429,7 +411,7 @@ impl DeviceToProcCq {
         }
         if self.state.tail - self.device_shadow_head >= cap {
             self.state.stats.full_stalls += 1;
-            return DeliverOutcome::Refused;
+            return DeliverOutcome::Refused(frag);
         }
 
         // Write the message blocks into the queue. Each write invalidates the
@@ -481,15 +463,8 @@ impl DeviceToProcCq {
     }
 
     /// Processor-side dequeue of the head entry.
-    pub fn proc_dequeue(
-        &mut self,
-        now: Cycle,
-        mem: &mut NodeMemSystem,
-    ) -> Option<(Cycle, FragRef)> {
-        if self.state.entries.is_empty() {
-            return None;
-        }
-        let frag = *self.state.entries.front().expect("non-empty");
+    pub fn proc_dequeue(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<(Cycle, P)> {
+        let frag = self.state.entries.pop_front()?;
         let slot = self
             .state
             .slot_of(self.state.head, self.cfg.capacity_entries);
@@ -500,7 +475,7 @@ impl DeviceToProcCq {
         for b in 0..frag.blocks() {
             t = mem.proc_cached_read(t, first_block.offset(b as u64), self.cfg.home);
         }
-        t += frag.word_hit_cycles();
+        t += word_hit_cycles(&frag);
 
         if !self.cfg.opts.sense_reverse {
             // Without sense reverse the consumer must clear the valid bit,
@@ -513,7 +488,6 @@ impl DeviceToProcCq {
         // after the device refreshed its shadow copy).
         t = mem.proc_cached_write(t, self.cfg.head_ptr_block, self.cfg.home);
 
-        self.state.entries.pop_front();
         self.state.advance_consumer(self.cfg.capacity_entries);
         self.state.stats.dequeues += 1;
         Some((t, frag))
@@ -523,6 +497,7 @@ impl DeviceToProcCq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frag::Frag;
     use cni_mem::system::{DeviceLocation, NodeMemConfig};
 
     fn mem_system(device_cache_blocks: usize) -> NodeMemSystem {
@@ -533,7 +508,7 @@ mod tests {
         })
     }
 
-    fn send_queue(capacity_blocks: usize, home: BlockHome) -> ProcToDeviceCq {
+    fn send_queue(capacity_blocks: usize, home: BlockHome) -> ProcToDeviceCq<Frag> {
         let mut alloc = RegionAllocator::new();
         ProcToDeviceCq::new(CqConfig::allocate(
             &mut alloc,
@@ -543,7 +518,7 @@ mod tests {
         ))
     }
 
-    fn recv_queue(capacity_blocks: usize, home: BlockHome) -> DeviceToProcCq {
+    fn recv_queue(capacity_blocks: usize, home: BlockHome) -> DeviceToProcCq<Frag> {
         let mut alloc = RegionAllocator::new();
         DeviceToProcCq::new(CqConfig::allocate(
             &mut alloc,
@@ -573,7 +548,7 @@ mod tests {
     fn send_enqueue_then_device_dequeue_round_trip() {
         let mut mem = mem_system(16);
         let mut q = send_queue(16, BlockHome::Device);
-        let frag = FragRef::new(1, 244);
+        let frag = Frag(1, 244);
         let out = q.proc_enqueue(0, &mut mem, frag);
         assert!(out.is_accepted());
         assert_eq!(q.len(), 1);
@@ -598,16 +573,16 @@ mod tests {
         let mut q = send_queue(16, BlockHome::Device); // 4 entries
         let mut now = 0;
         for i in 0..4 {
-            let out = q.proc_enqueue(now, &mut mem, FragRef::new(i, 100));
+            let out = q.proc_enqueue(now, &mut mem, Frag(i, 100));
             assert!(out.is_accepted(), "entry {i} should fit");
             now = out.done();
         }
-        let out = q.proc_enqueue(now, &mut mem, FragRef::new(99, 100));
+        let out = q.proc_enqueue(now, &mut mem, Frag(99, 100));
         assert!(!out.is_accepted());
         assert_eq!(q.stats().full_stalls, 1);
         // Draining one entry frees a slot.
         let (t, _) = q.device_dequeue(out.done(), &mut mem).unwrap();
-        let out = q.proc_enqueue(t, &mut mem, FragRef::new(99, 100));
+        let out = q.proc_enqueue(t, &mut mem, Frag(99, 100));
         assert!(out.is_accepted());
     }
 
@@ -621,7 +596,7 @@ mod tests {
         let mut q = send_queue(64, BlockHome::Device); // 16 entries
         let mut now = 0;
         for i in 0..64 {
-            let out = q.proc_enqueue(now, &mut mem, FragRef::new(i, 244));
+            let out = q.proc_enqueue(now, &mut mem, Frag(i, 244));
             assert!(out.is_accepted());
             now = out.done();
             let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
@@ -642,11 +617,11 @@ mod tests {
             ..CqOptimizations::default()
         };
         let cfg = CqConfig::allocate(&mut alloc, 64, BlockHome::Device, opts);
-        let mut q = ProcToDeviceCq::new(cfg);
+        let mut q = ProcToDeviceCq::<Frag>::new(cfg);
         let mut mem = mem_system(64);
         let mut now = 0;
         for i in 0..10 {
-            let out = q.proc_enqueue(now, &mut mem, FragRef::new(i, 244));
+            let out = q.proc_enqueue(now, &mut mem, Frag(i, 244));
             now = out.done();
             let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
             now = t;
@@ -660,11 +635,11 @@ mod tests {
         // cost an invalidation (12 cycles) rather than a 42-cycle data fetch.
         let mut mem = mem_system(16);
         let mut q = send_queue(16, BlockHome::Device);
-        let frag = FragRef::new(0, 244);
+        let frag = Frag(0, 244);
         let mut now = 0;
         // Warm up: several complete passes.
         for i in 0..8 {
-            let out = q.proc_enqueue(now, &mut mem, FragRef::new(i, 244));
+            let out = q.proc_enqueue(now, &mut mem, Frag(i, 244));
             now = out.done();
             let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
             now = t;
@@ -696,7 +671,7 @@ mod tests {
 
         // A message arrives: the device invalidates the head block, so the
         // next poll misses and sees the message.
-        let out = q.device_enqueue(p1.done, &mut mem, FragRef::new(7, 12));
+        let out = q.device_enqueue(p1.done, &mut mem, Frag(7, 12));
         assert!(out.is_accepted());
         let p2 = q.proc_poll(1000, &mut mem);
         assert!(p2.available);
@@ -709,14 +684,14 @@ mod tests {
         let mut q = recv_queue(64, BlockHome::Device);
         let mut now = 0;
         for i in 0..5 {
-            match q.device_enqueue(now, &mut mem, FragRef::new(i, 200)) {
+            match q.device_enqueue(now, &mut mem, Frag(i, 200)) {
                 DeliverOutcome::Accepted { done } => now = done,
                 refused => panic!("queue should not be full: {refused:?}"),
             }
         }
         for i in 0..5 {
             let (t, frag) = q.proc_dequeue(now, &mut mem).unwrap();
-            assert_eq!(frag.token, i);
+            assert_eq!(frag, Frag(i, 200));
             now = t;
         }
         assert!(q.proc_dequeue(now, &mut mem).is_none());
@@ -728,14 +703,12 @@ mod tests {
         let mut q = recv_queue(16, BlockHome::Device); // 4 entries
         let mut now = 0;
         for i in 0..4 {
-            match q.device_enqueue(now, &mut mem, FragRef::new(i, 244)) {
+            match q.device_enqueue(now, &mut mem, Frag(i, 244)) {
                 DeliverOutcome::Accepted { done } => now = done,
                 refused => panic!("should fit: {refused:?}"),
             }
         }
-        assert!(!q
-            .device_enqueue(now, &mut mem, FragRef::new(9, 244))
-            .is_accepted());
+        assert!(!q.device_enqueue(now, &mut mem, Frag(9, 244)).is_accepted());
         assert_eq!(q.stats().full_stalls, 1);
     }
 
@@ -751,11 +724,11 @@ mod tests {
             BlockHome::Memory,
             CqOptimizations::default(),
         );
-        let mut q = DeviceToProcCq::new(cfg);
+        let mut q = DeviceToProcCq::<Frag>::new(cfg);
         let mut mem = mem_system(16);
         let mut now = 0;
         for i in 0..32 {
-            match q.device_enqueue(now, &mut mem, FragRef::new(i, 244)) {
+            match q.device_enqueue(now, &mut mem, Frag(i, 244)) {
                 DeliverOutcome::Accepted { done } => now = done,
                 refused => panic!("512-block queue should absorb 32 messages: {refused:?}"),
             }
@@ -768,7 +741,7 @@ mod tests {
         // device cache).
         for i in 0..32 {
             let (t, frag) = q.proc_dequeue(now, &mut mem).unwrap();
-            assert_eq!(frag.token, i);
+            assert_eq!(frag, Frag(i, 244));
             now = t;
         }
     }
@@ -781,8 +754,7 @@ mod tests {
         let mut q = recv_queue(64, BlockHome::Device);
         let mut now = 0;
         for i in 0..16 {
-            if let DeliverOutcome::Accepted { done } =
-                q.device_enqueue(now, &mut mem, FragRef::new(i, 244))
+            if let DeliverOutcome::Accepted { done } = q.device_enqueue(now, &mut mem, Frag(i, 244))
             {
                 now = done;
             }
@@ -799,12 +771,12 @@ mod tests {
             ..CqOptimizations::default()
         };
         let cfg = CqConfig::allocate(&mut alloc, 64, BlockHome::Device, opts);
-        let mut q2 = DeviceToProcCq::new(cfg);
+        let mut q2 = DeviceToProcCq::<Frag>::new(cfg);
         let mut mem2 = mem_system(64);
         let mut now = 0;
         for i in 0..16 {
             if let DeliverOutcome::Accepted { done } =
-                q2.device_enqueue(now, &mut mem2, FragRef::new(i, 244))
+                q2.device_enqueue(now, &mut mem2, Frag(i, 244))
             {
                 now = done;
             }
@@ -825,7 +797,7 @@ mod tests {
         let mut now = 0;
         assert!(q.producer_sense());
         for i in 0..4 {
-            let out = q.proc_enqueue(now, &mut mem, FragRef::new(i, 12));
+            let out = q.proc_enqueue(now, &mut mem, Frag(i, 12));
             now = out.done();
             let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
             now = t;
@@ -836,8 +808,7 @@ mod tests {
         assert!(r.consumer_sense());
         let mut now = 0;
         for i in 0..4 {
-            if let DeliverOutcome::Accepted { done } =
-                r.device_enqueue(now, &mut mem, FragRef::new(i, 12))
+            if let DeliverOutcome::Accepted { done } = r.device_enqueue(now, &mut mem, Frag(i, 12))
             {
                 now = done;
             }

@@ -17,6 +17,11 @@
 //! (pulling send-queue entries for injection, accepting arriving network
 //! messages — driven by the machine's event loop).
 //!
+//! The devices' queues hold the fragments themselves: every device is
+//! generic over a fragment type that reports its byte count
+//! ([`frag::Payload`]), a fragment moves in on a send or delivery and out on
+//! injection or receive, and a refused send or delivery hands it back.
+//!
 //! The taxonomy itself ([`taxonomy::NiKind`]) is reused by the machine
 //! model, the benchmark harness and the documentation.
 #![forbid(unsafe_code)]
@@ -33,6 +38,6 @@ pub mod taxonomy;
 pub use cdr::Cni4Device;
 pub use cniq::CniQDevice;
 pub use device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
-pub use frag::FragRef;
+pub use frag::Payload;
 pub use ni2w::Ni2wDevice;
 pub use taxonomy::{NiKind, NiSpec, QueueHome, QueuePointers};

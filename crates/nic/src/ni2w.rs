@@ -13,81 +13,54 @@ use std::collections::VecDeque;
 use cni_mem::system::NodeMemSystem;
 use cni_sim::time::Cycle;
 
+use crate::cq_model::ENTRY_BLOCKS;
 use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
-use crate::frag::FragRef;
+use crate::frag::Payload;
 use crate::taxonomy::NiKind;
+
+/// Per-direction hardware FIFO capacity in network messages: the 16-block
+/// FIFO holds four, matching the small CM-5 FIFOs.
+const FIFO_CAPACITY: usize = NiKind::Ni2w.spec().queue_capacity_blocks / ENTRY_BLOCKS;
 
 /// The `NI2w` device model.
 #[derive(Debug, Clone)]
-pub struct Ni2wDevice {
-    send_fifo: VecDeque<FragRef>,
-    recv_fifo: VecDeque<FragRef>,
-    fifo_capacity: usize,
-    sends: u64,
-    receives: u64,
-    send_full_stalls: u64,
+pub struct Ni2wDevice<P> {
+    send_fifo: VecDeque<P>,
+    recv_fifo: VecDeque<P>,
 }
 
-impl Ni2wDevice {
-    /// Creates an `NI2w` with the default hardware FIFO capacity (four
-    /// network messages per direction, matching the small CM-5 FIFOs).
+impl<P> Ni2wDevice<P> {
+    /// Creates an `NI2w` with empty FIFOs.
     pub fn new() -> Self {
-        Self::with_fifo_capacity(NiKind::Ni2w.spec().queue_capacity_messages())
-    }
-
-    /// Creates an `NI2w` with an explicit per-direction FIFO capacity in
-    /// network messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fifo_capacity` is zero.
-    pub fn with_fifo_capacity(fifo_capacity: usize) -> Self {
-        assert!(fifo_capacity > 0, "FIFO capacity must be positive");
         Ni2wDevice {
             send_fifo: VecDeque::new(),
             recv_fifo: VecDeque::new(),
-            fifo_capacity,
-            sends: 0,
-            receives: 0,
-            send_full_stalls: 0,
         }
-    }
-
-    /// Per-direction FIFO capacity in messages.
-    pub fn fifo_capacity(&self) -> usize {
-        self.fifo_capacity
-    }
-
-    /// Send attempts that found the hardware FIFO full.
-    pub fn send_full_stalls(&self) -> u64 {
-        self.send_full_stalls
     }
 }
 
-impl Default for Ni2wDevice {
+impl<P> Default for Ni2wDevice<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl NiDevice for Ni2wDevice {
+impl<P: Payload> NiDevice<P> for Ni2wDevice<P> {
     fn kind(&self) -> NiKind {
         NiKind::Ni2w
     }
 
-    fn proc_send(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: FragRef) -> SendOutcome {
+    fn proc_send(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: P) -> SendOutcome<P> {
         // 1. Check the uncached send-status register.
         let mut t = mem.proc_uncached_load(now);
-        if self.send_fifo.len() >= self.fifo_capacity {
-            self.send_full_stalls += 1;
-            return SendOutcome::Full { done: t };
+        if !self.send_has_room() {
+            return SendOutcome::Full { done: t, frag };
         }
         // 2. Write the message, one uncached 8-byte store per double word.
         for _ in 0..frag.dwords() {
             t = mem.proc_uncached_store(t);
         }
         self.send_fifo.push_back(frag);
-        self.sends += 1;
         SendOutcome::Accepted { done: t }
     }
 
@@ -101,28 +74,22 @@ impl NiDevice for Ni2wDevice {
         }
     }
 
-    fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome> {
-        let frag = *self.recv_fifo.front()?;
+    fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome<P>> {
         // Read the message one uncached 8-byte load at a time; the read of
         // the hardware receive queue is an implicit pop (clear-on-read).
+        let frag = self.recv_fifo.pop_front()?;
         let mut t = now;
         for _ in 0..frag.dwords() {
             t = mem.proc_uncached_load(t);
         }
-        self.recv_fifo.pop_front();
-        self.receives += 1;
         Some(ReceiveOutcome { done: t, frag })
-    }
-
-    fn peek_send(&self) -> Option<FragRef> {
-        self.send_fifo.front().copied()
     }
 
     fn device_take_for_injection(
         &mut self,
         now: Cycle,
         _mem: &mut NodeMemSystem,
-    ) -> Option<(Cycle, FragRef)> {
+    ) -> Option<(Cycle, P)> {
         // The message already sits in the device's hardware FIFO; injection
         // needs no further bus work.
         self.send_fifo.pop_front().map(|frag| (now, frag))
@@ -132,12 +99,12 @@ impl NiDevice for Ni2wDevice {
         &mut self,
         now: Cycle,
         _mem: &mut NodeMemSystem,
-        frag: FragRef,
-    ) -> DeliverOutcome {
+        frag: P,
+    ) -> DeliverOutcome<P> {
         // A full FIFO refuses without touching any state; only
         // `proc_receive` pops it, so the refusal stands until then.
-        if self.recv_fifo.len() >= self.fifo_capacity {
-            return DeliverOutcome::Blocked;
+        if self.recv_fifo.len() >= FIFO_CAPACITY {
+            return DeliverOutcome::Blocked(frag);
         }
         self.recv_fifo.push_back(frag);
         DeliverOutcome::Accepted { done: now }
@@ -152,10 +119,10 @@ impl NiDevice for Ni2wDevice {
     }
 
     fn send_has_room(&self) -> bool {
-        self.send_fifo.len() < self.fifo_capacity
+        self.send_fifo.len() < FIFO_CAPACITY
     }
 
-    fn clone_box(&self) -> Box<dyn NiDevice> {
+    fn clone_box(&self) -> Box<dyn NiDevice<P>> {
         Box::new(self.clone())
     }
 }
@@ -163,6 +130,7 @@ impl NiDevice for Ni2wDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frag::Frag;
     use cni_mem::system::{DeviceLocation, NodeMemConfig, NodeMemSystem};
 
     fn mem(location: DeviceLocation) -> NodeMemSystem {
@@ -176,9 +144,9 @@ mod tests {
     #[test]
     fn send_cost_is_status_check_plus_one_store_per_dword() {
         let mut m = mem(DeviceLocation::MemoryBus);
-        let mut ni = Ni2wDevice::new();
+        let mut ni = Ni2wDevice::<Frag>::new();
         // 64-byte payload + 12-byte header = 76 bytes = 10 double words.
-        let frag = FragRef::new(0, 64);
+        let frag = Frag(0, 64);
         let out = ni.proc_send(0, &mut m, frag);
         assert!(out.is_accepted());
         assert_eq!(out.done(), 28 + 10 * 12);
@@ -188,8 +156,8 @@ mod tests {
     #[test]
     fn receive_cost_is_one_uncached_load_per_dword() {
         let mut m = mem(DeviceLocation::MemoryBus);
-        let mut ni = Ni2wDevice::new();
-        let frag = FragRef::new(3, 64);
+        let mut ni = Ni2wDevice::<Frag>::new();
+        let frag = Frag(3, 64);
         assert!(ni.device_deliver(0, &mut m, frag).is_accepted());
         let poll = ni.proc_poll(0, &mut m);
         assert!(poll.available);
@@ -203,10 +171,10 @@ mod tests {
     #[test]
     fn io_bus_accesses_are_slower() {
         let mut m = mem(DeviceLocation::IoBus);
-        let mut ni = Ni2wDevice::new();
+        let mut ni = Ni2wDevice::<Frag>::new();
         let poll = ni.proc_poll(0, &mut m);
         assert_eq!(poll.done, 48);
-        let frag = FragRef::new(0, 4);
+        let frag = Frag(0, 4);
         let out = ni.proc_send(poll.done, &mut m, frag);
         // Status (48) + 2 double words (header 12 + payload 4 = 16 bytes).
         assert_eq!(out.done() - poll.done, 48 + 2 * 32);
@@ -215,7 +183,7 @@ mod tests {
     #[test]
     fn cache_bus_accesses_are_cheap() {
         let mut m = mem(DeviceLocation::CacheBus);
-        let mut ni = Ni2wDevice::new();
+        let mut ni = Ni2wDevice::<Frag>::new();
         let poll = ni.proc_poll(0, &mut m);
         assert_eq!(poll.done, 4);
     }
@@ -223,16 +191,22 @@ mod tests {
     #[test]
     fn send_fifo_fills_up_and_recovers() {
         let mut m = mem(DeviceLocation::MemoryBus);
-        let mut ni = Ni2wDevice::new();
+        let mut ni = Ni2wDevice::<Frag>::new();
         let mut now = 0;
         for i in 0..4 {
-            let out = ni.proc_send(now, &mut m, FragRef::new(i, 8));
+            let out = ni.proc_send(now, &mut m, Frag(i, 8));
             assert!(out.is_accepted());
             now = out.done();
         }
-        let out = ni.proc_send(now, &mut m, FragRef::new(9, 8));
-        assert!(!out.is_accepted());
-        assert_eq!(ni.send_full_stalls(), 1);
+        let out = ni.proc_send(now, &mut m, Frag(9, 8));
+        assert_eq!(
+            out,
+            SendOutcome::Full {
+                done: now + 28,
+                frag: Frag(9, 8)
+            }
+        );
+        assert_eq!(ni.send_queue_len(), 4);
         assert!(!ni.send_has_room());
         // The device injects one message, freeing a slot.
         assert!(ni.device_take_for_injection(out.done(), &mut m).is_some());
@@ -242,15 +216,13 @@ mod tests {
     #[test]
     fn receive_fifo_refuses_when_full() {
         let mut m = mem(DeviceLocation::MemoryBus);
-        let mut ni = Ni2wDevice::new();
+        let mut ni = Ni2wDevice::<Frag>::new();
         for i in 0..4 {
-            assert!(ni
-                .device_deliver(0, &mut m, FragRef::new(i, 8))
-                .is_accepted());
+            assert!(ni.device_deliver(0, &mut m, Frag(i, 8)).is_accepted());
         }
         assert_eq!(
-            ni.device_deliver(0, &mut m, FragRef::new(4, 8)),
-            DeliverOutcome::Blocked
+            ni.device_deliver(0, &mut m, Frag(4, 8)),
+            DeliverOutcome::Blocked(Frag(4, 8))
         );
         assert_eq!(
             ni.recv_queue_len(),
@@ -262,13 +234,7 @@ mod tests {
     #[test]
     fn receive_on_empty_queue_returns_none() {
         let mut m = mem(DeviceLocation::MemoryBus);
-        let mut ni = Ni2wDevice::new();
+        let mut ni = Ni2wDevice::<Frag>::new();
         assert!(ni.proc_receive(0, &mut m).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_is_rejected() {
-        let _ = Ni2wDevice::with_fifo_capacity(0);
     }
 }

