@@ -31,7 +31,11 @@
 //! Idle nodes do not spin in the event queue: they are woken by the next
 //! arrival, and the bus occupancy their uncached status polling would have
 //! generated is accounted in bulk (see
-//! [`cni_mem::system::NodeMemSystem::note_uncached_idle_polling`]).
+//! [`cni_mem::system::NodeMemSystem::note_uncached_idle_polling`]). Nor do
+//! processors blocked by the sliding window: once a step only polls, the
+//! next one is parked and the polls are materialised when an event on the
+//! node needs them (`WakeStep`; see the "Send backpressure" section of
+//! `ARCHITECTURE.md`).
 //!
 //! # Sharded execution
 //!
@@ -73,8 +77,9 @@
 //! points fixed by the node's own deterministic execution, network events
 //! sit at points fixed by the epoch grid and the canonical key, and
 //! same-cycle FIFO order is the insertion order those rules pin down.
-//! Parked deliveries keep the FIFO position their retry event would have
-//! had, recorded as a queue sequence number, and run exactly there. Since nodes cannot affect each
+//! Parked deliveries and parked processor steps keep the FIFO position
+//! their event would have had, recorded as a queue sequence number, and
+//! run exactly there. Since nodes cannot affect each
 //! other within a cycle (any interaction rides the fabric and lands `≥ L`
 //! later), per-node event-order invariance implies whole-run invariance:
 //! the 1-shard run and an N-shard run on any number of workers produce
@@ -92,6 +97,7 @@ pub mod node;
 mod parked;
 pub mod program;
 mod shard;
+mod spin;
 
 use cni_mem::timing::TIMING;
 use cni_net::fabric::FabricStats;
@@ -291,8 +297,9 @@ impl Machine {
         stats
     }
 
-    /// Work counters merged across shards: events dispatched per kind and
-    /// parked-delivery traffic (see [`DispatchStats`]). Simulator telemetry
+    /// Work counters merged across shards: events dispatched per kind,
+    /// parked-delivery traffic and skipped processor steps (see
+    /// [`DispatchStats`]). Simulator telemetry
     /// — not part of the simulated result, and excluded from report
     /// digests.
     pub fn dispatch_stats(&self) -> DispatchStats {
@@ -338,8 +345,31 @@ impl Machine {
     // Reporting
     // ------------------------------------------------------------------
 
-    fn report(&self) -> RunReport {
+    fn report(&mut self) -> RunReport {
         let aborted = self.outcome.as_ref().is_some_and(|o| o.aborted);
+        // An aborted run stops with processors still parked behind the
+        // window: catch them up to the last executed horizon before reading
+        // any processor time, statistics or bus total. The cut-off is then
+        // mapped back onto the *fixed* epoch grid from the last dispatched
+        // event, a skipped step counting as one: a speculative final round
+        // processes exactly the events a fixed-mode run would have before
+        // aborting, so anchoring on the grid keeps aborted reports
+        // bit-identical across lookahead modes instead of leaking the
+        // gambled horizon.
+        let epoch = TIMING.network_latency;
+        let cut = match self.outcome {
+            Some(o) if o.aborted && o.epochs > 0 => {
+                let last = self
+                    .shards
+                    .iter_mut()
+                    .map(|s| s.finish_aborted(o.last_horizon))
+                    .max()
+                    .unwrap_or(0);
+                ((last / epoch) * epoch).saturating_add(epoch)
+            }
+            Some(o) if o.aborted => o.last_horizon,
+            _ => 0,
+        };
         let all_done = self.shards.iter().all(|s| s.programs_done());
         // A run that drained (rather than aborting) has consumed every event
         // and every in-flight message, which must leave every node quiescent
@@ -352,36 +382,15 @@ impl Machine {
                     .all(|s| s.nodes().iter().all(|n| n.is_quiescent())),
             "a drained run left a node with queued work"
         );
-        let mut cycles = self
+        // Report where an aborted run was cut off, not just how far the
+        // processors got.
+        let cycles = self
             .shards
             .iter()
             .map(|s| s.max_proc_time())
             .max()
-            .unwrap_or(0);
-        if aborted {
-            // Report where the run was cut off, not just how far the
-            // processors got. The cut-off is mapped back onto the *fixed*
-            // epoch grid from the last dispatched event: a speculative final
-            // round processes exactly the events a fixed-mode run would have
-            // before aborting, so anchoring on the grid keeps aborted reports
-            // bit-identical across lookahead modes instead of leaking the
-            // gambled horizon.
-            let epoch = TIMING.network_latency;
-            let cut = match self.outcome.as_ref() {
-                Some(o) if o.epochs > 0 => {
-                    let last = self
-                        .shards
-                        .iter()
-                        .map(|s| s.last_event_time())
-                        .max()
-                        .unwrap_or(0);
-                    ((last / epoch) * epoch).saturating_add(epoch)
-                }
-                Some(o) => o.last_horizon,
-                None => 0,
-            };
-            cycles = cycles.max(cut);
-        }
+            .unwrap_or(0)
+            .max(cut);
         let memory_bus_busy_per_node: Vec<Cycle> = self
             .shards
             .iter()

@@ -19,6 +19,7 @@ use crate::msg::{AmMessage, Assembler, FragPayload};
 
 use super::config::MachineConfig;
 use super::parked::ParkedDeliveries;
+use super::spin::ParkedStep;
 
 /// Receive-side dedup state for one source: a contiguous "everything below
 /// this is seen" watermark plus the sparse set of seen sequence numbers
@@ -191,7 +192,8 @@ pub struct NodeCore {
     /// Set while the node is idle (waiting for messages); holds the time the
     /// node went idle so uncached-polling occupancy can be accounted.
     pub idle_since: Option<Cycle>,
-    /// Whether a `ProcStep` event is already pending for this node.
+    /// Whether the node's next processor step is pending: a queued
+    /// `ProcStep` event, or a step parked behind the sliding window.
     pub step_scheduled: bool,
     /// Whether the program's `start` hook has run.
     pub started: bool,
@@ -211,6 +213,12 @@ pub struct NodeCore {
     /// Deliveries the network holds because the NI receive queue refused
     /// them with a pure refusal; see [`crate::machine`]'s module docs.
     pub(super) parked: ParkedDeliveries,
+    /// The next processor step, while it is parked behind the sliding
+    /// window instead of queued (see [`super::spin`]). A parked step is
+    /// due at `proc_time`, with queue key `step_key`.
+    pub(super) step: ParkedStep,
+    /// The parked step's queue key.
+    pub(super) step_key: u64,
 }
 
 impl Clone for NodeCore {
@@ -233,6 +241,8 @@ impl Clone for NodeCore {
             rel: self.rel.clone(),
             stats: self.stats,
             parked: self.parked.clone(),
+            step: self.step,
+            step_key: self.step_key,
         }
     }
 
@@ -294,6 +304,8 @@ impl NodeCore {
                 .then(|| ReliableState::new(cfg.nodes, &cfg.faults)),
             stats: NodeStats::default(),
             parked: ParkedDeliveries::default(),
+            step: ParkedStep::None,
+            step_key: 0,
         }
     }
 
@@ -357,6 +369,8 @@ impl NodeCore {
             rel,
             stats,
             parked,
+            step,
+            step_key,
         } = source;
         self.id = *id;
         self.num_nodes = *num_nodes;
@@ -374,6 +388,8 @@ impl NodeCore {
         self.rel.clone_from(rel);
         self.stats = *stats;
         self.parked.clone_from(parked);
+        self.step = *step;
+        self.step_key = *step_key;
     }
 
     /// Whether the node has nothing left to do locally (its program may still

@@ -115,8 +115,10 @@ impl Lane {
 #[derive(Debug, Default)]
 pub struct ParkedDeliveries {
     lanes: Vec<Lane>,
-    len: usize,
-    dups: usize,
+    /// Parked deliveries, and those of them flagged [`Parked::dup`]
+    /// (`u32` keeps [`super::NodeCore`] at its checkpointed size).
+    len: u32,
+    dups: u32,
     /// A lower bound on every lane's next attempt: catch-ups before it
     /// have nothing to do.
     next_at: Cycle,
@@ -161,7 +163,7 @@ impl Clone for ParkedDeliveries {
 impl ParkedDeliveries {
     /// Number of parked deliveries.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Whether nothing is parked.

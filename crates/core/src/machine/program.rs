@@ -31,6 +31,14 @@ pub trait Program: Send {
     /// push. Return `true` if the hook made progress (it will be called again
     /// immediately), `false` if the node is waiting for messages (it will
     /// sleep until one arrives).
+    ///
+    /// Returning `false` promises that the hook made no progress: it
+    /// charged no cycles, sent nothing and changed no state, so a call at
+    /// any later time, with nothing delivered in between, returns `false`
+    /// again. The machine relies on this to park a processor blocked by the
+    /// sliding window instead of calling the hook on every poll (see the
+    /// "Send backpressure" section of `ARCHITECTURE.md`); a debug build
+    /// checks the cycles and the send buffer.
     fn on_idle(&mut self, ctx: &mut ProcCtx<'_>) -> bool;
 
     /// Whether this node's share of the computation is complete.

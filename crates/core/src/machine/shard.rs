@@ -16,7 +16,7 @@ use cni_mem::timing::TIMING;
 use cni_net::fabric::FabricStats;
 use cni_net::faults::{FaultDecision, FaultPlan};
 use cni_net::message::NodeId;
-use cni_nic::device::{DeliverOutcome, SendOutcome};
+use cni_nic::device::{DeliverOutcome, EmptyPolls, SendOutcome};
 use cni_sim::event::EventQueue;
 use cni_sim::sharded::{Outbox, ShardSim, Stamp};
 use cni_sim::stats::Merge;
@@ -27,6 +27,7 @@ use crate::msg::FragPayload;
 use super::config::MachineConfig;
 use super::node::{NodeCore, PendingTx};
 use super::program::{IdleProgram, ProcCtx, Program};
+use super::spin::ParkedStep;
 
 /// Maximum fragments the processor drains from the NI, and reassembled
 /// messages it hands to its program, per scheduling step.
@@ -60,13 +61,17 @@ pub(super) struct WireMeta {
 }
 
 /// Events a shard schedules in its local queue. Node-local events
-/// (`ProcStep`, `DeliveryRetry`, `WakeParked`, `RetxTimer`) are scheduled
-/// directly; network-borne ones (`Net`) only ever enter through the epoch
-/// router.
+/// (`ProcStep`, `WakeStep`, `DeliveryRetry`, `WakeParked`, `RetxTimer`) are
+/// scheduled directly; network-borne ones (`Net`) only ever enter through
+/// the epoch router.
 #[derive(Debug, Clone)]
 pub(super) enum Event {
     /// Run one scheduling step of a node's processor.
     ProcStep(NodeId),
+    /// A node's parked processor step is due (see [`super::spin`]); the
+    /// step itself runs at the top of this or an earlier same-cycle
+    /// dispatch on the node.
+    WakeStep(NodeId),
     /// A network message — data or acknowledgement — arrives at its node.
     Net(NetEvent),
     /// A delivery the device refused with a polled refusal is retried.
@@ -89,6 +94,7 @@ impl Event {
     fn node(&self) -> NodeId {
         match self {
             Event::ProcStep(id)
+            | Event::WakeStep(id)
             | Event::DeliveryRetry(id, ..)
             | Event::WakeParked(id)
             | Event::RetxTimer(id) => *id,
@@ -154,6 +160,18 @@ pub(super) struct MachineShard {
     /// speculation pacer's load signal must see, as it saw their polled
     /// retries.
     parked: u64,
+    /// Nodes whose processor step is parked spinning
+    /// ([`ParkedStep::Spinning`]): pending steps the pacer's load signal
+    /// counts, one each, as it counted their queued `ProcStep`s.
+    spinning: u64,
+    /// Queued `WakeStep` events whose due step already ran at the top of an
+    /// earlier dispatch: they stand for no pending step, so the load signal
+    /// does not count them.
+    stale_wakes: u64,
+    /// A lower bound on the spinning nodes' next steps in the epoch-grid
+    /// slot of the earliest, as of the last `advance` (see
+    /// [`ShardSim::next_event_time`]).
+    spin_next: Option<Cycle>,
     /// Per-node dirty bitset (one bit per local slot): bit set means the
     /// node (and its program) may have diverged from the checkpoint mirror
     /// since the last [`ShardSim::snapshot`]. Set by the `advance` dispatch
@@ -212,6 +230,9 @@ impl MachineShard {
             fabric: FabricStats::default(),
             faults: cfg.faults.enabled().then(|| FaultPlan::new(&cfg.faults)),
             parked: 0,
+            spinning: 0,
+            stale_wakes: 0,
+            spin_next: None,
             dirty,
             #[cfg(test)]
             sabotage: None,
@@ -220,12 +241,20 @@ impl MachineShard {
         }
     }
 
-    /// Time of the last dispatched event — the shard's local clock. The
-    /// machine's abort reporting maps this back onto the fixed epoch grid so
-    /// aborted runs report identical cycle counts under every lookahead
-    /// mode.
-    pub(super) fn last_event_time(&self) -> Cycle {
-        self.events.now()
+    /// Ends an aborted run at `horizon`, the last executed epoch's: catches
+    /// every spinning node up on the steps the run skipped before it, then
+    /// returns the time of the last dispatched event, a skipped step
+    /// counting as one. The machine's abort reporting maps this back onto
+    /// the fixed epoch grid so aborted runs report identical cycle counts
+    /// under every lookahead mode.
+    pub(super) fn finish_aborted(&mut self, horizon: Cycle) -> Cycle {
+        let mut last = self.events.now();
+        for slot in 0..self.nodes.len() {
+            if let Some(polls) = self.skip_spins(slot, horizon, 0) {
+                last = last.max(polls.last);
+            }
+        }
+        last
     }
 
     /// Read access to a node by its index *within this shard*.
@@ -402,9 +431,15 @@ impl MachineShard {
 
         // 4. Idle hook when nothing else happened.
         if !did_work && !program.is_done() {
+            let outgoing = node.outgoing.len();
             let mut ctx = ProcCtx::new(node, t);
             did_work = program.on_idle(&mut ctx);
-            t = ctx.finish();
+            let idle_end = ctx.finish();
+            debug_assert!(
+                did_work || (idle_end == t && node.outgoing.len() == outgoing),
+                "an idle hook that made progress returned false"
+            );
+            t = idle_end;
         }
 
         node.proc_time = t;
@@ -427,8 +462,78 @@ impl MachineShard {
             return;
         }
         node.idle_since = Some(t);
+        // A pure spin: the next step would find everything as this one did.
+        let spin = !did_work && node.window_blocked();
         self.programs[slot] = program;
+        if spin {
+            self.park_step(slot, t);
+        }
         self.try_inject(id, t, outbox);
+    }
+
+    /// Parks the next step of the node in `slot`, a pure window-blocked
+    /// spin at `at`, at the FIFO position its `ProcStep` would take.
+    fn park_step(&mut self, slot: usize, at: Cycle) {
+        let node = &mut self.nodes[slot];
+        debug_assert!(!node.step_scheduled && node.step == ParkedStep::None);
+        debug_assert_eq!(node.proc_time, at, "a step parks where the last one ended");
+        node.step_scheduled = true;
+        node.step = ParkedStep::Spinning;
+        node.step_key = self.events.next_seq();
+        self.spinning += 1;
+    }
+
+    /// Catches the node in `slot` up on the spinning steps that precede the
+    /// event popped at `now` with sequence number `seq` (see
+    /// [`NodeCore::skip_spins`]), and marks it dirty if any did.
+    fn skip_spins(&mut self, slot: usize, now: Cycle, seq: u64) -> Option<EmptyPolls> {
+        let cur = self.events.next_seq();
+        let polls = self.nodes[slot].skip_spins(now, seq, cur)?;
+        self.mark_dirty(slot);
+        self.dispatch.skipped += polls.count;
+        Some(polls)
+    }
+
+    /// Runs what the node in `slot` has parked ahead of the event popped at
+    /// `now` with sequence number `seq`: its skipped spins, or its due step.
+    /// Returns whether a due step ran.
+    fn run_parked_step(
+        &mut self,
+        slot: usize,
+        now: Cycle,
+        seq: u64,
+        outbox: &mut Outbox<NetEvent>,
+    ) -> bool {
+        let node = &mut self.nodes[slot];
+        match node.step {
+            ParkedStep::Spinning => {
+                self.skip_spins(slot, now, seq);
+                false
+            }
+            ParkedStep::Due if node.step_precedes(now, seq) => {
+                // Its `WakeStep` pops no later than the step's cycle.
+                debug_assert_eq!(node.proc_time, now, "a due step was never woken");
+                node.step = ParkedStep::None;
+                let id = node.id;
+                self.dispatch.proc_step += 1;
+                self.proc_step(id, now, outbox);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Once an event changed what a spinning node's next step would find,
+    /// that step must run: it becomes due, with a `WakeStep` at its cycle.
+    fn wake_step(&mut self, slot: usize) {
+        let node = &mut self.nodes[slot];
+        if node.step != ParkedStep::Spinning || node.window_blocked() {
+            return;
+        }
+        node.step = ParkedStep::Due;
+        let (id, at) = (node.id, node.proc_time);
+        self.spinning -= 1;
+        self.events.schedule(at, Event::WakeStep(id));
     }
 
     fn try_inject(&mut self, id: NodeId, now: Cycle, outbox: &mut Outbox<NetEvent>) {
@@ -482,8 +587,11 @@ impl MachineShard {
                     }
                 }
             }
-            // Freed send-queue space may unblock a node that went idle with
-            // buffered fragments.
+            // A node that went idle with buffered fragments takes another
+            // step once the NI has send room. When the step that left it
+            // idle was a pure window-blocked spin, the next one would only
+            // poll again: `proc_step` has parked it (see `super::spin`),
+            // and this wake finds it already pending.
             if node.idle_since.is_some() && !node.outgoing.is_empty() && node.ni.send_has_room() {
                 wake_at = Some(now);
             }
@@ -811,7 +919,8 @@ impl MachineShard {
 }
 
 /// Deterministic work counters for a shard's (or whole machine's) runs:
-/// events dispatched per kind, plus the traffic through parked deliveries.
+/// events dispatched per kind, plus the traffic through parked deliveries
+/// and the processor steps skipped while parked.
 /// Simulator telemetry, not simulated state — excluded from
 /// [`super::RunReport`] and its digests, and never rewound: an event
 /// re-executed after a speculative rollback counts again. The counts are
@@ -824,8 +933,14 @@ impl MachineShard {
 /// it runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// `ProcStep` events dispatched.
+    /// Processor steps run: `ProcStep` events, and parked steps that had to
+    /// run for real (their `WakeStep` events are not counted apart).
     pub proc_step: u64,
+    /// Window-blocked processor steps skipped while parked, then
+    /// materialised in bulk (see the "Send backpressure" section of
+    /// `ARCHITECTURE.md`). Dispatching one event per poll would have run
+    /// `proc_step + skipped` steps.
+    pub skipped: u64,
     /// Network data messages dispatched at their destination.
     pub net_arrival: u64,
     /// Acknowledgements dispatched at the original sender.
@@ -847,6 +962,8 @@ impl DispatchStats {
     fn count(&mut self, event: &Event) {
         let counter = match event {
             Event::ProcStep(_) => &mut self.proc_step,
+            // Counted as the step it runs, if it runs one.
+            Event::WakeStep(_) => return,
             Event::Net(NetEvent::Arrival(..)) => &mut self.net_arrival,
             Event::Net(NetEvent::Ack { .. }) => &mut self.ack_arrival,
             Event::DeliveryRetry(..) => &mut self.delivery_retry,
@@ -860,6 +977,7 @@ impl DispatchStats {
 impl Merge for DispatchStats {
     fn merge(&mut self, other: &Self) {
         self.proc_step += other.proc_step;
+        self.skipped += other.skipped;
         self.net_arrival += other.net_arrival;
         self.ack_arrival += other.ack_arrival;
         self.delivery_retry += other.delivery_retry;
@@ -946,6 +1064,8 @@ pub struct ShardCheckpoint {
     programs: Vec<Box<dyn Program>>,
     fabric: FabricStats,
     parked: u64,
+    spinning: u64,
+    stale_wakes: u64,
     /// Whether the node/program mirror has been filled at least once.
     synced: bool,
 }
@@ -990,6 +1110,8 @@ impl ShardSim for MachineShard {
         self.events.mark_delta();
         into.fabric = self.fabric;
         into.parked = self.parked;
+        into.spinning = self.spinning;
+        into.stale_wakes = self.stale_wakes;
 
         let bytes = node_bytes + std::mem::size_of::<FabricStats>() as u64;
         self.ckpt_stats.snapshots += 1;
@@ -1030,6 +1152,8 @@ impl ShardSim for MachineShard {
         self.dirty.fill(0);
         self.fabric = from.fabric;
         self.parked = from.parked;
+        self.spinning = from.spinning;
+        self.stale_wakes = from.stale_wakes;
     }
 
     fn commit_speculation(&mut self) {
@@ -1042,13 +1166,14 @@ impl ShardSim for MachineShard {
 
     fn accept(&mut self, at: Cycle, msg: NetEvent) {
         // The driver delivers at the epoch boundary: every parked attempt
-        // before it happened before this event is scheduled (and none after
-        // it), so advance them now, while their keys can still tell.
+        // and skipped step before it happened before this event is
+        // scheduled (and none after it), so advance them now, while their
+        // keys can still tell.
         let slot = self.slot(msg.node());
+        // Arrivals are delivered on the one-latency epoch grid.
+        let boundary = at - at % TIMING.network_latency;
         if !self.nodes[slot].parked.is_empty() {
             self.mark_dirty(slot);
-            // The driver delivers on the one-latency epoch grid.
-            let boundary = at - at % TIMING.network_latency;
             let cur = self.events.next_seq();
             let due = self.nodes[slot]
                 .parked
@@ -1058,6 +1183,7 @@ impl ShardSim for MachineShard {
                 "parked attempts due before {boundary} were never woken"
             );
         }
+        self.skip_spins(slot, boundary, 0);
         self.events.schedule(at, Event::Net(msg));
     }
 
@@ -1066,9 +1192,21 @@ impl ShardSim for MachineShard {
             let slot = self.slot(event.node());
             self.mark_dirty(slot);
             self.dispatch.count(&event);
+            let ran_due = self.run_parked_step(slot, now, seq, outbox);
+            let wake = matches!(event, Event::WakeStep(_));
+            if ran_due != wake {
+                // A due step ran ahead of its own wake, which goes stale; or
+                // this wake is one such, and stands for nothing.
+                if ran_due {
+                    self.stale_wakes += 1;
+                } else {
+                    self.stale_wakes -= 1;
+                }
+            }
             self.run_parked(slot, now, seq, outbox);
             match event {
                 Event::ProcStep(id) => self.proc_step(id, now, outbox),
+                Event::WakeStep(_) => {}
                 Event::Net(NetEvent::Arrival(frag, meta)) => {
                     self.deliver(frag.dst, frag, meta, now, outbox)
                 }
@@ -1088,15 +1226,32 @@ impl ShardSim for MachineShard {
                 Event::RetxTimer(id) => self.retx_timer(id, now, outbox),
             }
             self.wake_parked(slot);
+            self.wake_step(slot);
         }
+        // A spinning node's steps before `horizon` count as dispatched, so
+        // its next one lies in `[horizon, horizon + one poll)`, inside
+        // `horizon`'s grid slot, or at its recorded cycle if that is later.
+        self.spin_next = if self.spinning == 0 {
+            None
+        } else {
+            self.nodes
+                .iter()
+                .filter(|n| n.step == ParkedStep::Spinning)
+                .map(|n| n.proc_time.max(horizon))
+                .min()
+        };
     }
 
     fn next_event_time(&self) -> Option<Cycle> {
-        self.events.peek_time()
+        match (self.events.peek_time(), self.spin_next) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
-    /// Parked deliveries count as the pending retries they stand for.
+    /// Parked deliveries and spinning steps count as the pending events
+    /// they stand for; stale wakes stand for none.
     fn pending_len(&self) -> u64 {
-        self.events.len() as u64 + self.parked
+        self.events.len() as u64 + self.parked + self.spinning - self.stale_wakes
     }
 }

@@ -296,9 +296,10 @@ impl Cache {
         }
     }
 
-    /// Records a hit (used by the system model for bookkeeping symmetry).
-    pub fn note_hit(&mut self) {
-        self.counts.hits += 1;
+    /// Records `hits` demand hits (the system model classifies and charges
+    /// them; the cache only counts).
+    pub fn note_hits(&mut self, hits: u64) {
+        self.counts.hits += hits;
     }
 
     /// Returns the victim that a fill of `block` would displace, if any.
@@ -645,7 +646,7 @@ mod tests {
                 if cache.classify_write(block) == AccessOutcome::UpgradeMiss {
                     cache.upgrade_to_modified(block);
                 } else {
-                    cache.note_hit();
+                    cache.note_hits(1);
                 }
             }
         }

@@ -395,7 +395,7 @@ impl NodeMemSystem {
     /// Returns the cycle at which the data is available.
     pub fn proc_cached_read(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
         if self.proc_cache.classify_read(block) == AccessOutcome::Hit {
-            self.proc_cache.note_hit();
+            self.proc_cache.note_hits(1);
             return now + TIMING.cache_hit;
         }
         // Who supplies the data, and does the device keep a copy?
@@ -417,6 +417,19 @@ impl NodeMemSystem {
         self.handle_proc_eviction(done, eviction)
     }
 
+    /// Accounts `reads` processor loads of `block`, which the processor
+    /// cache holds: hits, counted at once. Returns `now` plus their hit
+    /// latency.
+    pub fn proc_cached_rereads(&mut self, now: Cycle, block: BlockAddr, reads: u64) -> Cycle {
+        debug_assert_eq!(
+            self.proc_cache.classify_read(block),
+            AccessOutcome::Hit,
+            "a re-read must hit"
+        );
+        self.proc_cache.note_hits(reads);
+        now + reads * TIMING.cache_hit
+    }
+
     /// Processor coherent store to `block` whose home is `home`
     /// (write-allocate).
     ///
@@ -424,7 +437,7 @@ impl NodeMemSystem {
     pub fn proc_cached_write(&mut self, now: Cycle, block: BlockAddr, home: BlockHome) -> Cycle {
         match self.proc_cache.classify_write(block) {
             AccessOutcome::Hit => {
-                self.proc_cache.note_hit();
+                self.proc_cache.note_hits(1);
                 self.proc_cache.set_state(block, MoesiState::Modified);
                 now + TIMING.cache_hit
             }

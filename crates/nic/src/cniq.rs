@@ -18,7 +18,9 @@ use cni_mem::system::NodeMemSystem;
 use cni_sim::time::Cycle;
 
 use crate::cq_model::{CqConfig, CqOptimizations, DeviceToProcCq, ProcToDeviceCq};
-use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
+use crate::device::{
+    DeliverOutcome, EmptyPolls, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome,
+};
 use crate::frag::Payload;
 use crate::taxonomy::{NiKind, QueueHome};
 
@@ -83,16 +85,6 @@ impl<P: Payload> CniQDevice<P> {
             recv_cq: DeviceToProcCq::new(recv_cfg),
         }
     }
-
-    /// The send queue's layout (exposed for tests).
-    pub fn send_config(&self) -> &CqConfig {
-        self.send_cq.config()
-    }
-
-    /// The receive queue's layout (exposed for tests).
-    pub fn recv_config(&self) -> &CqConfig {
-        self.recv_cq.config()
-    }
 }
 
 impl<P: Payload> NiDevice<P> for CniQDevice<P> {
@@ -106,6 +98,15 @@ impl<P: Payload> NiDevice<P> for CniQDevice<P> {
 
     fn proc_poll(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> PollOutcome {
         self.recv_cq.proc_poll(now, mem)
+    }
+
+    fn proc_poll_empty_until(
+        &mut self,
+        now: Cycle,
+        until: Cycle,
+        mem: &mut NodeMemSystem,
+    ) -> EmptyPolls {
+        self.recv_cq.proc_poll_empty_until(now, until, mem)
     }
 
     fn proc_receive(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<ReceiveOutcome<P>> {
@@ -174,22 +175,43 @@ mod tests {
         let _ = CniQDevice::<Frag>::new(NiKind::Ni2w, &mut alloc);
     }
 
+    /// Fragments the send queue accepts before reporting `Full`, and the
+    /// receive queue before refusing, with nothing draining either.
+    fn capacities(kind: NiKind) -> (usize, usize) {
+        let mut m = mem_for(kind);
+        let mut ni = device(kind);
+        let mut now = 0;
+        let mut send = 0;
+        while let SendOutcome::Accepted { done } = ni.proc_send(now, &mut m, Frag(send, 244)) {
+            now = done;
+            send += 1;
+        }
+        let mut recv = 0;
+        loop {
+            match ni.device_deliver(now, &mut m, Frag(recv, 244)) {
+                DeliverOutcome::Accepted { done } => now = done,
+                DeliverOutcome::Refused(frag) => {
+                    assert_eq!(frag, Frag(recv, 244), "{kind}: the refusal hands it back");
+                    break;
+                }
+                DeliverOutcome::Blocked(_) => panic!("{kind}: CQ refusals re-read the head"),
+            }
+            recv += 1;
+        }
+        assert_eq!(
+            (ni.send_queue_len(), ni.recv_queue_len()),
+            (send as usize, recv as usize)
+        );
+        (send as usize, recv as usize)
+    }
+
     #[test]
     fn queue_capacities_follow_the_taxonomy() {
-        let d16 = device(NiKind::Cni16Q);
-        assert_eq!(d16.recv_config().capacity_entries, 4);
-        let d512 = device(NiKind::Cni512Q);
-        assert_eq!(d512.recv_config().capacity_entries, 128);
-        assert_eq!(d512.send_config().capacity_entries, 128);
-        let dqm = device(NiKind::Cni16Qm);
-        assert_eq!(dqm.recv_config().capacity_entries, 128);
-        assert_eq!(dqm.send_config().capacity_entries, 4);
-        assert_eq!(
-            dqm.recv_config().home,
-            cni_mem::addr::BlockHome::Memory,
-            "CNI16Qm receive queue must be homed in main memory"
-        );
-        assert_eq!(d16.recv_config().home, cni_mem::addr::BlockHome::Device);
+        assert_eq!(capacities(NiKind::Cni16Q), (4, 4));
+        assert_eq!(capacities(NiKind::Cni512Q), (128, 128));
+        // CNI16Qm buffers receives in main memory behind its 16-block
+        // device cache; its send queue stays at the device-cache size.
+        assert_eq!(capacities(NiKind::Cni16Qm), (4, 128));
     }
 
     #[test]

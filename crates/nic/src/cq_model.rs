@@ -32,11 +32,15 @@ use cni_mem::system::NodeMemSystem;
 use cni_mem::timing::TIMING;
 use cni_sim::time::Cycle;
 
-use crate::device::{DeliverOutcome, PollOutcome, SendOutcome};
+use crate::device::{DeliverOutcome, EmptyPolls, PollOutcome, SendOutcome};
 use crate::frag::{word_hit_cycles, Payload};
 
 /// Number of 64-byte blocks per CQ entry (one 256-byte network message).
 pub const ENTRY_BLOCKS: usize = 4;
+
+/// Cycles a poll spends comparing the valid (or tail) word it read: a
+/// register-to-register compare.
+const POLL_COMPARE: Cycle = TIMING.cache_hit;
 
 /// Which CQ optimisations are enabled (§2.2). All three default to on, which
 /// is the configuration the paper evaluates; the ablation benches turn them
@@ -122,23 +126,6 @@ impl CqConfig {
     }
 }
 
-/// Statistics one queue collects.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CqStats {
-    /// Entries enqueued.
-    pub enqueues: u64,
-    /// Entries dequeued.
-    pub dequeues: u64,
-    /// Enqueue attempts that found the queue full.
-    pub full_stalls: u64,
-    /// Times the producer had to refresh its shadow head pointer.
-    pub shadow_refreshes: u64,
-    /// Polls that found the queue empty.
-    pub empty_polls: u64,
-    /// Polls that found a message.
-    pub successful_polls: u64,
-}
-
 /// Shared pointer state for one queue, and the fragments it holds.
 #[derive(Debug, Clone)]
 struct CqState<P> {
@@ -148,13 +135,8 @@ struct CqState<P> {
     head: u64,
     /// Producer's stale copy of `head`.
     shadow_head: u64,
-    /// Producer sense bit (flips each pass).
-    producer_sense: bool,
-    /// Consumer sense bit (flips each pass).
-    consumer_sense: bool,
     /// Fragments resident in the queue.
     entries: VecDeque<P>,
-    stats: CqStats,
 }
 
 impl<P> CqState<P> {
@@ -163,10 +145,7 @@ impl<P> CqState<P> {
             tail: 0,
             head: 0,
             shadow_head: 0,
-            producer_sense: true,
-            consumer_sense: true,
             entries: VecDeque::new(),
-            stats: CqStats::default(),
         }
     }
 
@@ -176,20 +155,6 @@ impl<P> CqState<P> {
 
     fn slot_of(&self, index: u64, capacity: usize) -> usize {
         (index % capacity as u64) as usize
-    }
-
-    fn advance_producer(&mut self, capacity: usize) {
-        self.tail += 1;
-        if self.tail.is_multiple_of(capacity as u64) {
-            self.producer_sense = !self.producer_sense;
-        }
-    }
-
-    fn advance_consumer(&mut self, capacity: usize) {
-        self.head += 1;
-        if self.head.is_multiple_of(capacity as u64) {
-            self.consumer_sense = !self.consumer_sense;
-        }
     }
 }
 
@@ -218,16 +183,6 @@ impl<P: Payload> ProcToDeviceCq<P> {
         }
     }
 
-    /// The queue's layout.
-    pub fn config(&self) -> &CqConfig {
-        &self.cfg
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> CqStats {
-        self.state.stats
-    }
-
     /// Entries currently waiting for the device.
     pub fn len(&self) -> usize {
         self.state.len()
@@ -243,11 +198,6 @@ impl<P: Payload> ProcToDeviceCq<P> {
     /// possibly stale shadow head, refreshing it lazily before giving up).
     pub fn has_room(&self) -> bool {
         self.state.entries.len() < self.cfg.capacity_entries
-    }
-
-    /// Producer sense bit (exposed for tests of the sense-reverse protocol).
-    pub fn producer_sense(&self) -> bool {
-        self.state.producer_sense
     }
 
     /// Processor-side enqueue of one fragment; a full queue hands it back.
@@ -268,10 +218,8 @@ impl<P: Payload> ProcToDeviceCq<P> {
         if must_read_head {
             t = mem.proc_cached_read(t, self.cfg.head_ptr_block, self.cfg.home);
             self.state.shadow_head = self.state.head;
-            self.state.stats.shadow_refreshes += 1;
         }
         if self.state.tail - self.state.shadow_head >= cap {
-            self.state.stats.full_stalls += 1;
             return SendOutcome::Full { done: t, frag };
         }
 
@@ -306,8 +254,7 @@ impl<P: Payload> ProcToDeviceCq<P> {
         self.pending_signals += 1;
 
         self.state.entries.push_back(frag);
-        self.state.advance_producer(self.cfg.capacity_entries);
-        self.state.stats.enqueues += 1;
+        self.state.tail += 1;
         SendOutcome::Accepted { done: t }
     }
 
@@ -333,8 +280,7 @@ impl<P: Payload> ProcToDeviceCq<P> {
         t = mem.device_write_block(t, self.cfg.head_ptr_block, self.cfg.home);
 
         self.pending_signals -= 1;
-        self.state.advance_consumer(self.cfg.capacity_entries);
-        self.state.stats.dequeues += 1;
+        self.state.head += 1;
         Some((t, frag))
     }
 }
@@ -362,16 +308,6 @@ impl<P: Payload> DeviceToProcCq<P> {
         }
     }
 
-    /// The queue's layout.
-    pub fn config(&self) -> &CqConfig {
-        &self.cfg
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> CqStats {
-        self.state.stats
-    }
-
     /// Entries currently waiting for the processor.
     pub fn len(&self) -> usize {
         self.state.len()
@@ -380,11 +316,6 @@ impl<P: Payload> DeviceToProcCq<P> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.state.len() == 0
-    }
-
-    /// Consumer sense bit (exposed for tests of the sense-reverse protocol).
-    pub fn consumer_sense(&self) -> bool {
-        self.state.consumer_sense
     }
 
     /// Device-side enqueue of an arriving network message; a full queue
@@ -407,10 +338,8 @@ impl<P: Payload> DeviceToProcCq<P> {
         if must_read_head {
             t = mem.device_read_block(t, self.cfg.head_ptr_block, self.cfg.home);
             self.device_shadow_head = self.state.head;
-            self.state.stats.shadow_refreshes += 1;
         }
         if self.state.tail - self.device_shadow_head >= cap {
-            self.state.stats.full_stalls += 1;
             return DeliverOutcome::Refused(frag);
         }
 
@@ -427,39 +356,59 @@ impl<P: Payload> DeviceToProcCq<P> {
         }
 
         self.state.entries.push_back(frag);
-        self.state.advance_producer(self.cfg.capacity_entries);
-        self.state.stats.enqueues += 1;
+        self.state.tail += 1;
         DeliverOutcome::Accepted { done: t }
     }
 
-    /// Processor-side poll: examine the head entry's valid bit.
-    pub fn proc_poll(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> PollOutcome {
-        let mut t = now;
+    /// The block a poll reads: the head entry's first block with valid
+    /// bits, else the producer's tail pointer.
+    fn poll_block(&self) -> BlockAddr {
         if self.cfg.opts.valid_bits {
-            // Read the head entry's first block. If nothing new arrived the
-            // processor still holds the block from the previous pass and the
-            // poll hits in its cache; if the device wrote it, the read misses
-            // and fetches the data (which the subsequent receive then finds
-            // in the cache).
             let slot = self
                 .state
                 .slot_of(self.state.head, self.cfg.capacity_entries);
-            t = mem.proc_cached_read(t, self.cfg.entry_block(slot), self.cfg.home);
+            self.cfg.entry_block(slot)
         } else {
-            // Without valid bits the consumer must read the producer's tail
-            // pointer, which the device updates on every enqueue: a miss per
-            // arrival and often a miss even when empty.
-            t = mem.proc_cached_read(t, self.cfg.tail_ptr_block, self.cfg.home);
+            self.cfg.tail_ptr_block
         }
-        // Compare the sense/valid word: a register-to-register compare.
-        t += TIMING.cache_hit;
-        let available = !self.state.entries.is_empty();
-        if available {
-            self.state.stats.successful_polls += 1;
-        } else {
-            self.state.stats.empty_polls += 1;
+    }
+
+    /// Processor-side poll: examine the head entry's valid bit.
+    ///
+    /// With valid bits the poll reads the head entry's first block. If
+    /// nothing new arrived the processor still holds the block from the
+    /// previous pass and the poll hits in its cache; if the device wrote it,
+    /// the read misses and fetches the data (which the subsequent receive
+    /// then finds in the cache). Without valid bits the consumer must read
+    /// the producer's tail pointer, which the device updates on every
+    /// enqueue: a miss per arrival and often a miss even when empty.
+    pub fn proc_poll(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> PollOutcome {
+        let t = mem.proc_cached_read(now, self.poll_block(), self.cfg.home);
+        PollOutcome {
+            done: t + POLL_COMPARE,
+            available: !self.state.entries.is_empty(),
         }
-        PollOutcome { done: t, available }
+    }
+
+    /// Empty polls from `now` until one completes at or after `until` (see
+    /// [`NiDevice::proc_poll_empty_until`](crate::device::NiDevice::proc_poll_empty_until)),
+    /// in closed form: after an empty poll the processor still holds the
+    /// block it read, so each further one is a hit plus the compare.
+    pub fn proc_poll_empty_until(
+        &mut self,
+        now: Cycle,
+        until: Cycle,
+        mem: &mut NodeMemSystem,
+    ) -> EmptyPolls {
+        debug_assert!(self.state.entries.is_empty(), "the queue is not empty");
+        const POLL: Cycle = TIMING.cache_hit + POLL_COMPARE;
+        let count = until.saturating_sub(now).div_ceil(POLL).max(1);
+        let done = mem.proc_cached_rereads(now, self.poll_block(), count) + count * POLL_COMPARE;
+        EmptyPolls {
+            count,
+            last: done - POLL,
+            done,
+        }
     }
 
     /// Processor-side dequeue of the head entry.
@@ -488,8 +437,7 @@ impl<P: Payload> DeviceToProcCq<P> {
         // after the device refreshed its shadow copy).
         t = mem.proc_cached_write(t, self.cfg.head_ptr_block, self.cfg.home);
 
-        self.state.advance_consumer(self.cfg.capacity_entries);
-        self.state.stats.dequeues += 1;
+        self.state.head += 1;
         Some((t, frag))
     }
 }
@@ -556,8 +504,6 @@ mod tests {
         assert_eq!(got, frag);
         assert!(done > out.done());
         assert!(q.is_empty());
-        assert_eq!(q.stats().enqueues, 1);
-        assert_eq!(q.stats().dequeues, 1);
     }
 
     #[test]
@@ -578,55 +524,61 @@ mod tests {
             now = out.done();
         }
         let out = q.proc_enqueue(now, &mut mem, Frag(99, 100));
-        assert!(!out.is_accepted());
-        assert_eq!(q.stats().full_stalls, 1);
+        assert!(matches!(out, SendOutcome::Full { frag, .. } if frag == Frag(99, 100)));
+        assert_eq!(q.len(), 4);
         // Draining one entry frees a slot.
         let (t, _) = q.device_dequeue(out.done(), &mut mem).unwrap();
         let out = q.proc_enqueue(t, &mut mem, Frag(99, 100));
         assert!(out.is_accepted());
     }
 
-    #[test]
-    fn lazy_pointers_bound_shadow_refreshes() {
-        // Producer and consumer proceed in lock step with the queue at most
-        // one entry deep: the shadow head should be refreshed only when the
-        // producer wraps into apparent fullness, i.e. far less than once per
-        // message.
+    /// Producer and consumer in lock step, the 16-entry queue at most one
+    /// entry deep: returns the processor-cache misses of `messages`
+    /// enqueues. Every read of the consumer's head pointer misses, since
+    /// the device advanced it (and invalidated the processor's copy) since
+    /// the last one.
+    fn lock_step_misses(opts: CqOptimizations, messages: u64) -> u64 {
+        let mut alloc = RegionAllocator::new();
+        let cfg = CqConfig::allocate(&mut alloc, 64, BlockHome::Device, opts);
+        let mut q = ProcToDeviceCq::<Frag>::new(cfg);
         let mut mem = mem_system(64);
-        let mut q = send_queue(64, BlockHome::Device); // 16 entries
         let mut now = 0;
-        for i in 0..64 {
+        for i in 0..messages {
             let out = q.proc_enqueue(now, &mut mem, Frag(i, 244));
             assert!(out.is_accepted());
             now = out.done();
             let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
             now = t;
         }
-        assert!(
-            q.stats().shadow_refreshes <= 8,
-            "expected few shadow refreshes, got {}",
-            q.stats().shadow_refreshes
-        );
+        mem.proc_cache().misses()
+    }
+
+    #[test]
+    fn lazy_pointers_bound_shadow_refreshes() {
+        // The shadow head is refreshed only when the producer wraps into
+        // apparent fullness, at most once per pass: far less than once per
+        // message.
+        let plain = CqOptimizations {
+            lazy_pointers: false,
+            ..CqOptimizations::default()
+        };
+        let saved = lock_step_misses(plain, 64) - lock_step_misses(CqOptimizations::default(), 64);
+        assert!(saved >= 64 - 8, "lazy pointers saved only {saved} misses");
     }
 
     #[test]
     fn without_lazy_pointers_every_enqueue_reads_the_head() {
-        let mut alloc = RegionAllocator::new();
-        let opts = CqOptimizations {
+        // Ten messages never fill the shadow's view of a 16-entry queue, so
+        // the lazy producer never reads the head; the plain one reads it,
+        // and misses, on every enqueue.
+        let plain = CqOptimizations {
             lazy_pointers: false,
             ..CqOptimizations::default()
         };
-        let cfg = CqConfig::allocate(&mut alloc, 64, BlockHome::Device, opts);
-        let mut q = ProcToDeviceCq::<Frag>::new(cfg);
-        let mut mem = mem_system(64);
-        let mut now = 0;
-        for i in 0..10 {
-            let out = q.proc_enqueue(now, &mut mem, Frag(i, 244));
-            now = out.done();
-            let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
-            now = t;
-        }
-        assert_eq!(q.stats().shadow_refreshes, 10);
+        assert_eq!(
+            lock_step_misses(plain, 10) - lock_step_misses(CqOptimizations::default(), 10),
+            10
+        );
     }
 
     #[test]
@@ -667,7 +619,8 @@ mod tests {
         let p1 = q.proc_poll(p0.done, &mut mem);
         assert!(!p1.available);
         assert_eq!(p1.done - p0.done, 2);
-        assert_eq!(q.stats().empty_polls, 2);
+        let cache = mem.proc_cache();
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
 
         // A message arrives: the device invalidates the head block, so the
         // next poll misses and sees the message.
@@ -676,6 +629,43 @@ mod tests {
         let p2 = q.proc_poll(1000, &mut mem);
         assert!(p2.available);
         assert!(p2.done - 1000 > 2, "arrival poll should miss");
+    }
+
+    #[test]
+    fn empty_poll_runs_match_polling_one_at_a_time() {
+        for valid_bits in [true, false] {
+            let mut alloc = RegionAllocator::new();
+            let opts = CqOptimizations {
+                valid_bits,
+                ..CqOptimizations::default()
+            };
+            let cfg = CqConfig::allocate(&mut alloc, 16, BlockHome::Device, opts);
+            let mut q = DeviceToProcCq::<Frag>::new(cfg);
+            let mut mem = mem_system(16);
+            let warm = q.proc_poll(0, &mut mem).done;
+            for until in [warm, warm + 1, warm + 2, warm + 101] {
+                let (mut polled, mut polled_mem) = (q.clone(), mem.clone());
+                let mut want = EmptyPolls {
+                    count: 0,
+                    last: warm,
+                    done: warm,
+                };
+                while want.count == 0 || want.done < until {
+                    let poll = polled.proc_poll(want.done, &mut polled_mem);
+                    assert!(!poll.available);
+                    want = EmptyPolls {
+                        count: want.count + 1,
+                        last: want.done,
+                        done: poll.done,
+                    };
+                }
+                let (mut closed, mut closed_mem) = (q.clone(), mem.clone());
+                let got = closed.proc_poll_empty_until(warm, until, &mut closed_mem);
+                assert_eq!(got, want, "valid_bits={valid_bits} until={until}");
+                let counts = |m: &NodeMemSystem| (m.proc_cache().hits(), m.proc_cache().misses());
+                assert_eq!(counts(&closed_mem), counts(&polled_mem));
+            }
+        }
     }
 
     #[test]
@@ -708,8 +698,11 @@ mod tests {
                 refused => panic!("should fit: {refused:?}"),
             }
         }
-        assert!(!q.device_enqueue(now, &mut mem, Frag(9, 244)).is_accepted());
-        assert_eq!(q.stats().full_stalls, 1);
+        assert!(matches!(
+            q.device_enqueue(now, &mut mem, Frag(9, 244)),
+            DeliverOutcome::Refused(frag) if frag == Frag(9, 244)
+        ));
+        assert_eq!(q.len(), 4);
     }
 
     #[test]
@@ -791,30 +784,32 @@ mod tests {
     }
 
     #[test]
-    fn sense_bits_flip_once_per_pass() {
+    fn every_pass_around_the_queue_costs_the_same() {
+        // Sense reverse makes the valid-bit encoding alternate per pass, so
+        // after the cold first pass a pass around a 4-entry queue is
+        // indistinguishable from the last: same cycles, same misses.
         let mut mem = mem_system(16);
-        let mut q = send_queue(16, BlockHome::Device); // 4 entries per pass
+        let mut send = send_queue(16, BlockHome::Device);
+        let mut recv = recv_queue(16, BlockHome::Device);
         let mut now = 0;
-        assert!(q.producer_sense());
-        for i in 0..4 {
-            let out = q.proc_enqueue(now, &mut mem, Frag(i, 12));
-            now = out.done();
-            let (t, _) = q.device_dequeue(now, &mut mem).unwrap();
-            now = t;
-        }
-        assert!(!q.producer_sense(), "sense must flip after one full pass");
-
-        let mut r = recv_queue(16, BlockHome::Device);
-        assert!(r.consumer_sense());
-        let mut now = 0;
-        for i in 0..4 {
-            if let DeliverOutcome::Accepted { done } = r.device_enqueue(now, &mut mem, Frag(i, 12))
-            {
-                now = done;
+        let mut passes = Vec::new();
+        for pass in 0..4 {
+            let (start, misses) = (now, mem.proc_cache().misses());
+            for i in 0..4 {
+                now = send
+                    .proc_enqueue(now, &mut mem, Frag(pass * 4 + i, 244))
+                    .done();
+                let (t, frag) = send.device_dequeue(now, &mut mem).unwrap();
+                match recv.device_enqueue(t, &mut mem, frag) {
+                    DeliverOutcome::Accepted { done } => now = done,
+                    refused => panic!("a drained queue refused: {refused:?}"),
+                }
+                let (t, got) = recv.proc_dequeue(now, &mut mem).unwrap();
+                assert_eq!(got, frag, "FIFO across the wrap");
+                now = t;
             }
-            let (t, _) = r.proc_dequeue(now, &mut mem).unwrap();
-            now = t;
+            passes.push((now - start, mem.proc_cache().misses() - misses));
         }
-        assert!(!r.consumer_sense());
+        assert!(passes[1..].iter().all(|&p| p == passes[1]), "{passes:?}");
     }
 }

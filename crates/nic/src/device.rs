@@ -55,6 +55,18 @@ pub struct PollOutcome {
     pub available: bool,
 }
 
+/// Outcome of a run of empty processor-side polls
+/// ([`NiDevice::proc_poll_empty_until`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EmptyPolls {
+    /// Polls made.
+    pub count: u64,
+    /// Cycle at which the last poll started.
+    pub last: Cycle,
+    /// Cycle at which the last poll completed.
+    pub done: Cycle,
+}
+
 /// Outcome of a processor-side receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiveOutcome<P> {
@@ -119,6 +131,38 @@ pub trait NiDevice<P: Payload>: Send {
 
     /// Polls for an incoming fragment without consuming it.
     fn proc_poll(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> PollOutcome;
+
+    /// Polls an empty receive queue back to back from `now`, as a processor
+    /// spinning on it does, until a poll completes at or after `until`;
+    /// always polls at least once. The caller guarantees that the queue
+    /// stays empty and that nothing touched the device or the node's memory
+    /// system since the device's last call, an empty poll. Devices whose
+    /// repeated poll has a fixed cost answer in closed form; the default
+    /// polls one at a time.
+    fn proc_poll_empty_until(
+        &mut self,
+        now: Cycle,
+        until: Cycle,
+        mem: &mut NodeMemSystem,
+    ) -> EmptyPolls {
+        let mut polls = EmptyPolls {
+            count: 0,
+            last: now,
+            done: now,
+        };
+        loop {
+            let poll = self.proc_poll(polls.done, mem);
+            debug_assert!(!poll.available, "an empty poll found a message");
+            polls = EmptyPolls {
+                count: polls.count + 1,
+                last: polls.done,
+                done: poll.done,
+            };
+            if polls.done >= until {
+                return polls;
+            }
+        }
+    }
 
     /// Receives (copies to user space and pops) the fragment at the head of
     /// the receive queue. Returns `None` if the queue is empty — callers

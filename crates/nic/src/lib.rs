@@ -37,7 +37,7 @@ pub mod taxonomy;
 
 pub use cdr::Cni4Device;
 pub use cniq::CniQDevice;
-pub use device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
+pub use device::{DeliverOutcome, EmptyPolls, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
 pub use frag::Payload;
 pub use ni2w::Ni2wDevice;
 pub use taxonomy::{NiKind, NiSpec, QueueHome, QueuePointers};

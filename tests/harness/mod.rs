@@ -28,7 +28,8 @@
 //!
 //! Each slice ends by asserting that its equalities were not vacuous:
 //! speculation committed and rolled back, the faults it injects fired,
-//! deliveries parked, and so on, as the slice names.
+//! deliveries and window-blocked processor steps parked, and so on, as the
+//! slice names.
 //!
 //! Two environment knobs:
 //!
@@ -347,6 +348,8 @@ pub enum Evidence {
     OutageDrops,
     InertTimeouts,
     Parked,
+    /// Window-blocked processor steps skipped while parked.
+    SkippedSteps,
     SkippedExchanges,
     LatencySamples,
     OneNodePerShard,
@@ -366,6 +369,7 @@ pub struct Tally {
     outage_drops: u64,
     inert_timeouts: u64,
     parked: u64,
+    skipped_steps: u64,
     skipped_exchanges: u64,
     latency_samples: u64,
     one_node_per_shard: bool,
@@ -388,6 +392,7 @@ impl Tally {
             self.inert_timeouts += fabric.timeouts;
         }
         self.parked += reference.dispatch.parked;
+        self.skipped_steps += reference.dispatch.skipped;
         self.skipped_exchanges += reference.outcome.epochs - reference.outcome.exchanges;
         self.latency_samples += reference
             .report
@@ -408,6 +413,7 @@ impl Tally {
             Evidence::OutageDrops => self.outage_drops > 0,
             Evidence::InertTimeouts => self.inert_timeouts > 0,
             Evidence::Parked => self.parked > 0,
+            Evidence::SkippedSteps => self.skipped_steps > 0,
             Evidence::SkippedExchanges => self.skipped_exchanges > 0,
             Evidence::LatencySamples => self.latency_samples > 0,
             Evidence::OneNodePerShard => self.one_node_per_shard,

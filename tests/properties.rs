@@ -631,7 +631,9 @@ fn aborted_backpressure_run_matches_polled_reference() {
 /// `DELIVERY_RETRY_INTERVAL` cycles — 3 416 `DeliveryRetry` events on this
 /// fixture — where parking needs 21 wake-ups for the 56 attempts that can
 /// succeed; a regression back to polling fails here. The CQ devices, whose
-/// refusals read the head pointer over the bus, keep polling.
+/// refusals read the head pointer over the bus, keep polling. On the send
+/// side, the window-blocked processor steps that only poll are skipped:
+/// `proc_step + skipped` is the step count of per-poll dispatch.
 ///
 /// The lossy case runs the same fixture over a fabric that drops,
 /// corrupts, duplicates and delays at rates high enough that data
@@ -666,7 +668,8 @@ fn backpressure_dispatch_counts_are_pinned() {
 
     let reliable = FaultConfig::default();
     let want = DispatchStats {
-        proc_step: 446,
+        proc_step: 118,
+        skipped: 446 - 118,
         net_arrival: 96,
         ack_arrival: 96,
         delivery_retry: 0,
@@ -693,7 +696,8 @@ fn backpressure_dispatch_counts_are_pinned() {
     };
     let want = (
         DispatchStats {
-            proc_step: 540,
+            proc_step: 136,
+            skipped: 540 - 136,
             net_arrival: 211,
             ack_arrival: 146,
             delivery_retry: 0,
@@ -724,4 +728,136 @@ fn backpressure_dispatch_counts_are_pinned() {
     let (cq, _) = run(NiKind::Cni16Q, &reliable, ShardPolicy::Single, false);
     assert!(cq.delivery_retry > 0, "CQ refusals are polled: {cq:?}");
     assert_eq!((cq.wake_parked, cq.parked, cq.woken), (0, 0, 0));
+}
+
+/// A processor blocked by the sliding window parks instead of dispatching
+/// one step per empty poll, and the skipped steps are materialised lazily;
+/// simulated output must not move. These reports, dispatch profiles and
+/// speculative epoch schedules (epochs, commits, rollbacks, re-executed
+/// cycles, under a load-sensitive pacer) were recorded while every window-blocked poll still ran as its
+/// own `ProcStep`: hotspot at 8 nodes on every NI kind and every bus valid
+/// for it but the cache bus, fault-free and lossy, plus an em3d cell whose
+/// every message is lost, so the run aborts at its 50 M-cycle ceiling with
+/// both processors spinning. Every counter but `proc_step` is unchanged,
+/// and `proc_step + skipped` is the polled step count.
+#[test]
+fn window_blocked_spins_match_polled_reference() {
+    use cni::core::machine::{DispatchStats, Machine, MachineConfig, RunReport, SpecTuning};
+    use cni::mem::system::DeviceLocation::{IoBus, MemoryBus};
+    use cni::net::faults::FaultConfig;
+    use cni::nic::NiKind::{Cni16Q, Cni16Qm, Cni4, Cni512Q, Ni2w};
+    use cni::workloads::{ParamsTier, Workload, WorkloadParams};
+
+    // Polled reference dispatch counts, in `DispatchStats` field order:
+    // (steps, net arrivals, acks, delivery retries, parked wakes,
+    // retransmission timers, parked, woken).
+    let polled = |c: [u64; 8]| DispatchStats {
+        proc_step: c[0],
+        skipped: 0,
+        net_arrival: c[1],
+        ack_arrival: c[2],
+        delivery_retry: c[3],
+        wake_parked: c[4],
+        retx_timer: c[5],
+        parked: c[6],
+        woken: c[7],
+    };
+    let check = |label: &str, machine: &Machine, report: &RunReport, digest: u64, want| {
+        assert_eq!(full_report_digest(report), digest, "{label}: report moved");
+        let got = machine.dispatch_stats();
+        let merged = DispatchStats {
+            proc_step: got.proc_step + got.skipped,
+            skipped: 0,
+            ..got
+        };
+        assert_eq!(merged, want, "{label}: {got:?}");
+        got
+    };
+
+    #[rustfmt::skip]
+    let pinned = [
+        (Ni2w, MemoryBus, false, 0xa7b7ee405918ed57, [723, 96, 96, 0, 21, 0, 53, 53], [94, 6, 2, 200]),
+        (Ni2w, MemoryBus, true, 0x1762dc054710d4ca, [717, 202, 151, 0, 45, 103, 94, 94], [142, 1, 6, 900]),
+        (Ni2w, IoBus, false, 0xe736e73c7f3eefe4, [446, 96, 96, 0, 21, 0, 56, 56], [114, 4, 1, 100]),
+        (Ni2w, IoBus, true, 0x37cce5d3d427edb1, [560, 206, 154, 0, 41, 108, 107, 107], [174, 11, 4, 500]),
+        (Cni4, MemoryBus, false, 0xe92abf233956cba6, [342, 96, 96, 0, 32, 0, 54, 54], [75, 1, 4, 800]),
+        (Cni4, MemoryBus, true, 0x3809509f7fa04373, [426, 183, 132, 0, 39, 152, 61, 61], [143, 16, 13, 1600]),
+        (Cni4, IoBus, false, 0xab35e372650362de, [271, 96, 96, 0, 35, 0, 54, 54], [120, 3, 6, 600]),
+        (Cni4, IoBus, true, 0x80045c1cd75d9083, [426, 190, 136, 0, 53, 165, 85, 85], [188, 16, 10, 1100]),
+        (Cni16Q, MemoryBus, false, 0x91f66b1cdf3a0640, [3080, 96, 96, 831, 0, 0, 0, 0], [52, 3, 1, 100]),
+        (Cni16Q, MemoryBus, true, 0x0c5c0effdcc8fa76, [5078, 195, 136, 494, 0, 154, 0, 0], [132, 1, 6, 700]),
+        (Cni16Q, IoBus, false, 0x4a41e340a4286254, [5686, 96, 96, 1530, 0, 0, 0, 0], [90, 6, 0, 0]),
+        (Cni16Q, IoBus, true, 0xab078e8450bf9adf, [6324, 205, 149, 1191, 0, 167, 0, 0], [166, 8, 15, 1700]),
+        (Cni512Q, MemoryBus, false, 0x3c45f368f2e7c86a, [487, 96, 96, 0, 0, 0, 0, 0], [30, 5, 0, 0]),
+        (Cni512Q, MemoryBus, true, 0xe009b54cf5a22cac, [1702, 178, 125, 0, 0, 138, 0, 0], [132, 1, 6, 600]),
+        (Cni512Q, IoBus, false, 0x29b8d80aa0cc5148, [631, 96, 96, 0, 0, 0, 0, 0], [38, 5, 0, 0]),
+        (Cni512Q, IoBus, true, 0x515633da974a4630, [1360, 175, 134, 0, 0, 146, 0, 0], [151, 3, 6, 600]),
+        (Cni16Qm, MemoryBus, false, 0x9600a8dab290261c, [1633, 96, 96, 0, 0, 0, 0, 0], [46, 7, 0, 0]),
+        (Cni16Qm, MemoryBus, true, 0x5669c0a4608de4c1, [2605, 179, 128, 0, 0, 139, 0, 0], [127, 10, 9, 1100]),
+    ];
+    let params = WorkloadParams::tiny();
+    let pacer = SpecTuning {
+        dense_staged: 8,
+        give_up_rollbacks: u64::MAX,
+        ..SpecTuning::default()
+    };
+    let mut skipped = 0;
+    for (kind, bus, lossy, digest, counts, schedule) in pinned {
+        for mode in [LookaheadMode::Fixed, LookaheadMode::Speculative] {
+            let mut cfg =
+                MachineConfig::for_bus(8, kind, bus).with_speculation(SpeculationConfig {
+                    lookahead: mode,
+                    pacer,
+                });
+            if lossy {
+                cfg = cfg.with_faults(FaultConfig::lossy(7, 200_000));
+            }
+            let mut machine = Machine::new(cfg, Workload::Hotspot.programs(8, &params));
+            let report = machine.run();
+            assert!(report.completed);
+            let label = format!("{kind} on the {bus}, lossy={lossy}, {mode}");
+            if mode == LookaheadMode::Fixed {
+                skipped += check(&label, &machine, &report, digest, polled(counts)).skipped;
+                continue;
+            }
+            // The pacer's load and the planner's next event are unchanged,
+            // so is the speculative schedule, even with a pacer that
+            // refuses a gamble once more than eight events are pending.
+            assert_eq!(full_report_digest(&report), digest, "{label}: report moved");
+            let o = machine.epoch_outcome().expect("the run recorded one");
+            assert_eq!(
+                [
+                    o.epochs,
+                    o.spec_commits,
+                    o.spec_rollbacks,
+                    o.spec_reexec_cycles
+                ],
+                schedule,
+                "{label}: the epoch schedule moved"
+            );
+        }
+    }
+    assert!(skipped > 0, "no window-blocked step was skipped");
+
+    // The resilience campaign's em3d/CNI512Q cell at a 100% loss rate
+    // (`RESILIENCE_FAULT_SEED`), at 2 nodes.
+    let mut cfg = MachineConfig::isca96(2, Cni512Q)
+        .with_faults(FaultConfig::lossy(0x15CA_96C4_1F00, 1_000_000));
+    cfg.max_cycles = 50_000_000;
+    let mut machine = Machine::new(cfg, Workload::Em3d.programs(2, &ParamsTier::Quick.params()));
+    let report = machine.run();
+    assert!(report.aborted && report.cycles == 50_000_100);
+    let polled_steps = 49_999_360;
+    let got = check(
+        "aborted em3d",
+        &machine,
+        &report,
+        0xbf74cbe520f935a7,
+        polled([polled_steps, 0, 0, 0, 0, 7848, 0, 0]),
+    );
+    assert!(
+        got.proc_step * 100 <= polled_steps,
+        "a spinning processor still dispatches {} steps",
+        got.proc_step
+    );
 }

@@ -23,6 +23,7 @@ fn sharding_never_changes_results() {
     batch.require(&[
         Evidence::Commits,
         Evidence::Parked,
+        Evidence::SkippedSteps,
         Evidence::OneNodePerShard,
         Evidence::MultiWorker,
     ]);
@@ -84,6 +85,7 @@ fn fault_injection_shards_bit_identically() {
         Evidence::Drops,
         Evidence::Corruptions,
         Evidence::DupDiscards,
+        Evidence::SkippedSteps,
     ]);
 }
 
@@ -98,13 +100,18 @@ fn outage_windows_shard_bit_identically() {
 }
 
 /// Determinism invariant 7 meets invariant 5: under the lossy mix,
-/// retransmission timers, duplicate suppression and fault verdicts are all
-/// state a rollback must restore.
+/// retransmission timers, duplicate suppression, fault verdicts and parked
+/// processor steps are all state a rollback must restore.
 #[test]
 fn speculative_lookahead_is_unobservable_under_faults() {
     let mut batch = batch("speculative_lookahead_is_unobservable_under_faults");
     batch.product(&[Workload::Em3d, Workload::Gauss], &[FaultShape::Lossy]);
-    batch.require(&[Evidence::Commits, Evidence::Rollbacks, Evidence::Drops]);
+    batch.require(&[
+        Evidence::Commits,
+        Evidence::Rollbacks,
+        Evidence::Drops,
+        Evidence::SkippedSteps,
+    ]);
 }
 
 /// Rollback under the two adversarial fault shapes: outage windows, whose
