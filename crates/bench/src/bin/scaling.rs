@@ -49,59 +49,12 @@
 
 use std::time::Instant;
 
-use cni_bench::report_digest;
+use cni_bench::{report_digest, scaling_params, CI_WORKLOADS};
 use cni_core::machine::{
     LookaheadMode, Machine, MachineConfig, RunReport, ShardPolicy, SpeculationConfig,
 };
 use cni_nic::taxonomy::NiKind;
-use cni_workloads::{Workload, WorkloadParams};
-
-/// The workloads whose sharded determinism digests CI pins: the trajectory
-/// workload plus the macrobenchmarks and the synthetic pattern added beyond
-/// the original five, each with a different communication shape (fine-grain
-/// graph, request/response hotspot, variable-size ring, irregular halo,
-/// synthetic convergence).
-const CI_WORKLOADS: [Workload; 5] = [
-    Workload::Em3d,
-    Workload::Barnes,
-    Workload::Dsmc,
-    Workload::Unstructured,
-    Workload::Hotspot,
-];
-
-/// Inputs weak-scaled so every machine node owns the same share of the
-/// workload regardless of the machine size.
-fn scaling_params(workload: Workload, nodes: usize, quick: bool) -> WorkloadParams {
-    let mut params = WorkloadParams::tiny();
-    match workload {
-        Workload::Em3d => {
-            params.em3d.graph_nodes = nodes * if quick { 8 } else { 32 };
-            params.em3d.degree = 5;
-            params.em3d.iterations = if quick { 4 } else { 25 };
-        }
-        Workload::Barnes => {
-            params.barnes.bodies = nodes * if quick { 4 } else { 16 };
-            params.barnes.iterations = if quick { 2 } else { 6 };
-        }
-        Workload::Dsmc => {
-            params.dsmc.cells = nodes * if quick { 4 } else { 16 };
-            params.dsmc.iterations = if quick { 3 } else { 10 };
-        }
-        Workload::Unstructured => {
-            params.unstructured.mesh_nodes = nodes * if quick { 8 } else { 32 };
-            params.unstructured.iterations = if quick { 2 } else { 8 };
-        }
-        Workload::Hotspot => {
-            // messages_per_phase is already per node, so the pattern
-            // weak-scales by construction; just lengthen the run.
-            params.hotspot.phases = if quick { 3 } else { 8 };
-        }
-        // Any other workload runs its tiny inputs unscaled — fine for a
-        // one-off sweep, but the CI set above is the weak-scaled one.
-        _ => {}
-    }
-    params
-}
+use cni_workloads::Workload;
 
 struct Row {
     nodes: usize,

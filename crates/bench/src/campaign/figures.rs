@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 
+use cni_core::machine::LookaheadMode;
 use cni_core::micro::local_queue_max_bandwidth_mbps;
 use cni_mem::system::DeviceLocation;
 use cni_nic::cq_model::CqOptimizations;
@@ -135,6 +136,7 @@ pub fn fig6_campaign(tier: ParamsTier) -> Campaign {
                     location: series.location,
                     message_bytes,
                     iterations,
+                    opts: CqOptimizations::default(),
                 });
             }
         }
@@ -175,6 +177,7 @@ pub fn fig7_campaign(tier: ParamsTier) -> Campaign {
                     snarfing: series.snarfing,
                     message_bytes,
                     messages,
+                    opts: CqOptimizations::default(),
                 });
             }
         }
@@ -220,16 +223,52 @@ fn fig8_panels() -> Vec<MacroPanel> {
     ]
 }
 
+/// A fault-free run of `workload` on a `tier`-sized machine under the epoch
+/// driver's `lookahead` mode. With fixed lookahead this is a Figure 8 cell,
+/// which the occupancy, lookahead and tail-latency panels reuse.
+fn run_cell(
+    workload: Workload,
+    ni: NiKind,
+    location: DeviceLocation,
+    tier: ParamsTier,
+    lookahead: LookaheadMode,
+) -> ExperimentSpec {
+    ExperimentSpec::Run {
+        workload,
+        ni,
+        location,
+        nodes: tier.nodes(),
+        tier,
+        fault_ppm: 0,
+        lookahead,
+    }
+}
+
+/// Every workload under every NI on the memory bus, workload-major: Figure
+/// 8 panel (a)'s runs when `lookahead` is fixed.
+fn memory_bus_runs(
+    tier: ParamsTier,
+    workloads: &[Workload],
+    lookahead: LookaheadMode,
+) -> Vec<ExperimentSpec> {
+    workloads
+        .iter()
+        .flat_map(|&workload| {
+            NiKind::ALL.map(|ni| run_cell(workload, ni, DeviceLocation::MemoryBus, tier, lookahead))
+        })
+        .collect()
+}
+
 /// The Figure 8 normalisation baseline for one workload at one tier:
 /// `NI2w` on the memory bus.
 fn fig8_baseline_spec(workload: Workload, tier: ParamsTier) -> ExperimentSpec {
-    ExperimentSpec::Macro {
+    run_cell(
         workload,
-        ni: NiKind::Ni2w,
-        location: DeviceLocation::MemoryBus,
-        nodes: tier.nodes(),
+        NiKind::Ni2w,
+        DeviceLocation::MemoryBus,
         tier,
-    }
+        LookaheadMode::Fixed,
+    )
 }
 
 /// Figure 8 (§5.2): macrobenchmark speedups over `NI2w` on the memory bus,
@@ -238,18 +277,11 @@ fn fig8_baseline_spec(workload: Workload, tier: ParamsTier) -> ExperimentSpec {
 /// the engine deduplicates the runs panels share (the baseline appears in
 /// every panel's normalisation, and panel (c) overlaps panel (a)).
 pub fn fig8_campaign(tier: ParamsTier, workloads: &[Workload]) -> Campaign {
-    let nodes = tier.nodes();
     let mut cells = Vec::new();
     for panel in fig8_panels() {
         for &workload in workloads {
             for &(ni, location) in &panel.columns {
-                cells.push(ExperimentSpec::Macro {
-                    workload,
-                    ni,
-                    location,
-                    nodes,
-                    tier,
-                });
+                cells.push(run_cell(workload, ni, location, tier, LookaheadMode::Fixed));
             }
         }
     }
@@ -275,62 +307,27 @@ pub fn fig8_campaign(tier: ParamsTier, workloads: &[Workload]) -> Campaign {
 /// the memory bus. The cells are **the same runs** as Figure 8's panel (a)
 /// — the engine executes them once and both renderers read them.
 pub fn occupancy_campaign(tier: ParamsTier, workloads: &[Workload]) -> Campaign {
-    let nodes = tier.nodes();
-    let mut cells = Vec::new();
-    for &workload in workloads {
-        for ni in NiKind::ALL {
-            cells.push(ExperimentSpec::Macro {
-                workload,
-                ni,
-                location: DeviceLocation::MemoryBus,
-                nodes,
-                tier,
-            });
-        }
-    }
     Campaign {
         name: "occupancy",
         title: "§5.2 — memory-bus occupancy reduction vs NI2w".to_owned(),
         tier,
         workloads: workloads.to_vec(),
-        cells,
+        cells: memory_bus_runs(tier, workloads, LookaheadMode::Fixed),
     }
 }
 
 /// Epoch-planner statistics: every workload under every NI on the memory
 /// bus, reporting the sharded driver's schedule — epochs executed, mean/max
-/// epoch length, and (from the paired [`ExperimentSpec::Speculation`]
-/// cells) the speculative planner's commit/rollback record. The
-/// fixed-lookahead half of the cells are **the
-/// same runs** as the occupancy campaign (and Figure 8 panel (a)), so a
-/// report run executes those once and only the speculative half costs
-/// extra.
+/// epoch length, and (from the paired speculative-lookahead runs) the
+/// speculative planner's commit/rollback record. The fixed-lookahead half
+/// of the cells are **the same runs** as the occupancy campaign (and
+/// Figure 8 panel (a)), so a report run executes those once and only the
+/// speculative half costs extra.
 pub fn lookahead_campaign(tier: ParamsTier, workloads: &[Workload]) -> Campaign {
-    let nodes = tier.nodes();
-    let mut cells = Vec::new();
-    for &workload in workloads {
-        for ni in NiKind::ALL {
-            cells.push(ExperimentSpec::Macro {
-                workload,
-                ni,
-                location: DeviceLocation::MemoryBus,
-                nodes,
-                tier,
-            });
-        }
-    }
     // The speculative twins follow as one block, so the renderer can pair
     // row `i` with row `i + workloads × NIs`.
-    for &workload in workloads {
-        for ni in NiKind::ALL {
-            cells.push(ExperimentSpec::Speculation {
-                workload,
-                ni,
-                nodes,
-                tier,
-            });
-        }
-    }
+    let mut cells = memory_bus_runs(tier, workloads, LookaheadMode::Fixed);
+    cells.extend(memory_bus_runs(tier, workloads, LookaheadMode::Speculative));
     Campaign {
         name: "lookahead",
         title: "Epoch planner — lookahead and speculation statistics".to_owned(),
@@ -360,7 +357,9 @@ fn ablation_variants() -> Vec<(&'static str, CqOptimizations)> {
 
 /// §2.2's cachable-queue optimisation ablation: lazy pointers, valid bits
 /// and sense reverse disabled in turn on `CNI512Q` (memory bus), measured on
-/// the 64-byte round trip and the 2 KB stream. One cell per variant.
+/// the 64-byte round trip and the 2 KB stream. Two cells per variant, a
+/// latency and a bandwidth point; at the scaled and paper tiers the
+/// all-optimisations pair is the Figure 6 and Figure 7 `CNI512Q` point.
 pub fn ablation_campaign(tier: ParamsTier) -> Campaign {
     let (iterations, messages) = match tier {
         ParamsTier::Quick => (8, 32),
@@ -373,10 +372,24 @@ pub fn ablation_campaign(tier: ParamsTier) -> Campaign {
         workloads: vec![],
         cells: ablation_variants()
             .into_iter()
-            .map(|(_, opts)| ExperimentSpec::Ablation {
-                opts,
-                iterations,
-                messages,
+            .flat_map(|(_, opts)| {
+                [
+                    ExperimentSpec::Latency {
+                        ni: NiKind::Cni512Q,
+                        location: DeviceLocation::MemoryBus,
+                        message_bytes: 64,
+                        iterations,
+                        opts,
+                    },
+                    ExperimentSpec::Bandwidth {
+                        ni: NiKind::Cni512Q,
+                        location: DeviceLocation::MemoryBus,
+                        snarfing: false,
+                        message_bytes: 2048,
+                        messages,
+                        opts,
+                    },
+                ]
             })
             .collect(),
     }
@@ -417,19 +430,20 @@ fn resilience_rates(tier: ParamsTier) -> Vec<u32> {
 /// deterministic fault intensity, recovered by the reliable-delivery
 /// protocol — the figure the paper couldn't draw. One cell per
 /// (workload, NI, rate); the zero-rate column doubles as the goodput
-/// baseline.
+/// baseline, and is the Figure 8 run itself.
 pub fn resilience_campaign(tier: ParamsTier) -> Campaign {
-    let nodes = tier.nodes();
     let mut cells = Vec::new();
     for &workload in &RESILIENCE_WORKLOADS {
         for ni in NiKind::ALL {
             for &fault_ppm in &resilience_rates(tier) {
-                cells.push(ExperimentSpec::Resilience {
+                cells.push(ExperimentSpec::Run {
                     workload,
                     ni,
-                    fault_ppm,
-                    nodes,
+                    location: DeviceLocation::MemoryBus,
+                    nodes: tier.nodes(),
                     tier,
+                    fault_ppm,
+                    lookahead: LookaheadMode::Fixed,
                 });
             }
         }
@@ -460,27 +474,16 @@ pub fn latency_workloads() -> Vec<Workload> {
 /// The tail-latency sweep: every service workload × every NI on the memory
 /// bus, reporting deterministic integer p50/p99/p99.9/max from the merged
 /// per-node request-latency histograms — the figure of merit the paper's
-/// throughput benchmarks don't expose. One cell per (workload, NI).
+/// throughput benchmarks don't expose. One cell per (workload, NI), each
+/// the Figure 8 panel (a) run of that service workload.
 pub fn latency_campaign(tier: ParamsTier) -> Campaign {
-    let nodes = tier.nodes();
     let workloads = latency_workloads();
-    let mut cells = Vec::new();
-    for &workload in &workloads {
-        for ni in NiKind::ALL {
-            cells.push(ExperimentSpec::Service {
-                workload,
-                ni,
-                nodes,
-                tier,
-            });
-        }
-    }
     Campaign {
         name: "latency",
         title: "Tail latency — RPC service workloads, deterministic histograms".to_owned(),
         tier,
+        cells: memory_bus_runs(tier, &workloads, LookaheadMode::Fixed),
         workloads,
-        cells,
     }
 }
 
@@ -771,7 +774,7 @@ fn render_lookahead(run: &CampaignRun) -> String {
             fn digest(c: &Json) -> &str {
                 c.get("report_digest")
                     .and_then(Json::as_str)
-                    .expect("macro and speculation cells carry report digests")
+                    .expect("run cells carry report digests")
             }
             assert_eq!(
                 digest(cell),
@@ -815,14 +818,15 @@ fn render_ablation(run: &CampaignRun) -> String {
     let header: Vec<String> = ["variant", "64B round trip (µs)", "2KB stream (rel bw)"]
         .map(str::to_owned)
         .to_vec();
+    // Each variant is a latency cell followed by a bandwidth cell.
     let rows: Vec<Vec<String>> = ablation_variants()
         .iter()
-        .zip(&cells)
-        .map(|((name, _), cell)| {
+        .zip(cells.chunks(2))
+        .map(|((name, _), pair)| {
             vec![
                 (*name).to_owned(),
-                format!("{:.2}", cell.num("round_trip_micros")),
-                format!("{:.3}", cell.num("relative_bandwidth")),
+                format!("{:.2}", pair[0].num("round_trip_micros")),
+                format!("{:.3}", pair[1].num("relative")),
             ]
         })
         .collect();
@@ -1074,6 +1078,8 @@ pub fn render_results_markdown(set: &CampaignSetRun) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -1098,7 +1104,8 @@ mod tests {
         let lookahead = lookahead_campaign(ParamsTier::Quick, &Workload::ALL);
         // Conservative block + the speculative twins.
         assert_eq!(lookahead.cells.len(), workloads * 5 * 2);
-        assert_eq!(ablation_campaign(ParamsTier::Quick).cells.len(), 5);
+        // A latency and a bandwidth cell per variant.
+        assert_eq!(ablation_campaign(ParamsTier::Quick).cells.len(), 5 * 2);
         // 3 workloads × 5 NIs × 3 quick rates (5 rates at scaled/paper).
         assert_eq!(
             resilience_campaign(ParamsTier::Quick).cells.len(),
@@ -1120,32 +1127,70 @@ mod tests {
 
     #[test]
     fn occupancy_cells_are_a_subset_of_fig8s() {
-        // The dedup story: every occupancy run and every *conservative*
-        // lookahead run is already a Figure 8 panel (a) run, so a report
-        // run executes them once. Only the speculative twins are new work.
+        // The dedup story: every occupancy run, every fixed-lookahead
+        // lookahead run, every tail-latency run and every zero-rate
+        // resilience run is already a Figure 8 panel (a) run, so a report
+        // run executes them once. Only the speculative twins and the lossy
+        // runs are new work.
         let fig8 = fig8_campaign(ParamsTier::Scaled, &Workload::ALL);
-        let fig8_digests: std::collections::HashSet<u64> =
-            fig8.cells.iter().map(ExperimentSpec::digest).collect();
+        let fig8_digests: HashSet<u64> = fig8.cells.iter().map(ExperimentSpec::digest).collect();
         for campaign in [
             occupancy_campaign(ParamsTier::Scaled, &Workload::ALL),
             lookahead_campaign(ParamsTier::Scaled, &Workload::ALL),
+            latency_campaign(ParamsTier::Scaled),
+            resilience_campaign(ParamsTier::Scaled),
         ] {
             for cell in &campaign.cells {
-                if matches!(cell, ExperimentSpec::Speculation { .. }) {
-                    assert!(
-                        !fig8_digests.contains(&cell.digest()),
-                        "{} speculative cell {} must be a distinct run",
-                        campaign.name,
+                let ExperimentSpec::Run {
+                    fault_ppm,
+                    lookahead,
+                    ..
+                } = *cell
+                else {
+                    panic!("{} cell {} is not a run", campaign.name, cell.label());
+                };
+                let shared = fault_ppm == 0 && lookahead == LookaheadMode::Fixed;
+                assert_eq!(
+                    fig8_digests.contains(&cell.digest()),
+                    shared,
+                    "{} cell {} must {}be a Figure 8 run",
+                    campaign.name,
+                    cell.label(),
+                    if shared { "" } else { "not " }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn no_simulation_runs_twice_in_a_report() {
+        // Two run cells with different digests but the same (workload,
+        // machine, tier) would simulate the same thing twice; two with the
+        // same digest but different setups would serve one result for two
+        // simulations. Either way the mapping is not one-to-one.
+        for tier in [ParamsTier::Quick, ParamsTier::Scaled] {
+            let mut setup_of: HashMap<u64, String> = HashMap::new();
+            let mut digest_of: HashMap<String, u64> = HashMap::new();
+            for campaign in report_campaigns(tier, &Workload::ALL) {
+                for cell in &campaign.cells {
+                    let Some((workload, cfg, cell_tier)) = cell.run_setup() else {
+                        continue;
+                    };
+                    let setup = format!("{workload} {cfg:?} {cell_tier}");
+                    let digest = cell.digest();
+                    assert_eq!(
+                        setup_of.entry(digest).or_insert_with(|| setup.clone()),
+                        &setup,
+                        "{}: one digest, two simulations",
                         cell.label()
                     );
-                    continue;
+                    assert_eq!(
+                        *digest_of.entry(setup).or_insert(digest),
+                        digest,
+                        "{}: one simulation under two digests",
+                        cell.label()
+                    );
                 }
-                assert!(
-                    fig8_digests.contains(&cell.digest()),
-                    "{} cell {} not shared with fig8",
-                    campaign.name,
-                    cell.label()
-                );
             }
         }
     }

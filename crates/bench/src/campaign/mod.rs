@@ -2,16 +2,21 @@
 //! behind every figure of the paper's evaluation (§5).
 //!
 //! A [`Campaign`] is a named grid of cells, each cell a pure
-//! [`ExperimentSpec`] — the full definition of one simulation (workload ×
-//! NI × bus × input tier × machine size, or one microbenchmark point).
+//! [`ExperimentSpec`] — the full definition of one simulation: a workload
+//! run ([`ExperimentSpec::Run`]: workload × NI × bus × input tier ×
+//! machine size × fault rate × lookahead mode), one microbenchmark point
+//! ([`ExperimentSpec::Latency`], [`ExperimentSpec::Bandwidth`]) or the
+//! Table 1 data ([`ExperimentSpec::Taxonomy`]).
 //! [`run_campaigns`] executes a set of campaigns:
 //!
 //! 1. every cell is keyed by [`ExperimentSpec::digest`] — a portable FNV-1a
 //!    hash of its canonical encoding plus a schema fingerprint covering the
 //!    Table 2 cost model and the per-tier inputs;
-//! 2. distinct digests are **deduplicated** across the whole set (the
-//!    occupancy panel and Figure 8's memory-bus panel are the same runs, so
-//!    they execute once);
+//! 2. distinct digests are **deduplicated** across the whole set: the
+//!    occupancy panel, the fixed-lookahead half of the lookahead table, the
+//!    tail-latency sweep and the zero-rate resilience column are Figure 8's
+//!    memory-bus runs, and the ablation's all-optimisations row is the
+//!    Figure 6/7 `CNI512Q` point, so each executes once;
 //! 3. digests with a result already in the on-disk cache are **skipped**
 //!    (re-running a campaign only executes changed cells);
 //! 4. the remaining cells execute **concurrently** on
@@ -34,6 +39,7 @@
 //! ```
 //! use cni_bench::campaign::{run_campaign, Campaign, RunOptions, ExperimentSpec};
 //! use cni_mem::system::DeviceLocation;
+//! use cni_nic::cq_model::CqOptimizations;
 //! use cni_nic::taxonomy::NiKind;
 //! use cni_workloads::ParamsTier;
 //!
@@ -49,6 +55,7 @@
 //!             location: DeviceLocation::MemoryBus,
 //!             message_bytes: 8,
 //!             iterations: 2,
+//!             opts: CqOptimizations::default(),
 //!         },
 //!     ],
 //! };

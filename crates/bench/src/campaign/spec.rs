@@ -1,12 +1,20 @@
 //! [`ExperimentSpec`]: the pure, digestable definition of one campaign cell.
 //!
 //! A spec captures **everything that determines a cell's simulated result**
-//! — workload, NI, bus, input tier, machine size, microbenchmark parameters
-//! — and nothing that doesn't. Simulator-performance knobs (shard policy,
-//! worker threads) are deliberately *not* part of the
+//! — workload, NI, bus, input tier, machine size, fault rate, microbenchmark
+//! parameters — and nothing that doesn't. Simulator-performance knobs
+//! (shard policy, worker threads) are deliberately *not* part of the
 //! spec: the repository's determinism invariant (see `tests/harness`
 //! and `tests/properties.rs`) is that they never change a simulated result,
 //! so two runs differing only in those knobs share one cache entry.
+//!
+//! There are four kinds of cell: the two microbenchmarks
+//! ([`ExperimentSpec::Latency`], [`ExperimentSpec::Bandwidth`], which also
+//! carry the §2.2 ablation's CQ switches), one workload run
+//! ([`ExperimentSpec::Run`], behind every macrobenchmark panel) and the
+//! Table 1 data ([`ExperimentSpec::Taxonomy`]). Every panel that looks at
+//! the same simulation builds the same spec, so the campaign engine's
+//! digest dedup runs it once.
 //!
 //! [`ExperimentSpec::canonical`] renders the spec as a canonical JSON
 //! string; [`ExperimentSpec::digest`] hashes it (together with a schema
@@ -36,7 +44,7 @@ use crate::{report_digest, run_workload_stats, RunStats};
 /// Version tag of the spec encoding and the result encodings. Bump when a
 /// cell's canonical or result JSON changes shape, so stale cache entries
 /// can never be misread.
-const SPEC_SCHEMA: &str = "cni-campaign-v5";
+const SPEC_SCHEMA: &str = "cni-campaign-v6";
 
 /// Simulator-performance knobs applied when executing a cell. None of these
 /// affect simulated results (the determinism tests prove it), so none of
@@ -65,7 +73,9 @@ impl Default for ExecKnobs {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExperimentSpec {
     /// One point of the Figure 6 round-trip latency sweep (§5.1.1): a
-    /// two-node machine, one message size.
+    /// two-node machine, one message size. The §2.2 ablation varies `opts`
+    /// on `CNI512Q`; with the default optimisations the cell is a Figure 6
+    /// point.
     Latency {
         /// Network interface.
         ni: NiKind,
@@ -75,8 +85,11 @@ pub enum ExperimentSpec {
         message_bytes: usize,
         /// Round trips measured.
         iterations: usize,
+        /// Which CQ optimisations are enabled.
+        opts: CqOptimizations,
     },
-    /// One point of the Figure 7 streaming-bandwidth sweep (§5.1.2).
+    /// One point of the Figure 7 streaming-bandwidth sweep (§5.1.2), with
+    /// CQ optimisations as for [`ExperimentSpec::Latency`].
     Bandwidth {
         /// Network interface.
         ni: NiKind,
@@ -89,12 +102,20 @@ pub enum ExperimentSpec {
         message_bytes: usize,
         /// Messages streamed.
         messages: usize,
+        /// Which CQ optimisations are enabled.
+        opts: CqOptimizations,
     },
-    /// One macrobenchmark run (Figure 8 / §5.2): `workload` on an
-    /// `nodes`-node machine with `ni` on `location`, at input tier `tier`.
-    /// The result carries cycles *and* bus-occupancy counters, so the same
-    /// cell serves both the speedup and the occupancy panels.
-    Macro {
+    /// One workload run: `workload` on an `nodes`-node machine with `ni` on
+    /// `location`, at input tier `tier`, under the
+    /// [`cni_net::faults::FaultConfig::lossy`] preset at `fault_ppm` parts
+    /// per million (none at `0`) and the epoch driver's `lookahead` mode.
+    /// The result carries every statistic a renderer reads — cycles, bus
+    /// occupancy, the epoch schedule and what speculation paid, fabric and
+    /// fault counters, request-latency quantiles and the report digest — so
+    /// one cell serves Figure 8, the occupancy, lookahead, resilience and
+    /// tail-latency panels alike, and a simulation two panels share runs
+    /// once.
+    Run {
         /// The benchmark.
         workload: Workload,
         /// Network interface.
@@ -105,72 +126,13 @@ pub enum ExperimentSpec {
         nodes: usize,
         /// Input-size tier.
         tier: ParamsTier,
-    },
-    /// One cachable-queue ablation variant (§2.2): `CNI512Q` on the memory
-    /// bus with the given optimisation switches, measured on the 64-byte
-    /// round trip and the 2 KB stream.
-    Ablation {
-        /// Which CQ optimisations are enabled.
-        opts: CqOptimizations,
-        /// Round trips measured.
-        iterations: usize,
-        /// Messages streamed.
-        messages: usize,
-    },
-    /// One point of the resilience sweep: `workload` on an `nodes`-node
-    /// machine with `ni` on the memory bus, under the
-    /// [`cni_net::faults::FaultConfig::lossy`] preset at `fault_ppm` parts
-    /// per million, recovered by the reliable-delivery protocol. The result
-    /// carries cycles, wire traffic and the fault-accounting counters, so
-    /// one cell serves both the goodput and the accounting panels.
-    Resilience {
-        /// The benchmark.
-        workload: Workload,
-        /// Network interface.
-        ni: NiKind,
         /// Loss intensity in parts per million (the `lossy` preset derives
         /// corruption, duplication and delay rates from it).
         fault_ppm: u32,
-        /// Machine size in nodes.
-        nodes: usize,
-        /// Input-size tier.
-        tier: ParamsTier,
-    },
-    /// One tail-latency service run: a [`cni_workloads::WorkloadClass::Service`]
-    /// workload (closed- or open-loop RPC) on an `nodes`-node machine with
-    /// `ni` on the memory bus. The result carries the run cycles plus the
-    /// machine-total latency histogram's deterministic integer quantiles
-    /// (p50/p99/p99.9/max) — merged from the per-node
-    /// [`cni_core::machine::NodeStats::request_latency`] histograms, which
-    /// compose bit-identically across shard counts, executor modes and
-    /// lookahead modes.
-    Service {
-        /// The service workload.
-        workload: Workload,
-        /// Network interface.
-        ni: NiKind,
-        /// Machine size in nodes.
-        nodes: usize,
-        /// Input-size tier.
-        tier: ParamsTier,
-    },
-    /// One speculative-lookahead schedule measurement: `workload` on an
-    /// `nodes`-node machine with `ni` on the memory bus, driven with
-    /// [`LookaheadMode::Speculative`]. The simulated result is bit-identical
-    /// to the matching [`ExperimentSpec::Macro`] cell (determinism
-    /// invariant 7 — the result JSON repeats the report digest so the
-    /// campaign can assert it); what this cell measures is the *schedule*:
-    /// epochs, committed and rolled-back gambles, and the re-executed
-    /// cycles rollbacks paid.
-    Speculation {
-        /// The benchmark.
-        workload: Workload,
-        /// Network interface.
-        ni: NiKind,
-        /// Machine size in nodes.
-        nodes: usize,
-        /// Input-size tier.
-        tier: ParamsTier,
+        /// The epoch driver's lookahead mode. It changes the schedule
+        /// statistics, never the simulated result (determinism invariant
+        /// 7).
+        lookahead: LookaheadMode,
     },
     /// The Table 1 taxonomy — pure data, no simulation; a cell so Table 1
     /// renders through the same pipeline as everything else.
@@ -180,6 +142,12 @@ pub enum ExperimentSpec {
 /// Seed of the resilience sweep's fault plans. One fixed constant: the sweep
 /// is a deterministic experiment, not a sampling exercise.
 pub const RESILIENCE_FAULT_SEED: u64 = 0x15CA_96C4_1F00;
+
+/// Cycle ceiling of a fault-injected run. Such runs do strictly more work
+/// than clean ones; a generous-but-finite ceiling turns an unrecoverable
+/// cell into a loud abort (with pending-work diagnostics) instead of an
+/// unbounded hang.
+const FAULTY_MAX_CYCLES: u64 = 50_000_000;
 
 /// Canonical token for a bus location.
 pub fn location_token(location: DeviceLocation) -> &'static str {
@@ -194,8 +162,8 @@ pub fn location_token(location: DeviceLocation) -> &'static str {
 /// default machine configuration (cycle limit and the other defaults the
 /// cells inherit), the machine constants it no longer carries (the Table 2
 /// cost model, window size, processor cache capacity, receive batch and
-/// retry interval), the default CQ optimisations and each tier's workload
-/// parameters. Mixed into every digest so a change to the model or the
+/// retry interval), the default CQ optimisations, the fault seed and each
+/// tier's workload parameters. Mixed into every digest so a change to the model or the
 /// inputs orphans stale cache entries instead of serving them. (The
 /// simulator's *code* is deliberately not covered — after a
 /// behaviour-changing code edit, regenerate with `--cold`.)
@@ -217,12 +185,34 @@ fn schema_fingerprint() -> u64 {
             hasher.write_u64(constant as u64);
         }
         hasher.write_u64(DELIVERY_RETRY_INTERVAL);
+        hasher.write_u64(RESILIENCE_FAULT_SEED);
         hasher.write_str(&format!("{:?}", CqOptimizations::default()));
         for tier in ParamsTier::ALL {
             hasher.write_str(&format!("{:?}", tier.params()));
         }
         hasher.finish()
     })
+}
+
+/// The CQ optimisation switches as canonical JSON members.
+fn opts_json(opts: CqOptimizations) -> String {
+    format!(
+        r#""lazy_pointers":{},"valid_bits":{},"sense_reverse":{}"#,
+        opts.lazy_pointers, opts.valid_bits, opts.sense_reverse
+    )
+}
+
+/// Label suffix naming each disabled CQ optimisation (empty by default).
+fn opts_label(opts: CqOptimizations) -> String {
+    [
+        (opts.lazy_pointers, "/no-lazy"),
+        (opts.valid_bits, "/no-valid"),
+        (opts.sense_reverse, "/no-sense"),
+    ]
+    .into_iter()
+    .filter(|&(on, _)| !on)
+    .map(|(_, name)| name)
+    .collect()
 }
 
 impl ExperimentSpec {
@@ -235,9 +225,11 @@ impl ExperimentSpec {
                 location,
                 message_bytes,
                 iterations,
+                opts,
             } => format!(
-                r#"{{"kind":"latency","ni":"{ni}","location":"{}","message_bytes":{message_bytes},"iterations":{iterations}}}"#,
-                location_token(location)
+                r#"{{"kind":"latency","ni":"{ni}","location":"{}","message_bytes":{message_bytes},"iterations":{iterations},{}}}"#,
+                location_token(location),
+                opts_json(opts)
             ),
             ExperimentSpec::Bandwidth {
                 ni,
@@ -245,52 +237,23 @@ impl ExperimentSpec {
                 snarfing,
                 message_bytes,
                 messages,
+                opts,
             } => format!(
-                r#"{{"kind":"bandwidth","ni":"{ni}","location":"{}","snarfing":{snarfing},"message_bytes":{message_bytes},"messages":{messages}}}"#,
-                location_token(location)
+                r#"{{"kind":"bandwidth","ni":"{ni}","location":"{}","snarfing":{snarfing},"message_bytes":{message_bytes},"messages":{messages},{}}}"#,
+                location_token(location),
+                opts_json(opts)
             ),
-            ExperimentSpec::Macro {
+            ExperimentSpec::Run {
                 workload,
                 ni,
                 location,
                 nodes,
                 tier,
-            } => format!(
-                r#"{{"kind":"macro","workload":"{workload}","ni":"{ni}","location":"{}","nodes":{nodes},"tier":"{tier}"}}"#,
-                location_token(location)
-            ),
-            ExperimentSpec::Ablation {
-                opts,
-                iterations,
-                messages,
-            } => format!(
-                r#"{{"kind":"ablation","lazy_pointers":{},"valid_bits":{},"sense_reverse":{},"iterations":{iterations},"messages":{messages}}}"#,
-                opts.lazy_pointers, opts.valid_bits, opts.sense_reverse
-            ),
-            ExperimentSpec::Resilience {
-                workload,
-                ni,
                 fault_ppm,
-                nodes,
-                tier,
+                lookahead,
             } => format!(
-                r#"{{"kind":"resilience","workload":"{workload}","ni":"{ni}","fault_ppm":{fault_ppm},"fault_seed":{RESILIENCE_FAULT_SEED},"nodes":{nodes},"tier":"{tier}"}}"#
-            ),
-            ExperimentSpec::Service {
-                workload,
-                ni,
-                nodes,
-                tier,
-            } => format!(
-                r#"{{"kind":"service","workload":"{workload}","ni":"{ni}","location":"memory","nodes":{nodes},"tier":"{tier}"}}"#
-            ),
-            ExperimentSpec::Speculation {
-                workload,
-                ni,
-                nodes,
-                tier,
-            } => format!(
-                r#"{{"kind":"speculation","workload":"{workload}","ni":"{ni}","location":"memory","nodes":{nodes},"tier":"{tier}"}}"#
+                r#"{{"kind":"run","workload":"{workload}","ni":"{ni}","location":"{}","nodes":{nodes},"tier":"{tier}","fault_ppm":{fault_ppm},"lookahead":"{lookahead}"}}"#,
+                location_token(location)
             ),
             ExperimentSpec::Taxonomy => r#"{"kind":"taxonomy"}"#.to_owned(),
         }
@@ -307,6 +270,35 @@ impl ExperimentSpec {
         hasher.finish()
     }
 
+    /// What a [`ExperimentSpec::Run`] cell simulates: the workload, the
+    /// machine it runs on and the input tier (`None` for the other kinds).
+    /// The fault preset and its cycle ceiling join the machine only when
+    /// `fault_ppm > 0`, so a zero-rate cell is the same simulation as the
+    /// clean run. Distinct `Run` digests map to distinct simulations (a
+    /// test over every report campaign checks it), so the digest dedup runs
+    /// each simulation once.
+    pub fn run_setup(&self) -> Option<(Workload, MachineConfig, ParamsTier)> {
+        let ExperimentSpec::Run {
+            workload,
+            ni,
+            location,
+            nodes,
+            tier,
+            fault_ppm,
+            lookahead,
+        } = *self
+        else {
+            return None;
+        };
+        let mut cfg = MachineConfig::for_bus(nodes, ni, location)
+            .with_speculation(SpeculationConfig::with_lookahead(lookahead));
+        if fault_ppm > 0 {
+            cfg = cfg.with_faults(FaultConfig::lossy(RESILIENCE_FAULT_SEED, fault_ppm));
+            cfg.max_cycles = FAULTY_MAX_CYCLES;
+        }
+        Some((workload, cfg, tier))
+    }
+
     /// Runs the cell and returns its result as canonical JSON — the exact
     /// bytes cached on disk. Pure with respect to the spec: byte-identical
     /// on every host, executor mode and [`ExecKnobs`] choice.
@@ -318,8 +310,9 @@ impl ExperimentSpec {
                 location,
                 message_bytes,
                 iterations,
+                opts,
             } => {
-                let cfg = tune(MachineConfig::for_bus(2, ni, location));
+                let cfg = tune(MachineConfig::for_bus(2, ni, location).with_cq_opts(opts));
                 let report = round_trip_latency(
                     &cfg,
                     &LatencyParams {
@@ -338,8 +331,9 @@ impl ExperimentSpec {
                 snarfing,
                 message_bytes,
                 messages,
+                opts,
             } => {
-                let mut cfg = MachineConfig::for_bus(2, ni, location);
+                let mut cfg = MachineConfig::for_bus(2, ni, location).with_cq_opts(opts);
                 if snarfing {
                     cfg = cfg.with_snarfing();
                 }
@@ -355,137 +349,29 @@ impl ExperimentSpec {
                     report.relative, report.mbytes_per_sec, report.bytes, report.cycles
                 )
             }
-            ExperimentSpec::Macro {
-                workload,
-                ni,
-                location,
-                nodes,
-                tier,
-            } => {
-                let cfg = tune(MachineConfig::for_bus(nodes, ni, location));
-                let RunStats {
-                    report, outcome, ..
-                } = run_workload_stats(workload, &cfg, &tier.params());
-                // The epoch statistics describe the driver's schedule under
-                // the config-default lookahead mode — deterministic like the
-                // simulated numbers (invariant across shard counts, executor
-                // modes), so they are safe to cache alongside.
-                format!(
-                    r#"{{"cycles":{},"memory_bus_busy":{},"io_bus_busy":{},"epochs":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"report_digest":"{:016x}"}}"#,
-                    report.cycles,
-                    report.memory_bus_busy,
-                    report.io_bus_busy,
-                    outcome.epochs,
-                    outcome.mean_epoch_len(),
-                    outcome.max_epoch_len,
-                    report_digest(&report)
-                )
-            }
-            ExperimentSpec::Ablation {
-                opts,
-                iterations,
-                messages,
-            } => {
-                let cfg = tune(MachineConfig::isca96(2, NiKind::Cni512Q).with_cq_opts(opts));
-                let latency = round_trip_latency(
-                    &cfg,
-                    &LatencyParams {
-                        message_bytes: 64,
-                        iterations,
-                    },
-                );
-                let bandwidth = stream_bandwidth(
-                    &cfg,
-                    &BandwidthParams {
-                        message_bytes: 2048,
-                        messages,
-                    },
-                );
-                format!(
-                    r#"{{"round_trip_micros":{},"relative_bandwidth":{}}}"#,
-                    latency.round_trip_micros, bandwidth.relative
-                )
-            }
-            ExperimentSpec::Resilience {
-                workload,
-                ni,
-                fault_ppm,
-                nodes,
-                tier,
-            } => {
-                let mut cfg = tune(
-                    MachineConfig::isca96(nodes, ni)
-                        .with_faults(FaultConfig::lossy(RESILIENCE_FAULT_SEED, fault_ppm)),
-                );
-                // Fault-injected runs do strictly more work than clean ones;
-                // a generous-but-finite ceiling turns an unrecoverable cell
-                // into a loud abort (with pending-work diagnostics) instead
-                // of an unbounded hang.
-                cfg.max_cycles = 50_000_000;
-                let report = run_workload_stats(workload, &cfg, &tier.params()).report;
-                let f = report.fabric;
-                format!(
-                    r#"{{"cycles":{},"messages":{},"payload_bytes":{},"faults_dropped":{},"corruptions_detected":{},"dup_discards":{},"retransmits":{},"timeouts":{},"report_digest":"{:016x}"}}"#,
-                    report.cycles,
-                    f.messages,
-                    f.payload_bytes,
-                    f.faults_dropped,
-                    f.corruptions_detected,
-                    f.dup_discards,
-                    f.retransmits,
-                    f.timeouts,
-                    report_digest(&report)
-                )
-            }
-            ExperimentSpec::Service {
-                workload,
-                ni,
-                nodes,
-                tier,
-            } => {
-                let cfg = tune(MachineConfig::for_bus(nodes, ni, DeviceLocation::MemoryBus));
-                let report = run_workload_stats(workload, &cfg, &tier.params()).report;
-                // Quantiles come from the machine-total histogram, merged
-                // from the per-node histograms with the associative
-                // [`Merge`] — the same integers whatever the shard count,
-                // executor mode or lookahead mode (invariant 7).
-                let hist =
-                    LatencyHistogram::merged(report.node_stats.iter().map(|s| s.request_latency));
-                format!(
-                    r#"{{"cycles":{},"requests":{},"p50":{},"p99":{},"p999":{},"max":{},"report_digest":"{:016x}"}}"#,
-                    report.cycles,
-                    hist.count(),
-                    hist.quantile_permille(500),
-                    hist.quantile_permille(990),
-                    hist.quantile_permille(999),
-                    hist.max(),
-                    report_digest(&report)
-                )
-            }
-            ExperimentSpec::Speculation {
-                workload,
-                ni,
-                nodes,
-                tier,
-            } => {
-                let cfg = tune(MachineConfig::for_bus(nodes, ni, DeviceLocation::MemoryBus))
-                    .with_speculation(SpeculationConfig::with_lookahead(
-                        LookaheadMode::Speculative,
-                    ));
+            ExperimentSpec::Run { .. } => {
+                let (workload, cfg, tier) = self.run_setup().expect("a run cell has a setup");
                 let RunStats {
                     report,
                     outcome,
                     checkpoints: ckpt,
-                } = run_workload_stats(workload, &cfg, &tier.params());
-                // The digest must match the conservative Macro cell for the
-                // same (workload, ni, nodes, tier) — invariant 7. The
-                // schedule statistics are what differ: gambles committed and
-                // rolled back, plus the cycles re-executed paying for the
-                // rollbacks — and what the incremental checkpoints paid for
-                // the gambles in bytes and dirty fraction.
+                } = run_workload_stats(workload, &tune(cfg), &tier.params());
+                let f = report.fabric;
+                // Quantiles come from the machine-total histogram, merged
+                // from the per-node histograms with the associative
+                // [`Merge`] — the same integers whatever the shard count,
+                // executor mode or lookahead mode (invariant 7). The epoch
+                // and checkpoint statistics describe the cell's lookahead
+                // mode's schedule, deterministic like the simulated numbers
+                // (invariant across shard counts and executor modes), so
+                // they are safe to cache alongside.
+                let hist =
+                    LatencyHistogram::merged(report.node_stats.iter().map(|s| s.request_latency));
                 format!(
-                    r#"{{"cycles":{},"epochs":{},"epoch_extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"report_digest":"{:016x}"}}"#,
+                    r#"{{"cycles":{},"memory_bus_busy":{},"io_bus_busy":{},"epochs":{},"epoch_extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"messages":{},"payload_bytes":{},"faults_dropped":{},"corruptions_detected":{},"dup_discards":{},"retransmits":{},"timeouts":{},"requests":{},"p50":{},"p99":{},"p999":{},"max":{},"report_digest":"{:016x}"}}"#,
                     report.cycles,
+                    report.memory_bus_busy,
+                    report.io_bus_busy,
                     outcome.epochs,
                     outcome.extensions,
                     outcome.mean_epoch_len(),
@@ -495,6 +381,18 @@ impl ExperimentSpec {
                     outcome.spec_reexec_cycles,
                     ckpt.bytes,
                     ckpt.dirty_fraction(),
+                    f.messages,
+                    f.payload_bytes,
+                    f.faults_dropped,
+                    f.corruptions_detected,
+                    f.dup_discards,
+                    f.retransmits,
+                    f.timeouts,
+                    hist.count(),
+                    hist.quantile_permille(500),
+                    hist.quantile_permille(990),
+                    hist.quantile_permille(999),
+                    hist.max(),
                     report_digest(&report)
                 )
             }
@@ -531,59 +429,55 @@ impl ExperimentSpec {
     }
 
     /// A short human label for progress output and `--json`, e.g.
-    /// `macro/gauss/CNI16Q/memory/16n/scaled`.
+    /// `run/gauss/CNI16Q/memory/16n/scaled` or
+    /// `run/em3d/CNI512Q/memory/16n/scaled/20000ppm/speculative`.
     pub fn label(&self) -> String {
         match *self {
             ExperimentSpec::Latency {
                 ni,
                 location,
                 message_bytes,
+                opts,
                 ..
-            } => format!("latency/{ni}/{}/{message_bytes}B", location_token(location)),
+            } => format!(
+                "latency/{ni}/{}/{message_bytes}B{}",
+                location_token(location),
+                opts_label(opts)
+            ),
             ExperimentSpec::Bandwidth {
                 ni,
                 location,
                 snarfing,
                 message_bytes,
+                opts,
                 ..
             } => format!(
-                "bandwidth/{ni}{}/{}/{message_bytes}B",
+                "bandwidth/{ni}{}/{}/{message_bytes}B{}",
                 if snarfing { "+snarf" } else { "" },
-                location_token(location)
+                location_token(location),
+                opts_label(opts)
             ),
-            ExperimentSpec::Macro {
+            ExperimentSpec::Run {
                 workload,
                 ni,
                 location,
                 nodes,
                 tier,
-            } => format!(
-                "macro/{workload}/{ni}/{}/{nodes}n/{tier}",
-                location_token(location)
-            ),
-            ExperimentSpec::Ablation { opts, .. } => format!(
-                "ablation/lazy={}/valid={}/sense={}",
-                opts.lazy_pointers, opts.valid_bits, opts.sense_reverse
-            ),
-            ExperimentSpec::Resilience {
-                workload,
-                ni,
                 fault_ppm,
-                nodes,
-                tier,
-            } => format!("resilience/{workload}/{ni}/{fault_ppm}ppm/{nodes}n/{tier}"),
-            ExperimentSpec::Service {
-                workload,
-                ni,
-                nodes,
-                tier,
-            } => format!("service/{workload}/{ni}/{nodes}n/{tier}"),
-            ExperimentSpec::Speculation {
-                workload,
-                ni,
-                nodes,
-                tier,
-            } => format!("speculation/{workload}/{ni}/{nodes}n/{tier}"),
+                lookahead,
+            } => {
+                let mut label = format!(
+                    "run/{workload}/{ni}/{}/{nodes}n/{tier}",
+                    location_token(location)
+                );
+                if fault_ppm > 0 {
+                    label.push_str(&format!("/{fault_ppm}ppm"));
+                }
+                if lookahead != LookaheadMode::Fixed {
+                    label.push_str(&format!("/{lookahead}"));
+                }
+                label
+            }
             ExperimentSpec::Taxonomy => "taxonomy".to_owned(),
         }
     }
@@ -600,12 +494,14 @@ mod tests {
             location: DeviceLocation::MemoryBus,
             message_bytes: 64,
             iterations: 6,
+            opts: CqOptimizations::default(),
         };
         let b = ExperimentSpec::Latency {
             ni: NiKind::Cni16Q,
             location: DeviceLocation::MemoryBus,
             message_bytes: 128,
             iterations: 6,
+            opts: CqOptimizations::default(),
         };
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.digest(), a.digest());
@@ -637,6 +533,7 @@ mod tests {
                 location: DeviceLocation::IoBus,
                 message_bytes: 8,
                 iterations: 2,
+                opts: CqOptimizations::none(),
             },
             ExperimentSpec::Bandwidth {
                 ni: NiKind::Cni16Qm,
@@ -644,31 +541,16 @@ mod tests {
                 snarfing: true,
                 message_bytes: 512,
                 messages: 4,
+                opts: CqOptimizations::default(),
             },
-            ExperimentSpec::Macro {
-                workload: Workload::Gauss,
-                ni: NiKind::Cni4,
-                location: DeviceLocation::MemoryBus,
-                nodes: 4,
-                tier: ParamsTier::Quick,
-            },
-            ExperimentSpec::Ablation {
-                opts: CqOptimizations::none(),
-                iterations: 2,
-                messages: 4,
-            },
-            ExperimentSpec::Resilience {
+            ExperimentSpec::Run {
                 workload: Workload::Em3d,
                 ni: NiKind::Cni512Q,
+                location: DeviceLocation::MemoryBus,
+                nodes: 8,
+                tier: ParamsTier::Quick,
                 fault_ppm: 20_000,
-                nodes: 8,
-                tier: ParamsTier::Quick,
-            },
-            ExperimentSpec::Service {
-                workload: Workload::RpcClosed,
-                ni: NiKind::Cni16Q,
-                nodes: 8,
-                tier: ParamsTier::Quick,
+                lookahead: LookaheadMode::Speculative,
             },
             ExperimentSpec::Taxonomy,
         ];

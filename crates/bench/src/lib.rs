@@ -8,7 +8,9 @@
 //! cells — and executed by [`campaign::run_campaigns`]: cells are
 //! deduplicated and cached on disk by config digest, and the remaining ones
 //! run concurrently on a work-stealing pool. The `report` binary executes
-//! every campaign and renders the generated `RESULTS.md` at the repo root:
+//! every campaign and renders the generated `RESULTS.md` at the repo root.
+//! Every workload simulation is one [`campaign::ExperimentSpec::Run`] cell,
+//! so panels that read the same run share it and it executes once:
 //!
 //! ```text
 //! cargo run --release -p cni-bench --bin report            # regenerate RESULTS.md
@@ -33,7 +35,8 @@
 //!
 //! This crate root keeps only the shared primitives the campaigns and the
 //! harness binaries build on: the figure size sweeps, the NI-per-bus sets,
-//! [`run_workload_stats`] and [`report_digest`].
+//! the weak-scaled inputs `SCALING_ref.txt` pins ([`CI_WORKLOADS`],
+//! [`scaling_params`]), [`run_workload_stats`] and [`report_digest`].
 //! There is exactly one implementation of each figure sweep — the campaign
 //! definition in [`campaign::figures`].
 //!
@@ -78,7 +81,6 @@ pub mod json;
 use cni_core::machine::{CheckpointStats, EpochOutcome, Machine, MachineConfig, RunReport};
 use cni_mem::system::DeviceLocation;
 use cni_nic::taxonomy::NiKind;
-use cni_sim::time::Cycle;
 use cni_workloads::{Workload, WorkloadParams};
 
 /// The message sizes swept by Figure 6 (bytes).
@@ -99,6 +101,54 @@ pub fn ni_set_for(location: DeviceLocation) -> Vec<NiKind> {
             .collect(),
         DeviceLocation::CacheBus => vec![NiKind::Ni2w],
     }
+}
+
+/// The workloads whose sharded determinism digests `scaling --ci` pins in
+/// `SCALING_ref.txt`: the trajectory workload plus the macrobenchmarks and
+/// the synthetic pattern added beyond the original five, each with a
+/// different communication shape (fine-grain graph, request/response
+/// hotspot, variable-size ring, irregular halo, synthetic convergence).
+pub const CI_WORKLOADS: [Workload; 5] = [
+    Workload::Em3d,
+    Workload::Barnes,
+    Workload::Dsmc,
+    Workload::Unstructured,
+    Workload::Hotspot,
+];
+
+/// Inputs weak-scaled so every machine node owns the same share of the
+/// workload regardless of the machine size — the inputs of the `scaling`
+/// sweep (`quick` picks its smaller set, the one `SCALING_ref.txt` pins).
+pub fn scaling_params(workload: Workload, nodes: usize, quick: bool) -> WorkloadParams {
+    let mut params = WorkloadParams::tiny();
+    match workload {
+        Workload::Em3d => {
+            params.em3d.graph_nodes = nodes * if quick { 8 } else { 32 };
+            params.em3d.degree = 5;
+            params.em3d.iterations = if quick { 4 } else { 25 };
+        }
+        Workload::Barnes => {
+            params.barnes.bodies = nodes * if quick { 4 } else { 16 };
+            params.barnes.iterations = if quick { 2 } else { 6 };
+        }
+        Workload::Dsmc => {
+            params.dsmc.cells = nodes * if quick { 4 } else { 16 };
+            params.dsmc.iterations = if quick { 3 } else { 10 };
+        }
+        Workload::Unstructured => {
+            params.unstructured.mesh_nodes = nodes * if quick { 8 } else { 32 };
+            params.unstructured.iterations = if quick { 2 } else { 8 };
+        }
+        Workload::Hotspot => {
+            // messages_per_phase is already per node, so the pattern
+            // weak-scales by construction; just lengthen the run.
+            params.hotspot.phases = if quick { 3 } else { 8 };
+        }
+        // Any other workload runs its tiny inputs unscaled — fine for a
+        // one-off sweep, but the CI set above is the weak-scaled one.
+        _ => {}
+    }
+    params
 }
 
 /// Everything one completed workload run reports.
@@ -151,12 +201,6 @@ pub fn run_workload_stats(
         outcome,
         checkpoints: machine.checkpoint_stats(),
     }
-}
-
-/// Runs one workload on one machine configuration and returns the execution
-/// time in cycles.
-pub fn run_workload(workload: Workload, cfg: &MachineConfig, params: &WorkloadParams) -> Cycle {
-    run_workload_stats(workload, cfg, params).report.cycles
 }
 
 /// A deterministic 64-bit digest of everything a [`RunReport`] observes:
@@ -243,7 +287,11 @@ mod tests {
         // fine-grain benchmarks need larger inputs before the gap opens up
         // (see the scaled-tier Figure 8 tables in RESULTS.md).
         let params = WorkloadParams::tiny();
-        let cycles = |ni| run_workload(Workload::Gauss, &MachineConfig::isca96(4, ni), &params);
+        let cycles = |ni| {
+            run_workload_stats(Workload::Gauss, &MachineConfig::isca96(4, ni), &params)
+                .report
+                .cycles
+        };
         let baseline = cycles(NiKind::Ni2w);
         let qm = baseline as f64 / cycles(NiKind::Cni16Qm) as f64;
         let q16 = baseline as f64 / cycles(NiKind::Cni16Q) as f64;

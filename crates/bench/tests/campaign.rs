@@ -14,7 +14,9 @@ use cni_bench::campaign::figures::{
 use cni_bench::campaign::{
     run_campaign, run_campaigns, CacheMode, Campaign, ExperimentSpec, RunOptions,
 };
+use cni_core::machine::LookaheadMode;
 use cni_mem::system::DeviceLocation;
+use cni_nic::cq_model::CqOptimizations;
 use cni_nic::taxonomy::NiKind;
 use cni_workloads::{ParamsTier, Workload};
 
@@ -126,6 +128,7 @@ fn changing_one_cell_executes_only_that_cell() {
                 location: DeviceLocation::MemoryBus,
                 message_bytes: 8,
                 iterations: 2,
+                opts: CqOptimizations::default(),
             },
         ],
     };
@@ -141,6 +144,7 @@ fn changing_one_cell_executes_only_that_cell() {
         location: DeviceLocation::MemoryBus,
         message_bytes: 16, // the one changed cell
         iterations: 2,
+        opts: CqOptimizations::default(),
     });
     let run = run_campaign(&grown, &opts);
     assert_eq!(run.executed, 1, "only the new cell may execute");
@@ -154,6 +158,7 @@ fn duplicate_specs_execute_once_within_a_set() {
         location: DeviceLocation::MemoryBus,
         message_bytes: 8,
         iterations: 2,
+        opts: CqOptimizations::default(),
     };
     let one = Campaign {
         name: "one",
@@ -233,12 +238,14 @@ fn a_panicking_cell_names_its_campaign_and_digest() {
     // A 100% loss rate with the `lossy` preset destroys every message and
     // every retransmission: the run can never drain, hits the resilience
     // cell's cycle ceiling and panics out of `run_workload_stats`.
-    let cell = ExperimentSpec::Resilience {
+    let cell = ExperimentSpec::Run {
         workload: Workload::Em3d,
         ni: NiKind::Cni512Q,
-        fault_ppm: 1_000_000,
+        location: DeviceLocation::MemoryBus,
         nodes: 2,
         tier: ParamsTier::Quick,
+        fault_ppm: 1_000_000,
+        lookahead: LookaheadMode::Fixed,
     };
     let campaign = Campaign {
         name: "boom",
@@ -271,7 +278,7 @@ fn a_panicking_cell_names_its_campaign_and_digest() {
         "panic must carry the cell digest: {msg}"
     );
     assert!(
-        msg.contains("resilience/em3d/CNI512Q/1000000ppm"),
+        msg.contains("run/em3d/CNI512Q/memory/2n/quick/1000000ppm"),
         "panic must carry the cell label: {msg}"
     );
     assert!(

@@ -133,7 +133,8 @@ struct CqState<P> {
     tail: u64,
     /// Total entries ever dequeued (consumer pointer).
     head: u64,
-    /// Producer's stale copy of `head`.
+    /// The producer's stale copy of `head`: the processor's on the send
+    /// queue, the device's on the receive queue.
     shadow_head: u64,
     /// Fragments resident in the queue.
     entries: VecDeque<P>,
@@ -167,10 +168,6 @@ impl<P> CqState<P> {
 pub struct ProcToDeviceCq<P> {
     cfg: CqConfig,
     state: CqState<P>,
-    /// Count of message-ready signals the device has received but not yet
-    /// consumed (§3: the CNIiQ send is optimised with an uncached
-    /// message-ready store; the device keeps a pending-message counter).
-    pending_signals: u64,
 }
 
 impl<P: Payload> ProcToDeviceCq<P> {
@@ -179,7 +176,6 @@ impl<P: Payload> ProcToDeviceCq<P> {
         ProcToDeviceCq {
             cfg,
             state: CqState::new(),
-            pending_signals: 0,
         }
     }
 
@@ -249,9 +245,9 @@ impl<P: Payload> ProcToDeviceCq<P> {
 
         // 5. Message-ready signal: a single uncached store is cheaper than a
         //    coherent block transfer for one word of control information
-        //    (§2.1, §3).
+        //    (§2.1, §3). The device's pending-message count is the queue
+        //    length.
         t = mem.proc_uncached_store(t);
-        self.pending_signals += 1;
 
         self.state.entries.push_back(frag);
         self.state.tail += 1;
@@ -262,9 +258,6 @@ impl<P: Payload> ProcToDeviceCq<P> {
     /// processor cache (or its own backing store) and hands the fragment to
     /// the injection path.
     pub fn device_dequeue(&mut self, now: Cycle, mem: &mut NodeMemSystem) -> Option<(Cycle, P)> {
-        if self.pending_signals == 0 {
-            return None;
-        }
         let frag = self.state.entries.pop_front()?;
         let slot = self
             .state
@@ -279,7 +272,6 @@ impl<P: Payload> ProcToDeviceCq<P> {
         // processor still holds a copy from a shadow-head refresh.
         t = mem.device_write_block(t, self.cfg.head_ptr_block, self.cfg.home);
 
-        self.pending_signals -= 1;
         self.state.head += 1;
         Some((t, frag))
     }
@@ -294,8 +286,6 @@ impl<P: Payload> ProcToDeviceCq<P> {
 pub struct DeviceToProcCq<P> {
     cfg: CqConfig,
     state: CqState<P>,
-    /// The device's stale copy of the processor's head pointer.
-    device_shadow_head: u64,
 }
 
 impl<P: Payload> DeviceToProcCq<P> {
@@ -304,7 +294,6 @@ impl<P: Payload> DeviceToProcCq<P> {
         DeviceToProcCq {
             cfg,
             state: CqState::new(),
-            device_shadow_head: 0,
         }
     }
 
@@ -331,15 +320,15 @@ impl<P: Payload> DeviceToProcCq<P> {
 
         // Space check with the device's shadow of the processor's head.
         let must_read_head = if self.cfg.opts.lazy_pointers {
-            self.state.tail - self.device_shadow_head >= cap
+            self.state.tail - self.state.shadow_head >= cap
         } else {
             true
         };
         if must_read_head {
             t = mem.device_read_block(t, self.cfg.head_ptr_block, self.cfg.home);
-            self.device_shadow_head = self.state.head;
+            self.state.shadow_head = self.state.head;
         }
-        if self.state.tail - self.device_shadow_head >= cap {
+        if self.state.tail - self.state.shadow_head >= cap {
             return DeliverOutcome::Refused(frag);
         }
 

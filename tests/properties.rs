@@ -428,16 +428,16 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
 /// reliable-delivery protocol is structurally absent and the machine takes
 /// its historical code path byte for byte. Pinned two ways: (a) the
 /// committed `SCALING_ref.txt` reference digests — produced before the
-/// fault layer existed — are recomputed here for two workloads and must
-/// still match; (b) an *explicitly* attached all-zero fault config (even
-/// with protocol knobs flipped) produces a bit-identical [`RunReport`].
+/// fault layer existed — are recomputed here for all five CI workloads, on
+/// the `scaling` sweep's own inputs, and must still match; (b) an
+/// *explicitly* attached all-zero fault config (even with protocol knobs
+/// flipped) produces a bit-identical [`RunReport`].
 #[test]
 fn zero_fault_rates_leave_reports_byte_identical_to_seed() {
     use cni::core::machine::{Machine, MachineConfig};
     use cni::net::faults::FaultConfig;
     use cni::nic::NiKind;
-    use cni::workloads::{Workload, WorkloadParams};
-    use cni_bench::report_digest;
+    use cni_bench::{report_digest, scaling_params, CI_WORKLOADS};
 
     let reference: std::collections::HashMap<&str, &str> = include_str!("../SCALING_ref.txt")
         .lines()
@@ -448,25 +448,17 @@ fn zero_fault_rates_leave_reports_byte_identical_to_seed() {
             Some((parts.next()?, parts.nth(1)?))
         })
         .collect();
-    assert!(
-        reference.len() >= 5,
-        "SCALING_ref.txt should pin at least the five CI workloads"
+    assert_eq!(
+        reference.len(),
+        CI_WORKLOADS.len(),
+        "SCALING_ref.txt pins one line per CI workload"
     );
 
     let nodes = 64;
-    // The two cheapest lines of the `scaling --ci` sweep, with the exact
-    // weak-scaled quick inputs the scaling binary uses.
-    for workload in [Workload::Em3d, Workload::Hotspot] {
-        let mut params = WorkloadParams::tiny();
-        match workload {
-            Workload::Em3d => {
-                params.em3d.graph_nodes = nodes * 8;
-                params.em3d.degree = 5;
-                params.em3d.iterations = 4;
-            }
-            Workload::Hotspot => params.hotspot.phases = 3,
-            _ => unreachable!(),
-        }
+    // Every line of the `scaling --ci` sweep, with the weak-scaled quick
+    // inputs the scaling binary uses.
+    for workload in CI_WORKLOADS {
+        let params = scaling_params(workload, nodes, true);
         let run = |cfg: MachineConfig| {
             Machine::new(cfg.clone(), workload.programs(cfg.nodes, &params)).run()
         };
