@@ -4,10 +4,12 @@
 //! The paper evaluates 16-node machines; this harness drives the sharded
 //! execution model past that — 16/64/256 (and with `big` 1024) nodes — and
 //! records, per configuration, the simulated result digest, the number of
-//! worker threads that advanced the shards and the simulator's own
-//! wall-clock. Simulated results are **bit-identical across shard counts,
-//! worker counts and lookahead modes** (the run fails loudly if they are
-//! not); only the wall-clock column varies.
+//! worker threads that advanced the shards, the events the simulator
+//! dispatched and the ones parking let it skip (`Machine::dispatch_stats`),
+//! and the simulator's own wall-clock. Simulated results are
+//! **bit-identical across shard counts, worker counts and lookahead
+//! modes** (the run fails loudly if they are not); only the wall-clock
+//! column varies.
 //!
 //! The `mode` column says how a row was configured: `seq` runs every shard
 //! on the calling thread, `par` sets `MachineConfig::parallel` (one worker
@@ -73,6 +75,8 @@ struct Row {
     spec_reexec_cycles: u64,
     ckpt_bytes: u64,
     dirty_fraction: f64,
+    events: u64,
+    skipped: u64,
     wall_seconds: f64,
 }
 
@@ -127,6 +131,7 @@ fn run_policy(
     }
     let outcome = machine.epoch_outcome();
     let ckpt = machine.checkpoint_stats();
+    let d = machine.dispatch_stats();
     let row = Row {
         nodes,
         shards,
@@ -144,6 +149,9 @@ fn run_policy(
         spec_reexec_cycles: outcome.map_or(0, |o| o.spec_reexec_cycles),
         ckpt_bytes: ckpt.bytes,
         dirty_fraction: ckpt.dirty_fraction(),
+        // A parked step that ran counts as its one `ProcStep`.
+        events: d.proc_step + d.net_arrival + d.ack_arrival + d.wake_parked + d.retx_timer,
+        skipped: d.skipped + d.skipped_deliveries,
         wall_seconds,
     };
     (report, row)
@@ -208,7 +216,7 @@ fn rows_json(rows: &[Row]) -> String {
         .iter()
         .map(|r| {
             format!(
-                r#"{{"nodes":{},"shards":{},"mode":"{}","workers":{},"lookahead":"{}","cycles":{},"digest":"{:016x}","epochs":{},"extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"wall_seconds":{:.3}}}"#,
+                r#"{{"nodes":{},"shards":{},"mode":"{}","workers":{},"lookahead":"{}","cycles":{},"digest":"{:016x}","epochs":{},"extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"events":{},"skipped":{},"wall_seconds":{:.3}}}"#,
                 r.nodes,
                 r.shards,
                 r.mode,
@@ -225,6 +233,8 @@ fn rows_json(rows: &[Row]) -> String {
                 r.spec_reexec_cycles,
                 r.ckpt_bytes,
                 r.dirty_fraction,
+                r.events,
+                r.skipped,
                 r.wall_seconds
             )
         })
@@ -237,7 +247,7 @@ fn print_table(workload: Workload, rows: &[Row]) {
         "Scaling sweep: {workload}, CNI512Q, weak-scaled inputs (digest is the simulated-result hash)"
     );
     println!(
-        "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6} {:>10}",
+        "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6} {:>11} {:>11} {:>10}",
         "nodes",
         "shards",
         "mode",
@@ -251,11 +261,13 @@ fn print_table(workload: Workload, rows: &[Row]) {
         "rb",
         "ckpt-bytes",
         "dirty",
+        "events",
+        "skipped",
         "wall (s)"
     );
     for r in rows {
         println!(
-            "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18x} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6.3} {:>10.3}",
+            "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18x} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6.3} {:>11} {:>11} {:>10.3}",
             r.nodes,
             r.shards,
             r.mode,
@@ -269,6 +281,8 @@ fn print_table(workload: Workload, rows: &[Row]) {
             r.spec_rollbacks,
             r.ckpt_bytes,
             r.dirty_fraction,
+            r.events,
+            r.skipped,
             r.wall_seconds
         );
     }

@@ -19,12 +19,10 @@
 //! * `Net` events carrying a data message deliver it to the destination NI
 //!   and generate acknowledgements for the sender's sliding window. A
 //!   refused delivery waits in the network and is retried every
-//!   [`DELIVERY_RETRY_INTERVAL`] cycles, modelling
-//!   backpressure: by a `DeliveryRetry` event per attempt when the refusal
-//!   did device work, or — when it was pure, so every attempt fails alike
-//!   until the processor receives — parked in the node, with only the
-//!   attempts that can succeed actually run (`WakeParked`; see the
-//!   "Receive backpressure" section of `ARCHITECTURE.md`).
+//!   [`DELIVERY_RETRY_INTERVAL`] cycles, modelling backpressure. It is
+//!   parked in the node, and only the attempts the NI says can change
+//!   something actually run (`WakeParked`; see the "Receive backpressure"
+//!   section of `ARCHITECTURE.md`).
 //! * `Net` events carrying an acknowledgement release window credits and
 //!   trigger further injections.
 //!
@@ -73,7 +71,7 @@
 //! key `(arrival cycle, origin node, per-origin-node sequence number)`
 //! ([`cni_sim::sharded::Stamp`], stamped from [`node::NodeCore::net_seq`]).
 //! A node's event order is then a pure function of the simulation: locally
-//! scheduled events (`ProcStep`, `DeliveryRetry`, `RetxTimer`) sit at
+//! scheduled events (`ProcStep`, `WakeParked`, `RetxTimer`) sit at
 //! points fixed by the node's own deterministic execution, network events
 //! sit at points fixed by the epoch grid and the canonical key, and
 //! same-cycle FIFO order is the insertion order those rules pin down.

@@ -211,7 +211,7 @@ pub struct NodeCore {
     /// Statistics.
     pub stats: NodeStats,
     /// Deliveries the network holds because the NI receive queue refused
-    /// them with a pure refusal; see [`crate::machine`]'s module docs.
+    /// them (see [`super::parked`]).
     pub(super) parked: ParkedDeliveries,
     /// The next processor step, while it is parked behind the sliding
     /// window instead of queued (see [`super::spin`]). A parked step is

@@ -1,19 +1,16 @@
-//! Event-driven receive backpressure: deliveries parked behind a full,
-//! purely-refusing NI receive queue.
+//! Event-driven receive backpressure: deliveries parked behind a full NI
+//! receive queue.
 //!
-//! When a device refuses an arriving message with
-//! [`DeliverOutcome::Blocked`](cni_nic::device::DeliverOutcome::Blocked) the
-//! network holds the message and retries it every
-//! [`DELIVERY_RETRY_INTERVAL`](super::DELIVERY_RETRY_INTERVAL) cycles,
-//! exactly as it does for a polled refusal. But a blocked refusal changes
-//! nothing, and every further attempt fails the same way until the
-//! processor receives from the device — so dispatching those attempts is
-//! pure overhead. The shard instead *parks* the delivery here, in its
-//! node's state, and only executes the attempts whose outcome can differ:
-//! every attempt after the receive queue drains (the node is no longer
-//! [`blocked`](ParkedDeliveries::blocked)), and the next attempt of a copy
-//! that turned into a duplicate (the receiver accepted another copy of the
-//! same sequence number, so the attempt re-acknowledges instead of being
+//! A refused delivery stays in the network, which offers it again every
+//! [`DELIVERY_RETRY_INTERVAL`] cycles. The shard parks it here, in its
+//! node's state, and after every event on the node asks the device whether
+//! an attempt made now would change nothing
+//! ([`NiDevice::delivery_blocked`](cni_nic::device::NiDevice::delivery_blocked)).
+//! While that holds, the node is [`blocked`](ParkedDeliveries::blocked) and
+//! its attempts are skipped. The attempts that execute are every attempt
+//! while the node is not blocked, and the next attempt of a copy that
+//! turned into a duplicate (the receiver accepted another copy of the same
+//! sequence number, so the attempt re-acknowledges instead of being
 //! refused).
 //!
 //! Skipped attempts still *happen* in the model: each one would have
@@ -21,20 +18,20 @@
 //! decides the order of same-cycle events on the node — who gets a freed
 //! receive slot, and in which order `net_seq` stamps are consumed. So each
 //! parked delivery keeps the position its polled retry would hold: its next
-//! attempt cycle `at` (on its own grid `t0 + k·interval`) and its queue key,
-//! the [`EventQueue::next_seq`](cni_sim::event::EventQueue::next_seq) value
-//! at the moment the skipped attempt would have rescheduled it. An event
+//! attempt cycle `at` (on its own retry grid) and its queue key, the
+//! [`EventQueue::next_seq`](cni_sim::event::EventQueue::next_seq) value at
+//! the moment the skipped attempt would have rescheduled it. An event
 //! popped with sequence number `s` at cycle `at` was scheduled after the
 //! retry iff `s >= key`. The shard advances the skipped attempts lazily,
 //! just before anything is scheduled on the node (at the top of every
 //! dispatch and at every epoch-boundary delivery), so the key it records is
 //! exactly what the polled attempt would have seen.
 //!
-//! Deliveries are grouped by retry phase (`at mod interval`) into lanes.
-//! Within a lane they sit in the order their polled retries would pop, as
-//! runs sharing one `(at, key)`: a skipped round moves a whole run to the
-//! back of its lane in O(1), and a lane that is one settled run jumps any
-//! number of rounds at once.
+//! Deliveries are grouped by retry phase (`at` modulo the interval) into
+//! lanes. Within a lane they sit in the order their polled retries would
+//! pop, as runs sharing one `(at, key)`: a skipped round moves a whole run
+//! to the back of its lane in O(1), and a lane that is one settled run
+//! jumps any number of rounds at once.
 
 use std::collections::VecDeque;
 
@@ -43,6 +40,7 @@ use cni_sim::time::Cycle;
 use crate::msg::FragPayload;
 
 use super::shard::WireMeta;
+use super::DELIVERY_RETRY_INTERVAL;
 
 /// One refused delivery the network holds for a later attempt.
 #[derive(Debug, Clone)]
@@ -122,8 +120,8 @@ pub struct ParkedDeliveries {
     /// A lower bound on every lane's next attempt: catch-ups before it
     /// have nothing to do.
     next_at: Cycle,
-    /// The device last refused with `Blocked` and the processor has not
-    /// received from it since, so every attempt would be refused again.
+    /// The device would refuse an attempt without changing any state, as
+    /// of the last time the shard asked.
     pub(super) blocked: bool,
     /// Cycle of the earliest pending `WakeParked` event, if any.
     pub(super) wake_at: Option<Cycle>,
@@ -172,15 +170,8 @@ impl ParkedDeliveries {
     }
 
     /// Parks a delivery whose next attempt is `at`, with queue key `key`.
-    pub(super) fn park(
-        &mut self,
-        at: Cycle,
-        key: u64,
-        interval: Cycle,
-        frag: FragPayload,
-        meta: WireMeta,
-    ) {
-        let phase = at % interval;
+    pub(super) fn park(&mut self, at: Cycle, key: u64, frag: FragPayload, meta: WireMeta) {
+        let phase = at % DELIVERY_RETRY_INTERVAL;
         let lane = match self.lanes.iter().position(|l| l.phase == phase) {
             Some(i) => &mut self.lanes[i],
             None => {
@@ -249,17 +240,18 @@ impl ParkedDeliveries {
     /// while a popped event is dispatched, after the queue handed out at
     /// least one sequence number) and returns the next one that must really
     /// execute, removed from the set; `None` once nothing left precedes the
-    /// event. Skipped attempts are refusals: they reschedule `interval`
-    /// later with key `cur`, the queue's current
-    /// [`next_seq`](cni_sim::event::EventQueue::next_seq). A returned
-    /// delivery is always due at `t` itself — attempts that must execute at
-    /// an earlier cycle have their own `WakeParked` event.
+    /// event. Skipped attempts are refusals: they reschedule a retry
+    /// interval later with key `cur`, the queue's current
+    /// [`next_seq`](cni_sim::event::EventQueue::next_seq), and are counted
+    /// into `skipped`. A returned delivery is always due at `t` itself —
+    /// attempts that must execute at an earlier cycle have their own
+    /// `WakeParked` event.
     pub(super) fn next_due(
         &mut self,
         t: Cycle,
         seq: u64,
         cur: u64,
-        interval: Cycle,
+        skipped: &mut u64,
     ) -> Option<Parked> {
         if self.len == 0 || self.next_at > t {
             return None;
@@ -292,21 +284,25 @@ impl ParkedDeliveries {
                         return Some(parked);
                     }
                     // Blocked: refused again without running.
+                    *skipped += 1;
                     lane.parked.push_back(parked);
-                    lane.push_run(t + interval, cur, 1, 0);
+                    lane.push_run(t + DELIVERY_RETRY_INTERVAL, cur, 1, 0);
                 } else if run.key == cur && lane.runs.len() == 1 {
                     // Nothing was scheduled since this run's last skipped
                     // round, so it stays one run: jump every round left.
                     // (Its key is newer than anything already popped, so
                     // it precedes only from an earlier cycle.)
                     debug_assert!(run.at < t);
-                    lane.runs[0].at += (t - run.at).div_ceil(interval) * interval;
+                    let rounds = (t - run.at).div_ceil(DELIVERY_RETRY_INTERVAL);
+                    *skipped += rounds * run.len as u64;
+                    lane.runs[0].at += rounds * DELIVERY_RETRY_INTERVAL;
                 } else {
+                    *skipped += run.len as u64;
                     lane.runs.pop_front();
                     if run.len < lane.parked.len() {
                         lane.parked.rotate_left(run.len);
                     }
-                    lane.push_run(run.at + interval, cur, run.len, run.dups);
+                    lane.push_run(run.at + DELIVERY_RETRY_INTERVAL, cur, run.len, run.dups);
                 }
             }
             next_at = next_at.min(lane.runs.front().map_or(Cycle::MAX, |r| r.at));

@@ -2,7 +2,7 @@
 //! programs, a local event queue and per-shard network statistics.
 //!
 //! The event handlers here are the machine model proper — processor steps,
-//! NI deliveries, acknowledgements, delivery retries. They are identical in
+//! NI deliveries, acknowledgements, retransmission timers. They are identical in
 //! spirit to the original monolithic `Machine::run` handlers, with one
 //! structural difference: network-bound traffic ([`NetEvent`]: data
 //! messages and acknowledgements) is never scheduled directly. It is
@@ -61,7 +61,7 @@ pub(super) struct WireMeta {
 }
 
 /// Events a shard schedules in its local queue. Node-local events
-/// (`ProcStep`, `WakeStep`, `DeliveryRetry`, `WakeParked`, `RetxTimer`) are
+/// (`ProcStep`, `WakeStep`, `WakeParked`, `RetxTimer`) are
 /// scheduled directly; network-borne ones (`Net`) only ever enter through
 /// the epoch router.
 #[derive(Debug, Clone)]
@@ -74,8 +74,6 @@ pub(super) enum Event {
     WakeStep(NodeId),
     /// A network message — data or acknowledgement — arrives at its node.
     Net(NetEvent),
-    /// A delivery the device refused with a polled refusal is retried.
-    DeliveryRetry(NodeId, FragPayload, WireMeta),
     /// A node's parked deliveries have an attempt due that must really run
     /// (see [`super::parked`]); the attempts themselves run at the top of
     /// this or any earlier same-cycle dispatch on the node.
@@ -95,7 +93,6 @@ impl Event {
         match self {
             Event::ProcStep(id)
             | Event::WakeStep(id)
-            | Event::DeliveryRetry(id, ..)
             | Event::WakeParked(id)
             | Event::RetxTimer(id) => *id,
             Event::Net(msg) => msg.node(),
@@ -379,7 +376,6 @@ impl MachineShard {
             };
             t = rx.done;
             did_work = true;
-            node.parked.blocked = false;
             node.stats.received_fragments += 1;
             node.stats.received_bytes += rx.frag.payload_bytes as u64;
             if let Some(msg) = node.assembler.push(rx.frag) {
@@ -678,40 +674,19 @@ impl MachineShard {
             self.fabric.corruptions_detected += 1;
             return;
         }
-        if let Some(tx_seq) = meta.tx_seq {
-            let node = &mut self.nodes[slot];
-            let duplicate = node
-                .rel
+        let node = &mut self.nodes[slot];
+        let duplicate = meta.tx_seq.is_some_and(|seq| {
+            node.rel
                 .as_ref()
-                .is_some_and(|rel| rel.seen[src.index()].contains(tx_seq));
-            if duplicate {
-                self.fabric.dup_discards += 1;
-                let arrives_at = now + TIMING.network_latency;
-                let ack = NetEvent::Ack {
-                    src,
-                    dst: id,
-                    seq: Some(tx_seq),
-                    corrupted: false,
-                };
-                Self::emit(
-                    &self.faults,
-                    &mut self.fabric,
-                    node,
-                    outbox,
-                    now,
-                    arrives_at,
-                    ack,
-                );
-                return;
-            }
-        }
-        // The fragment moves into the NI; a refused one comes back for the
-        // retry.
-        let (outcome, wake_at) = {
-            let node = &mut self.nodes[slot];
+                .is_some_and(|rel| rel.seen[src.index()].contains(seq))
+        });
+        let acked_at = if duplicate {
+            self.fabric.dup_discards += 1;
+            now
+        } else {
+            // The fragment moves into the NI; a refused one comes back.
             match node.ni.device_deliver(now, &mut node.mem, frag) {
                 DeliverOutcome::Accepted { done } => {
-                    let wake = node.idle_since.is_some().then_some(done);
                     // The sequence number is consumed only once the NI
                     // accepts: a refused copy retries and must still dedup
                     // against a retransmission accepted in the meantime —
@@ -722,55 +697,42 @@ impl MachineShard {
                             node.parked.mark_dup(src.index(), tx_seq);
                         }
                     }
-                    (Ok(done), wake)
+                    done
                 }
-                DeliverOutcome::Refused(frag) => (Err((frag, false)), None),
-                DeliverOutcome::Blocked(frag) => (Err((frag, true)), None),
-            }
-        };
-        match outcome {
-            Ok(done) => {
-                // Acknowledge back to the sender's sliding window. The ack is
-                // network traffic, so it takes the epoch router like any
-                // other cross-node event.
-                let arrives_at = done + TIMING.network_latency;
-                let ack = NetEvent::Ack {
-                    src,
-                    dst: id,
-                    seq: meta.tx_seq,
-                    corrupted: false,
-                };
-                Self::emit(
-                    &self.faults,
-                    &mut self.fabric,
-                    &mut self.nodes[slot],
-                    outbox,
-                    done,
-                    arrives_at,
-                    ack,
-                );
-                if let Some(at) = wake_at {
-                    self.schedule_step(id, at);
-                }
-            }
-            Err((frag, blocked)) => {
-                // Backpressure: the message waits in the network and the
-                // delivery is retried. Node-local, so scheduled directly —
-                // or, behind a pure refusal, parked in the node at the
-                // position the retry event would take.
-                let at = now + DELIVERY_RETRY_INTERVAL;
-                if blocked {
-                    let key = self.events.next_seq();
-                    let parked = &mut self.nodes[slot].parked;
-                    parked.blocked = true;
-                    parked.park(at, key, DELIVERY_RETRY_INTERVAL, frag, meta);
+                DeliverOutcome::Refused(frag) => {
+                    // Backpressure: the message waits in the network and is
+                    // offered again a retry interval later, parked in the
+                    // node at the position its retry event would take.
+                    let at = now + DELIVERY_RETRY_INTERVAL;
+                    node.parked.park(at, self.events.next_seq(), frag, meta);
                     self.parked += 1;
                     self.dispatch.parked += 1;
-                } else {
-                    self.events
-                        .schedule(at, Event::DeliveryRetry(id, frag, meta));
+                    return;
                 }
             }
+        };
+        let wake = !duplicate && node.idle_since.is_some();
+        // Acknowledge back to the sender's sliding window. The ack is
+        // network traffic, so it takes the epoch router like any other
+        // cross-node event.
+        let ack = NetEvent::Ack {
+            src,
+            dst: id,
+            seq: meta.tx_seq,
+            corrupted: false,
+        };
+        let arrives_at = acked_at + TIMING.network_latency;
+        Self::emit(
+            &self.faults,
+            &mut self.fabric,
+            node,
+            outbox,
+            acked_at,
+            arrives_at,
+            ack,
+        );
+        if wake {
+            self.schedule_step(id, acked_at);
         }
     }
 
@@ -782,7 +744,14 @@ impl MachineShard {
         loop {
             let cur = self.events.next_seq();
             let node = &mut self.nodes[slot];
-            let Some(parked) = node.parked.next_due(now, seq, cur, DELIVERY_RETRY_INTERVAL) else {
+            if node.parked.is_empty() {
+                return;
+            }
+            // A due step run ahead of the event, or an attempt run here, may
+            // have changed what the next attempt would find.
+            node.parked.blocked = node.ni.delivery_blocked(&node.mem);
+            let skipped = &mut self.dispatch.skipped_deliveries;
+            let Some(parked) = node.parked.next_due(now, seq, cur, skipped) else {
                 return;
             };
             let id = node.id;
@@ -793,9 +762,16 @@ impl MachineShard {
     }
 
     /// Makes sure a `WakeParked` event is pending at the node's earliest
-    /// parked attempt that must really execute, if there is one.
+    /// parked attempt that must really execute, if there is one. Runs after
+    /// every event dispatched on the node, so it re-asks the device whatever
+    /// the event changed: a receive that freed a slot, a device fill that
+    /// evicted a CQ's head-pointer block, a snooped invalidation.
     fn wake_parked(&mut self, slot: usize) {
         let node = &mut self.nodes[slot];
+        if node.parked.is_empty() {
+            return;
+        }
+        node.parked.blocked = node.ni.delivery_blocked(&node.mem);
         let Some(at) = node.parked.wake_time() else {
             return;
         };
@@ -945,17 +921,19 @@ pub struct DispatchStats {
     pub net_arrival: u64,
     /// Acknowledgements dispatched at the original sender.
     pub ack_arrival: u64,
-    /// `DeliveryRetry` events dispatched (polled refusals).
-    pub delivery_retry: u64,
     /// `WakeParked` events dispatched.
     pub wake_parked: u64,
     /// `RetxTimer` events dispatched.
     pub retx_timer: u64,
-    /// Deliveries parked behind a pure refusal — first refusals and
-    /// re-refused attempts alike.
+    /// Refused deliveries parked — first refusals and re-refused attempts
+    /// alike.
     pub parked: u64,
-    /// Parked attempts that really executed (the rest were skipped).
+    /// Parked attempts that really executed.
     pub woken: u64,
+    /// Parked attempts skipped as refusals that would change nothing. In a
+    /// run that drained, one event per attempt would have been
+    /// `woken + skipped_deliveries` retries.
+    pub skipped_deliveries: u64,
 }
 
 impl DispatchStats {
@@ -966,7 +944,6 @@ impl DispatchStats {
             Event::WakeStep(_) => return,
             Event::Net(NetEvent::Arrival(..)) => &mut self.net_arrival,
             Event::Net(NetEvent::Ack { .. }) => &mut self.ack_arrival,
-            Event::DeliveryRetry(..) => &mut self.delivery_retry,
             Event::WakeParked(_) => &mut self.wake_parked,
             Event::RetxTimer(_) => &mut self.retx_timer,
         };
@@ -980,11 +957,11 @@ impl Merge for DispatchStats {
         self.skipped += other.skipped;
         self.net_arrival += other.net_arrival;
         self.ack_arrival += other.ack_arrival;
-        self.delivery_retry += other.delivery_retry;
         self.wake_parked += other.wake_parked;
         self.retx_timer += other.retx_timer;
         self.parked += other.parked;
         self.woken += other.woken;
+        self.skipped_deliveries += other.skipped_deliveries;
     }
 }
 
@@ -1175,9 +1152,8 @@ impl ShardSim for MachineShard {
         if !self.nodes[slot].parked.is_empty() {
             self.mark_dirty(slot);
             let cur = self.events.next_seq();
-            let due = self.nodes[slot]
-                .parked
-                .next_due(boundary, 0, cur, DELIVERY_RETRY_INTERVAL);
+            let skipped = &mut self.dispatch.skipped_deliveries;
+            let due = self.nodes[slot].parked.next_due(boundary, 0, cur, skipped);
             debug_assert!(
                 due.is_none(),
                 "parked attempts due before {boundary} were never woken"
@@ -1216,7 +1192,6 @@ impl ShardSim for MachineShard {
                     seq,
                     corrupted,
                 }) => self.handle_ack(src, dst, seq, corrupted, now, outbox),
-                Event::DeliveryRetry(id, frag, meta) => self.deliver(id, frag, meta, now, outbox),
                 Event::WakeParked(_) => {
                     let parked = &mut self.nodes[slot].parked;
                     if parked.wake_at == Some(now) {

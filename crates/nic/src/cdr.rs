@@ -166,10 +166,8 @@ impl<P: Payload> NiDevice<P> for Cni4Device<P> {
         mem: &mut NodeMemSystem,
         frag: P,
     ) -> DeliverOutcome<P> {
-        // Full buffering refuses without touching any state; only
-        // `proc_receive` frees an entry, so the refusal stands until then.
-        if self.buffered_receives() >= self.recv_capacity {
-            return DeliverOutcome::Blocked(frag);
+        if self.delivery_blocked(mem) {
+            return DeliverOutcome::Refused(frag);
         }
         if self.recv_exposed.is_none() {
             // Write straight into the CDRs.
@@ -182,6 +180,11 @@ impl<P: Payload> NiDevice<P> for Cni4Device<P> {
             self.recv_fifo.push_back(frag);
             DeliverOutcome::Accepted { done: now }
         }
+    }
+
+    /// Full buffering refuses without touching any state.
+    fn delivery_blocked(&self, _mem: &NodeMemSystem) -> bool {
+        self.buffered_receives() >= self.recv_capacity
     }
 
     fn send_queue_len(&self) -> usize {
@@ -278,7 +281,7 @@ mod tests {
         assert_eq!(ni.recv_queue_len(), 4);
         assert_eq!(
             ni.device_deliver(0, &mut m, Frag(9, 12)),
-            DeliverOutcome::Blocked(Frag(9, 12))
+            DeliverOutcome::Refused(Frag(9, 12))
         );
         // Receiving the exposed message exposes the next one.
         let poll = ni.proc_poll(0, &mut m);

@@ -307,6 +307,15 @@ impl<P: Payload> DeviceToProcCq<P> {
         self.state.len() == 0
     }
 
+    /// Whether [`device_enqueue`](Self::device_enqueue) would refuse now
+    /// without changing any state: the queue is full, the shadow head is
+    /// current, and the head re-read would hit in the device cache.
+    pub fn enqueue_blocked(&self, mem: &NodeMemSystem) -> bool {
+        self.state.len() >= self.cfg.capacity_entries
+            && self.state.shadow_head == self.state.head
+            && mem.device_state(self.cfg.head_ptr_block).is_valid()
+    }
+
     /// Device-side enqueue of an arriving network message; a full queue
     /// hands it back.
     pub fn device_enqueue(
@@ -692,6 +701,70 @@ mod tests {
             DeliverOutcome::Refused(frag) if frag == Frag(9, 244)
         ));
         assert_eq!(q.len(), 4);
+    }
+
+    /// What a refused enqueue costs and changes: bus busy cycles, device
+    /// cache counters, the shadow head and the queue.
+    fn refusal_footprint(q: &DeviceToProcCq<Frag>, mem: &NodeMemSystem) -> [u64; 6] {
+        let dev = mem.device_cache().unwrap();
+        [
+            mem.memory_bus().busy_cycles(),
+            dev.hits(),
+            dev.misses(),
+            dev.writebacks(),
+            q.state.shadow_head,
+            q.len() as u64,
+        ]
+    }
+
+    #[test]
+    fn a_full_queue_whose_head_rereads_hit_refuses_purely() {
+        let mut mem = mem_system(16);
+        let mut q = recv_queue(16, BlockHome::Memory); // 4 entries
+        let mut now = 0;
+        for i in 0..4 {
+            match q.device_enqueue(now, &mut mem, Frag(i, 244)) {
+                DeliverOutcome::Accepted { done } => now = done,
+                refused => panic!("should fit: {refused:?}"),
+            }
+        }
+        // The first refusal reads the head pointer into the device cache.
+        assert!(!q.enqueue_blocked(&mem), "the head block is not cached yet");
+        assert!(!q.device_enqueue(now, &mut mem, Frag(8, 244)).is_accepted());
+        assert_eq!(q.state.shadow_head, q.state.head);
+        assert!(q.enqueue_blocked(&mem));
+
+        // Every further attempt hits and changes nothing.
+        let before = refusal_footprint(&q, &mem);
+        for i in 0..3 {
+            assert!(matches!(
+                q.device_enqueue(now + 64 * i, &mut mem, Frag(9, 244)),
+                DeliverOutcome::Refused(frag) if frag == Frag(9, 244)
+            ));
+            assert_eq!(refusal_footprint(&q, &mem), before);
+            assert!(q.enqueue_blocked(&mem));
+        }
+
+        // A device fill that conflicts with the head-pointer block in the
+        // direct-mapped device cache evicts it: the next attempt re-reads
+        // the head from memory over the bus.
+        let sets = mem.device_cache().unwrap().num_sets() as u64;
+        let conflicting = BlockAddr(q.cfg.head_ptr_block.0 + sets);
+        now = mem.device_read_block(now, conflicting, BlockHome::Memory);
+        assert!(!q.enqueue_blocked(&mem), "the head block was evicted");
+        let busy = mem.memory_bus().busy_cycles();
+        assert!(!q.device_enqueue(now, &mut mem, Frag(9, 244)).is_accepted());
+        assert!(
+            mem.memory_bus().busy_cycles() > busy,
+            "the re-read went to the bus"
+        );
+        assert!(q.enqueue_blocked(&mem), "and refilled the head block");
+
+        // The processor's dequeue writes the head pointer, invalidating the
+        // device's copy: the queue has room again.
+        now = q.proc_dequeue(now, &mut mem).unwrap().0;
+        assert!(!q.enqueue_blocked(&mem));
+        assert!(q.device_enqueue(now, &mut mem, Frag(9, 244)).is_accepted());
     }
 
     #[test]

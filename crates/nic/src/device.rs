@@ -87,19 +87,10 @@ pub enum DeliverOutcome<P> {
         /// Cycle at which the device finished storing the message.
         done: Cycle,
     },
-    /// The device's receive queue is full and the refusal itself did device
-    /// work (a CQ re-reads the processor's head pointer over the bus on
-    /// every attempt), so the network holds the message and polls: it
-    /// retries every `DELIVERY_RETRY_INTERVAL` cycles, each attempt charged
-    /// like the first.
+    /// The device's receive queue is full. The network holds the message
+    /// and offers it again every `DELIVERY_RETRY_INTERVAL` cycles. Whether
+    /// such an attempt can do anything is [`NiDevice::delivery_blocked`].
     Refused(P),
-    /// The device's receive queue is full and the refusal was *pure*: it
-    /// changed no device or bus state, and every retry fails the same way
-    /// until the processor next calls [`NiDevice::proc_receive`] on this
-    /// device — the only call that frees receive space. The network still
-    /// holds the message on the same retry grid, but the machine parks it
-    /// instead of dispatching each futile attempt.
-    Blocked(P),
 }
 
 impl<P> DeliverOutcome<P> {
@@ -187,6 +178,12 @@ pub trait NiDevice<P: Payload>: Send {
     fn device_deliver(&mut self, now: Cycle, mem: &mut NodeMemSystem, frag: P)
         -> DeliverOutcome<P>;
 
+    /// Whether a delivery attempted now would be refused without changing
+    /// any device or memory-system state. Every such attempt fails the same
+    /// way until something changes the device or the node's memory system,
+    /// so the machine skips them instead of dispatching each one.
+    fn delivery_blocked(&self, mem: &NodeMemSystem) -> bool;
+
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
@@ -235,7 +232,6 @@ mod tests {
     fn deliver_outcome_helpers() {
         assert!(DeliverOutcome::<()>::Accepted { done: 1 }.is_accepted());
         assert!(!DeliverOutcome::Refused(()).is_accepted());
-        assert!(!DeliverOutcome::Blocked(()).is_accepted());
     }
 
     /// Every device, over every queue it has: a refused send or delivery
@@ -295,7 +291,7 @@ mod tests {
                         now = done;
                         delivered.push(frag);
                     }
-                    DeliverOutcome::Refused(back) | DeliverOutcome::Blocked(back) => {
+                    DeliverOutcome::Refused(back) => {
                         assert_eq!(back, frag, "{kind}: refused delivery");
                         break;
                     }

@@ -98,16 +98,19 @@ impl<P: Payload> NiDevice<P> for Ni2wDevice<P> {
     fn device_deliver(
         &mut self,
         now: Cycle,
-        _mem: &mut NodeMemSystem,
+        mem: &mut NodeMemSystem,
         frag: P,
     ) -> DeliverOutcome<P> {
-        // A full FIFO refuses without touching any state; only
-        // `proc_receive` pops it, so the refusal stands until then.
-        if self.recv_fifo.len() >= FIFO_CAPACITY {
-            return DeliverOutcome::Blocked(frag);
+        if self.delivery_blocked(mem) {
+            return DeliverOutcome::Refused(frag);
         }
         self.recv_fifo.push_back(frag);
         DeliverOutcome::Accepted { done: now }
+    }
+
+    /// A full FIFO refuses without touching any state.
+    fn delivery_blocked(&self, _mem: &NodeMemSystem) -> bool {
+        self.recv_fifo.len() >= FIFO_CAPACITY
     }
 
     fn send_queue_len(&self) -> usize {
@@ -222,7 +225,7 @@ mod tests {
         }
         assert_eq!(
             ni.device_deliver(0, &mut m, Frag(4, 8)),
-            DeliverOutcome::Blocked(Frag(4, 8))
+            DeliverOutcome::Refused(Frag(4, 8))
         );
         assert_eq!(
             ni.recv_queue_len(),
