@@ -14,6 +14,15 @@
 //!    writeback)?
 //! 3. How does the cache react to a snooped bus transaction (supply data,
 //!    downgrade, invalidate)?
+//!
+//! A set is one 32-bit word, `tag << 4 | home << 3 | code`. Block `b` of a
+//! cache with `n` sets lives in set `b % n` under tag `b / n`, so only the
+//! tag is stored and an evicted victim's block is rebuilt as
+//! `tag * n + set`. `code` is 1..=5 for M/O/E/S/I, and `0` is a set with no
+//! tag allocated — distinct from a tagged Invalid line, which snarfing
+//! needs. Tags are 28 bits: even a 4-set device cache addresses 2^30
+//! blocks (64 GB), and a fill beyond that panics. The 256 KB processor
+//! cache's 4 096 sets take 16 KB.
 
 use serde::{Deserialize, Serialize};
 
@@ -109,11 +118,49 @@ impl Eviction {
     }
 }
 
+/// One set, `tag << 4 | home << 3 | code`, or `0` with no tag allocated
+/// (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Line {
-    block: BlockAddr,
-    state: MoesiState,
-    home: BlockHome,
+struct Line(u32);
+
+impl Line {
+    /// A set with no tag allocated.
+    const EMPTY: Line = Line(0);
+    /// Tags are 28 bits wide.
+    const TAG_LIMIT: u64 = 1 << 28;
+
+    fn new(tag: u64, state: MoesiState, home: BlockHome) -> Line {
+        assert!(
+            tag < Self::TAG_LIMIT,
+            "block tag {tag} does not fit the 28-bit set tag"
+        );
+        let home = matches!(home, BlockHome::Device) as u32;
+        Line((tag as u32) << 4 | home << 3 | (state as u32 + 1))
+    }
+
+    /// Does this set hold a line tagged `tag` (in any state, Invalid too)?
+    fn holds(self, tag: u64) -> bool {
+        self != Self::EMPTY && self.tag() == tag
+    }
+
+    fn tag(self) -> u64 {
+        u64::from(self.0 >> 4)
+    }
+
+    /// The line's state; an empty set reads as Invalid.
+    fn state(self) -> MoesiState {
+        match self.0 & 7 {
+            1 => MoesiState::Modified,
+            2 => MoesiState::Owned,
+            3 => MoesiState::Exclusive,
+            4 => MoesiState::Shared,
+            _ => MoesiState::Invalid,
+        }
+    }
+
+    fn home(self) -> BlockHome {
+        [BlockHome::Memory, BlockHome::Device][(self.0 >> 3 & 1) as usize]
+    }
 }
 
 /// A direct-mapped, write-allocate MOESI cache.
@@ -135,10 +182,10 @@ struct Line {
 /// synchronised with a checkpoint mirror (one bit per set), so
 /// [`Cache::sync_into`] and [`Cache::rewind_from`] move only those sets
 /// instead of the whole set vector. Every write to a set goes through
-/// `set_mut`, the one place that marks it.
+/// `store`, the one place that marks it.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Cache {
-    sets: Vec<Option<Line>>,
+    sets: Vec<Line>,
     /// One bit per set written since the last sync.
     touched: Vec<u64>,
     counts: CacheCounts,
@@ -181,7 +228,7 @@ impl Clone for Cache {
 
 /// Copies the sets marked in `touched` from `from` to `to` and clears the
 /// marks; returns how many sets it copied.
-fn copy_touched_sets(touched: &mut [u64], from: &[Option<Line>], to: &mut [Option<Line>]) -> usize {
+fn copy_touched_sets(touched: &mut [u64], from: &[Line], to: &mut [Line]) -> usize {
     assert_eq!(from.len(), to.len(), "mirror has a different geometry");
     let mut copied = 0;
     for (word, bits) in touched.iter_mut().enumerate() {
@@ -210,7 +257,7 @@ impl Cache {
         );
         let num_sets = size_bytes / CACHE_BLOCK_BYTES;
         Cache {
-            sets: vec![None; num_sets],
+            sets: vec![Line::EMPTY; num_sets],
             touched: vec![0; num_sets.div_ceil(64)],
             counts: CacheCounts::default(),
         }
@@ -218,7 +265,7 @@ impl Cache {
 
     /// Bytes one set occupies in the set vector — the unit a checkpoint
     /// re-sync copies per touched set.
-    pub const SET_BYTES: usize = std::mem::size_of::<Option<Line>>();
+    pub const SET_BYTES: usize = std::mem::size_of::<Line>();
 
     /// Bytes of the whole set vector (what a full copy of the cache moves).
     pub fn set_vector_bytes(&self) -> usize {
@@ -251,31 +298,27 @@ impl Cache {
         self.sets.len()
     }
 
-    fn set_index(&self, block: BlockAddr) -> usize {
-        (block.0 % self.sets.len() as u64) as usize
-    }
-
-    fn line(&self, block: BlockAddr) -> Option<&Line> {
-        let idx = self.set_index(block);
-        self.sets[idx].as_ref().filter(|l| l.block == block)
+    /// `block`'s set index and tag (one division), and what that set holds.
+    fn probe(&self, block: BlockAddr) -> (usize, u64, Line) {
+        let sets = self.sets.len() as u64;
+        let idx = (block.0 % sets) as usize;
+        (idx, block.0 / sets, self.sets[idx])
     }
 
     /// The one way to write a set: marks it for the next sync.
-    fn set_mut(&mut self, idx: usize) -> &mut Option<Line> {
+    fn store(&mut self, idx: usize, line: Line) {
         self.touched[idx >> 6] |= 1 << (idx & 63);
-        &mut self.sets[idx]
-    }
-
-    fn line_mut(&mut self, block: BlockAddr) -> Option<&mut Line> {
-        let idx = self.set_index(block);
-        self.set_mut(idx).as_mut().filter(|l| l.block == block)
+        self.sets[idx] = line;
     }
 
     /// Current state of `block` (Invalid if not present).
     pub fn lookup(&self, block: BlockAddr) -> MoesiState {
-        self.line(block)
-            .map(|l| l.state)
-            .unwrap_or(MoesiState::Invalid)
+        let (_, tag, line) = self.probe(block);
+        if line.holds(tag) {
+            line.state()
+        } else {
+            MoesiState::Invalid
+        }
     }
 
     /// Classifies a read access without changing state.
@@ -304,15 +347,12 @@ impl Cache {
 
     /// Returns the victim that a fill of `block` would displace, if any.
     pub fn peek_victim(&self, block: BlockAddr) -> Option<Eviction> {
-        let idx = self.set_index(block);
-        match &self.sets[idx] {
-            Some(line) if line.block != block && line.state.is_valid() => Some(Eviction {
-                block: line.block,
-                state: line.state,
-                home: line.home,
-            }),
-            _ => None,
-        }
+        let (idx, tag, line) = self.probe(block);
+        (line.tag() != tag && line.state().is_valid()).then(|| Eviction {
+            block: BlockAddr(line.tag() * self.sets.len() as u64 + idx as u64),
+            state: line.state(),
+            home: line.home(),
+        })
     }
 
     /// Installs `block` in `state`, returning the eviction it displaced (if
@@ -331,8 +371,8 @@ impl Cache {
                 self.counts.writebacks += 1;
             }
         }
-        let idx = self.set_index(block);
-        *self.set_mut(idx) = Some(Line { block, state, home });
+        let (idx, tag, _) = self.probe(block);
+        self.store(idx, Line::new(tag, state, home));
         victim
     }
 
@@ -345,17 +385,11 @@ impl Cache {
     /// case where the receive-queue blocks were previously cached and later
     /// invalidated, so the tag still matches.
     pub fn snarf_fill(&mut self, block: BlockAddr, home: BlockHome) -> bool {
-        let idx = self.set_index(block);
-        let can_snarf = match &self.sets[idx] {
-            None => false, // no tag allocated: nothing to match against
-            Some(line) => line.block == block && line.state == MoesiState::Invalid,
-        };
+        let (idx, tag, line) = self.probe(block);
+        // An empty set has no tag to match against.
+        let can_snarf = line.holds(tag) && line.state() == MoesiState::Invalid;
         if can_snarf {
-            *self.set_mut(idx) = Some(Line {
-                block,
-                state: MoesiState::Shared,
-                home,
-            });
+            self.store(idx, Line::new(tag, MoesiState::Shared, home));
             self.counts.snarf_fills += 1;
         }
         can_snarf
@@ -367,10 +401,9 @@ impl Cache {
     ///
     /// Panics if the block is not present; callers must fill first.
     pub fn set_state(&mut self, block: BlockAddr, state: MoesiState) {
-        match self.line_mut(block) {
-            Some(line) => line.state = state,
-            None => panic!("set_state on absent block {block}"),
-        }
+        let (idx, tag, line) = self.probe(block);
+        assert!(line.holds(tag), "set_state on absent block {block}");
+        self.store(idx, Line::new(tag, state, line.home()));
     }
 
     /// Records an upgrade miss (write to a Shared/Owned line) and grants
@@ -423,10 +456,7 @@ impl Cache {
 
     /// Number of valid lines currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.sets
-            .iter()
-            .filter(|l| matches!(l, Some(line) if line.state.is_valid()))
-            .count()
+        self.sets.iter().filter(|l| l.state().is_valid()).count()
     }
 
     /// Demand hits observed so far.
@@ -632,7 +662,8 @@ mod tests {
             }
             3 => {
                 // Tag-matching lines only: set_state panics on the rest.
-                if cache.line(block).is_some() {
+                let (_, tag, line) = cache.probe(block);
+                if line.holds(tag) {
                     cache.set_state(block, state);
                 }
             }
@@ -692,6 +723,228 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The unpacked set vector the packed one replaced: whole blocks, one
+    /// `Option` per set.
+    struct Model {
+        sets: Vec<Option<(BlockAddr, MoesiState, BlockHome)>>,
+        counts: CacheCounts,
+    }
+
+    impl Model {
+        fn set(&self, block: BlockAddr) -> usize {
+            (block.0 % self.sets.len() as u64) as usize
+        }
+
+        fn lookup(&self, block: BlockAddr) -> MoesiState {
+            match self.sets[self.set(block)] {
+                Some((b, state, _)) if b == block => state,
+                _ => MoesiState::Invalid,
+            }
+        }
+
+        fn victim(&self, block: BlockAddr) -> Option<Eviction> {
+            match self.sets[self.set(block)] {
+                Some((b, state, home)) if b != block && state.is_valid() => Some(Eviction {
+                    block: b,
+                    state,
+                    home,
+                }),
+                _ => None,
+            }
+        }
+
+        fn fill(
+            &mut self,
+            block: BlockAddr,
+            state: MoesiState,
+            home: BlockHome,
+        ) -> Option<Eviction> {
+            self.counts.misses += 1;
+            let victim = self.victim(block);
+            if let Some(ev) = victim {
+                self.counts.evictions += 1;
+                self.counts.writebacks += ev.needs_writeback() as u64;
+            }
+            let set = self.set(block);
+            self.sets[set] = Some((block, state, home));
+            victim
+        }
+
+        fn snarf_fill(&mut self, block: BlockAddr, home: BlockHome) -> bool {
+            let set = self.set(block);
+            let can = matches!(self.sets[set], Some((b, MoesiState::Invalid, _)) if b == block);
+            if can {
+                self.sets[set] = Some((block, MoesiState::Shared, home));
+                self.counts.snarf_fills += 1;
+            }
+            can
+        }
+
+        fn set_state(&mut self, block: BlockAddr, state: MoesiState) {
+            let set = self.set(block);
+            match &mut self.sets[set] {
+                Some((b, s, _)) if *b == block => *s = state,
+                _ => panic!("model: set_state on absent block {block}"),
+            }
+        }
+
+        fn snoop(&mut self, block: BlockAddr, invalidate: bool) -> SnoopAction {
+            let prev = self.lookup(block);
+            let next = match (invalidate, prev) {
+                (_, MoesiState::Invalid) => None,
+                (true, _) => Some(MoesiState::Invalid),
+                (false, MoesiState::Modified) => Some(MoesiState::Owned),
+                (false, MoesiState::Exclusive) => Some(MoesiState::Shared),
+                (false, _) => None,
+            };
+            if let Some(state) = next {
+                self.set_state(block, state);
+                self.counts.snoop_invalidations += invalidate as u64;
+            }
+            SnoopAction {
+                prev,
+                supplies_data: prev.supplies_data(),
+                was_dirty: prev.is_dirty(),
+            }
+        }
+
+        fn resident_blocks(&self) -> usize {
+            self.sets
+                .iter()
+                .filter(|l| matches!(l, Some((_, s, _)) if s.is_valid()))
+                .count()
+        }
+    }
+
+    /// The packed set is the unpacked one: random fills, snarfs, state
+    /// changes, snoops, upgrades and hits on power-of-two and odd
+    /// geometries, with tags up to 2^28 - 1, answer every query, eviction
+    /// and counter exactly as the `Option`-per-set model does.
+    #[test]
+    fn packed_sets_match_the_unpacked_reference_model() {
+        const MAX_TAG: u64 = Line::TAG_LIMIT - 1;
+        let states = [
+            MoesiState::Modified,
+            MoesiState::Owned,
+            MoesiState::Exclusive,
+            MoesiState::Shared,
+            MoesiState::Invalid,
+        ];
+        for (case, sets) in [4u64, 16, 512, 4096, 37].into_iter().enumerate() {
+            let mut rng = DetRng::new(0x9ac6_ed5e ^ case as u64);
+            let mut cache = Cache::new(CACHE_BLOCK_BYTES * sets as usize);
+            let mut model = Model {
+                sets: vec![None; sets as usize],
+                counts: CacheCounts::default(),
+            };
+            // A few sets (the first, the last, two random) and a few tags
+            // (the extremes, one random), so blocks collide and evict.
+            let hot_sets = [0, sets - 1, rng.gen_range(sets), rng.gen_range(sets)];
+            let tags = [0, 1, MAX_TAG - 1, MAX_TAG, rng.gen_range(MAX_TAG)];
+            for step in 0..4000 {
+                let block =
+                    blk(tags[rng.gen_index(tags.len())] * sets + hot_sets[rng.gen_index(4)]);
+                let state = states[rng.gen_index(states.len())];
+                let home = if rng.gen_bool(0.5) {
+                    BlockHome::Memory
+                } else {
+                    BlockHome::Device
+                };
+                let what = format!("{sets} sets, step {step}, {block}");
+                assert_eq!(
+                    cache.peek_victim(block),
+                    model.victim(block),
+                    "{what}: victim"
+                );
+                match rng.gen_index(7) {
+                    0 | 1 => assert_eq!(
+                        cache.fill(block, state, home),
+                        model.fill(block, state, home),
+                        "{what}: fill eviction"
+                    ),
+                    2 => assert_eq!(
+                        cache.snarf_fill(block, home),
+                        model.snarf_fill(block, home),
+                        "{what}: snarf"
+                    ),
+                    3 => {
+                        if model.sets[model.set(block)].is_some_and(|(b, ..)| b == block) {
+                            cache.set_state(block, state);
+                            model.set_state(block, state);
+                        }
+                    }
+                    4 => assert_eq!(cache.snoop_read(block), model.snoop(block, false), "{what}"),
+                    5 => assert_eq!(
+                        cache.snoop_invalidate(block),
+                        model.snoop(block, true),
+                        "{what}"
+                    ),
+                    _ => {
+                        if cache.classify_write(block) == AccessOutcome::UpgradeMiss {
+                            cache.upgrade_to_modified(block);
+                            model.counts.upgrade_misses += 1;
+                            model.set_state(block, MoesiState::Modified);
+                        } else {
+                            cache.note_hits(1);
+                            model.counts.hits += 1;
+                        }
+                    }
+                }
+                let want = model.lookup(block);
+                assert_eq!(cache.lookup(block), want, "{what}: lookup");
+                let read = if want.is_valid() {
+                    AccessOutcome::Hit
+                } else {
+                    AccessOutcome::Miss
+                };
+                let write = match want {
+                    MoesiState::Modified | MoesiState::Exclusive => AccessOutcome::Hit,
+                    MoesiState::Owned | MoesiState::Shared => AccessOutcome::UpgradeMiss,
+                    MoesiState::Invalid => AccessOutcome::Miss,
+                };
+                assert_eq!(cache.classify_read(block), read, "{what}: classify_read");
+                assert_eq!(cache.classify_write(block), write, "{what}: classify_write");
+                assert_eq!(
+                    cache.peek_victim(block),
+                    model.victim(block),
+                    "{what}: victim after"
+                );
+                assert_eq!(
+                    cache.resident_blocks(),
+                    model.resident_blocks(),
+                    "{what}: resident"
+                );
+                assert_eq!(cache.counts, model.counts, "{what}: counters");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "28-bit set tag")]
+    fn first_tag_past_28_bits_panics() {
+        let mut cache = Cache::new(CACHE_BLOCK_BYTES * 16);
+        cache.fill(
+            blk(Line::TAG_LIMIT * 16 - 1),
+            MoesiState::Shared,
+            BlockHome::Memory,
+        );
+        cache.fill(
+            blk(Line::TAG_LIMIT * 16),
+            MoesiState::Shared,
+            BlockHome::Memory,
+        );
+    }
+
+    /// A processor-cache set is one 32-bit word: 4 096 sets in 16 KB.
+    #[test]
+    fn processor_cache_set_vector_is_16_kb() {
+        assert_eq!(Cache::SET_BYTES, 4);
+        assert_eq!(
+            Cache::new(crate::system::PROC_CACHE_BYTES).set_vector_bytes(),
+            16_384
+        );
     }
 
     #[test]

@@ -399,7 +399,7 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
     let stats = machine.checkpoint_stats();
 
     // 20 snapshots of two 3-node shards cover 60 node-rounds, of which
-    // dirty tracking copies 41.
+    // dirty tracking copies 41. The bytes count 4 per copied cache set.
     assert_eq!(
         (
             stats.snapshots,
@@ -408,7 +408,7 @@ fn incremental_checkpoints_stay_cheaper_than_full_clones() {
             stats.bytes,
             stats.peak_bytes
         ),
-        (20, 41, 60, 454_152, 201_208),
+        (20, 41, 60, 153_552, 53_176),
         "checkpoint accounting moved (snapshots, copied nodes, node-rounds, bytes, peak bytes)"
     );
     assert!(
