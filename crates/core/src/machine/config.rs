@@ -37,9 +37,15 @@ impl ShardPolicy {
     pub const AUTO_MIN_NODES_PER_SHARD: usize = 16;
 
     /// The shard count this policy yields for a machine of `nodes` nodes,
-    /// reading the host's parallelism for [`ShardPolicy::Auto`].
+    /// reading the host's parallelism for [`ShardPolicy::Auto`] only (the
+    /// query reads cgroup files, a cost comparable to building a small
+    /// machine).
     pub fn resolve(self, nodes: usize) -> usize {
-        self.resolve_for(nodes, cni_sim::pool::auto_jobs())
+        let cores = match self {
+            ShardPolicy::Auto => cni_sim::pool::auto_jobs(),
+            ShardPolicy::Single | ShardPolicy::Fixed(_) => 1,
+        };
+        self.resolve_for(nodes, cores)
     }
 
     /// The shard count this policy yields for a machine of `nodes` nodes on
@@ -256,8 +262,9 @@ impl MachineConfig {
     /// count ([`cni_sim::pool::auto_jobs`]); otherwise one, the calling
     /// thread.
     pub fn workers(&self) -> usize {
-        if self.parallel {
-            self.shard_count().min(cni_sim::pool::auto_jobs())
+        let shards = self.shard_count();
+        if self.parallel && shards > 1 {
+            shards.min(cni_sim::pool::auto_jobs())
         } else {
             1
         }

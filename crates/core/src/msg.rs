@@ -171,10 +171,15 @@ impl Assembler {
         let key = (frag.src, frag.msg_id);
         let frag_count = frag.frag_count;
         let FragPayload { message, .. } = frag;
+        if frag_count <= 1 {
+            // Complete on arrival: message ids are unique per sender, and
+            // reliable delivery discards duplicates before reassembly.
+            return Some(unshare(message));
+        }
         let arrived = match self.partial.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 // Drop this fragment's reference before the completion check
-                // so `Arc::try_unwrap` below can succeed.
+                // so `unshare` below can move the message out.
                 drop(message);
                 let e = e.get_mut();
                 e.0 += 1;
@@ -187,11 +192,16 @@ impl Assembler {
         };
         if arrived >= frag_count {
             let (_, msg) = self.partial.remove(&key).expect("entry just updated");
-            Some(Arc::try_unwrap(msg).unwrap_or_else(|shared| AmMessage::clone(&shared)))
+            Some(unshare(msg))
         } else {
             None
         }
     }
+}
+
+/// The message, moved out when no other fragment still shares it.
+fn unshare(msg: Arc<AmMessage>) -> AmMessage {
+    Arc::try_unwrap(msg).unwrap_or_else(|shared| AmMessage::clone(&shared))
 }
 
 #[cfg(test)]
