@@ -6,7 +6,9 @@
 //! records, per configuration, the simulated result digest, the number of
 //! worker threads that advanced the shards, the events the simulator
 //! dispatched and the ones parking let it skip (`Machine::dispatch_stats`),
-//! and the simulator's own wall-clock. Simulated results are
+//! the events its queues scheduled and the ones that waited in a far heap
+//! (`Machine::queue_stats`; the spills depend on the shard layout), and the
+//! simulator's own wall-clock. Simulated results are
 //! **bit-identical across shard counts, worker counts and lookahead
 //! modes** (the run fails loudly if they are not); only the wall-clock
 //! column varies.
@@ -47,7 +49,7 @@
 //! The default workload is em3d (fine-grain messaging) with the graph scaled
 //! proportionally to the machine — weak scaling, so the event population per
 //! epoch grows with the node count, which is exactly the regime the sharded
-//! loop (and PR 1's timing wheel) is built for.
+//! loop and its event queues are built for.
 
 use std::time::Instant;
 
@@ -77,6 +79,8 @@ struct Row {
     dirty_fraction: f64,
     events: u64,
     skipped: u64,
+    schedules: u64,
+    spills: u64,
     wall_seconds: f64,
 }
 
@@ -132,6 +136,7 @@ fn run_policy(
     let outcome = machine.epoch_outcome();
     let ckpt = machine.checkpoint_stats();
     let d = machine.dispatch_stats();
+    let queue = machine.queue_stats();
     let row = Row {
         nodes,
         shards,
@@ -152,6 +157,8 @@ fn run_policy(
         // A parked step that ran counts as its one `ProcStep`.
         events: d.proc_step + d.net_arrival + d.ack_arrival + d.wake_parked + d.retx_timer,
         skipped: d.skipped + d.skipped_deliveries,
+        schedules: queue.schedules,
+        spills: queue.spills,
         wall_seconds,
     };
     (report, row)
@@ -216,7 +223,7 @@ fn rows_json(rows: &[Row]) -> String {
         .iter()
         .map(|r| {
             format!(
-                r#"{{"nodes":{},"shards":{},"mode":"{}","workers":{},"lookahead":"{}","cycles":{},"digest":"{:016x}","epochs":{},"extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"events":{},"skipped":{},"wall_seconds":{:.3}}}"#,
+                r#"{{"nodes":{},"shards":{},"mode":"{}","workers":{},"lookahead":"{}","cycles":{},"digest":"{:016x}","epochs":{},"extensions":{},"mean_epoch_len":{:.1},"max_epoch_len":{},"spec_commits":{},"spec_rollbacks":{},"spec_reexec_cycles":{},"ckpt_bytes":{},"dirty_fraction":{:.4},"events":{},"skipped":{},"schedules":{},"spills":{},"wall_seconds":{:.3}}}"#,
                 r.nodes,
                 r.shards,
                 r.mode,
@@ -235,6 +242,8 @@ fn rows_json(rows: &[Row]) -> String {
                 r.dirty_fraction,
                 r.events,
                 r.skipped,
+                r.schedules,
+                r.spills,
                 r.wall_seconds
             )
         })
@@ -247,7 +256,7 @@ fn print_table(workload: Workload, rows: &[Row]) {
         "Scaling sweep: {workload}, CNI512Q, weak-scaled inputs (digest is the simulated-result hash)"
     );
     println!(
-        "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6} {:>11} {:>11} {:>10}",
+        "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6} {:>11} {:>11} {:>11} {:>9} {:>10}",
         "nodes",
         "shards",
         "mode",
@@ -263,11 +272,13 @@ fn print_table(workload: Workload, rows: &[Row]) {
         "dirty",
         "events",
         "skipped",
+        "schedules",
+        "spills",
         "wall (s)"
     );
     for r in rows {
         println!(
-            "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18x} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6.3} {:>11} {:>11} {:>10.3}",
+            "{:>7} {:>7} {:>5} {:>7} {:>11} {:>14} {:>18x} {:>8} {:>7} {:>7} {:>5} {:>11} {:>6.3} {:>11} {:>11} {:>11} {:>9} {:>10.3}",
             r.nodes,
             r.shards,
             r.mode,
@@ -283,6 +294,8 @@ fn print_table(workload: Workload, rows: &[Row]) {
             r.dirty_fraction,
             r.events,
             r.skipped,
+            r.schedules,
+            r.spills,
             r.wall_seconds
         );
     }

@@ -58,7 +58,7 @@
 //! cargo bench -p cni-bench --bench queue_ops    # event queue + host CQ
 //! ```
 //!
-//! `queue_ops` races the timing-wheel `cni_sim::EventQueue` against a
+//! `queue_ops` races the bucket-ring `cni_sim::EventQueue` against a
 //! `std::collections::BinaryHeap` baseline under machine-loop-shaped churn.
 //! Complete simulated experiments are timed end to end, with repeated and
 //! normalised samples, by `perfbench/`. The perf trajectory across PRs is

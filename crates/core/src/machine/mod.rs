@@ -99,6 +99,7 @@ mod spin;
 
 use cni_mem::timing::TIMING;
 use cni_net::fabric::FabricStats;
+use cni_sim::event::QueueStats;
 use cni_sim::sharded::run_epochs;
 use cni_sim::stats::Merge;
 use cni_sim::time::Cycle;
@@ -302,6 +303,14 @@ impl Machine {
     /// digests.
     pub fn dispatch_stats(&self) -> DispatchStats {
         DispatchStats::merged(self.shards.iter().map(|s| s.dispatch_stats()))
+    }
+
+    /// Event-queue work counters merged across shards: events scheduled,
+    /// and those that waited in a queue's far heap (see [`QueueStats`]).
+    /// Simulator telemetry — not part of the simulated result, and excluded
+    /// from report digests. Spills depend on the shard layout.
+    pub fn queue_stats(&self) -> QueueStats {
+        QueueStats::merged(self.shards.iter().map(|s| s.queue_stats()))
     }
 
     /// The epoch driver's summary of the last [`Machine::run`]: epochs

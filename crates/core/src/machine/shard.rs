@@ -17,7 +17,7 @@ use cni_net::fabric::FabricStats;
 use cni_net::faults::{FaultDecision, FaultPlan};
 use cni_net::message::NodeId;
 use cni_nic::device::{DeliverOutcome, EmptyPolls, SendOutcome};
-use cni_sim::event::EventQueue;
+use cni_sim::event::{EventQueue, QueueStats};
 use cni_sim::sharded::{Outbox, ShardSim, Stamp};
 use cni_sim::stats::Merge;
 use cni_sim::time::Cycle;
@@ -287,6 +287,11 @@ impl MachineShard {
     /// This shard's work counters.
     pub(super) fn dispatch_stats(&self) -> DispatchStats {
         self.dispatch
+    }
+
+    /// This shard's event-queue work counters.
+    pub(super) fn queue_stats(&self) -> QueueStats {
+        self.events.stats()
     }
 
     /// Checkpoint cost accounting, with the live delta journal's current

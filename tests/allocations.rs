@@ -13,12 +13,17 @@
 //! - speculative checkpoints copy into long-lived mirrors: the speculative
 //!   run of the same workload allocates at most a small multiple of the
 //!   fixed run's bytes, instead of one cache set vector per node copy.
+//!
+//! And one check on the event queue alone: once warmed up, schedule/pop
+//! churn allocates nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cni::core::machine::{LookaheadMode, Machine, MachineConfig, ShardPolicy, SpeculationConfig};
 use cni::nic::NiKind;
+use cni::sim::event::EventQueue;
+use cni::sim::rng::DetRng;
 use cni::workloads::{Workload, WorkloadParams};
 
 /// Passes every request to [`System`], counting the calling thread's
@@ -143,5 +148,39 @@ fn coherence_and_checkpoints_stay_within_allocation_budgets() {
         "speculative checkpoints reallocate: {} bytes against the fixed run's {}",
         spec.bytes,
         fixed.bytes
+    );
+}
+
+/// One pass of hold-and-churn on `q`: a standing population of 256 events,
+/// each pop followed by a reschedule, mostly near the clock and every
+/// sixteenth far beyond the queue's ring (1 024 cycles), then a drain.
+fn churn(q: &mut EventQueue<u64>, seed: u64) {
+    let mut rng = DetRng::new(seed);
+    for i in 0..256 {
+        q.schedule(q.now() + rng.gen_range(4_096), i);
+    }
+    for step in 0..20_000u64 {
+        let (at, ev) = q.pop().expect("the population never drains mid-churn");
+        let delta = if step % 16 == 0 {
+            1_024 + rng.gen_range(1 << 16)
+        } else {
+            rng.gen_range(600)
+        };
+        q.schedule(at + delta, ev);
+    }
+    while q.pop().is_some() {}
+}
+
+#[test]
+fn warmed_up_event_queue_churn_allocates_nothing() {
+    let mut q = EventQueue::new();
+    churn(&mut q, 0x5EED);
+    let before = ALLOCS.with(Cell::get);
+    churn(&mut q, 0x5EED);
+    churn(&mut q, 0x5EED);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(
+        allocs, 0,
+        "a warmed-up queue allocated {allocs} times under churn"
     );
 }

@@ -179,7 +179,7 @@ fn event_queue_ordering() {
 }
 
 /// The event queue's contract in its plainest form: a binary heap ordered
-/// by `(time, schedule order)`. Test-only — the reference the timing wheel
+/// by `(time, schedule order)`. Test-only — the reference the event queue
 /// is pinned against.
 #[derive(Default)]
 struct HeapModel {
@@ -205,22 +205,22 @@ impl HeapModel {
     }
 }
 
-/// The timing-wheel queue pops events in *exactly* the order of the
-/// binary-heap reference model under randomized schedules, including
-/// same-cycle FIFO ties and interleaved schedule/pop churn that forces wheel
-/// cascades.
+/// The event queue pops events in *exactly* the order of the binary-heap
+/// reference model under randomized schedules, including same-cycle FIFO
+/// ties and interleaved schedule/pop churn that sends events to the far
+/// heap and migrates them back into the ring.
 #[test]
 fn wheel_and_heap_backends_are_pop_order_identical() {
     for case in 0..CASES {
         let mut rng = DetRng::new(0x9E37 ^ case);
         let mut heap = HeapModel::default();
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut next_id = 0u64;
         let ops = 200 + rng.gen_index(800);
         for _ in 0..ops {
-            if rng.gen_bool(0.55) || wheel.is_empty() {
-                // Mix short offsets (same-cycle ties, level-0 traffic) with
-                // occasional far-future events (higher wheel levels).
+            if rng.gen_bool(0.55) || queue.is_empty() {
+                // Mix short offsets (same-cycle ties, ring traffic) with
+                // occasional far-future events (the far heap).
                 let delta = match rng.gen_index(10) {
                     0 => rng.gen_range(1 << 20),
                     1..=3 => rng.gen_range(5_000),
@@ -228,32 +228,32 @@ fn wheel_and_heap_backends_are_pop_order_identical() {
                 };
                 let at = heap.now + delta;
                 heap.schedule(at, next_id);
-                wheel.schedule(at, next_id);
+                queue.schedule(at, next_id);
                 next_id += 1;
             } else {
-                let (h, w) = (heap.pop(), wheel.pop());
-                assert_eq!(h, w, "case {case}: wheel diverged from the model mid-churn");
+                let (h, w) = (heap.pop(), queue.pop());
+                assert_eq!(h, w, "case {case}: queue diverged from the model mid-churn");
             }
             assert_eq!(
                 heap.heap.len(),
-                wheel.len(),
+                queue.len(),
                 "case {case}: length divergence"
             );
-            assert_eq!(heap.now, wheel.now(), "case {case}: clock divergence");
+            assert_eq!(heap.now, queue.now(), "case {case}: clock divergence");
             // Epoch planning places the peeked time on the epoch grid, so
             // it must be exact (not a lower bound).
             assert_eq!(
                 heap.peek_time(),
-                wheel.peek_time(),
+                queue.peek_time(),
                 "case {case}: peek_time divergence"
             );
         }
         // Drain: the full remaining sequence must match exactly.
         loop {
-            let (h, w) = (heap.pop(), wheel.pop());
+            let (h, w) = (heap.pop(), queue.pop());
             assert_eq!(
                 h, w,
-                "case {case}: wheel diverged from the model while draining"
+                "case {case}: queue diverged from the model while draining"
             );
             if h.is_none() {
                 break;
