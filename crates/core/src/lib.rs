@@ -14,8 +14,9 @@
 //!   independently useful.
 //! * [`msg`] — the user-level messaging layer the simulated machines run:
 //!   active messages and fragmentation/reassembly to 256-byte network
-//!   messages. A fragment stays one value from `fragment_message` to
-//!   `Assembler::push`, and the NI queues hold it in between.
+//!   messages. A message waits whole in the send buffer (`OutgoingMsg`),
+//!   which cuts each fragment as the NI takes it; a fragment then stays one
+//!   value to `Assembler::push`, and the NI queues hold it in between.
 //! * [`machine`] — the full-machine simulation model: N nodes, each with a
 //!   processor, a 256 KB MOESI cache, one of the five NI devices, memory and
 //!   I/O buses and a latency-only network with sliding-window flow control.

@@ -9,13 +9,17 @@
 //! the traffic in a [`FabricStats`]. Workloads are [`Program`]s; the
 //! machine drives them with a discrete-event loop:
 //!
-//! * `ProcStep` events run a node's processor: drain the NI receive queue,
-//!   dispatch reassembled messages to the program, push buffered outgoing
-//!   fragments into the NI, and fall back to the program's idle hook. A
-//!   fragment ([`crate::msg::FragPayload`]) moves by value from the
-//!   software send buffer into the NI send queue, out of it at injection,
+//! * `ProcStep` events run a node's processor: (1) drain the NI receive
+//!   queue, (2) dispatch reassembled messages to the program, (3) push
+//!   buffered outgoing fragments into the NI, and (4) fall back to the
+//!   program's idle hook. The software send buffer holds whole messages
+//!   ([`crate::msg::OutgoingMsg`]); step 3 cuts the head message's next
+//!   fragment ([`crate::msg::FragPayload`]) as it offers it to the NI and
+//!   moves the message's cursor only when the NI accepts it. The fragment
+//!   then moves by value into the NI send queue, out of it at injection,
 //!   into the destination's receive queue and out again to the reassembler.
-//!   A refused send or delivery hands it back; no side table tracks it.
+//!   A refused send drops the cut fragment; a refused delivery hands it
+//!   back. No side table tracks it.
 //! * `Net` events carrying a data message deliver it to the destination NI
 //!   and generate acknowledgements for the sender's sliding window. A
 //!   refused delivery waits in the network and is retried every
@@ -414,7 +418,7 @@ impl Machine {
                 .map(|n| PendingWork {
                     node: n.id.index(),
                     blocked_sends: n.window.total_in_flight(),
-                    outgoing: n.outgoing.len(),
+                    outgoing: n.outgoing_fragments(),
                     inbox: n.inbox.len(),
                     ni_send: n.ni.send_queue_len(),
                     ni_recv: n.ni.recv_queue_len(),

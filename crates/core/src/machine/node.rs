@@ -9,13 +9,13 @@ use cni_net::message::NodeId;
 use cni_net::window::SlidingWindow;
 use cni_nic::cdr::Cni4Device;
 use cni_nic::cniq::CniQDevice;
-use cni_nic::device::NiDevice;
+use cni_nic::device::{NiDevice, SendOutcome};
 use cni_nic::ni2w::Ni2wDevice;
 use cni_nic::taxonomy::NiKind;
 use cni_sim::stats::{LatencyHistogram, Merge};
 use cni_sim::time::Cycle;
 
-use crate::msg::{AmMessage, Assembler, FragPayload};
+use crate::msg::{AmMessage, Assembler, FragPayload, OutgoingMsg};
 
 use super::config::MachineConfig;
 use super::parked::ParkedDeliveries;
@@ -180,11 +180,12 @@ pub struct NodeCore {
     pub window: SlidingWindow,
     /// Reassembly state for incoming fragments.
     pub assembler: Assembler,
-    /// Software send buffer: fragments the messaging layer has produced but
-    /// the NI has not accepted yet, because its send queue or the sliding
-    /// window was full — the "buffer messages in user space" path of the
-    /// paper's deadlock-avoidance rule (§4.1).
-    pub outgoing: VecDeque<FragPayload>,
+    /// Software send buffer: messages the program has sent whose fragments
+    /// the NI has not all accepted yet, because its send queue or the
+    /// sliding window was full — the "buffer messages in user space" path
+    /// of the paper's deadlock-avoidance rule (§4.1). The head message is
+    /// cut into fragments as the NI takes them.
+    pub outgoing: VecDeque<OutgoingMsg>,
     /// Fully reassembled messages waiting to be dispatched to the program.
     pub inbox: VecDeque<AmMessage>,
     /// The processor's local time.
@@ -258,7 +259,7 @@ impl std::fmt::Debug for NodeCore {
             .field("id", &self.id)
             .field("ni", &self.ni.kind())
             .field("proc_time", &self.proc_time)
-            .field("outgoing", &self.outgoing.len())
+            .field("outgoing", &self.outgoing_fragments())
             .field("inbox", &self.inbox.len())
             .finish()
     }
@@ -313,10 +314,12 @@ impl NodeCore {
     /// state, in bytes: what a whole copy of the node moves — the inline
     /// struct, the caches' set vectors and the dominant heap buffers
     /// (fragments in the NI queues, parked fragments, software send buffer,
-    /// delivered inbox). The unit of [`crate::machine::CheckpointStats`] byte
-    /// accounting — an estimate cheap enough to take per snapshot, not an
-    /// allocator-exact census, so snapshots are compared in a consistent
-    /// currency rather than measured absolutely.
+    /// delivered inbox); the send buffer counts the fragments its messages
+    /// have left, as if they were already cut. The unit of
+    /// [`crate::machine::CheckpointStats`] byte accounting — an estimate
+    /// cheap enough to take per snapshot, not an allocator-exact census, so
+    /// snapshots are compared in a consistent currency rather than measured
+    /// absolutely.
     pub fn approx_bytes(&self) -> usize {
         self.uncached_bytes() + self.mem.cache_bytes()
     }
@@ -326,10 +329,52 @@ impl NodeCore {
         std::mem::size_of::<Self>()
             + (self.ni.send_queue_len()
                 + self.ni.recv_queue_len()
-                + self.outgoing.len()
+                + self.outgoing_fragments()
                 + self.parked.len())
                 * std::mem::size_of::<FragPayload>()
             + self.inbox.len() * std::mem::size_of::<AmMessage>()
+    }
+
+    /// Step 3 of a processor step: hands the send buffer's fragments to the
+    /// NI from `t` until the NI refuses one or the sliding window for the
+    /// head message's destination is exhausted (§4.1: the *processor*
+    /// blocks after four unacknowledged network messages per destination
+    /// and falls back to draining receives). The head fragment is cut as
+    /// the NI takes it; a refused one is dropped and the message's cursor
+    /// stays on it. Returns the time the processor is done and whether the
+    /// NI accepted anything.
+    pub(super) fn push_outgoing(&mut self, mut t: Cycle) -> (Cycle, bool) {
+        let mut pushed = false;
+        while let Some(head) = self.outgoing.front_mut() {
+            let dst = head.dst;
+            if !self.window.can_send(dst) {
+                self.stats.send_full_retries += 1;
+                break;
+            }
+            match self.ni.proc_send(t, &mut self.mem, head.fragment()) {
+                SendOutcome::Accepted { done } => {
+                    t = done;
+                    assert!(self.window.try_acquire(dst), "window checked above");
+                    self.stats.sent_fragments += 1;
+                    pushed = true;
+                    if head.advance() {
+                        self.outgoing.pop_front();
+                    }
+                }
+                SendOutcome::Full { done, .. } => {
+                    t = done;
+                    self.stats.send_full_retries += 1;
+                    break;
+                }
+            }
+        }
+        (t, pushed)
+    }
+
+    /// Fragments the software send buffer's messages have left to hand to
+    /// the NI.
+    pub fn outgoing_fragments(&self) -> usize {
+        self.outgoing.iter().map(OutgoingMsg::fragments_left).sum()
     }
 
     /// Brings `mirror` — a copy of this node as of the last sync — up to
@@ -447,6 +492,65 @@ mod tests {
         assert_eq!(rel.tx_next.len(), 4);
         assert_eq!(rel.seen.len(), 4);
         assert!(node.outgoing.is_empty(), "fresh node starts quiescent");
+    }
+
+    /// An NI2w whose send FIFO is full refuses the head fragment: the
+    /// message's cursor stays on it, and once the FIFO drains a slot the
+    /// same fragment goes next.
+    #[test]
+    fn a_refused_fragment_is_offered_again() {
+        let mut node = NodeCore::new(0, &MachineConfig::isca96(4, NiKind::Ni2w));
+        let filler = OutgoingMsg::new(NodeId(0), NodeId(2), 0, AmMessage::new(0, 0, vec![]));
+        let mut t = 0;
+        let mut fillers = 0;
+        while node.ni.send_has_room() {
+            let sent = node.ni.proc_send(t, &mut node.mem, filler.fragment());
+            assert!(sent.is_accepted());
+            t = sent.done();
+            fillers += 1;
+        }
+        let msg = AmMessage::new(0, 2048, vec![]);
+        node.outgoing
+            .push_back(OutgoingMsg::new(NodeId(0), NodeId(1), 1, msg));
+
+        let (done, pushed) = node.push_outgoing(t);
+        assert!(!pushed, "the full FIFO refuses");
+        assert_eq!(node.stats.send_full_retries, 1);
+        assert_eq!(node.outgoing_fragments(), 9, "the cursor did not move");
+        assert_eq!(node.outgoing[0].fragment().frag_index, 0);
+
+        let (_, filler_frag) = node
+            .ni
+            .device_take_for_injection(done, &mut node.mem)
+            .unwrap();
+        assert_eq!(filler_frag.msg_id, 0);
+        let (mut t, pushed) = node.push_outgoing(done);
+        assert!(pushed);
+        assert_eq!(node.outgoing_fragments(), 8);
+        for _ in 1..fillers {
+            t = node
+                .ni
+                .device_take_for_injection(t, &mut node.mem)
+                .unwrap()
+                .0;
+        }
+        let (_, frag) = node.ni.device_take_for_injection(t, &mut node.mem).unwrap();
+        assert_eq!((frag.msg_id, frag.frag_index, frag.frag_count), (1, 0, 9));
+    }
+
+    /// The send buffer is counted in fragments, as if its messages were
+    /// already cut: a 2 048-byte message is nine of them.
+    #[test]
+    fn buffered_messages_count_their_fragments() {
+        let mut node = NodeCore::new(0, &MachineConfig::isca96(4, NiKind::Cni16Q));
+        let empty = node.approx_bytes();
+        let msg = AmMessage::new(0, 2048, vec![]);
+        node.outgoing
+            .push_back(OutgoingMsg::new(NodeId(0), NodeId(1), 0, msg));
+        assert_eq!(
+            node.approx_bytes() - empty,
+            9 * std::mem::size_of::<FragPayload>()
+        );
     }
 
     #[test]

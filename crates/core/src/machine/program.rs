@@ -11,7 +11,7 @@ use std::any::Any;
 use cni_net::message::NodeId;
 use cni_sim::time::Cycle;
 
-use crate::msg::{fragment_message_with, AmMessage};
+use crate::msg::{AmMessage, OutgoingMsg};
 
 use super::node::NodeCore;
 
@@ -175,13 +175,12 @@ impl<'a> ProcCtx<'a> {
             return;
         }
 
-        // Fragments go straight into the outgoing buffer — no intermediate
-        // Vec per message on the send path.
-        let outgoing = &mut self.node.outgoing;
-        let count = fragment_message_with(self.node.id, dst, msg_id, msg, |frag| {
-            outgoing.push_back(frag);
-        });
-        self.now += SEND_SOFTWARE_OVERHEAD * count as Cycle;
+        // The message is buffered whole, and the processor step cuts each
+        // fragment as the NI takes it; the software overhead is charged per
+        // fragment at send time.
+        let out = OutgoingMsg::new(self.node.id, dst, msg_id, msg);
+        self.now += SEND_SOFTWARE_OVERHEAD * out.fragments_left() as Cycle;
+        self.node.outgoing.push_back(out);
     }
 
     /// Convenience wrapper: sends a small active message carrying `data`
@@ -204,7 +203,7 @@ impl<'a> ProcCtx<'a> {
     /// Number of fragments this node has buffered but not yet pushed into the
     /// NI (a measure of backpressure visible to adaptive workloads).
     pub fn pending_outgoing(&self) -> usize {
-        self.node.outgoing.len()
+        self.node.outgoing_fragments()
     }
 }
 
@@ -235,7 +234,8 @@ mod tests {
         let mut ctx = ProcCtx::new(&mut n, 0);
         ctx.send_am(NodeId(2), 7, 1000, vec![1, 2]);
         let elapsed = ctx.finish();
-        assert_eq!(n.outgoing.len(), 5); // 1000 bytes => 5 fragments
+        assert_eq!(n.outgoing.len(), 1);
+        assert_eq!(n.outgoing_fragments(), 5); // 1000 bytes => 5 fragments
         assert_eq!(n.stats.sent_messages, 1);
         assert_eq!(n.stats.sent_bytes, 1000);
         assert_eq!(elapsed, 5 * SEND_SOFTWARE_OVERHEAD);

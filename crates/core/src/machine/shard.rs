@@ -16,7 +16,7 @@ use cni_mem::timing::TIMING;
 use cni_net::fabric::FabricStats;
 use cni_net::faults::{FaultDecision, FaultPlan};
 use cni_net::message::NodeId;
-use cni_nic::device::{DeliverOutcome, EmptyPolls, SendOutcome};
+use cni_nic::device::{DeliverOutcome, EmptyPolls};
 use cni_sim::event::{EventQueue, QueueStats};
 use cni_sim::sharded::{Outbox, ShardSim, Stamp};
 use cni_sim::stats::Merge;
@@ -400,35 +400,10 @@ impl MachineShard {
             t = ctx.finish();
         }
 
-        // 3. Push buffered outgoing fragments into the NI until either the NI
-        //    fills or the sliding window for the head fragment's destination
-        //    is exhausted (§4.1: the *processor* blocks after four
-        //    unacknowledged network messages per destination and falls back
-        //    to draining receives).
-        while let Some(front) = node.outgoing.front() {
-            let dst = front.dst;
-            if !node.window.can_send(dst) {
-                node.stats.send_full_retries += 1;
-                break;
-            }
-            // The fragment moves into the NI; a refused one comes back and
-            // returns to the buffer's front, keeping FIFO order.
-            let frag = node.outgoing.pop_front().expect("front() was Some");
-            match node.ni.proc_send(t, &mut node.mem, frag) {
-                SendOutcome::Accepted { done } => {
-                    t = done;
-                    assert!(node.window.try_acquire(dst), "window checked above");
-                    node.stats.sent_fragments += 1;
-                    did_work = true;
-                }
-                SendOutcome::Full { done, frag } => {
-                    t = done;
-                    node.outgoing.push_front(frag);
-                    node.stats.send_full_retries += 1;
-                    break;
-                }
-            }
-        }
+        // 3. Push buffered outgoing fragments into the NI.
+        let (done, pushed) = node.push_outgoing(t);
+        t = done;
+        did_work |= pushed;
 
         // 4. Idle hook when nothing else happened.
         if !did_work && !program.is_done() {
@@ -541,6 +516,8 @@ impl MachineShard {
         let slot = self.slot(id);
         let mut wake_at = None;
         let mut arm_timer = None;
+        // The earliest retransmission deadline this call set.
+        let mut first_deadline: Option<Cycle> = None;
         {
             let node = &mut self.nodes[slot];
             // The NI injects whatever sits in its send queue: window admission
@@ -554,11 +531,13 @@ impl MachineShard {
                 let tx_seq = node.rel.as_mut().map(|rel| {
                     let seq = rel.tx_next[dst.index()];
                     rel.tx_next[dst.index()] += 1;
+                    let deadline = ready + rel.rto;
+                    first_deadline = Some(first_deadline.map_or(deadline, |d| d.min(deadline)));
                     rel.unacked.insert(
                         (dst.index() as u32, seq),
                         PendingTx {
                             frag: frag.clone(),
-                            deadline: ready + rel.rto,
+                            deadline,
                             backoff: rel.rto,
                         },
                     );
@@ -580,13 +559,24 @@ impl MachineShard {
                 );
             }
             // Arm the retransmission timer for anything newly in flight.
+            // Only this call's deadlines can undercut the armed timer: while
+            // anything is unacknowledged, `timer_at` is at or before every
+            // deadline (here and in `retx_timer`, which re-arms at the
+            // earliest remaining one).
             if let Some(rel) = &mut node.rel {
-                if let Some(next) = rel.unacked.values().map(|p| p.deadline).min() {
+                if let Some(next) = first_deadline {
                     if rel.timer_at.is_none_or(|t| next < t) {
                         rel.timer_at = Some(next);
                         arm_timer = Some(next);
                     }
                 }
+                debug_assert!(
+                    rel.unacked.is_empty()
+                        || rel
+                            .timer_at
+                            .is_some_and(|t| rel.unacked.values().all(|p| t <= p.deadline)),
+                    "the retransmission timer is armed after an unacknowledged deadline"
+                );
             }
             // A node that went idle with buffered fragments takes another
             // step once the NI has send room. When the step that left it

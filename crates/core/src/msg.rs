@@ -77,62 +77,86 @@ impl Payload for FragPayload {
     }
 }
 
-/// Splits a user message into per-network-message fragments.
+/// One user message in a node's software send buffer, cut into fragments
+/// only as the NI takes them.
+///
+/// Fragment `i` of `n = fragments_for_bytes(bytes)` carries the next
+/// `min(244, bytes left)` payload bytes; a 0-byte message is one 0-byte
+/// fragment. [`OutgoingMsg::fragment`] cuts the head fragment without
+/// consuming it, so a send the NI refuses leaves the cursor where it was;
+/// [`OutgoingMsg::advance`] moves past an accepted one.
 ///
 /// ```
-/// use cni_core::msg::{fragment_message, AmMessage};
+/// use cni_core::msg::{AmMessage, OutgoingMsg};
 /// use cni_net::message::NodeId;
 ///
-/// let msg = AmMessage::new(3, 1000, vec![]);
-/// let frags = fragment_message(NodeId(0), NodeId(1), 7, msg);
-/// assert_eq!(frags.len(), 5); // 1000 bytes / 244-byte fragments
-/// assert_eq!(frags.iter().map(|f| f.payload_bytes).sum::<usize>(), 1000);
+/// let mut msg = OutgoingMsg::new(NodeId(0), NodeId(1), 7, AmMessage::new(3, 1000, vec![]));
+/// assert_eq!(msg.fragments_left(), 5); // 1000 bytes / 244-byte fragments
+/// let mut bytes = 0;
+/// loop {
+///     bytes += msg.fragment().payload_bytes;
+///     if msg.advance() {
+///         break;
+///     }
+/// }
+/// assert_eq!(bytes, 1000);
 /// ```
-pub fn fragment_message(
-    src: NodeId,
-    dst: NodeId,
+#[derive(Debug, Clone)]
+pub struct OutgoingMsg {
+    /// Destination node.
+    pub dst: NodeId,
+    /// Per-sender user-message identifier (for reassembly).
     msg_id: u64,
-    message: AmMessage,
-) -> Vec<FragPayload> {
-    let mut frags = Vec::with_capacity(fragments_for_bytes(message.bytes));
-    fragment_message_with(src, dst, msg_id, message, |frag| frags.push(frag));
-    frags
+    /// Index of the head fragment, the next one offered to the NI.
+    next: u32,
+    /// Total number of fragments in the message.
+    count: u32,
+    /// Payload bytes not yet carried by an accepted fragment.
+    remaining: usize,
+    /// The message, shared by every fragment cut from it.
+    message: Arc<AmMessage>,
 }
 
-/// Splits a user message into fragments, handing each to `sink` — the
-/// allocation-free core of [`fragment_message`], used by the machine's send
-/// path to append fragments straight into a node's software send buffer
-/// without materialising an intermediate `Vec` per message.
-///
-/// Returns the number of fragments produced.
-pub fn fragment_message_with(
-    src: NodeId,
-    dst: NodeId,
-    msg_id: u64,
-    mut message: AmMessage,
-    mut sink: impl FnMut(FragPayload),
-) -> usize {
-    message.src = src;
-    let total = message.bytes;
-    let count = fragments_for_bytes(total);
-    let shared = Arc::new(message);
-    let mut remaining = total;
-    for i in 0..count {
-        let payload_bytes = remaining
-            .min(NET_PAYLOAD_BYTES)
-            .max(if total == 0 { 0 } else { 1 });
-        remaining = remaining.saturating_sub(payload_bytes);
-        sink(FragPayload {
-            src,
+impl OutgoingMsg {
+    /// Stamps `message` as sent by `src` and buffers it whole, cursor on
+    /// its first fragment.
+    pub fn new(src: NodeId, dst: NodeId, msg_id: u64, mut message: AmMessage) -> Self {
+        message.src = src;
+        OutgoingMsg {
             dst,
             msg_id,
-            frag_index: i as u32,
-            frag_count: count as u32,
-            payload_bytes,
-            message: Arc::clone(&shared),
-        });
+            next: 0,
+            count: fragments_for_bytes(message.bytes) as u32,
+            remaining: message.bytes,
+            message: Arc::new(message),
+        }
     }
-    count
+
+    /// The head fragment, cut for the NI; the cursor does not move.
+    pub fn fragment(&self) -> FragPayload {
+        FragPayload {
+            src: self.message.src,
+            dst: self.dst,
+            msg_id: self.msg_id,
+            frag_index: self.next,
+            frag_count: self.count,
+            payload_bytes: self.remaining.min(NET_PAYLOAD_BYTES),
+            message: Arc::clone(&self.message),
+        }
+    }
+
+    /// Moves the cursor past the head fragment, once the NI accepted it.
+    /// Returns `true` when that was the last one.
+    pub fn advance(&mut self) -> bool {
+        self.remaining -= self.remaining.min(NET_PAYLOAD_BYTES);
+        self.next += 1;
+        self.next == self.count
+    }
+
+    /// Fragments not yet accepted, the head included.
+    pub fn fragments_left(&self) -> usize {
+        (self.count - self.next) as usize
+    }
 }
 
 /// Reassembles fragments back into user messages at the receiver.
@@ -208,6 +232,19 @@ fn unshare(msg: Arc<AmMessage>) -> AmMessage {
 mod tests {
     use super::*;
 
+    /// Every fragment of `msg`, cut and accepted in turn.
+    fn fragments(mut msg: OutgoingMsg) -> Vec<FragPayload> {
+        let mut frags = vec![msg.fragment()];
+        while !msg.advance() {
+            frags.push(msg.fragment());
+        }
+        frags
+    }
+
+    fn fragment_message(src: NodeId, dst: NodeId, msg_id: u64, msg: AmMessage) -> Vec<FragPayload> {
+        fragments(OutgoingMsg::new(src, dst, msg_id, msg))
+    }
+
     #[test]
     fn small_messages_are_a_single_fragment() {
         let frags = fragment_message(NodeId(0), NodeId(1), 0, AmMessage::new(1, 12, vec![7]));
@@ -237,6 +274,29 @@ mod tests {
                 assert_eq!(f.frag_index, i as u32);
                 assert_eq!(f.frag_count, frags.len() as u32);
             }
+        }
+    }
+
+    /// Fragment `i` of `count` carries `min(244, bytes - 244 * i)` bytes,
+    /// the rule written out here apart from `OutgoingMsg`; a 0-byte
+    /// message is one 0-byte fragment.
+    #[test]
+    fn fragments_follow_the_splitting_rule() {
+        for bytes in [0usize, 1, 244, 245, 2048] {
+            let count = bytes.div_ceil(NET_PAYLOAD_BYTES).max(1);
+            let want: Vec<(u32, u32, usize)> = (0..count)
+                .map(|i| {
+                    let left = bytes - i * NET_PAYLOAD_BYTES;
+                    (i as u32, count as u32, left.min(NET_PAYLOAD_BYTES))
+                })
+                .collect();
+            let msg = OutgoingMsg::new(NodeId(0), NodeId(1), 4, AmMessage::new(0, bytes, vec![]));
+            assert_eq!(msg.fragments_left(), count, "{bytes} B");
+            let got: Vec<(u32, u32, usize)> = fragments(msg)
+                .iter()
+                .map(|f| (f.frag_index, f.frag_count, f.payload_bytes))
+                .collect();
+            assert_eq!(got, want, "{bytes} B");
         }
     }
 

@@ -21,7 +21,9 @@ use cni_mem::system::NodeMemSystem;
 use cni_mem::timing::TIMING;
 use cni_sim::time::Cycle;
 
-use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
+use crate::device::{
+    clone_into_box, DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome,
+};
 use crate::frag::{word_hit_cycles, Payload};
 use crate::taxonomy::NiKind;
 
@@ -29,7 +31,7 @@ use crate::taxonomy::NiKind;
 pub const CDR_BLOCKS: usize = 4;
 
 /// The `CNI4` device model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cni4Device<P> {
     send_cdr: BlockAddr,
     recv_cdr: BlockAddr,
@@ -42,6 +44,37 @@ pub struct Cni4Device<P> {
     recv_fifo: VecDeque<P>,
     /// Total receive-side buffering (exposed message + FIFO) in messages.
     recv_capacity: usize,
+}
+
+impl<P: Clone> Clone for Cni4Device<P> {
+    fn clone(&self) -> Self {
+        Cni4Device {
+            send_cdr: self.send_cdr,
+            recv_cdr: self.recv_cdr,
+            send_exposed: self.send_exposed.clone(),
+            recv_exposed: self.recv_exposed.clone(),
+            recv_fifo: self.recv_fifo.clone(),
+            recv_capacity: self.recv_capacity,
+        }
+    }
+
+    /// Copies into `self`'s existing FIFO.
+    fn clone_from(&mut self, source: &Self) {
+        let Cni4Device {
+            send_cdr,
+            recv_cdr,
+            send_exposed,
+            recv_exposed,
+            recv_fifo,
+            recv_capacity,
+        } = source;
+        self.send_cdr = *send_cdr;
+        self.recv_cdr = *recv_cdr;
+        self.send_exposed.clone_from(send_exposed);
+        self.recv_exposed.clone_from(recv_exposed);
+        self.recv_fifo.clone_from(recv_fifo);
+        self.recv_capacity = *recv_capacity;
+    }
 }
 
 impl<P: Payload> Cni4Device<P> {
@@ -201,6 +234,10 @@ impl<P: Payload> NiDevice<P> for Cni4Device<P> {
 
     fn clone_box(&self) -> Box<dyn NiDevice<P>> {
         Box::new(self.clone())
+    }
+
+    fn clone_into_box(&self, target: &mut Box<dyn NiDevice<P>>) {
+        clone_into_box(self, target);
     }
 }
 

@@ -19,17 +19,39 @@ use cni_sim::time::Cycle;
 
 use crate::cq_model::{CqConfig, CqOptimizations, DeviceToProcCq, ProcToDeviceCq};
 use crate::device::{
-    DeliverOutcome, EmptyPolls, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome,
+    clone_into_box, DeliverOutcome, EmptyPolls, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome,
 };
 use crate::frag::Payload;
 use crate::taxonomy::{NiKind, QueueHome};
 
 /// A CQ-based coherent network interface (`CNI16Q`, `CNI512Q` or `CNI16Qm`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CniQDevice<P> {
     kind: NiKind,
     send_cq: ProcToDeviceCq<P>,
     recv_cq: DeviceToProcCq<P>,
+}
+
+impl<P: Clone> Clone for CniQDevice<P> {
+    fn clone(&self) -> Self {
+        CniQDevice {
+            kind: self.kind,
+            send_cq: self.send_cq.clone(),
+            recv_cq: self.recv_cq.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing queues.
+    fn clone_from(&mut self, source: &Self) {
+        let CniQDevice {
+            kind,
+            send_cq,
+            recv_cq,
+        } = source;
+        self.kind = *kind;
+        self.send_cq.clone_from(send_cq);
+        self.recv_cq.clone_from(recv_cq);
+    }
 }
 
 impl<P: Payload> CniQDevice<P> {
@@ -150,6 +172,10 @@ impl<P: Payload> NiDevice<P> for CniQDevice<P> {
 
     fn clone_box(&self) -> Box<dyn NiDevice<P>> {
         Box::new(self.clone())
+    }
+
+    fn clone_into_box(&self, target: &mut Box<dyn NiDevice<P>>) {
+        clone_into_box(self, target);
     }
 }
 

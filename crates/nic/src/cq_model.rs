@@ -127,7 +127,7 @@ impl CqConfig {
 }
 
 /// Shared pointer state for one queue, and the fragments it holds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CqState<P> {
     /// Total entries ever enqueued (producer pointer).
     tail: u64,
@@ -138,6 +138,31 @@ struct CqState<P> {
     shadow_head: u64,
     /// Fragments resident in the queue.
     entries: VecDeque<P>,
+}
+
+impl<P: Clone> Clone for CqState<P> {
+    fn clone(&self) -> Self {
+        CqState {
+            tail: self.tail,
+            head: self.head,
+            shadow_head: self.shadow_head,
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing entry buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let CqState {
+            tail,
+            head,
+            shadow_head,
+            entries,
+        } = source;
+        self.tail = *tail;
+        self.head = *head;
+        self.shadow_head = *shadow_head;
+        self.entries.clone_from(entries);
+    }
 }
 
 impl<P> CqState<P> {
@@ -164,10 +189,26 @@ impl<P> CqState<P> {
 // ---------------------------------------------------------------------------
 
 /// The send-side cachable queue (processor → CNI device).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProcToDeviceCq<P> {
     cfg: CqConfig,
     state: CqState<P>,
+}
+
+impl<P: Clone> Clone for ProcToDeviceCq<P> {
+    fn clone(&self) -> Self {
+        ProcToDeviceCq {
+            cfg: self.cfg,
+            state: self.state.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing entry buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let ProcToDeviceCq { cfg, state } = source;
+        self.cfg = *cfg;
+        self.state.clone_from(state);
+    }
 }
 
 impl<P: Payload> ProcToDeviceCq<P> {
@@ -282,10 +323,26 @@ impl<P: Payload> ProcToDeviceCq<P> {
 // ---------------------------------------------------------------------------
 
 /// The receive-side cachable queue (CNI device → processor).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DeviceToProcCq<P> {
     cfg: CqConfig,
     state: CqState<P>,
+}
+
+impl<P: Clone> Clone for DeviceToProcCq<P> {
+    fn clone(&self) -> Self {
+        DeviceToProcCq {
+            cfg: self.cfg,
+            state: self.state.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing entry buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let DeviceToProcCq { cfg, state } = source;
+        self.cfg = *cfg;
+        self.state.clone_from(state);
+    }
 }
 
 impl<P: Payload> DeviceToProcCq<P> {

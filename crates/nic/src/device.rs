@@ -7,6 +7,8 @@
 //! [`NodeMemSystem`] so the device can charge its bus transactions and
 //! coherence actions.
 
+use std::any::Any;
+
 use cni_mem::system::NodeMemSystem;
 use cni_sim::time::Cycle;
 
@@ -109,7 +111,7 @@ impl<P> DeliverOutcome<P> {
 /// Devices are generic over the fragment type `P` their queues hold. They
 /// must be `Send`: the sharded machine model moves each node — NI included —
 /// onto the worker thread that owns its shard.
-pub trait NiDevice<P: Payload>: Send {
+pub trait NiDevice<P: Payload>: Any + Send {
     /// Which taxonomy entry this device implements.
     fn kind(&self) -> NiKind;
 
@@ -202,11 +204,32 @@ pub trait NiDevice<P: Payload>: Send {
     /// checkpoints a node's full state — queues and in-flight device work
     /// included — so it can rewind a mispredicted epoch.
     fn clone_box(&self) -> Box<dyn NiDevice<P>>;
+
+    /// Copies the device into `target`: in place, reusing its queue
+    /// buffers, when `target` is a device of the same type, else into a
+    /// fresh box. Checkpoint re-syncs and rewinds copy every dirty node's
+    /// NI this way.
+    fn clone_into_box(&self, target: &mut Box<dyn NiDevice<P>>);
+}
+
+/// [`NiDevice::clone_into_box`] for a device type `D`.
+pub(crate) fn clone_into_box<P: Payload, D: NiDevice<P> + Clone>(
+    source: &D,
+    target: &mut Box<dyn NiDevice<P>>,
+) {
+    match (&mut **target as &mut dyn Any).downcast_mut::<D>() {
+        Some(same) => same.clone_from(source),
+        None => *target = Box::new(source.clone()),
+    }
 }
 
 impl<P: Payload> Clone for Box<dyn NiDevice<P>> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        source.clone_into_box(self);
     }
 }
 
@@ -234,6 +257,23 @@ mod tests {
         assert!(!DeliverOutcome::Refused(()).is_accepted());
     }
 
+    fn mem(kind: NiKind) -> NodeMemSystem {
+        NodeMemSystem::new(NodeMemConfig {
+            device_cache_blocks: kind.spec().device_cache_blocks,
+            device_location: DeviceLocation::MemoryBus,
+            ..NodeMemConfig::default()
+        })
+    }
+
+    fn device(kind: NiKind) -> Box<dyn NiDevice<Frag>> {
+        let mut alloc = RegionAllocator::new();
+        match kind {
+            NiKind::Ni2w => Box::new(Ni2wDevice::new()),
+            NiKind::Cni4 => Box::new(Cni4Device::new(&mut alloc)),
+            _ => Box::new(CniQDevice::new(kind, &mut alloc)),
+        }
+    }
+
     /// Every device, over every queue it has: a refused send or delivery
     /// hands back the very fragment it was given, and injection and
     /// receive return the accepted fragments in FIFO order, each with its
@@ -241,17 +281,8 @@ mod tests {
     #[test]
     fn refusals_hand_the_fragment_back_and_queues_stay_fifo() {
         for kind in NiKind::ALL {
-            let mut mem = NodeMemSystem::new(NodeMemConfig {
-                device_cache_blocks: kind.spec().device_cache_blocks,
-                device_location: DeviceLocation::MemoryBus,
-                ..NodeMemConfig::default()
-            });
-            let mut alloc = RegionAllocator::new();
-            let mut ni: Box<dyn NiDevice<Frag>> = match kind {
-                NiKind::Ni2w => Box::new(Ni2wDevice::new()),
-                NiKind::Cni4 => Box::new(Cni4Device::new(&mut alloc)),
-                _ => Box::new(CniQDevice::new(kind, &mut alloc)),
-            };
+            let mut mem = mem(kind);
+            let mut ni = device(kind);
             let mut ids = 0u64..;
             let mut now = 0;
 
@@ -306,6 +337,50 @@ mod tests {
                 now = rx.done;
             }
             assert!(ni.proc_receive(now, &mut mem).is_none(), "{kind}");
+        }
+    }
+
+    /// The device's full state, queues included, through its concrete type.
+    fn state(ni: &dyn NiDevice<Frag>) -> String {
+        let any = ni as &dyn Any;
+        if let Some(d) = any.downcast_ref::<Ni2wDevice<Frag>>() {
+            format!("{d:?}")
+        } else if let Some(d) = any.downcast_ref::<Cni4Device<Frag>>() {
+            format!("{d:?}")
+        } else {
+            let d = any.downcast_ref::<CniQDevice<Frag>>().unwrap();
+            format!("{d:?}")
+        }
+    }
+
+    /// `clone_from` between boxed devices copies in place when both are of
+    /// one device type, and replaces the box otherwise; either way the
+    /// target ends equal to a fresh clone of the source.
+    #[test]
+    fn boxed_clone_from_copies_in_place_within_a_device_type() {
+        for from in NiKind::ALL {
+            let mut mem = mem(from);
+            let mut source = device(from);
+            let mut now = 0;
+            for id in 0..2 {
+                now = source.proc_send(now, &mut mem, Frag(id, 100)).done();
+                if let DeliverOutcome::Accepted { done } =
+                    source.device_deliver(now, &mut mem, Frag(10 + id, 100))
+                {
+                    now = done;
+                }
+            }
+            for to in NiKind::ALL {
+                let mut target = device(to);
+                let before = &*target as *const dyn NiDevice<Frag> as *const u8;
+                target.clone_from(&source);
+                let after = &*target as *const dyn NiDevice<Frag> as *const u8;
+                let same_type =
+                    from == to || (from.uses_explicit_queues() && to.uses_explicit_queues());
+                assert_eq!(before == after, same_type, "{from} into {to}");
+                assert_eq!(target.kind(), from, "{from} into {to}");
+                assert_eq!(state(&*target), state(&*source.clone()), "{from} into {to}");
+            }
         }
     }
 }

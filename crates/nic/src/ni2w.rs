@@ -14,7 +14,9 @@ use cni_mem::system::NodeMemSystem;
 use cni_sim::time::Cycle;
 
 use crate::cq_model::ENTRY_BLOCKS;
-use crate::device::{DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome};
+use crate::device::{
+    clone_into_box, DeliverOutcome, NiDevice, PollOutcome, ReceiveOutcome, SendOutcome,
+};
 use crate::frag::Payload;
 use crate::taxonomy::NiKind;
 
@@ -23,10 +25,29 @@ use crate::taxonomy::NiKind;
 const FIFO_CAPACITY: usize = NiKind::Ni2w.spec().queue_capacity_blocks / ENTRY_BLOCKS;
 
 /// The `NI2w` device model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ni2wDevice<P> {
     send_fifo: VecDeque<P>,
     recv_fifo: VecDeque<P>,
+}
+
+impl<P: Clone> Clone for Ni2wDevice<P> {
+    fn clone(&self) -> Self {
+        Ni2wDevice {
+            send_fifo: self.send_fifo.clone(),
+            recv_fifo: self.recv_fifo.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing FIFOs.
+    fn clone_from(&mut self, source: &Self) {
+        let Ni2wDevice {
+            send_fifo,
+            recv_fifo,
+        } = source;
+        self.send_fifo.clone_from(send_fifo);
+        self.recv_fifo.clone_from(recv_fifo);
+    }
 }
 
 impl<P> Ni2wDevice<P> {
@@ -127,6 +148,10 @@ impl<P: Payload> NiDevice<P> for Ni2wDevice<P> {
 
     fn clone_box(&self) -> Box<dyn NiDevice<P>> {
         Box::new(self.clone())
+    }
+
+    fn clone_into_box(&self, target: &mut Box<dyn NiDevice<P>>) {
+        clone_into_box(self, target);
     }
 }
 

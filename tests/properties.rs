@@ -11,7 +11,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use cni::core::cq::cachable_queue;
 use cni::core::machine::{LookaheadMode, SpeculationConfig};
-use cni::core::msg::{fragment_message, AmMessage, Assembler};
+use cni::core::msg::{AmMessage, Assembler, OutgoingMsg};
 use cni::net::message::{fragments_for_bytes, NodeId, NET_PAYLOAD_BYTES};
 use cni::net::window::{SlidingWindow, DEFAULT_WINDOW};
 use cni::sim::event::EventQueue;
@@ -62,12 +62,16 @@ fn fragmentation_reassembly_round_trip() {
         let mut rng = DetRng::new(0xF4A6 ^ case);
         let bytes = rng.gen_index(10_000);
         let handler = rng.gen_range(u64::from(u16::MAX) + 1) as u16;
-        let frags = fragment_message(
+        let mut out = OutgoingMsg::new(
             NodeId(3),
             NodeId(1),
             42,
             AmMessage::new(handler, bytes, vec![7]),
         );
+        let mut frags = vec![out.fragment()];
+        while !out.advance() {
+            frags.push(out.fragment());
+        }
         assert_eq!(frags.len(), fragments_for_bytes(bytes), "case {case}");
         assert_eq!(
             frags.iter().map(|f| f.payload_bytes).sum::<usize>(),
