@@ -505,9 +505,6 @@ mod tests {
             self.got += 1;
             self.last_value = msg.data.first().copied().unwrap_or(0);
         }
-        fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-            false
-        }
         fn is_done(&self) -> bool {
             self.got >= self.expect
         }
@@ -603,9 +600,6 @@ mod tests {
             fn on_message(&mut self, _ctx: &mut ProcCtx<'_>, msg: AmMessage) {
                 assert_eq!(msg.handler, 5);
                 self.done = true;
-            }
-            fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-                false
             }
             fn is_done(&self) -> bool {
                 self.done

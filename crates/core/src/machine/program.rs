@@ -39,7 +39,12 @@ pub trait Program: Send {
     /// sliding window instead of calling the hook on every poll (see the
     /// "Send backpressure" section of `ARCHITECTURE.md`); a debug build
     /// checks the cycles and the send buffer.
-    fn on_idle(&mut self, ctx: &mut ProcCtx<'_>) -> bool;
+    ///
+    /// The default does nothing and returns `false`, for programs that only
+    /// react to messages.
+    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
+        false
+    }
 
     /// Whether this node's share of the computation is complete.
     fn is_done(&self) -> bool;
@@ -68,9 +73,6 @@ pub struct IdleProgram;
 impl Program for IdleProgram {
     fn start(&mut self, _ctx: &mut ProcCtx<'_>) {}
     fn on_message(&mut self, _ctx: &mut ProcCtx<'_>, _msg: AmMessage) {}
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
     fn is_done(&self) -> bool {
         true
     }

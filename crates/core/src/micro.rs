@@ -101,10 +101,6 @@ impl Program for PingProgram {
         }
     }
 
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
     fn is_done(&self) -> bool {
         self.completed >= self.iterations
     }
@@ -134,10 +130,6 @@ impl Program for EchoProgram {
         debug_assert_eq!(msg.handler, H_PING);
         self.echoed += 1;
         ctx.send_am(self.peer, H_PONG, self.bytes, vec![]);
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
     }
 
     fn is_done(&self) -> bool {
@@ -307,10 +299,6 @@ impl Program for StreamReceiver {
         self.received += 1;
         self.bytes += msg.bytes as u64;
         self.last_at = ctx.now();
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
     }
 
     fn is_done(&self) -> bool {

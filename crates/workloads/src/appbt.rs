@@ -7,15 +7,14 @@
 //! spot in which one processor receives about twice as many messages as the
 //! others; the skeleton reproduces it by directing extra requests at node 0.
 
-use std::any::Any;
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::{AmMessage, HandlerId};
 use cni_net::message::NodeId;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for a shared-memory block request.
 pub const H_REQUEST: u16 = 50;
@@ -110,140 +109,89 @@ pub fn neighbors(nodes: usize, me: usize) -> Vec<usize> {
     out
 }
 
-/// The per-processor appbt program.
+/// One node's appbt plan: compute on the local sub-cube, request every
+/// boundary block of the iteration from the neighbours (and node 0), and
+/// answer the requests other nodes send here.
 #[derive(Clone)]
-pub struct AppbtProgram {
-    me: usize,
+pub struct Appbt {
     nodes: usize,
     params: AppbtParams,
-    neighbors: Vec<usize>,
-    iteration: usize,
-    requested_this_iter: bool,
-    responses: HashMap<usize, usize>,
-    expected_responses: usize,
+    /// Where the iteration's block requests go: the grid neighbours, plus
+    /// node 0 for every other node.
+    targets: Vec<usize>,
+    /// Blocks requested from each target per iteration.
+    blocks: usize,
     requests_served: u64,
 }
 
-impl AppbtProgram {
-    /// Creates the program for processor `me` of `nodes`.
+impl Appbt {
+    /// Creates the plan for processor `me` of `nodes`.
     pub fn new(me: usize, nodes: usize, params: AppbtParams) -> Self {
-        let neighbors = neighbors(nodes, me);
-        let mut expected = neighbors.len() * params.face_blocks(nodes);
-        // Hot spot: every processor fetches one extra block set from node 0,
-        // so node 0 serves roughly twice the requests of its peers.
+        let mut targets = neighbors(nodes, me);
         if me != 0 && nodes > 1 {
-            expected += params.face_blocks(nodes);
+            // Hot spot: one extra block set is fetched from node 0 (on top of
+            // its normal share if it is already a neighbour), so node 0 ends
+            // up serving roughly twice as many requests as its peers.
+            targets.push(0);
         }
-        AppbtProgram {
-            me,
+        Appbt {
             nodes,
             params,
-            neighbors,
-            iteration: 0,
-            requested_this_iter: false,
-            responses: HashMap::new(),
-            expected_responses: expected,
+            targets,
+            blocks: params.face_blocks(nodes),
             requests_served: 0,
         }
-    }
-
-    /// Completed iterations.
-    pub fn iterations_done(&self) -> usize {
-        self.iteration
     }
 
     /// Requests this node has answered (the hot-spot metric).
     pub fn requests_served(&self) -> u64 {
         self.requests_served
     }
+}
 
-    fn begin_iteration(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.requested_this_iter || self.iteration >= self.params.iterations {
-            return;
-        }
+impl Phases for Appbt {
+    const ARRIVAL: HandlerId = H_RESPONSE;
+
+    fn count(&self) -> usize {
+        self.params.iterations
+    }
+
+    fn send(&self, _me: usize, iteration: usize, ctx: &mut ProcCtx<'_>) {
         let owned_cells =
             (self.params.cube * self.params.cube * self.params.cube) / self.nodes.max(1);
         ctx.compute(owned_cells as Cycle * self.params.compute_per_cell);
-        let blocks = self.params.face_blocks(self.nodes);
-        let mut targets: Vec<usize> = self.neighbors.clone();
-        if self.me != 0 && self.nodes > 1 {
-            // Hot spot: one extra block set is fetched from node 0 (on top of
-            // its normal share if it is already a neighbour), so node 0 ends
-            // up serving roughly twice as many requests as its peers.
-            targets.push(0);
-        }
-        for dst in targets {
-            for b in 0..blocks {
+        for &dst in &self.targets {
+            for b in 0..self.blocks {
                 ctx.send_am(
                     NodeId(dst),
                     H_REQUEST,
                     REQUEST_BYTES,
-                    vec![self.iteration as u64, b as u64],
+                    vec![iteration as u64, b as u64],
                 );
             }
         }
-        self.requested_this_iter = true;
-        self.maybe_advance(ctx);
     }
 
-    fn maybe_advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        while self.requested_this_iter
-            && self.iteration < self.params.iterations
-            && self.responses.get(&self.iteration).copied().unwrap_or(0) >= self.expected_responses
-        {
-            self.responses.remove(&self.iteration);
-            self.iteration += 1;
-            self.requested_this_iter = false;
-            self.begin_iteration(ctx);
-        }
+    fn expected(&self, _me: usize, _iteration: usize) -> usize {
+        self.targets.len() * self.blocks
+    }
+
+    fn serve(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
+        assert_eq!(msg.handler, H_REQUEST, "appbt: unexpected handler");
+        // Serve the block: a small protocol-handler cost plus the 128-byte
+        // data response.
+        self.requests_served += 1;
+        ctx.compute(20);
+        ctx.send_am(msg.src, H_RESPONSE, BLOCK_BYTES, msg.data);
     }
 }
 
-impl Program for AppbtProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.begin_iteration(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        match msg.handler {
-            H_REQUEST => {
-                // Serve the block: a small protocol-handler cost plus the
-                // 128-byte data response.
-                self.requests_served += 1;
-                ctx.compute(20);
-                ctx.send_am(msg.src, H_RESPONSE, BLOCK_BYTES, msg.data);
-            }
-            H_RESPONSE => {
-                let iter = msg.data[0] as usize;
-                *self.responses.entry(iter).or_insert(0) += 1;
-                self.maybe_advance(ctx);
-            }
-            other => panic!("appbt received unexpected handler {other}"),
-        }
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.iteration >= self.params.iterations
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+/// The per-processor appbt program.
+pub type AppbtProgram = Phased<Appbt>;
 
 /// Builds one appbt program per node.
 pub fn programs(nodes: usize, params: &AppbtParams) -> Vec<Box<dyn Program>> {
-    (0..nodes)
-        .map(|i| Box::new(AppbtProgram::new(i, nodes, *params)) as Box<dyn Program>)
-        .collect()
+    phased::programs(nodes, |me| Appbt::new(me, nodes, *params))
 }
 
 #[cfg(test)]
@@ -286,6 +234,7 @@ mod tests {
                 machine
                     .program_as::<AppbtProgram>(i)
                     .unwrap()
+                    .plan()
                     .requests_served()
             })
             .collect();
@@ -298,10 +247,7 @@ mod tests {
         );
         for i in 0..nodes {
             assert_eq!(
-                machine
-                    .program_as::<AppbtProgram>(i)
-                    .unwrap()
-                    .iterations_done(),
+                machine.program_as::<AppbtProgram>(i).unwrap().phases_done(),
                 params.iterations
             );
         }

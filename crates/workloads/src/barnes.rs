@@ -8,17 +8,18 @@
 //! top of the tree, so a configurable fraction of remote lookups lands on the
 //! processor owning the root — a milder cousin of appbt's hot spot.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::{AmMessage, HandlerId};
 use cni_net::message::NodeId;
 use cni_sim::rng::DetRng;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for a tree-cell request.
 pub const H_CELL_REQUEST: u16 = 60;
@@ -130,137 +131,72 @@ impl BarnesWalks {
             owned_bodies,
         })
     }
-
-    /// Remote lookups processor `me` issues per iteration.
-    pub fn lookups_of(&self, me: usize) -> usize {
-        self.requests[me].iter().map(|&(_, c)| c).sum()
-    }
-
-    /// Total remote lookups per iteration across the machine.
-    pub fn total_lookups(&self) -> usize {
-        (0..self.requests.len()).map(|n| self.lookups_of(n)).sum()
-    }
 }
 
-/// The per-processor barnes program.
+/// One node's barnes plan: build the tree and walk the local share of it,
+/// issue every remote cell lookup of the iteration at once, and answer the
+/// lookups other nodes send here.
 #[derive(Clone)]
-pub struct BarnesProgram {
-    me: usize,
+pub struct Barnes {
     walks: Arc<BarnesWalks>,
     params: BarnesParams,
-    iteration: usize,
-    requested_this_iter: bool,
-    responses: HashMap<usize, usize>,
-    expected_responses: usize,
+    lookups: usize,
     cells_served: u64,
 }
 
-impl BarnesProgram {
-    /// Creates the program for processor `me`.
-    pub fn new(me: usize, walks: Arc<BarnesWalks>, params: BarnesParams) -> Self {
-        let expected_responses = walks.lookups_of(me);
-        BarnesProgram {
-            me,
-            walks,
-            params,
-            iteration: 0,
-            requested_this_iter: false,
-            responses: HashMap::new(),
-            expected_responses,
-            cells_served: 0,
-        }
-    }
-
-    /// Completed iterations.
-    pub fn iterations_done(&self) -> usize {
-        self.iteration
-    }
-
+impl Barnes {
     /// Cell requests this node has answered (the root owner serves the most).
     pub fn cells_served(&self) -> u64 {
         self.cells_served
     }
+}
 
-    fn begin_iteration(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.requested_this_iter || self.iteration >= self.params.iterations {
-            return;
-        }
-        // Tree build plus the local share of every force walk, then all the
-        // remote cell lookups this iteration needs, issued at once.
-        ctx.compute(self.walks.owned_bodies[self.me] as Cycle * self.params.compute_per_body);
-        let requests = self.walks.requests[self.me].clone();
-        for (dst, count) in requests {
+impl Phases for Barnes {
+    const ARRIVAL: HandlerId = H_CELL_RESPONSE;
+
+    fn count(&self) -> usize {
+        self.params.iterations
+    }
+
+    fn send(&self, me: usize, iteration: usize, ctx: &mut ProcCtx<'_>) {
+        ctx.compute(self.walks.owned_bodies[me] as Cycle * self.params.compute_per_body);
+        for &(dst, count) in &self.walks.requests[me] {
             for _ in 0..count {
                 ctx.send_am(
                     NodeId(dst),
                     H_CELL_REQUEST,
                     REQUEST_BYTES,
-                    vec![self.iteration as u64],
+                    vec![iteration as u64],
                 );
             }
         }
-        self.requested_this_iter = true;
-        self.maybe_advance(ctx);
     }
 
-    fn maybe_advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        while self.requested_this_iter
-            && self.iteration < self.params.iterations
-            && self.responses.get(&self.iteration).copied().unwrap_or(0) >= self.expected_responses
-        {
-            self.responses.remove(&self.iteration);
-            self.iteration += 1;
-            self.requested_this_iter = false;
-            self.begin_iteration(ctx);
-        }
+    fn expected(&self, _me: usize, _iteration: usize) -> usize {
+        self.lookups
+    }
+
+    fn serve(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
+        assert_eq!(msg.handler, H_CELL_REQUEST, "barnes: unexpected handler");
+        // Look the cell up and ship the multipole record back.
+        self.cells_served += 1;
+        ctx.compute(15);
+        ctx.send_am(msg.src, H_CELL_RESPONSE, self.params.cell_bytes, msg.data);
     }
 }
 
-impl Program for BarnesProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.begin_iteration(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        match msg.handler {
-            H_CELL_REQUEST => {
-                // Look the cell up and ship the multipole record back.
-                self.cells_served += 1;
-                ctx.compute(15);
-                ctx.send_am(msg.src, H_CELL_RESPONSE, self.params.cell_bytes, msg.data);
-            }
-            H_CELL_RESPONSE => {
-                let iter = msg.data[0] as usize;
-                *self.responses.entry(iter).or_insert(0) += 1;
-                self.maybe_advance(ctx);
-            }
-            other => panic!("barnes received unexpected handler {other}"),
-        }
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.iteration >= self.params.iterations
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+/// The per-processor barnes program.
+pub type BarnesProgram = Phased<Barnes>;
 
 /// Builds one barnes program per node.
 pub fn programs(nodes: usize, params: &BarnesParams) -> Vec<Box<dyn Program>> {
     let walks = BarnesWalks::build(params, nodes);
-    (0..nodes)
-        .map(|i| Box::new(BarnesProgram::new(i, Arc::clone(&walks), *params)) as Box<dyn Program>)
-        .collect()
+    phased::programs(nodes, |me| Barnes {
+        walks: Arc::clone(&walks),
+        params: *params,
+        lookups: walks.requests[me].iter().map(|&(_, c)| c).sum(),
+        cells_served: 0,
+    })
 }
 
 #[cfg(test)]
@@ -276,7 +212,7 @@ mod tests {
         let b = BarnesWalks::build(&params, 4);
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.owned_bodies.iter().sum::<usize>(), params.bodies);
-        let total = a.total_lookups();
+        let total: usize = a.requests.iter().flatten().map(|&(_, c)| c).sum();
         let mean = params.bodies as f64 * params.lookups_per_body;
         assert!(
             (total as f64) > 0.5 * mean && (total as f64) < 1.5 * mean,
@@ -287,7 +223,7 @@ mod tests {
     #[test]
     fn single_processor_runs_have_no_remote_lookups() {
         let w = BarnesWalks::build(&BarnesParams::default(), 1);
-        assert_eq!(w.total_lookups(), 0);
+        assert!(w.requests.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -307,6 +243,7 @@ mod tests {
                 machine
                     .program_as::<BarnesProgram>(i)
                     .unwrap()
+                    .plan()
                     .cells_served()
             })
             .collect();
@@ -321,7 +258,7 @@ mod tests {
                 machine
                     .program_as::<BarnesProgram>(i)
                     .unwrap()
-                    .iterations_done(),
+                    .phases_done(),
                 params.iterations
             );
         }

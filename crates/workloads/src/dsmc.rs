@@ -8,17 +8,17 @@
 //! (timestep, direction), so traffic intensity fluctuates over time the way
 //! the real application's does.
 
-use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::HandlerId;
 use cni_net::message::NodeId;
 use cni_sim::rng::DetRng;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for a particle-migration batch.
 pub const H_MIGRATE: u16 = 70;
@@ -125,124 +125,63 @@ impl DsmcSchedule {
             owned_cells,
         })
     }
-
-    /// Total migrating particles across all steps.
-    pub fn total_migrants(&self) -> usize {
-        self.migrants
-            .iter()
-            .flat_map(|step| step.iter().map(|&(r, l)| r + l))
-            .sum()
-    }
 }
 
-/// The per-processor dsmc program.
+/// One node's dsmc plan: move and collide the local particles, then ship
+/// the step's migrants to the two ring neighbours.
 #[derive(Clone)]
-pub struct DsmcProgram {
-    me: usize,
+pub struct Dsmc {
     nodes: usize,
     schedule: Arc<DsmcSchedule>,
     params: DsmcParams,
-    step: usize,
-    sent_this_step: bool,
-    received: HashMap<usize, usize>,
 }
 
-impl DsmcProgram {
-    /// Creates the program for processor `me` of `nodes`.
-    pub fn new(me: usize, nodes: usize, schedule: Arc<DsmcSchedule>, params: DsmcParams) -> Self {
-        DsmcProgram {
-            me,
-            nodes,
-            schedule,
-            params,
-            step: 0,
-            sent_this_step: false,
-            received: HashMap::new(),
-        }
+impl Phases for Dsmc {
+    const ARRIVAL: HandlerId = H_MIGRATE;
+
+    fn count(&self) -> usize {
+        self.params.iterations
     }
 
-    /// Completed timesteps.
-    pub fn steps_done(&self) -> usize {
-        self.step
-    }
-
-    fn begin_step(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.sent_this_step || self.step >= self.params.iterations {
-            return;
-        }
-        // Move and collide the local particles, then ship the migrants.
-        ctx.compute(self.schedule.owned_cells[self.me] as Cycle * self.params.compute_per_cell);
-        let (right, left) = self.schedule.migrants[self.step][self.me];
+    fn send(&self, me: usize, step: usize, ctx: &mut ProcCtx<'_>) {
+        ctx.compute(self.schedule.owned_cells[me] as Cycle * self.params.compute_per_cell);
+        let (right, left) = self.schedule.migrants[step][me];
         for (count, dst) in [
-            (right, (self.me + 1) % self.nodes),
-            (left, (self.me + self.nodes - 1) % self.nodes),
+            (right, (me + 1) % self.nodes),
+            (left, (me + self.nodes - 1) % self.nodes),
         ] {
             if count > 0 {
                 ctx.send_am(
                     NodeId(dst),
                     H_MIGRATE,
                     count * self.params.particle_bytes,
-                    vec![self.step as u64, count as u64],
+                    vec![step as u64, count as u64],
                 );
             }
         }
-        self.sent_this_step = true;
-        self.maybe_advance(ctx);
     }
 
-    fn maybe_advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        while self.sent_this_step
-            && self.step < self.params.iterations
-            && self.received.get(&self.step).copied().unwrap_or(0)
-                >= self.schedule.expected_in[self.step][self.me]
-        {
-            self.received.remove(&self.step);
-            // Insert the arrivals into the local cell lists.
-            ctx.compute(20);
-            self.step += 1;
-            self.sent_this_step = false;
-            self.begin_step(ctx);
-        }
+    fn expected(&self, me: usize, step: usize) -> usize {
+        self.schedule.expected_in[step][me]
+    }
+
+    fn complete(&self, ctx: &mut ProcCtx<'_>) {
+        // Insert the arrivals into the local cell lists.
+        ctx.compute(20);
     }
 }
 
-impl Program for DsmcProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.begin_step(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        debug_assert_eq!(msg.handler, H_MIGRATE);
-        let step = msg.data[0] as usize;
-        *self.received.entry(step).or_insert(0) += 1;
-        self.maybe_advance(ctx);
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.step >= self.params.iterations
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+/// The per-processor dsmc program.
+pub type DsmcProgram = Phased<Dsmc>;
 
 /// Builds one dsmc program per node.
 pub fn programs(nodes: usize, params: &DsmcParams) -> Vec<Box<dyn Program>> {
-    let schedule = DsmcSchedule::build(params, nodes);
-    (0..nodes)
-        .map(|i| {
-            Box::new(DsmcProgram::new(i, nodes, Arc::clone(&schedule), *params)) as Box<dyn Program>
-        })
-        .collect()
+    let plan = Dsmc {
+        nodes,
+        schedule: DsmcSchedule::build(params, nodes),
+        params: *params,
+    };
+    phased::programs(nodes, |_| plan.clone())
 }
 
 #[cfg(test)]
@@ -258,7 +197,6 @@ mod tests {
         let b = DsmcSchedule::build(&params, 4);
         assert_eq!(a.migrants, b.migrants);
         assert_eq!(a.owned_cells.iter().sum::<usize>(), params.cells);
-        assert!(a.total_migrants() > 0);
         // The per-step totals should not all be equal — the jitter is the
         // point of the schedule.
         let per_step: Vec<usize> = a
@@ -266,6 +204,7 @@ mod tests {
             .iter()
             .map(|step| step.iter().map(|&(r, l)| r + l).sum())
             .collect();
+        assert!(per_step.iter().sum::<usize>() > 0);
         assert!(
             per_step.windows(2).any(|w| w[0] != w[1]),
             "per-step migrant totals {per_step:?} should fluctuate"
@@ -275,7 +214,7 @@ mod tests {
     #[test]
     fn single_processor_runs_have_no_migration() {
         let s = DsmcSchedule::build(&DsmcParams::default(), 1);
-        assert_eq!(s.total_migrants(), 0);
+        assert!(s.migrants.iter().flatten().all(|&m| m == (0, 0)));
     }
 
     #[test]
@@ -292,7 +231,7 @@ mod tests {
         assert!(report.completed, "dsmc did not complete");
         for i in 0..nodes {
             let p = machine.program_as::<DsmcProgram>(i).unwrap();
-            assert_eq!(p.steps_done(), params.iterations);
+            assert_eq!(p.phases_done(), params.iterations);
         }
     }
 

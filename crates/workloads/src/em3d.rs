@@ -7,17 +7,18 @@
 //! paper's parameters). Many small updates are in flight simultaneously,
 //! creating the same bursty traffic as spsolve.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::HandlerId;
 use cni_net::message::NodeId;
 use cni_sim::rng::DetRng;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for an edge update.
 pub const H_UPDATE: u16 = 30;
@@ -121,113 +122,48 @@ impl Em3dGraph {
             owned_nodes,
         })
     }
+}
 
-    /// Total remote edges in the graph.
-    pub fn total_remote_edges(&self) -> usize {
-        self.expected_in.iter().sum()
+/// One node's em3d plan: compute on the owned graph nodes, then push every
+/// remote update of the iteration at once — the bursty pattern §4.2
+/// describes.
+#[derive(Clone)]
+pub struct Em3d {
+    graph: Arc<Em3dGraph>,
+    params: Em3dParams,
+}
+
+impl Phases for Em3d {
+    const ARRIVAL: HandlerId = H_UPDATE;
+
+    fn count(&self) -> usize {
+        self.params.iterations
+    }
+
+    fn send(&self, me: usize, iteration: usize, ctx: &mut ProcCtx<'_>) {
+        ctx.compute(self.graph.owned_nodes[me] as Cycle * self.params.compute_per_node);
+        for &(dst, count) in &self.graph.outgoing[me] {
+            for _ in 0..count {
+                ctx.send_am(NodeId(dst), H_UPDATE, UPDATE_BYTES, vec![iteration as u64]);
+            }
+        }
+    }
+
+    fn expected(&self, me: usize, _iteration: usize) -> usize {
+        self.graph.expected_in[me]
     }
 }
 
 /// The per-processor em3d program.
-#[derive(Clone)]
-pub struct Em3dProgram {
-    me: usize,
-    graph: Arc<Em3dGraph>,
-    params: Em3dParams,
-    current_iter: usize,
-    sent_this_iter: bool,
-    received: HashMap<usize, usize>,
-}
-
-impl Em3dProgram {
-    /// Creates the program for processor `me`.
-    pub fn new(me: usize, graph: Arc<Em3dGraph>, params: Em3dParams) -> Self {
-        Em3dProgram {
-            me,
-            graph,
-            params,
-            current_iter: 0,
-            sent_this_iter: false,
-            received: HashMap::new(),
-        }
-    }
-
-    /// Iterations completed so far.
-    pub fn iterations_done(&self) -> usize {
-        self.current_iter
-    }
-
-    fn begin_iteration(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.sent_this_iter || self.current_iter >= self.params.iterations {
-            return;
-        }
-        // Compute on the owned graph nodes, then push every remote update for
-        // this iteration at once — the bursty pattern §4.2 describes.
-        ctx.compute(self.graph.owned_nodes[self.me] as Cycle * self.params.compute_per_node);
-        let outgoing = self.graph.outgoing[self.me].clone();
-        for (dst, count) in outgoing {
-            for _ in 0..count {
-                ctx.send_am(
-                    NodeId(dst),
-                    H_UPDATE,
-                    UPDATE_BYTES,
-                    vec![self.current_iter as u64],
-                );
-            }
-        }
-        self.sent_this_iter = true;
-        self.maybe_advance(ctx);
-    }
-
-    fn maybe_advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        while self.sent_this_iter
-            && self.current_iter < self.params.iterations
-            && self.received.get(&self.current_iter).copied().unwrap_or(0)
-                >= self.graph.expected_in[self.me]
-        {
-            self.received.remove(&self.current_iter);
-            self.current_iter += 1;
-            self.sent_this_iter = false;
-            self.begin_iteration(ctx);
-        }
-    }
-}
-
-impl Program for Em3dProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.begin_iteration(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        debug_assert_eq!(msg.handler, H_UPDATE);
-        let iter = msg.data[0] as usize;
-        *self.received.entry(iter).or_insert(0) += 1;
-        self.maybe_advance(ctx);
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.current_iter >= self.params.iterations
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+pub type Em3dProgram = Phased<Em3d>;
 
 /// Builds one em3d program per node.
 pub fn programs(nodes: usize, params: &Em3dParams) -> Vec<Box<dyn Program>> {
-    let graph = Em3dGraph::build(params, nodes);
-    (0..nodes)
-        .map(|i| Box::new(Em3dProgram::new(i, Arc::clone(&graph), *params)) as Box<dyn Program>)
-        .collect()
+    let plan = Em3d {
+        graph: Em3dGraph::build(params, nodes),
+        params: *params,
+    };
+    phased::programs(nodes, |_| plan.clone())
 }
 
 #[cfg(test)]
@@ -244,7 +180,7 @@ mod tests {
         assert_eq!(a.expected_in, b.expected_in);
         assert_eq!(a.owned_nodes.iter().sum::<usize>(), params.graph_nodes);
         let total_edges = params.graph_nodes * params.degree;
-        let remote = a.total_remote_edges();
+        let remote: usize = a.expected_in.iter().sum();
         let frac = remote as f64 / total_edges as f64;
         assert!(
             (0.05..=0.2).contains(&frac),
@@ -262,7 +198,7 @@ mod tests {
     #[test]
     fn single_processor_runs_have_no_remote_edges() {
         let g = Em3dGraph::build(&Em3dParams::default(), 1);
-        assert_eq!(g.total_remote_edges(), 0);
+        assert_eq!(g.expected_in.iter().sum::<usize>(), 0);
     }
 
     #[test]
@@ -279,12 +215,12 @@ mod tests {
         assert!(report.completed, "em3d did not complete");
         for i in 0..nodes {
             let p = machine.program_as::<Em3dProgram>(i).unwrap();
-            assert_eq!(p.iterations_done(), params.iterations);
+            assert_eq!(p.phases_done(), params.iterations);
         }
         let graph = Em3dGraph::build(&params, nodes);
         assert_eq!(
             report.fabric.messages,
-            (graph.total_remote_edges() * params.iterations) as u64
+            (graph.expected_in.iter().sum::<usize>() * params.iterations) as u64
         );
     }
 }

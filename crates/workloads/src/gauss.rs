@@ -127,10 +127,6 @@ impl Program for GaussProgram {
         self.process_ready_pivots(ctx);
     }
 
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
     fn is_done(&self) -> bool {
         self.pivots_done >= self.params.n
     }

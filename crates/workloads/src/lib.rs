@@ -2,8 +2,8 @@
 //! traffic patterns.
 //!
 //! The paper's evaluation spans eight applications; each is reimplemented
-//! here as its *communication skeleton* (per DESIGN.md): the message sizes,
-//! fan-out, dependence structure and burstiness of the original, with the
+//! here as its *communication skeleton*: the message sizes, fan-out,
+//! dependence structure and burstiness of the original, with the
 //! computation charged as cycles.
 //!
 //! | benchmark | key communication       | paper input              |
@@ -27,6 +27,12 @@
 //! merit is the end-to-end tail-latency histogram rather than bulk
 //! speedup.
 //!
+//! Six of the applications and every synthetic pattern are bulk-synchronous
+//! (compute, send, wait for the phase's arrivals), so they share one
+//! program, [`phased::Phased`], and keep only their per-phase plans. gauss
+//! (a pivot pipeline), spsolve (DAG firing) and rpc (a service loop) write
+//! their own [`Program`]s.
+//!
 //! Every workload is deterministic for a given seed and node count, and
 //! every workload's full paper-scale input is available alongside a
 //! scaled-down default that keeps simulation times reasonable. The
@@ -43,6 +49,7 @@ pub mod dsmc;
 pub mod em3d;
 pub mod gauss;
 pub mod moldyn;
+pub mod phased;
 pub mod registry;
 pub mod rpc;
 pub mod spsolve;

@@ -7,15 +7,14 @@
 //! (a ring) and waits for the corresponding data from its other neighbour
 //! before proceeding.
 
-use std::any::Any;
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::HandlerId;
 use cni_net::message::NodeId;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for a reduction chunk.
 pub const H_REDUCE: u16 = 40;
@@ -57,126 +56,61 @@ impl MoldynParams {
     }
 }
 
-/// The per-processor moldyn program.
+/// One node's moldyn plan. Each outer iteration is `nodes` phases, one per
+/// reduction step: phase `iteration · nodes + step`. Every step sends one
+/// chunk to the next node of the ring and waits for the chunk from the
+/// previous one; the first step of an iteration also computes the
+/// non-bonded forces.
 #[derive(Clone)]
-pub struct MoldynProgram {
-    me: usize,
+pub struct Moldyn {
     nodes: usize,
     params: MoldynParams,
-    iteration: usize,
-    step: usize,
-    sent_this_step: bool,
-    /// Chunks received, keyed by (iteration, step).
-    received: HashMap<(usize, usize), usize>,
 }
 
-impl MoldynProgram {
-    /// Creates the program for processor `me` of `nodes`.
-    pub fn new(me: usize, nodes: usize, params: MoldynParams) -> Self {
-        MoldynProgram {
-            me,
-            nodes,
-            params,
-            iteration: 0,
-            step: 0,
-            sent_this_step: false,
-            received: HashMap::new(),
+impl Phases for Moldyn {
+    const ARRIVAL: HandlerId = H_REDUCE;
+
+    fn count(&self) -> usize {
+        self.params.iterations * self.nodes
+    }
+
+    fn send(&self, me: usize, phase: usize, ctx: &mut ProcCtx<'_>) {
+        if phase.is_multiple_of(self.nodes) {
+            ctx.compute(
+                self.params.particles as Cycle * self.params.compute_per_particle
+                    / self.nodes as Cycle,
+            );
+        }
+        if self.nodes > 1 {
+            ctx.send_am(
+                NodeId((me + 1) % self.nodes),
+                H_REDUCE,
+                self.params.reduction_bytes,
+                vec![phase as u64],
+            );
         }
     }
 
-    /// Completed outer iterations.
-    pub fn iterations_done(&self) -> usize {
-        self.iteration
+    fn expected(&self, _me: usize, _phase: usize) -> usize {
+        usize::from(self.nodes > 1)
     }
 
-    fn next_neighbor(&self) -> NodeId {
-        NodeId((self.me + 1) % self.nodes)
-    }
-
-    fn steps_per_reduction(&self) -> usize {
-        self.nodes
-    }
-
-    fn drive(&mut self, ctx: &mut ProcCtx<'_>) {
-        loop {
-            if self.iteration >= self.params.iterations {
-                return;
-            }
-            if !self.sent_this_step {
-                if self.step == 0 {
-                    // Non-bonded force computation before the reduction.
-                    ctx.compute(
-                        self.params.particles as Cycle * self.params.compute_per_particle
-                            / self.nodes as Cycle,
-                    );
-                }
-                if self.nodes > 1 {
-                    ctx.send_am(
-                        self.next_neighbor(),
-                        H_REDUCE,
-                        self.params.reduction_bytes,
-                        vec![self.iteration as u64, self.step as u64],
-                    );
-                }
-                self.sent_this_step = true;
-            }
-            // Can we finish this step?
-            let expected = usize::from(self.nodes > 1);
-            let got = self
-                .received
-                .get(&(self.iteration, self.step))
-                .copied()
-                .unwrap_or(0);
-            if got < expected {
-                return; // wait for the neighbour's chunk
-            }
-            self.received.remove(&(self.iteration, self.step));
-            // Fold the received chunk into the local accumulation.
-            ctx.compute(self.params.reduction_bytes as Cycle / 8);
-            self.step += 1;
-            self.sent_this_step = false;
-            if self.step >= self.steps_per_reduction() {
-                self.step = 0;
-                self.iteration += 1;
-            }
-        }
+    fn complete(&self, ctx: &mut ProcCtx<'_>) {
+        // Fold the received chunk into the local accumulation.
+        ctx.compute(self.params.reduction_bytes as Cycle / 8);
     }
 }
 
-impl Program for MoldynProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.drive(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        debug_assert_eq!(msg.handler, H_REDUCE);
-        let key = (msg.data[0] as usize, msg.data[1] as usize);
-        *self.received.entry(key).or_insert(0) += 1;
-        self.drive(ctx);
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.iteration >= self.params.iterations
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+/// The per-processor moldyn program.
+pub type MoldynProgram = Phased<Moldyn>;
 
 /// Builds one moldyn program per node.
 pub fn programs(nodes: usize, params: &MoldynParams) -> Vec<Box<dyn Program>> {
-    (0..nodes)
-        .map(|i| Box::new(MoldynProgram::new(i, nodes, *params)) as Box<dyn Program>)
-        .collect()
+    let plan = Moldyn {
+        nodes,
+        params: *params,
+    };
+    phased::programs(nodes, |_| plan.clone())
 }
 
 #[cfg(test)]
@@ -200,7 +134,7 @@ mod tests {
         assert!(report.completed, "moldyn did not complete");
         for i in 0..nodes {
             let p = machine.program_as::<MoldynProgram>(i).unwrap();
-            assert_eq!(p.iterations_done(), params.iterations);
+            assert_eq!(p.phases_done(), params.iterations * nodes);
         }
         // Every processor sends one 1.5 KB chunk per step, `nodes` steps per
         // iteration.

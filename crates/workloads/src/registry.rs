@@ -276,7 +276,7 @@ impl std::str::FromStr for Workload {
 }
 
 /// The three input-size tiers every harness understands: `quick` for smoke
-/// runs, `scaled` for the DESIGN.md scaled-down defaults (what tests and the
+/// runs, `scaled` for the scaled-down defaults (what tests and the
 /// generated `RESULTS.md` use), `paper` for the full Table 3 inputs.
 ///
 /// A tier bundles the [`WorkloadParams`] with the machine size the

@@ -223,11 +223,6 @@ impl RequestPlan {
             params: *params,
         })
     }
-
-    /// Total requests the plan injects.
-    pub fn total_requests(&self) -> usize {
-        self.targets.iter().map(Vec::len).sum()
-    }
 }
 
 /// A geometric inter-arrival gap with the given mean — the discrete
@@ -282,10 +277,6 @@ impl Program for RpcServer {
             self.plan.params.response_bytes,
             msg.data,
         );
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
     }
 
     fn is_done(&self) -> bool {
@@ -445,7 +436,8 @@ mod tests {
             assert_eq!(a.send_at, b.send_at);
             assert_eq!(a.stagger, b.stagger);
             assert_eq!(a.servers, 2);
-            assert_eq!(a.total_requests(), 4 * params.requests_per_client);
+            let requests: usize = a.targets.iter().map(Vec::len).sum();
+            assert_eq!(requests, 4 * params.requests_per_client);
             for per_client in &a.targets {
                 assert!(per_client.iter().all(|&s| s < a.servers));
             }
@@ -480,7 +472,11 @@ mod tests {
     fn single_node_machines_are_silent_and_complete() {
         for params in both_modes() {
             let plan = RequestPlan::build(&params, 1);
-            assert_eq!(plan.total_requests(), 0, "{}", params.mode.name());
+            assert!(
+                plan.targets.iter().all(Vec::is_empty),
+                "{}",
+                params.mode.name()
+            );
             let cfg = MachineConfig::isca96(1, NiKind::Cni16Qm);
             let report = Machine::new(cfg, programs(1, &params)).run();
             assert!(report.completed);

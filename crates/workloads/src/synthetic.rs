@@ -13,24 +13,25 @@
 //! | [`SyntheticPattern::AllToAll`] | every node sends to every other node each phase | `messages_per_phase` (per peer) |
 //! | [`SyntheticPattern::Bursty`] | on/off phases, staggered across nodes | `burst_on`, `burst_off` |
 //!
-//! Every pattern runs as the same phased [`Program`]: compute, emit the
-//! phase's messages, wait for the phase's expected arrivals, advance. The
-//! whole schedule — destinations, counts, expected arrivals — is
-//! precomputed by [`TrafficPlan::build`] from a [`DetRng`] seed, so runs are
-//! bit-identical across hosts, shard policies and execution modes like
-//! every other workload in the registry.
+//! Every pattern runs on the [`phased`] skeleton: compute, emit the phase's
+//! messages, wait for the phase's expected arrivals, advance. The whole
+//! schedule — destinations, counts, expected arrivals — is precomputed by
+//! [`TrafficPlan::build`] from a [`DetRng`] seed, so runs are bit-identical
+//! across hosts, shard policies and execution modes like every other
+//! workload in the registry.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::HandlerId;
 use cni_net::message::NodeId;
 use cni_sim::rng::DetRng;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for a synthetic payload message.
 pub const H_PAYLOAD: u16 = 90;
@@ -271,109 +272,47 @@ impl TrafficPlan {
             params: *params,
         })
     }
-
-    /// Total messages the plan injects across all phases.
-    pub fn total_messages(&self) -> usize {
-        self.expected_in.iter().flatten().sum()
-    }
 }
 
-/// The per-node synthetic traffic program.
+/// One node's synthetic plan: compute, then send the phase's scheduled
+/// messages.
 #[derive(Clone)]
-pub struct SyntheticProgram {
-    me: usize,
-    plan: Arc<TrafficPlan>,
-    phase: usize,
-    sent_this_phase: bool,
-    received: HashMap<usize, usize>,
-}
+pub struct Synthetic(Arc<TrafficPlan>);
 
-impl SyntheticProgram {
-    /// Creates the program for node `me`.
-    pub fn new(me: usize, plan: Arc<TrafficPlan>) -> Self {
-        SyntheticProgram {
-            me,
-            plan,
-            phase: 0,
-            sent_this_phase: false,
-            received: HashMap::new(),
-        }
+impl Phases for Synthetic {
+    const ARRIVAL: HandlerId = H_PAYLOAD;
+
+    fn count(&self) -> usize {
+        self.0.params.phases
     }
 
-    /// Completed phases.
-    pub fn phases_done(&self) -> usize {
-        self.phase
-    }
-
-    fn begin_phase(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.sent_this_phase || self.phase >= self.plan.params.phases {
-            return;
-        }
-        ctx.compute(self.plan.params.compute_per_phase);
-        let outgoing = self.plan.outgoing[self.me][self.phase].clone();
-        for (dst, count) in outgoing {
+    fn send(&self, me: usize, phase: usize, ctx: &mut ProcCtx<'_>) {
+        let params = &self.0.params;
+        ctx.compute(params.compute_per_phase);
+        for &(dst, count) in &self.0.outgoing[me][phase] {
             for _ in 0..count {
                 ctx.send_am(
                     NodeId(dst),
                     H_PAYLOAD,
-                    self.plan.params.message_bytes,
-                    vec![self.phase as u64],
+                    params.message_bytes,
+                    vec![phase as u64],
                 );
             }
         }
-        self.sent_this_phase = true;
-        self.maybe_advance(ctx);
     }
 
-    fn maybe_advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        while self.sent_this_phase
-            && self.phase < self.plan.params.phases
-            && self.received.get(&self.phase).copied().unwrap_or(0)
-                >= self.plan.expected_in[self.me][self.phase]
-        {
-            self.received.remove(&self.phase);
-            self.phase += 1;
-            self.sent_this_phase = false;
-            self.begin_phase(ctx);
-        }
+    fn expected(&self, me: usize, phase: usize) -> usize {
+        self.0.expected_in[me][phase]
     }
 }
 
-impl Program for SyntheticProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.begin_phase(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        debug_assert_eq!(msg.handler, H_PAYLOAD);
-        let phase = msg.data[0] as usize;
-        *self.received.entry(phase).or_insert(0) += 1;
-        self.maybe_advance(ctx);
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.phase >= self.plan.params.phases
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+/// The per-node synthetic traffic program.
+pub type SyntheticProgram = Phased<Synthetic>;
 
 /// Builds one synthetic program per node from the pattern's parameters.
 pub fn programs(nodes: usize, params: &SyntheticParams) -> Vec<Box<dyn Program>> {
-    let plan = TrafficPlan::build(params, nodes);
-    (0..nodes)
-        .map(|i| Box::new(SyntheticProgram::new(i, Arc::clone(&plan))) as Box<dyn Program>)
-        .collect()
+    let plan = Synthetic(TrafficPlan::build(params, nodes));
+    phased::programs(nodes, |_| plan.clone())
 }
 
 #[cfg(test)]
@@ -400,7 +339,8 @@ mod tests {
             assert_eq!(a.outgoing, b.outgoing, "{}", params.pattern.name());
             assert_eq!(a.expected_in, b.expected_in);
             let sent: usize = a.outgoing.iter().flatten().flatten().map(|&(_, c)| c).sum();
-            assert_eq!(sent, a.total_messages(), "{}", params.pattern.name());
+            let expected: usize = a.expected_in.iter().flatten().sum();
+            assert_eq!(sent, expected, "{}", params.pattern.name());
             assert!(sent > 0, "{} generated no traffic", params.pattern.name());
         }
     }
@@ -487,7 +427,8 @@ mod tests {
     #[test]
     fn single_node_plans_are_silent() {
         for params in all_patterns() {
-            assert_eq!(TrafficPlan::build(&params, 1).total_messages(), 0);
+            let plan = TrafficPlan::build(&params, 1);
+            assert_eq!(plan.expected_in.iter().flatten().sum::<usize>(), 0);
         }
     }
 }

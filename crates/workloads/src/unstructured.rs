@@ -9,17 +9,18 @@
 //! bipartite graph, both the partition sizes and the neighbour sets here
 //! are skewed.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cni_core::machine::{ProcCtx, Program};
-use cni_core::msg::AmMessage;
+use cni_core::msg::HandlerId;
 use cni_net::message::NodeId;
 use cni_sim::rng::DetRng;
 use cni_sim::time::Cycle;
+
+use crate::phased::{self, Phased, Phases};
 
 /// Handler id for a halo update.
 pub const H_HALO: u16 = 80;
@@ -159,113 +160,52 @@ impl UnstructuredMesh {
             owned_vertices,
         })
     }
-
-    /// Total cut-edge updates per sweep (both directions).
-    pub fn total_halo_updates(&self) -> usize {
-        self.expected_in.iter().sum()
-    }
 }
 
-/// The per-processor unstructured program.
+/// One node's unstructured plan: relax the owned vertices, then send every
+/// halo update of the sweep.
 #[derive(Clone)]
-pub struct UnstructuredProgram {
-    me: usize,
+pub struct Unstructured {
     mesh: Arc<UnstructuredMesh>,
     params: UnstructuredParams,
-    sweep: usize,
-    sent_this_sweep: bool,
-    received: HashMap<usize, usize>,
 }
 
-impl UnstructuredProgram {
-    /// Creates the program for processor `me`.
-    pub fn new(me: usize, mesh: Arc<UnstructuredMesh>, params: UnstructuredParams) -> Self {
-        UnstructuredProgram {
-            me,
-            mesh,
-            params,
-            sweep: 0,
-            sent_this_sweep: false,
-            received: HashMap::new(),
-        }
+impl Phases for Unstructured {
+    const ARRIVAL: HandlerId = H_HALO;
+
+    fn count(&self) -> usize {
+        self.params.iterations
     }
 
-    /// Completed sweeps.
-    pub fn sweeps_done(&self) -> usize {
-        self.sweep
-    }
-
-    fn begin_sweep(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.sent_this_sweep || self.sweep >= self.params.iterations {
-            return;
-        }
-        ctx.compute(self.mesh.owned_vertices[self.me] as Cycle * self.params.compute_per_node);
-        let outgoing = self.mesh.outgoing[self.me].clone();
-        for (dst, count) in outgoing {
+    fn send(&self, me: usize, sweep: usize, ctx: &mut ProcCtx<'_>) {
+        ctx.compute(self.mesh.owned_vertices[me] as Cycle * self.params.compute_per_node);
+        for &(dst, count) in &self.mesh.outgoing[me] {
             for _ in 0..count {
                 ctx.send_am(
                     NodeId(dst),
                     H_HALO,
                     self.params.update_bytes,
-                    vec![self.sweep as u64],
+                    vec![sweep as u64],
                 );
             }
         }
-        self.sent_this_sweep = true;
-        self.maybe_advance(ctx);
     }
 
-    fn maybe_advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        while self.sent_this_sweep
-            && self.sweep < self.params.iterations
-            && self.received.get(&self.sweep).copied().unwrap_or(0)
-                >= self.mesh.expected_in[self.me]
-        {
-            self.received.remove(&self.sweep);
-            self.sweep += 1;
-            self.sent_this_sweep = false;
-            self.begin_sweep(ctx);
-        }
+    fn expected(&self, me: usize, _sweep: usize) -> usize {
+        self.mesh.expected_in[me]
     }
 }
 
-impl Program for UnstructuredProgram {
-    fn start(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.begin_sweep(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: AmMessage) {
-        debug_assert_eq!(msg.handler, H_HALO);
-        let sweep = msg.data[0] as usize;
-        *self.received.entry(sweep).or_insert(0) += 1;
-        self.maybe_advance(ctx);
-    }
-
-    fn on_idle(&mut self, _ctx: &mut ProcCtx<'_>) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.sweep >= self.params.iterations
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-}
+/// The per-processor unstructured program.
+pub type UnstructuredProgram = Phased<Unstructured>;
 
 /// Builds one unstructured program per node.
 pub fn programs(nodes: usize, params: &UnstructuredParams) -> Vec<Box<dyn Program>> {
-    let mesh = UnstructuredMesh::build(params, nodes);
-    (0..nodes)
-        .map(|i| {
-            Box::new(UnstructuredProgram::new(i, Arc::clone(&mesh), *params)) as Box<dyn Program>
-        })
-        .collect()
+    let plan = Unstructured {
+        mesh: UnstructuredMesh::build(params, nodes),
+        params: *params,
+    };
+    phased::programs(nodes, |_| plan.clone())
 }
 
 #[cfg(test)]
@@ -292,14 +232,14 @@ mod tests {
             .iter()
             .flat_map(|o| o.iter().map(|&(_, c)| c))
             .sum();
-        assert_eq!(sent, a.total_halo_updates());
+        assert_eq!(sent, a.expected_in.iter().sum::<usize>());
         assert!(sent > 0, "a 4-way partition must cut some edges");
     }
 
     #[test]
     fn single_processor_runs_have_no_halo() {
         let m = UnstructuredMesh::build(&UnstructuredParams::default(), 1);
-        assert_eq!(m.total_halo_updates(), 0);
+        assert_eq!(m.expected_in.iter().sum::<usize>(), 0);
     }
 
     #[test]
@@ -316,12 +256,12 @@ mod tests {
         assert!(report.completed, "unstructured did not complete");
         for i in 0..nodes {
             let p = machine.program_as::<UnstructuredProgram>(i).unwrap();
-            assert_eq!(p.sweeps_done(), params.iterations);
+            assert_eq!(p.phases_done(), params.iterations);
         }
         let mesh = UnstructuredMesh::build(&params, nodes);
         assert_eq!(
             report.fabric.messages,
-            (mesh.total_halo_updates() * params.iterations) as u64
+            (mesh.expected_in.iter().sum::<usize>() * params.iterations) as u64
         );
     }
 
